@@ -55,11 +55,6 @@ def orthonormal_columns(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     return u[:, :rank]
 
 
-def check_orthonormal(m: np.ndarray, tol: float = 1e-9) -> bool:
-    g = m.conj().T @ m
-    return bool(np.linalg.norm(g - np.eye(m.shape[1]), 2) <= max(tol, 10 * tol * max(1, m.shape[1])))
-
-
 def require_unitary(u: np.ndarray, tol: float = 1e-9, what: str = "matrix") -> np.ndarray:
     u = as_complex_matrix(u)
     if u.shape[0] != u.shape[1]:
@@ -68,6 +63,13 @@ def require_unitary(u: np.ndarray, tol: float = 1e-9, what: str = "matrix") -> n
     if defect > tol * 10 * max(1, u.shape[0]):
         raise NotUnitary(f"{what} fails unitarity by {defect:.3e}")
     return u
+
+
+def random_unitary(rng, n: int) -> np.ndarray:
+    """Haar-distributed n x n unitary drawn from ``rng`` (QR with phase fix)."""
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def nearest_unitary(u: np.ndarray) -> np.ndarray:
@@ -84,10 +86,9 @@ def eigenphases(u: np.ndarray, snap_tol: float = 1e-12) -> np.ndarray:
     return np.sort(phases)
 
 
-def wrap_angle(theta):
-    """Wrap to (-pi, pi]."""
-    out = np.mod(np.asarray(theta, dtype=float) + np.pi, 2 * np.pi) - np.pi
-    return np.where(out == -np.pi, np.pi, out) if np.ndim(out) else (np.pi if out == -np.pi else float(out))
+def wrap_phase(x) -> np.ndarray:
+    """Angles wrapped elementwise to [-pi, pi)."""
+    return np.mod(np.asarray(x, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
 
 
 def branch_log_unitary(u: np.ndarray, tol: float = 1e-9) -> complex:

@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -29,7 +30,6 @@ from .lagrangian_indices import (
     LagrangianPairPath,
     m_pairing,
     maslov,
-    maslov_orientation_check,
     tau_mu,
     tsig,
     tsig_tau_mu_conversion,
@@ -143,13 +143,13 @@ def _op_eta_finite(inputs, tol):
 
 def _op_spectral_flow(inputs, tol):
     require_fields(inputs, ("path",), (), "spectral_flow inputs")
-    r = spectral_flow(hermitian_path_from_json(inputs["path"]))
+    r = spectral_flow(hermitian_path_from_json(inputs["path"], tol))
     return {"value": r.value, "log": _crossing_log_json(r.log)}
 
 
 def _op_sf_eta(inputs, tol):
     require_fields(inputs, ("path",), (), "sf_eta inputs")
-    rec = sf_eta_consistency(hermitian_path_from_json(inputs["path"]))
+    rec = sf_eta_consistency(hermitian_path_from_json(inputs["path"], tol))
     return {"value": rec, "pass": True}
 
 
@@ -170,11 +170,22 @@ OPS: dict[str, Callable] = {
 }
 
 
+def _parse_tol(value, what: str) -> float:
+    """A tolerance from --tol, SYMFLOW_TOL or a scenario: a finite number > 0."""
+    try:
+        tol = float(value)
+    except (TypeError, ValueError):
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise SchemaError(f"{what} must be a positive finite number, got {value!r}")
+    return tol
+
+
 def _default_tol(args) -> float:
-    if getattr(args, "tol", None) is not None:
-        return float(args.tol)
+    if args.tol is not None:
+        return _parse_tol(args.tol, "--tol")
     env = os.environ.get("SYMFLOW_TOL")
-    return float(env) if env else 1e-9
+    return _parse_tol(env, "SYMFLOW_TOL") if env else 1e-9
 
 
 def run_scenario(scenario: dict, default_tol: float, timing: bool = False) -> dict:
@@ -186,7 +197,8 @@ def run_scenario(scenario: dict, default_tol: float, timing: bool = False) -> di
         raise SchemaError(f"unknown op {op!r}; available: {sorted(OPS)}")
     tolerances = scenario.get("tolerances", {})
     require_fields(tolerances, (), ("tol",), "tolerances")
-    tol = float(tolerances.get("tol", default_tol))
+    tol = (_parse_tol(tolerances["tol"], "tolerances.tol") if "tol" in tolerances
+           else default_tol)
     t0 = time.perf_counter()
     report = {"name": name, "op": op, "tolerances": {"tol": tol}}
     report.update(OPS[op](scenario["inputs"], tol))
@@ -362,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="symflow",
         description="symplectic spectral invariants: batch scenarios, "
                     "verification suites, and the solvable model operator")
-    parser.add_argument("--tol", type=float, default=None,
+    parser.add_argument("--tol", default=None,
                         help="default tolerance (overrides SYMFLOW_TOL)")
     sub = parser.add_subparsers(dest="command", required=True)
 

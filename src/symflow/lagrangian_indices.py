@@ -19,12 +19,10 @@ from .errors import DimensionMismatch, IdentityViolation, ToleranceAmbiguity
 from .symplectic_core import (
     Lagrangian,
     SymplecticSpace,
-    gamma_rotate,
     intersection_dim,
     lagrangian_from_frame,
-    space_from_gamma,
 )
-from .unitary_invariants import CrossingLog, UnitaryPath, WindResult, tau_w, wind
+from .unitary_invariants import CrossingLog, UnitaryPath, tau_w, wind
 
 __all__ = [
     "LagrangianPairPath",
@@ -45,8 +43,7 @@ class LagrangianPairPath:
     """Pair of Lagrangian paths (f_t, g_t) over a common parameter grid."""
 
     def __init__(self, samples: Sequence[tuple[float, Lagrangian, Lagrangian]],
-                 generator: Optional[Callable[[float], tuple[Lagrangian, Lagrangian]]] = None,
-                 refine_limit: int = 24):
+                 generator: Optional[Callable[[float], tuple[Lagrangian, Lagrangian]]] = None):
         if len(samples) < 2:
             raise ValueError("a pair path needs at least two samples")
         space = samples[0][1].space
@@ -55,14 +52,13 @@ class LagrangianPairPath:
                 raise DimensionMismatch("all samples must live in one symplectic space")
         self.samples = [(float(t), f, g) for t, f, g in samples]
         self.generator = generator
-        self.refine_limit = refine_limit
         self.space = space
 
     @classmethod
     def from_generator(cls, generator, t0: float = 0.0, t1: float = 1.0,
-                       initial_samples: int = 17, refine_limit: int = 24):
+                       initial_samples: int = 17):
         ts = np.linspace(t0, t1, initial_samples)
-        return cls([(float(t), *generator(float(t))) for t in ts], generator, refine_limit)
+        return cls([(float(t), *generator(float(t))) for t in ts], generator)
 
     def induced_unitary_path(self) -> UnitaryPath:
         """t -> phi(f_t) phi(g_t)*, inheriting the generator when present."""
@@ -74,8 +70,7 @@ class LagrangianPairPath:
                 lf, lg = g(t)
                 return lf.phi @ lg.phi.conj().T
 
-        return UnitaryPath([(t, f.phi @ g.phi.conj().T) for t, f, g in self.samples],
-                           gen, self.refine_limit)
+        return UnitaryPath([(t, f.phi @ g.phi.conj().T) for t, f, g in self.samples], gen)
 
     def endpoints(self):
         t0, f0, g0 = self.samples[0]
@@ -132,8 +127,7 @@ def maslov_orientation_check(pp: LagrangianPairPath, tol: float = 1e-9) -> dict:
     mas_fg = maslov(pp, tol).value
     swapped = LagrangianPairPath([(t, g, f) for t, f, g in pp.samples],
                                  None if pp.generator is None else
-                                 (lambda t, _g=pp.generator: _g(t)[::-1]),
-                                 pp.refine_limit)
+                                 (lambda t, _g=pp.generator: _g(t)[::-1]))
     mas_gf = maslov(swapped, tol).value
 
     opp = opposite_space(pp.space)
@@ -146,7 +140,7 @@ def maslov_orientation_check(pp: LagrangianPairPath, tol: float = 1e-9) -> dict:
             lf, lg = base_gen(t)
             return _in_opposite(lf, opp), _in_opposite(lg, opp)
 
-    mas_opp = maslov(LagrangianPairPath(opp_samples, opp_gen, pp.refine_limit), tol).value
+    mas_opp = maslov(LagrangianPairPath(opp_samples, opp_gen), tol).value
 
     (f0, g0), (f1, g1) = pp.endpoints()
     d1 = _ker_cap_im(f1, g1, tol)

@@ -22,16 +22,15 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from ._linalg import (
     DEFAULT_TOL,
     as_complex_matrix,
-    as_integer,
     intersect_subspaces,
     orthonormal_columns,
     phase_fix_columns,
     readonly,
+    wrap_phase,
 )
 from .errors import (
     AnticommutationFailure,
@@ -52,7 +51,6 @@ from .symplectic_core import (
     intersection_dim,
     lagrangian_from_frame,
     space_from_gamma,
-    subspace_distance,
     symplectic_reduce,
 )
 from .unitary_invariants import tr_log
@@ -407,6 +405,11 @@ def _block_root_function(mu: float, ell: float, p: np.ndarray, q: np.ndarray) ->
     return f
 
 
+def _scan_step(mu: float, ell: float) -> float:
+    """Root-scan grid step: a quarter of the lattice spacing pi/L, finer for large mu."""
+    return min(np.pi / (4.0 * ell), 0.45 / max(mu, 1.0))
+
+
 def _bracketed_roots(f: Callable, window: float, step: float, tol: float) -> np.ndarray:
     """All roots of a scalar function on [-window, window] by scan + bisection."""
     grid = np.arange(-window, window + step, step)
@@ -499,8 +502,7 @@ def interval_spectrum(op: ModelOperator, p: Lagrangian, q: Lagrangian,
         pv = _real_line_rep(tr_p[i])
         qv = _real_line_rep(tr_q[i])
         f = _block_root_function(b.mu, ell, pv, qv)
-        step = min(np.pi / (4.0 * ell), 0.45 / max(b.mu, 1.0))
-        out.append(_bracketed_roots(f, window, step, tol))
+        out.append(_bracketed_roots(f, window, _scan_step(b.mu, ell), tol))
     if op.kernel is not None:
         offsets = _kernel_offsets_split(op, tr_p["kernel"], tr_q["kernel"], DEFAULT_TOL)
         out.append(_lattice_in_window(offsets, np.pi / ell, window))
@@ -574,10 +576,6 @@ def _graph_frame_block(block: DoubledBlock, ell: float, lam: float, side: str) -
     return orthonormal_columns(raw)
 
 
-def _wrap_arr(x):
-    return np.mod(np.asarray(x, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
-
-
 def _phases_grid(block: DoubledBlock, ell: float, bc_phi_h: np.ndarray,
                  lams: np.ndarray, side: str) -> np.ndarray:
     """Eigenphases of phi(graph(lam)) phi(B)* for a batch of lam, shape (G, 2).
@@ -618,8 +616,8 @@ def _phases_grid(block: DoubledBlock, ell: float, bc_phi_h: np.ndarray,
 
 def _aligned_phase_branches(ph: np.ndarray) -> np.ndarray:
     """Align the 2-phase rows into continuous branches (identity-or-swap)."""
-    d_id = np.sum(np.abs(_wrap_arr(ph[1:] - ph[:-1])), axis=1)
-    d_sw = np.sum(np.abs(_wrap_arr(ph[1:, ::-1] - ph[:-1])), axis=1)
+    d_id = np.sum(np.abs(wrap_phase(ph[1:] - ph[:-1])), axis=1)
+    d_sw = np.sum(np.abs(wrap_phase(ph[1:, ::-1] - ph[:-1])), axis=1)
     flips = d_sw < d_id
     parity = np.concatenate([[False], np.cumsum(flips) % 2 == 1])
     out = ph.copy()
@@ -635,12 +633,12 @@ def _tracked_block_roots(block: DoubledBlock, ell: float, bc_phi_h: np.ndarray,
     zero; the two branches are aligned along the scan grid and each zero
     crossing is bisected in lambda with batched evaluations.
     """
-    step = min(np.pi / (4.0 * ell), 0.45 / max(block.mu, 1.0))
+    step = _scan_step(block.mu, ell)
     grid = np.arange(-window, window + step, step)
     ph = _phases_grid(block, ell, bc_phi_h, grid, side)
     for _ in range(6):
         aligned = _aligned_phase_branches(ph)
-        arcs = _wrap_arr(aligned[1:] - aligned[:-1])
+        arcs = wrap_phase(aligned[1:] - aligned[:-1])
         if float(np.max(np.abs(arcs))) <= 0.45 * np.pi:
             break
         # densify globally; the transfer terms are cheap and this is rare
@@ -667,7 +665,7 @@ def _tracked_block_roots(block: DoubledBlock, ell: float, bc_phi_h: np.ndarray,
             break
         mid = 0.5 * (lo + hi)
         phm = _phases_grid(block, ell, bc_phi_h, mid, side)
-        rel = _wrap_arr(phm - flo[:, None])
+        rel = wrap_phase(phm - flo[:, None])
         pick = np.argmin(np.abs(rel), axis=1)
         fm = flo + rel[np.arange(lo.size), pick]
         left = np.sign(fm) == np.sign(flo)
@@ -684,7 +682,7 @@ def _tracked_block_roots(block: DoubledBlock, ell: float, bc_phi_h: np.ndarray,
             clusters.append(r)
     out = []
     for r in clusters:
-        mult = int(np.sum(np.abs(_wrap_arr(
+        mult = int(np.sum(np.abs(wrap_phase(
             _phases_grid(block, ell, bc_phi_h, np.array([r]), side)[0])) <= 1e-7))
         out.extend([r] * max(mult, 1))
     return np.array(out)
@@ -704,6 +702,23 @@ def _kernel_coupled_offsets(block: DoubledBlock, ell: float, bc_phi_h: np.ndarra
         @ bc_phi_h))
     bases = theta0 / (-rate)
     return bases, 2.0 * np.pi / ell
+
+
+def _block_roots(block: DoubledBlock, bc: Lagrangian, ell: float, side: str,
+                 window: float, tol: float) -> np.ndarray:
+    """Eigenvalues in [-window, window] from one doubled 2-D mode block.
+
+    A constraint that splits into a line at each end reduces to sign changes
+    of the real transfer function; a coupled one goes through eigenphase
+    tracking.
+    """
+    split = _split_block_constraint(bc, 2)
+    if split is None:
+        return _tracked_block_roots(block, ell, bc.phi.conj().T, side, window, tol)
+    s0, s1 = split
+    p, q = (s0, s1) if side == "+" else (s1, s0)
+    f = _block_root_function(block.mu, ell, _real_line_rep(p), _real_line_rep(q))
+    return _bracketed_roots(f, window, _scan_step(block.mu, ell), tol)
 
 
 def boundary_spectrum(op: ModelOperator, constraint: Lagrangian, window: float,
@@ -728,15 +743,7 @@ def boundary_spectrum(op: ModelOperator, constraint: Lagrangian, window: float,
             frac = np.mod(bases / spacing, 1.0)
             out.append(_lattice_in_window(frac, spacing, window))
             continue
-        split = _split_block_constraint(bc, 2)
-        if split is not None:
-            s0, s1 = split
-            p, q = (s0, s1) if side == "+" else (s1, s0)
-            f = _block_root_function(block.mu, ell, _real_line_rep(p), _real_line_rep(q))
-            step = min(np.pi / (4.0 * ell), 0.45 / max(block.mu, 1.0))
-            out.append(_bracketed_roots(f, window, step, tol))
-        else:
-            out.append(_tracked_block_roots(block, ell, bc.phi.conj().T, side, window, tol))
+        out.append(_block_roots(block, bc, ell, side, window, tol))
     return np.sort(np.concatenate(out)) if out else np.array([])
 
 
@@ -856,16 +863,7 @@ def interval_eta_tilde(op: ModelOperator, constraint: Lagrangian, side: str = "+
                 eta += e
             continue
         window = (n_max / 2.0) * np.pi / ell + 5.0 * block.mu + 5.0
-        bc_phi_h = bc.phi.conj().T
-        split = _split_block_constraint(bc, 2)
-        if split is not None:
-            s0, s1 = split
-            p, q = (s0, s1) if side == "+" else (s1, s0)
-            f = _block_root_function(block.mu, ell, _real_line_rep(p), _real_line_rep(q))
-            step = min(np.pi / (4.0 * ell), 0.45 / max(block.mu, 1.0))
-            roots = _bracketed_roots(f, window, step, tol)
-        else:
-            roots = _tracked_block_roots(block, ell, bc_phi_h, side, window, tol)
+        roots = _block_roots(block, bc, ell, side, window, tol)
         est = eta_truncated(roots, n_max=n_max)
         eta += est.eta
         bound += est.bound

@@ -7,13 +7,15 @@ the CLI can map malformed input to its own exit code.
 
 from __future__ import annotations
 
+import math
+from contextlib import contextmanager
 from typing import Any, Optional
 
 import numpy as np
 
 from .errors import SchemaError
-from .model_dirac import Circle, Interval, ModelOperator, build_model
-from .spectral_flow import HermitianPath
+from .model_dirac import Circle, Interval, build_model
+from .spectral_flow import ZERO_TOL, HermitianPath
 from .symplectic_core import (
     Lagrangian,
     SymplecticSpace,
@@ -36,13 +38,17 @@ def complex_to_json(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
+def _finite_number(x) -> bool:
+    return isinstance(x, (int, float)) and math.isfinite(x)
+
+
 def complex_from_json(obj) -> complex:
-    if isinstance(obj, (int, float)):
+    if _finite_number(obj):
         return complex(obj)
     if (isinstance(obj, (list, tuple)) and len(obj) == 2
-            and all(isinstance(x, (int, float)) for x in obj)):
+            and all(_finite_number(x) for x in obj)):
         return complex(obj[0], obj[1])
-    raise SchemaError(f"complex scalar must be a number or [re, im], got {obj!r}")
+    raise SchemaError(f"complex scalar must be a finite number or [re, im], got {obj!r}")
 
 
 def matrix_to_json(m) -> list:
@@ -113,10 +119,20 @@ def _samples_from_json(obj, what: str):
         if not isinstance(item, list) or len(item) != 2:
             raise SchemaError(f"{what} samples must be [t, matrix] pairs")
         t, m = item
-        if not isinstance(t, (int, float)):
-            raise SchemaError(f"{what} sample time must be a number")
+        if not _finite_number(t):
+            raise SchemaError(f"{what} sample time must be a finite number")
         out.append((float(t), matrix_from_json(m, f"{what} sample")))
     return out
+
+
+@contextmanager
+def _path_errors(what: str):
+    """Report a path the constructor rejects (too few samples, times out of
+    order, a matrix of the wrong kind) as a schema error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise SchemaError(f"{what}: {exc}") from exc
 
 
 def unitary_path_from_json(obj) -> UnitaryPath:
@@ -124,59 +140,65 @@ def unitary_path_from_json(obj) -> UnitaryPath:
     require_fields(obj, (), ("samples", "parametric"), "unitary path")
     if ("samples" in obj) == ("parametric" in obj):
         raise SchemaError("unitary path needs exactly one of 'samples' or 'parametric'")
-    if "samples" in obj:
-        return UnitaryPath(_samples_from_json(obj["samples"], "unitary path"))
-    par = obj["parametric"]
-    if not isinstance(par, dict) or "kind" not in par:
-        raise SchemaError("parametric path needs a 'kind'")
-    kind = par["kind"]
-    if kind == "exp-interp":
-        require_fields(par, ("kind", "u0", "u1"), ("samples",), "exp-interp path")
-        u0 = matrix_from_json(par["u0"], "u0")
-        u1 = matrix_from_json(par["u1"], "u1")
-        from scipy.linalg import expm
+    with _path_errors("unitary path"):
+        if "samples" in obj:
+            return UnitaryPath(_samples_from_json(obj["samples"], "unitary path"))
+        par = obj["parametric"]
+        if not isinstance(par, dict) or "kind" not in par:
+            raise SchemaError("parametric path needs a 'kind'")
+        kind = par["kind"]
+        if kind == "exp-interp":
+            require_fields(par, ("kind", "u0", "u1"), ("samples",), "exp-interp path")
+            u0 = matrix_from_json(par["u0"], "u0")
+            u1 = matrix_from_json(par["u1"], "u1")
+            from scipy.linalg import expm
 
-        from .unitary_invariants import _principal_log_matrix
+            from .unitary_invariants import _principal_log_matrix
 
-        rel = _principal_log_matrix(u1 @ u0.conj().T)
-        n = int(par.get("samples", 17))
-        return UnitaryPath.from_generator(lambda t: expm(t * rel) @ u0,
-                                          initial_samples=n)
-    if kind == "rotation":
-        require_fields(par, ("kind", "phases", "rates"), ("frame", "samples"),
-                       "rotation path")
-        phases = np.asarray(par["phases"], dtype=float)
-        rates = np.asarray(par["rates"], dtype=float)
-        if phases.shape != rates.shape or phases.ndim != 1:
-            raise SchemaError("rotation path needs equal-length phases and rates")
-        v = (matrix_from_json(par["frame"], "frame") if "frame" in par
-             else np.eye(len(phases), dtype=complex))
-        n = int(par.get("samples", 33))
+            rel = _principal_log_matrix(u1 @ u0.conj().T)
+            n = int(par.get("samples", 17))
+            return UnitaryPath.from_generator(lambda t: expm(t * rel) @ u0,
+                                              initial_samples=n)
+        if kind == "rotation":
+            require_fields(par, ("kind", "phases", "rates"), ("frame", "samples"),
+                           "rotation path")
+            phases = np.asarray(par["phases"], dtype=float)
+            rates = np.asarray(par["rates"], dtype=float)
+            if phases.shape != rates.shape or phases.ndim != 1:
+                raise SchemaError("rotation path needs equal-length phases and rates")
+            v = (matrix_from_json(par["frame"], "frame") if "frame" in par
+                 else np.eye(len(phases), dtype=complex))
+            n = int(par.get("samples", 33))
 
-        def gen(t):
-            d = np.exp(1j * (phases + rates * t))
-            return v @ np.diag(d) @ v.conj().T
+            def gen(t):
+                d = np.exp(1j * (phases + rates * t))
+                return v @ np.diag(d) @ v.conj().T
 
-        return UnitaryPath.from_generator(gen, initial_samples=n)
-    raise SchemaError(f"unknown parametric kind {kind!r}")
+            return UnitaryPath.from_generator(gen, initial_samples=n)
+        raise SchemaError(f"unknown parametric kind {kind!r}")
 
 
-def hermitian_path_from_json(obj) -> HermitianPath:
-    """{"samples": [[t, H], ...]} or {"parametric": {"kind": "linear", ...}}."""
+def hermitian_path_from_json(obj, tol: float = ZERO_TOL) -> HermitianPath:
+    """{"samples": [[t, H], ...]} or {"parametric": {"kind": "linear", ...}}.
+
+    ``tol`` is the path's zero threshold (relative to ||H||) for the flow and eta.
+    """
     require_fields(obj, (), ("samples", "parametric"), "hermitian path")
     if ("samples" in obj) == ("parametric" in obj):
         raise SchemaError("hermitian path needs exactly one of 'samples' or 'parametric'")
-    if "samples" in obj:
-        return HermitianPath(_samples_from_json(obj["samples"], "hermitian path"))
-    par = obj["parametric"]
-    if not isinstance(par, dict) or par.get("kind") != "linear":
-        raise SchemaError("hermitian parametric paths support kind 'linear'")
-    require_fields(par, ("kind", "h0", "h1"), ("samples",), "linear path")
-    h0 = matrix_from_json(par["h0"], "h0")
-    h1 = matrix_from_json(par["h1"], "h1")
-    n = int(par.get("samples", 17))
-    return HermitianPath.from_generator(lambda t: (1 - t) * h0 + t * h1,
-                                        initial_samples=n)
+    with _path_errors("hermitian path"):
+        if "samples" in obj:
+            return HermitianPath(_samples_from_json(obj["samples"], "hermitian path"),
+                                 zero_tol=tol)
+        par = obj["parametric"]
+        if not isinstance(par, dict) or par.get("kind") != "linear":
+            raise SchemaError("hermitian parametric paths support kind 'linear'")
+        require_fields(par, ("kind", "h0", "h1"), ("samples",), "linear path")
+        h0 = matrix_from_json(par["h0"], "h0")
+        h1 = matrix_from_json(par["h1"], "h1")
+        n = int(par.get("samples", 17))
+        return HermitianPath.from_generator(lambda t: (1 - t) * h0 + t * h1,
+                                            initial_samples=n, zero_tol=tol)
 
 
 def model_from_json(obj, tol: float = 1e-9) -> dict:

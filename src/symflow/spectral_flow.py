@@ -14,8 +14,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import IdentityViolation, RefinementExhausted
-from .unitary_invariants import Crossing, CrossingLog
+from .errors import IdentityViolation
+from .unitary_invariants import Crossing, CrossingLog, SampledPath
 
 __all__ = [
     "HermitianPath",
@@ -38,101 +38,52 @@ def _require_hermitian(h: np.ndarray, tol: float, what: str) -> np.ndarray:
     return 0.5 * (h + h.conj().T)
 
 
-class HermitianPath:
-    """Sampled path of Hermitian matrices, optionally generator-backed."""
+class HermitianPath(SampledPath):
+    """Sampled path of Hermitian matrices, optionally generator-backed.
+
+    Eigenvalues with |lambda| <= zero_tol * ||H|| are zero for the flow and
+    the endpoint eta invariants.
+    """
+
+    NO_GENERATOR = "move eigenvalues across the spectral gap and no generator is available"
 
     def __init__(self, samples: Sequence[tuple[float, np.ndarray]],
                  generator: Optional[Callable[[float], np.ndarray]] = None,
-                 refine_limit: int = 24, hermiticity_tol: float = 1e-9,
                  zero_tol: float = ZERO_TOL):
-        if len(samples) < 2:
-            raise ValueError("a path needs at least two samples")
-        ts = [float(t) for t, _ in samples]
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise ValueError("sample times must be strictly increasing")
-        mats = [_require_hermitian(h, hermiticity_tol, f"sample at t={t}") for t, h in samples]
-        k = mats[0].shape[0]
-        if any(m.shape[0] != k for m in mats):
-            raise ValueError("all samples must have the same size")
-        self.times = ts
-        self.mats = mats
-        self.generator = generator
-        self.refine_limit = refine_limit
-        self.size = k
+        super().__init__(samples, generator)
         self.zero_tol = zero_tol
 
-    @classmethod
-    def from_generator(cls, generator, t0: float = 0.0, t1: float = 1.0,
-                       initial_samples: int = 9, refine_limit: int = 24):
-        ts = np.linspace(t0, t1, initial_samples)
-        return cls([(float(t), generator(float(t))) for t in ts], generator, refine_limit)
+    def _like(self, samples, generator) -> "HermitianPath":
+        return HermitianPath(samples, generator, self.zero_tol)
 
-    def reversed(self) -> "HermitianPath":
-        t0, t1 = self.times[0], self.times[-1]
-        gen = None
-        if self.generator is not None:
-            g = self.generator
-            gen = lambda t: g(t0 + t1 - t)
-        rev = [(t0 + t1 - t, h) for t, h in zip(self.times[::-1], self.mats[::-1])]
-        return HermitianPath(rev, gen, self.refine_limit, zero_tol=self.zero_tol)
+    @staticmethod
+    def _checked(h, what: str) -> np.ndarray:
+        return _require_hermitian(h, 1e-9, what)
 
     def _zero_threshold(self, h: np.ndarray) -> float:
         return self.zero_tol * max(1.0, np.linalg.norm(h, 2))
 
-    def _crossing_window(self, norm: float) -> float:
-        # eigenvalues inside this band are treated as "currently crossing";
-        # refinement localizes them to this resolution instead of chasing the
-        # vanishing gap at the crossing itself
-        return max(4.0 * self.zero_tol * max(1.0, norm), 1e-4 * max(1.0, norm))
+    def _info(self, h: np.ndarray) -> tuple[float, float]:
+        """(crossing window, smallest |eigenvalue| outside it) of one sample.
 
-    def refined(self) -> "HermitianPath":
-        """Refine until each step moves eigenvalues less than half the local gap."""
+        Eigenvalues inside the window are treated as "currently crossing";
+        refinement localizes them to this resolution instead of chasing the
+        vanishing gap at the crossing itself.
+        """
+        vals = np.linalg.eigvalsh(h)
+        norm = float(np.max(np.abs(vals))) if vals.size else 0.0
+        window = max(4.0 * self.zero_tol * max(1.0, norm), 1e-4 * max(1.0, norm))
+        outside = np.abs(vals)[np.abs(vals) > window]
+        gap = float(outside.min()) if outside.size else np.inf
+        return window, gap
 
-        def info(h):
-            vals = np.linalg.eigvalsh(h)
-            norm = float(np.max(np.abs(vals))) if vals.size else 0.0
-            window = self._crossing_window(norm)
-            outside = np.abs(vals)[np.abs(vals) > window]
-            gap = float(outside.min()) if outside.size else np.inf
-            return window, gap
-
-        out_t = [self.times[0]]
-        out_m = [self.mats[0]]
-
-        def bound(ia, ib):
-            w = max(ia[0], ib[0])
-            g = min(ia[1], ib[1])
-            return max(0.5 * g, w) if np.isfinite(g) else np.inf
-
-        def push(ta, ha, ia, tb, hb, ib, depth):
-            # Weyl: each eigenvalue moves at most ||hb - ha||
-            if np.linalg.norm(hb - ha, 2) < bound(ia, ib):
-                out_t.append(tb)
-                out_m.append(hb)
-                return
-            if self.generator is None:
-                raise RefinementExhausted(
-                    f"samples at t={ta:.6g}, {tb:.6g} move eigenvalues across the spectral "
-                    "gap and no generator is available"
-                )
-            if depth >= self.refine_limit:
-                raise RefinementExhausted(
-                    f"step invariant unreachable after {depth} bisections near t={ta:.6g}"
-                )
-            tm = 0.5 * (ta + tb)
-            hm = _require_hermitian(self.generator(tm), 1e-9, f"generator at t={tm}")
-            im = info(hm)
-            push(ta, ha, ia, tm, hm, im, depth + 1)
-            push(tm, hm, im, tb, hb, ib, depth + 1)
-
-        infos = [info(h) for h in self.mats]
-        for i in range(len(self.times) - 1):
-            push(self.times[i], self.mats[i], infos[i],
-                 self.times[i + 1], self.mats[i + 1], infos[i + 1], 0)
-        if len(out_t) == len(self.times):
-            return self
-        return HermitianPath(list(zip(out_t, out_m)), self.generator,
-                             self.refine_limit, zero_tol=self.zero_tol)
+    @staticmethod
+    def _step_ok(ha, ia, hb, ib) -> bool:
+        """Weyl: each eigenvalue moves at most ||hb - ha||, kept below half the gap."""
+        w = max(ia[0], ib[0])
+        g = min(ia[1], ib[1])
+        bound = max(0.5 * g, w) if np.isfinite(g) else np.inf
+        return np.linalg.norm(hb - ha, 2) < bound
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ eigenbases, so that L = { x + phi(L) x : x in E_i }.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from ._linalg import (
     orthonormal_columns,
     phase_fix_columns,
     principal_angle_sines,
+    random_unitary,
     readonly,
     require_unitary,
     subspace_gap,
@@ -175,17 +176,11 @@ def space_from_gamma(gamma, tol: float = DEFAULT_TOL, *, _rng=None) -> Symplecti
     basis_plus = vecs[:, n:]
     if _rng is not None:
         # randomized re-basing hook: invariants must not depend on this choice
-        basis_plus = basis_plus @ _random_unitary(_rng, n)
-        basis_minus = basis_minus @ _random_unitary(_rng, n)
+        basis_plus = basis_plus @ random_unitary(_rng, n)
+        basis_minus = basis_minus @ random_unitary(_rng, n)
     basis_plus = phase_fix_columns(orthonormal_columns(basis_plus, tol))
     basis_minus = phase_fix_columns(orthonormal_columns(basis_minus, tol))
     return SymplecticSpace(n, gamma, basis_plus, basis_minus)
-
-
-def _random_unitary(rng, n: int) -> np.ndarray:
-    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def rebased_space(space: SymplecticSpace, rng) -> SymplecticSpace:

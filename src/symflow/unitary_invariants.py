@@ -14,16 +14,16 @@ Conventions, fixed once and used everywhere:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-from ._linalg import as_complex_matrix, as_integer, branch_log_unitary, require_unitary
+from ._linalg import as_integer, branch_log_unitary, require_unitary, wrap_phase
 from .errors import MethodDisagreement, NonIntegerResult, RefinementExhausted
 
 __all__ = [
+    "SampledPath",
     "UnitaryPath",
     "Crossing",
     "CrossingLog",
@@ -38,6 +38,8 @@ __all__ = [
 # so no eigenphase can move by pi/2 or more within one step
 STEP_NORM_BOUND = np.sqrt(2.0) * 0.95
 MAX_ARC = 0.5 * np.pi * 0.98
+# bisections allowed per initial step before refinement gives up
+REFINE_LIMIT = 24
 
 
 @dataclass(frozen=True)
@@ -67,85 +69,111 @@ class WindResult:
         return self.value
 
 
-class UnitaryPath:
-    """Sampled path of unitary matrices, optionally generator-backed.
+class SampledPath:
+    """Sampled matrix path, optionally generator-backed.
 
-    ``samples`` is a list of (t, U) with t increasing in [0, 1] (any real
-    interval is accepted and rescaled internally).  If ``generator`` is given
-    it must be a pure function t -> unitary agreeing with the samples.
+    ``samples`` is a list of (t, M) with t strictly increasing (any real
+    interval is accepted).  If ``generator`` is given it must be a pure
+    function t -> matrix agreeing with the samples; ``refined`` bisects with
+    it until every step meets the path kind's step invariant.
+
+    A path kind supplies ``_checked`` (validate one matrix), ``_info``
+    (per-sample data for the step test), ``_step_ok`` and ``NO_GENERATOR``,
+    the reason given when a step fails and there is no generator.
     """
 
     def __init__(self, samples: Sequence[tuple[float, np.ndarray]],
-                 generator: Optional[Callable[[float], np.ndarray]] = None,
-                 refine_limit: int = 24, unitarity_tol: float = 1e-9):
+                 generator: Optional[Callable[[float], np.ndarray]] = None):
         if len(samples) < 2:
             raise ValueError("a path needs at least two samples")
         ts = [float(t) for t, _ in samples]
         if any(b <= a for a, b in zip(ts, ts[1:])):
             raise ValueError("sample times must be strictly increasing")
-        mats = [require_unitary(u, unitarity_tol, what=f"sample at t={t}") for t, u in samples]
+        mats = [self._checked(m, f"sample at t={t}") for t, m in samples]
         k = mats[0].shape[0]
         if any(m.shape[0] != k for m in mats):
             raise ValueError("all samples must have the same size")
         self.times = ts
         self.mats = mats
         self.generator = generator
-        self.refine_limit = refine_limit
         self.size = k
 
     @classmethod
     def from_generator(cls, generator: Callable[[float], np.ndarray],
                        t0: float = 0.0, t1: float = 1.0, initial_samples: int = 9,
-                       refine_limit: int = 24) -> "UnitaryPath":
+                       **kwargs):
+        """Sample ``generator`` at evenly spaced times; ``kwargs`` go to the constructor."""
         ts = np.linspace(t0, t1, initial_samples)
-        return cls([(float(t), generator(float(t))) for t in ts], generator, refine_limit)
+        return cls([(float(t), generator(float(t))) for t in ts], generator, **kwargs)
 
-    def reversed(self) -> "UnitaryPath":
+    def _like(self, samples, generator):
+        """A path of the same kind and settings through other samples."""
+        return type(self)(samples, generator)
+
+    def reversed(self):
         t0, t1 = self.times[0], self.times[-1]
         gen = None
         if self.generator is not None:
             g = self.generator
             gen = lambda t: g(t0 + t1 - t)
-        rev = [(t0 + t1 - t, u) for t, u in zip(self.times[::-1], self.mats[::-1])]
-        return UnitaryPath(rev, gen, self.refine_limit)
+        rev = [(t0 + t1 - t, m) for t, m in zip(self.times[::-1], self.mats[::-1])]
+        return self._like(rev, gen)
+
+    def refined(self):
+        """Insert generator midpoints until every step meets the step invariant."""
+        out_t = [self.times[0]]
+        out_m = [self.mats[0]]
+
+        def push(ta, ma, ia, tb, mb, ib, depth):
+            if self._step_ok(ma, ia, mb, ib):
+                out_t.append(tb)
+                out_m.append(mb)
+                return
+            if self.generator is None:
+                raise RefinementExhausted(f"samples at t={ta:.6g}, {tb:.6g} {self.NO_GENERATOR}")
+            if depth >= REFINE_LIMIT:
+                raise RefinementExhausted(
+                    f"step invariant unreachable after {depth} bisections near t={ta:.6g}"
+                )
+            tm = 0.5 * (ta + tb)
+            mm = self._checked(self.generator(tm), f"generator at t={tm}")
+            im = self._info(mm)
+            push(ta, ma, ia, tm, mm, im, depth + 1)
+            push(tm, mm, im, tb, mb, ib, depth + 1)
+
+        infos = [self._info(m) for m in self.mats]
+        for i in range(len(self.times) - 1):
+            push(self.times[i], self.mats[i], infos[i],
+                 self.times[i + 1], self.mats[i + 1], infos[i + 1], 0)
+        if len(out_t) == len(self.times):
+            return self
+        return self._like(list(zip(out_t, out_m)), self.generator)
+
+
+class UnitaryPath(SampledPath):
+    """Sampled path of unitary matrices, optionally generator-backed."""
+
+    NO_GENERATOR = ("violate the step invariant and no generator is available "
+                    "(interpolation would invent data)")
+
+    @staticmethod
+    def _checked(u, what: str) -> np.ndarray:
+        return require_unitary(u, what=what)
+
+    @staticmethod
+    def _info(u) -> None:
+        return None
+
+    @staticmethod
+    def _step_ok(ua, _ia, ub, _ib) -> bool:
+        return np.linalg.norm(ub - ua, 2) < STEP_NORM_BOUND
 
     def pointwise_inverse(self) -> "UnitaryPath":
         gen = None
         if self.generator is not None:
             g = self.generator
             gen = lambda t: g(t).conj().T
-        return UnitaryPath([(t, u.conj().T) for t, u in zip(self.times, self.mats)],
-                           gen, self.refine_limit)
-
-    def refined(self) -> "UnitaryPath":
-        """Insert generator midpoints until the step invariant holds."""
-        out_times = [self.times[0]]
-        out_mats = [self.mats[0]]
-
-        def push(ta, ua, tb, ub, depth):
-            if np.linalg.norm(ub - ua, 2) < STEP_NORM_BOUND:
-                out_times.append(tb)
-                out_mats.append(ub)
-                return
-            if self.generator is None:
-                raise RefinementExhausted(
-                    f"samples at t={ta:.6g}, {tb:.6g} violate the step invariant and no "
-                    "generator is available (interpolation would invent data)"
-                )
-            if depth >= self.refine_limit:
-                raise RefinementExhausted(
-                    f"step invariant unreachable after {depth} bisections near t={ta:.6g}"
-                )
-            tm = 0.5 * (ta + tb)
-            um = require_unitary(self.generator(tm), what=f"generator at t={tm}")
-            push(ta, ua, tm, um, depth + 1)
-            push(tm, um, tb, ub, depth + 1)
-
-        for i in range(len(self.times) - 1):
-            push(self.times[i], self.mats[i], self.times[i + 1], self.mats[i + 1], 0)
-        if len(out_times) == len(self.times):
-            return self
-        return UnitaryPath(list(zip(out_times, out_mats)), self.generator, self.refine_limit)
+        return UnitaryPath([(t, u.conj().T) for t, u in zip(self.times, self.mats)], gen)
 
 
 def tr_log(u, tol: float = 1e-9) -> complex:
@@ -154,15 +182,11 @@ def tr_log(u, tol: float = 1e-9) -> complex:
     return branch_log_unitary(u, tol)
 
 
-def _wrap(x: np.ndarray) -> np.ndarray:
-    return np.mod(np.asarray(x, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
-
-
 def _endpoint_shift(u0: np.ndarray, u1: np.ndarray, atol: float = 1e-11) -> float:
     """eps for the endpoint convention wind(f) := wind(f e^{-i eps})."""
     phases = np.concatenate([np.angle(np.linalg.eigvals(u0)),
                              np.angle(np.linalg.eigvals(u1))])
-    dist = np.abs(_wrap(phases - np.pi))
+    dist = np.abs(wrap_phase(phases - np.pi))
     nonzero = dist[dist > atol]
     if nonzero.size == 0:
         return 0.5 * np.pi
@@ -171,7 +195,9 @@ def _endpoint_shift(u0: np.ndarray, u1: np.ndarray, atol: float = 1e-11) -> floa
 
 def _match_phases(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
     """Permutation matching phases of consecutive samples on the circle."""
-    diff = _wrap(cur[None, :] - prev[:, None])
+    from scipy.optimize import linear_sum_assignment
+
+    diff = wrap_phase(cur[None, :] - prev[:, None])
     _, cols = linear_sum_assignment(np.abs(diff))
     return cols
 
@@ -210,13 +236,13 @@ def wind(path: UnitaryPath, tol: float = 1e-9) -> WindResult:
         phases_cur = np.angle(np.linalg.eigvals(mats[j]))
         perm = _match_phases(phases_prev, phases_cur)
         matched = phases_cur[perm]
-        arcs = _wrap(matched - phases_prev)
+        arcs = wrap_phase(matched - phases_prev)
         if np.any(np.abs(arcs) > MAX_ARC):
             raise RefinementExhausted(
                 f"eigenphase moved by {np.max(np.abs(arcs)):.3f} rad in one refined step "
                 f"near t={times[j - 1]:.6g}; transport ambiguous"
             )
-        u_prev = _wrap(phases_prev - np.pi)
+        u_prev = wrap_phase(phases_prev - np.pi)
         u_prev[np.abs(u_prev) <= 1e-9] = 0.0
         u_cur = u_prev + arcs
         u_cur[np.abs(u_cur) <= 1e-9] = 0.0

@@ -15,6 +15,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import model_dirac as md
+from ._linalg import random_unitary
 from .errors import SymflowError
 from .lagrangian_indices import (
     LagrangianPairPath,
@@ -36,7 +37,6 @@ from .symplectic_core import (
     lagrangian_from_phi,
     projection_of,
     rebased_space,
-    space_from_gamma,
     standard_space,
     subspace_distance,
     symplectic_reduce,
@@ -61,12 +61,6 @@ _SUITE_STREAM = {
 def rng_for(seed: int, stream: int) -> np.random.Generator:
     """Counter-based generator: one key per seed, one stream per consumer."""
     return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, stream]))
-
-
-def random_unitary(rng, n: int) -> np.ndarray:
-    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def unitary_with_minus_ones(rng, n: int, mult: int) -> np.ndarray:
@@ -203,14 +197,6 @@ class SuiteReport:
             extra = f"  ({c.detail})" if c.detail else ""
             out.append(f"  [{mark}] {c.label}: {c.passed}/{c.total}{extra}")
         return out
-
-
-def _count(iterable, predicate) -> tuple[int, int]:
-    good = total = 0
-    for item in iterable:
-        total += 1
-        good += bool(predicate(item))
-    return good, total
 
 
 # ---------------------------------------------------------------------------
@@ -729,7 +715,7 @@ def suite_gluing(seed: int, count: int = 20) -> SuiteReport:
         if choice < 0.3:
             p = md.cauchy_data(op_p, dbs)
         elif choice < 0.5:
-            p = gamma_conjugate(transmission_lagrangian_of(dbs))
+            p = gamma_conjugate(md.transmission_lagrangian(dbs))
         else:
             p = random_split_boundary(op_p, dbs, rng)
         try:
@@ -773,10 +759,6 @@ def suite_gluing(seed: int, count: int = 20) -> SuiteReport:
     rep.add("glued-kernel dimension constant along the transmission family",
             ok_cald, tot_cald)
     return rep
-
-
-def transmission_lagrangian_of(dbs):
-    return md.transmission_lagrangian(dbs)
 
 
 def suite_adiabatic(seed: int, count: int = 20) -> SuiteReport:

@@ -153,6 +153,60 @@ class TestRunCommand:
         rec3 = json.loads(r3.stdout.strip())
         assert rec3["tolerances"]["tol"] == 1e-7
 
+    @pytest.mark.parametrize("source, value", [
+        ("flag", "nan"), ("flag", "-1"), ("env", "abc"), ("env", "inf"),
+        ("scenario", 0), ("scenario", "abc"),
+    ])
+    def test_bad_tolerance_exits_2(self, tmp_path, monkeypatch, source, value):
+        scenario = {"name": "t", "op": "tr_log", "inputs": {"U": [[[1, 0]]]}}
+        if source == "scenario":
+            scenario["tolerances"] = {"tol": value}
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps({"scenarios": [scenario]}))
+        argv = ["run", str(f)]
+        if source == "flag":
+            argv = ["--tol", value] + argv
+        if source == "env":
+            monkeypatch.setenv("SYMFLOW_TOL", value)
+        assert main(argv) == 2
+
+    def test_scenario_tolerance_is_the_zero_threshold(self, tmp_path, capsys):
+        # at tol 1e-2 the start eigenvalue -1e-3 counts as zero (nonnegative
+        # side), so nothing crosses; at the default 1e-9 it crosses once
+        path = {"parametric": {"kind": "linear", "h0": [[[-0.001, 0]]], "h1": [[[1, 0]]]}}
+        loose = {"tol": 0.01}
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps({"scenarios": [
+            {"name": "sf", "op": "spectral_flow", "inputs": {"path": path},
+             "tolerances": loose},
+            {"name": "sf-eta", "op": "sf_eta", "inputs": {"path": path},
+             "tolerances": loose},
+            {"name": "sf-default", "op": "spectral_flow", "inputs": {"path": path}},
+        ]}))
+        assert main(["run", str(f)]) == 0
+        sf_rec, eta_rec, default_rec = [
+            json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
+        assert sf_rec["tolerances"]["tol"] == 0.01
+        assert sf_rec["value"] == 0
+        assert eta_rec["value"]["sf"] == 0
+        assert default_rec["value"] == 1
+
+    @pytest.mark.parametrize("path", [
+        {"parametric": {"kind": "linear", "h0": [[[-1, 0]]], "h1": [[[1, 0]]],
+                        "samples": 1}},
+        {"samples": [[1.0, [[[-1, 0]]]], [0.0, [[[1, 0]]]]]},
+        {"samples": [[0.0, [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]],
+                     [1.0, [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]]},
+        {"samples": [[0.0, [[float("nan")]]], [1.0, [[[1, 0]]]]]},
+    ], ids=["one-sample", "decreasing-times", "non-hermitian", "nan-entry"])
+    def test_malformed_path_exits_2(self, tmp_path, path):
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps({"scenarios": [{
+            "name": "bad", "op": "spectral_flow", "inputs": {"path": path}}]}))
+        r = run_cli("run", str(f))
+        assert r.returncode == 2, r.stderr
+        assert "Traceback" not in r.stderr
+
     def test_out_file_and_pretty(self, tmp_path):
         f = tmp_path / "s.json"
         f.write_text(json.dumps({"scenarios": [{
