@@ -1,8 +1,16 @@
 """Shared dense linear-algebra helpers.
 
-Everything here operates on plain ndarrays; tolerance policy: singular values
-below ``tol * largest`` count as zero, angular classifications use an
-undecidable band of width ``AMBIGUITY_FACTOR * tol`` above the threshold.
+Everything here operates on plain ndarrays.  Tolerance policy:
+
+* singular values below ``tol * largest`` count as zero;
+* ``at_phase`` is the one answer to "is this eigenphase at +1 (or at -1)?":
+  circular distance at most ``tol`` is a hit, and a distance in the band
+  (tol, AMBIGUITY_FACTOR*tol] raises ToleranceAmbiguity.  Intersection
+  dimensions, the log branch cut (``branch_phases``), the pairing m, the
+  winding endpoint shift and the kernel dimensions of the inverse check all
+  use it;
+* ``sign_classes`` and ``crossing_signs`` are the (-eps,-eps) rule of
+  spectral flow and winding: zero counts as nonnegative.
 """
 
 from __future__ import annotations
@@ -78,45 +86,55 @@ def nearest_unitary(u: np.ndarray) -> np.ndarray:
     return w @ vh
 
 
-def eigenphases(u: np.ndarray, snap_tol: float = 1e-12) -> np.ndarray:
-    """Sorted eigenphases of a unitary in (-pi, pi], values at -1 snapped to +pi."""
-    vals = np.linalg.eigvals(u)
-    phases = np.angle(vals)
-    phases[np.abs(np.abs(phases) - np.pi) <= snap_tol] = np.pi
-    return np.sort(phases)
-
-
 def wrap_phase(x) -> np.ndarray:
     """Angles wrapped elementwise to [-pi, pi)."""
     return np.mod(np.asarray(x, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
 
 
-def branch_log_unitary(u: np.ndarray, tol: float = 1e-9) -> complex:
-    """Sum of eigenvalue logs with the branch cut just below -1 (arg in (-pi, pi])."""
-    u = as_complex_matrix(u)
-    vals = np.linalg.eigvals(u)
-    phases = np.angle(vals)
-    # eigenvalues within tol of -1 take the +i*pi side of the cut
-    phases[np.abs(np.abs(phases) - np.pi) <= tol] = np.pi
-    return complex(np.sum(np.log(np.abs(vals))) + 1j * np.sum(phases))
+def at_phase(phases, target: float, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Mask of the eigenphases (in [-pi, pi]) whose eigenvalue is e^{i*target}.
 
-
-def count_unit_eigenvalues_at_one(u: np.ndarray, tol: float = DEFAULT_TOL) -> int:
-    """Multiplicity of the eigenvalue +1 of a unitary, with an ambiguity guard.
-
-    Eigenphases with |theta| <= tol count; |theta| in (tol, AMBIGUITY_FACTOR*tol]
-    raise ToleranceAmbiguity (the decision cannot be made at this tolerance).
+    ``target`` is 0 (the eigenvalue +1) or pi (the eigenvalue -1), where the
+    circular distance is ||theta| - target| exactly.  Distance <= tol is a
+    hit; a distance in (tol, AMBIGUITY_FACTOR*tol] raises ToleranceAmbiguity.
     """
-    phases = np.angle(np.linalg.eigvals(u))
-    dist = np.abs(phases)
+    dist = np.abs(np.abs(phases) - target)
     hit = dist <= tol
     murky = (~hit) & (dist <= AMBIGUITY_FACTOR * tol)
     if np.any(murky):
         raise ToleranceAmbiguity(
-            f"eigenphase at distance {dist[murky].min():.3e} from +1 is inside the "
-            f"ambiguity band (tol={tol:.1e})"
+            f"eigenphase at distance {dist[murky].min():.3e} from {'-1' if target else '+1'} "
+            f"is inside the ambiguity band (tol={tol:.1e})"
         )
-    return int(np.sum(hit))
+    return hit
+
+
+def branch_phases(vals, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Arguments of eigenvalues on the branch (-pi, pi]: those at -1 take +pi."""
+    phases = np.angle(vals)
+    phases[at_phase(phases, np.pi, tol)] = np.pi
+    return phases
+
+
+def branch_log_unitary(u: np.ndarray, tol: float = DEFAULT_TOL) -> complex:
+    """Sum of eigenvalue logs with the branch cut just below -1 (arg in (-pi, pi])."""
+    vals = np.linalg.eigvals(as_complex_matrix(u))
+    return complex(np.sum(np.log(np.abs(vals))) + 1j * np.sum(branch_phases(vals, tol)))
+
+
+def sign_classes(vals, threshold: float) -> np.ndarray:
+    """-1 / 0 / +1 per eigenvalue; |lambda| <= threshold is the zero class."""
+    cls = np.sign(vals).astype(int)
+    cls[np.abs(vals) <= threshold] = 0
+    return cls
+
+
+def crossing_signs(before, after) -> np.ndarray:
+    """(-eps,-eps) rule for matched values: +1 for a move from < 0 to >= 0,
+    -1 for the reverse, 0 otherwise (zero belongs to the nonnegative side)."""
+    before = np.asarray(before)
+    after = np.asarray(after)
+    return ((before < 0) & (after >= 0)).astype(int) - ((after < 0) & (before >= 0)).astype(int)
 
 
 def principal_angle_sines(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:

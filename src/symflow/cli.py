@@ -27,7 +27,6 @@ from .errors import (
     WindowEscape,
 )
 from .lagrangian_indices import (
-    LagrangianPairPath,
     m_pairing,
     maslov,
     tau_mu,
@@ -41,6 +40,7 @@ from .serialization import (
     matrix_from_json,
     matrix_to_json,
     model_from_json,
+    pair_path_from_json,
     require_fields,
     space_from_json,
     unitary_path_from_json,
@@ -121,17 +121,7 @@ def _op_intersection(inputs, tol):
 
 
 def _op_maslov(inputs, tol):
-    require_fields(inputs, ("space", "samples"), (), "maslov inputs")
-    space = space_from_json(inputs["space"], tol)
-    samples = []
-    for item in inputs["samples"]:
-        if not isinstance(item, list) or len(item) != 3:
-            raise SchemaError("maslov samples must be [t, frame_f, frame_g]")
-        t, ff, fg = item
-        samples.append((float(t),
-                        lagrangian_from_json({"frame": ff}, space, tol),
-                        lagrangian_from_json({"frame": fg}, space, tol)))
-    r = maslov(LagrangianPairPath(samples), tol)
+    r = maslov(pair_path_from_json(inputs, tol), tol)
     return {"value": r.value, "log": _crossing_log_json(r.log)}
 
 
@@ -208,6 +198,14 @@ def run_scenario(scenario: dict, default_tol: float, timing: bool = False) -> di
     return report
 
 
+def _failure(exc: SymflowError, **ident) -> tuple[dict, int]:
+    """The report and exit code of a failed scenario or model action: 2 for
+    malformed input, 3 for a numerical resolution failure, 1 otherwise."""
+    code = (2 if isinstance(exc, SchemaError) else
+            3 if isinstance(exc, RESOLUTION_ERRORS) else 1)
+    return {**ident, "error": type(exc).__name__, "detail": str(exc), "pass": False}, code
+
+
 def _emit(reports, out_path: Optional[str], pretty: bool):
     text = "\n".join(
         json.dumps(r, indent=2 if pretty else None,
@@ -253,27 +251,20 @@ def cmd_run(args) -> int:
         return 2
     default_tol = _default_tol(args)
     reports = []
-    worst = 0
+    codes = {0}
     for sc in scenarios:
         try:
             reports.append(run_scenario(sc, default_tol, timing=args.timing))
             if not reports[-1].get("pass", True):
-                worst = max(worst, 1)
-        except SchemaError as exc:
-            print(f"schema error: {exc}", file=sys.stderr)
-            return 2
-        except RESOLUTION_ERRORS as exc:
-            reports.append({"name": sc.get("name", "?"), "op": sc.get("op", "?"),
-                            "error": type(exc).__name__, "detail": str(exc),
-                            "pass": False})
-            worst = max(worst, 3)
+                codes.add(1)
         except SymflowError as exc:
-            reports.append({"name": sc.get("name", "?"), "op": sc.get("op", "?"),
-                            "error": type(exc).__name__, "detail": str(exc),
-                            "pass": False})
-            worst = max(worst, 1)
+            ident = sc if isinstance(sc, dict) else {}
+            rec, code = _failure(exc, name=ident.get("name", "?"), op=ident.get("op", "?"))
+            reports.append(rec)
+            codes.add(code)
     _emit(reports, args.out, args.pretty)
-    return worst
+    # a malformed scenario outranks every other failure in the batch
+    return 2 if 2 in codes else max(codes)
 
 
 def cmd_verify(args) -> int:
@@ -302,71 +293,63 @@ def cmd_model(args) -> int:
     try:
         with open(args.file, encoding="utf-8") as fh:
             doc = json.load(fh)
-        parsed = model_from_json(doc, _default_tol(args))
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cannot read model file: {exc}", file=sys.stderr)
         return 2
-    except SchemaError as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return 2
-    op = parsed["op"]
     try:
-        if args.what == "spectrum":
-            if isinstance(op.geometry, md.Circle):
-                lams = md.circle_spectrum(op, parsed["window"])
-            else:
-                if "p" not in parsed or "q" not in parsed:
-                    raise SchemaError("interval spectrum needs boundary P and Q")
-                lams = md.interval_spectrum(op, parsed["p"], parsed["q"],
-                                            parsed["window"])
-            report = {"kind": "spectrum", "window": parsed["window"],
-                      "eigenvalues": [float(x) for x in lams]}
-        elif args.what == "cauchy":
-            dbs = md.double_boundary(op)
-            lx = md.cauchy_data(op, dbs)
-            report = {"kind": "cauchy", "frame": matrix_to_json(lx.frame),
-                      "phi": matrix_to_json(lx.phi)}
-        elif args.what == "stretch":
-            stretch = parsed["stretch"]
-            require_fields(stretch, (), ("nu", "lengths"), "stretch")
-            nu = float(stretch.get("nu", 0.0))
-            dbs = md.double_boundary(op)
-            lim = md.adiabatic_limit(op, nu=nu, dbs=dbs)
-            lengths = stretch.get("lengths") or [2.0, 5.0, 10.0, 20.0, 50.0]
-            dists = [
-                {"length": float(r),
-                 "distance": subspace_distance(
-                     md.cauchy_data(op, dbs, side="+", length=float(r)), lim)}
-                for r in lengths
-            ]
-            report = {"kind": "stretch", "nu": nu, "limit_frame":
-                      matrix_to_json(lim.frame), "distances": dists}
-        elif args.what == "glue":
-            glue = parsed["glue"]
-            require_fields(glue, ("length_minus", "P"), ("n_max",), "glue")
-            op_minus = md.build_model(op.space, op.a_matrix,
-                                      md.Interval(float(glue["length_minus"])))
-            dbs = md.double_boundary(op)
-            p = lagrangian_from_json(glue["P"], dbs.space)
-            rec = md.glue_verify(op, op_minus, p,
-                                 n_max=int(glue.get("n_max", parsed["n_max"])),
-                                 eta_tol=parsed["eta_tol"])
-            report = {"kind": "glue", **rec, "pass": True}
-        else:  # pragma: no cover - argparse restricts choices
-            raise SchemaError(f"unknown model action {args.what!r}")
-    except SchemaError as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return 2
-    except RESOLUTION_ERRORS as exc:
-        _emit([{"kind": args.what, "error": type(exc).__name__, "detail": str(exc),
-                "pass": False}], args.out, args.pretty)
-        return 3
+        report = _model_report(args.what, model_from_json(doc, _default_tol(args)))
+        code = 0
     except SymflowError as exc:
-        _emit([{"kind": args.what, "error": type(exc).__name__, "detail": str(exc),
-                "pass": False}], args.out, args.pretty)
-        return 1
+        report, code = _failure(exc, kind=args.what)
     _emit([report], args.out, args.pretty)
-    return 0
+    return code
+
+
+def _model_report(what: str, parsed: dict) -> dict:
+    """The report of one `symflow model` action on a parsed model document."""
+    op = parsed["op"]
+    if what == "spectrum":
+        if isinstance(op.geometry, md.Circle):
+            lams = md.circle_spectrum(op, parsed["window"])
+        else:
+            if "p" not in parsed or "q" not in parsed:
+                raise SchemaError("interval spectrum needs boundary P and Q")
+            lams = md.interval_spectrum(op, parsed["p"], parsed["q"],
+                                        parsed["window"])
+        return {"kind": "spectrum", "window": parsed["window"],
+                  "eigenvalues": [float(x) for x in lams]}
+    elif what == "cauchy":
+        dbs = md.double_boundary(op)
+        lx = md.cauchy_data(op, dbs)
+        return {"kind": "cauchy", "frame": matrix_to_json(lx.frame),
+                  "phi": matrix_to_json(lx.phi)}
+    elif what == "stretch":
+        stretch = parsed["stretch"]
+        require_fields(stretch, (), ("nu", "lengths"), "stretch")
+        nu = float(stretch.get("nu", 0.0))
+        dbs = md.double_boundary(op)
+        lim = md.adiabatic_limit(op, nu=nu, dbs=dbs)
+        lengths = stretch.get("lengths") or [2.0, 5.0, 10.0, 20.0, 50.0]
+        dists = [
+            {"length": float(r),
+             "distance": subspace_distance(
+                 md.cauchy_data(op, dbs, side="+", length=float(r)), lim)}
+            for r in lengths
+        ]
+        return {"kind": "stretch", "nu": nu, "limit_frame":
+                  matrix_to_json(lim.frame), "distances": dists}
+    elif what == "glue":
+        glue = parsed["glue"]
+        require_fields(glue, ("length_minus", "P"), ("n_max",), "glue")
+        op_minus = md.build_model(op.space, op.a_matrix,
+                                  md.Interval(float(glue["length_minus"])))
+        dbs = md.double_boundary(op)
+        p = lagrangian_from_json(glue["P"], dbs.space)
+        rec = md.glue_verify(op, op_minus, p,
+                             n_max=int(glue.get("n_max", parsed["n_max"])),
+                             eta_tol=parsed["eta_tol"])
+        return {"kind": "glue", **rec, "pass": True}
+    raise SchemaError(f"unknown model action {what!r}")  # pragma: no cover
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -14,15 +14,15 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._linalg import as_integer, branch_log_unitary
-from .errors import DimensionMismatch, IdentityViolation, ToleranceAmbiguity
+from ._linalg import as_integer, at_phase, branch_log_unitary
+from .errors import DimensionMismatch, IdentityViolation
 from .symplectic_core import (
     Lagrangian,
     SymplecticSpace,
     intersection_dim,
     lagrangian_from_frame,
 )
-from .unitary_invariants import CrossingLog, UnitaryPath, tau_w, wind
+from .unitary_invariants import CrossingLog, UnitaryPath, sample_times, tau_w, wind
 
 __all__ = [
     "LagrangianPairPath",
@@ -36,21 +36,18 @@ __all__ = [
     "opposite_space",
 ]
 
-AMBIGUITY_FACTOR = 10.0
-
 
 class LagrangianPairPath:
     """Pair of Lagrangian paths (f_t, g_t) over a common parameter grid."""
 
     def __init__(self, samples: Sequence[tuple[float, Lagrangian, Lagrangian]],
                  generator: Optional[Callable[[float], tuple[Lagrangian, Lagrangian]]] = None):
-        if len(samples) < 2:
-            raise ValueError("a pair path needs at least two samples")
+        ts = sample_times(samples)
         space = samples[0][1].space
         for _, f, g in samples:
             if not (f.space.same_space(space) and g.space.same_space(space)):
                 raise DimensionMismatch("all samples must live in one symplectic space")
-        self.samples = [(float(t), f, g) for t, f, g in samples]
+        self.samples = [(t, f, g) for t, (_, f, g) in zip(ts, samples)]
         self.generator = generator
         self.space = space
 
@@ -181,35 +178,17 @@ def tau_mu(p: Lagrangian, q: Lagrangian, r: Lagrangian, tol: float = 1e-9,
     return value
 
 
-def _log_phases_excluding_minus_one(u: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
-    """Eigenphases of a unitary with the -1 class removed (shared pass).
-
-    Classification matches intersection_dim: distance to pi at most ``tol``
-    counts as -1; the band (tol, 10 tol] raises ToleranceAmbiguity.
-    """
-    phases = np.angle(np.linalg.eigvals(u))
-    dist = np.abs(np.abs(phases) - np.pi)
-    at_minus_one = dist <= tol
-    murky = (~at_minus_one) & (dist <= AMBIGUITY_FACTOR * tol)
-    if np.any(murky):
-        raise ToleranceAmbiguity(
-            f"eigenphase at distance {dist[murky].min():.3e} from -1 is inside the ambiguity band"
-        )
-    return phases[~at_minus_one], int(np.sum(at_minus_one))
-
-
 def m_pairing(v: Lagrangian, w: Lagrangian, tol: float = 1e-9) -> float:
     """Antisymmetric two-Lagrangian pairing m(V, W).
 
     -(1/pi) * sum of eigenphases of -phi(V) phi(W)* with the eigenvalue -1
-    excluded; the excluded multiplicity equals dim(V ∩ W) and the same
-    classification pass is used for both, so the two can never disagree.
+    excluded; the excluded multiplicity is dim(V ∩ W), decided by the same
+    ``at_phase`` policy as ``intersection_dim``.
     """
     if not v.space.same_space(w.space):
         raise DimensionMismatch("Lagrangians live in different spaces")
-    u = -(v.phi @ w.phi.conj().T)
-    phases, _ = _log_phases_excluding_minus_one(u, tol)
-    return float(-np.sum(phases) / np.pi)
+    phases = np.angle(np.linalg.eigvals(-(v.phi @ w.phi.conj().T)))
+    return float(-np.sum(phases[~at_phase(phases, np.pi, tol)]) / np.pi)
 
 
 def tsig(v: Lagrangian, w: Lagrangian, u: Lagrangian, tol: float = 1e-9) -> int:

@@ -26,10 +26,12 @@ import numpy as np
 from ._linalg import (
     DEFAULT_TOL,
     as_complex_matrix,
+    crossing_signs,
     intersect_subspaces,
     orthonormal_columns,
     phase_fix_columns,
     readonly,
+    sign_classes,
     wrap_phase,
 )
 from .errors import (
@@ -652,7 +654,7 @@ def _tracked_block_roots(block: DoubledBlock, ell: float, bc_phi_h: np.ndarray,
 
     u0 = aligned[:-1]
     u1 = u0 + arcs
-    crossing = ((u0 < 0) & (u1 >= 0)) | ((u1 < 0) & (u0 >= 0))
+    crossing = crossing_signs(u0, u1) != 0
     at_grid = np.abs(aligned) <= 1e-12
 
     lo_idx, branch = np.nonzero(crossing & ~(np.abs(u0) <= 1e-12))
@@ -1121,9 +1123,8 @@ def nicolaescu_verify(op: ModelOperator, family: Sequence[tuple[float, Lagrangia
                 f"an eigenvalue crossed the cut level {cut:.4g} within one step; "
                 "sample the family more densely or enlarge the window"
             )
-        ca = np.where(np.abs(aa) <= zero_thr, 0, np.sign(aa)).astype(int)
-        cb = np.where(np.abs(bb) <= zero_thr, 0, np.sign(bb)).astype(int)
-        sf += int(np.sum((ca < 0) & (cb >= 0))) - int(np.sum((ca >= 0) & (cb < 0)))
+        sf += int(np.sum(crossing_signs(sign_classes(aa, zero_thr),
+                                        sign_classes(bb, zero_thr))))
     pp = LagrangianPairPath([(t, bnd, l_x) for t, bnd in family])
     mas = maslov(pp, 1e-9).value
     if sf != mas:

@@ -13,7 +13,9 @@ from typing import Any, Optional
 
 import numpy as np
 
+from ._linalg import DEFAULT_TOL
 from .errors import SchemaError
+from .lagrangian_indices import LagrangianPairPath
 from .model_dirac import Circle, Interval, build_model
 from .spectral_flow import ZERO_TOL, HermitianPath
 from .symplectic_core import (
@@ -29,7 +31,7 @@ from .unitary_invariants import UnitaryPath
 __all__ = [
     "complex_to_json", "complex_from_json", "matrix_to_json", "matrix_from_json",
     "space_from_json", "lagrangian_from_json", "unitary_path_from_json",
-    "hermitian_path_from_json", "model_from_json", "require_fields",
+    "pair_path_from_json", "hermitian_path_from_json", "model_from_json", "require_fields",
 ]
 
 
@@ -111,18 +113,23 @@ def lagrangian_from_json(obj, space: Optional[SymplecticSpace] = None,
     return lagrangian_from_phi(space, matrix_from_json(obj["phi"], "phi"), tol)
 
 
-def _samples_from_json(obj, what: str):
+def _sample_items(obj, what: str, form: tuple[str, ...]) -> list:
+    """The [t, ...] items of a sampled path: at least two, each with one
+    entry per name in ``form``, the first a finite time."""
+    shape = f"[{', '.join(form)}]"
     if not isinstance(obj, list) or len(obj) < 2:
-        raise SchemaError(f"{what} needs at least two [t, matrix] samples")
-    out = []
+        raise SchemaError(f"{what} needs at least two {shape} samples")
     for item in obj:
-        if not isinstance(item, list) or len(item) != 2:
-            raise SchemaError(f"{what} samples must be [t, matrix] pairs")
-        t, m = item
-        if not _finite_number(t):
+        if not isinstance(item, list) or len(item) != len(form):
+            raise SchemaError(f"{what} samples must be {shape}")
+        if not _finite_number(item[0]):
             raise SchemaError(f"{what} sample time must be a finite number")
-        out.append((float(t), matrix_from_json(m, f"{what} sample")))
-    return out
+    return obj
+
+
+def _samples_from_json(obj, what: str):
+    return [(float(t), matrix_from_json(m, f"{what} sample"))
+            for t, m in _sample_items(obj, what, ("t", "matrix"))]
 
 
 @contextmanager
@@ -155,7 +162,7 @@ def unitary_path_from_json(obj) -> UnitaryPath:
 
             from .unitary_invariants import _principal_log_matrix
 
-            rel = _principal_log_matrix(u1 @ u0.conj().T)
+            rel = _principal_log_matrix(u1 @ u0.conj().T, DEFAULT_TOL)
             n = int(par.get("samples", 17))
             return UnitaryPath.from_generator(lambda t: expm(t * rel) @ u0,
                                               initial_samples=n)
@@ -176,6 +183,17 @@ def unitary_path_from_json(obj) -> UnitaryPath:
 
             return UnitaryPath.from_generator(gen, initial_samples=n)
         raise SchemaError(f"unknown parametric kind {kind!r}")
+
+
+def pair_path_from_json(obj, tol: float = 1e-9) -> LagrangianPairPath:
+    """{"space": ..., "samples": [[t, frame_f, frame_g], ...]}, the maslov inputs."""
+    require_fields(obj, ("space", "samples"), (), "maslov inputs")
+    space = space_from_json(obj["space"], tol)
+    items = _sample_items(obj["samples"], "maslov path", ("t", "frame_f", "frame_g"))
+    samples = [(float(t), lagrangian_from_json({"frame": ff}, space, tol),
+                lagrangian_from_json({"frame": fg}, space, tol)) for t, ff, fg in items]
+    with _path_errors("maslov path"):
+        return LagrangianPairPath(samples)
 
 
 def hermitian_path_from_json(obj, tol: float = ZERO_TOL) -> HermitianPath:

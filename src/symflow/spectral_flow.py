@@ -14,6 +14,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from ._linalg import crossing_signs, sign_classes
 from .errors import IdentityViolation
 from .unitary_invariants import Crossing, CrossingLog, SampledPath
 
@@ -95,13 +96,6 @@ class SpectralFlowResult:
         return self.value
 
 
-def _classify(vals: np.ndarray, threshold: float) -> np.ndarray:
-    """-1 / 0 / +1 per eigenvalue with the shared kernel threshold."""
-    cls = np.sign(vals).astype(int)
-    cls[np.abs(vals) <= threshold] = 0
-    return cls
-
-
 def spectral_flow(path: HermitianPath) -> SpectralFlowResult:
     """(-eps,-eps) spectral flow of a Hermitian path, with a crossing log.
 
@@ -113,21 +107,17 @@ def spectral_flow(path: HermitianPath) -> SpectralFlowResult:
     p = path.refined()
     crossings: list[Crossing] = []
     vals_prev = np.linalg.eigvalsh(p.mats[0])
-    cls_prev = _classify(vals_prev, p._zero_threshold(p.mats[0]))
+    cls_prev = sign_classes(vals_prev, p._zero_threshold(p.mats[0]))
     for j in range(1, len(p.mats)):
         vals_cur = np.linalg.eigvalsh(p.mats[j])
-        cls_cur = _classify(vals_cur, p._zero_threshold(p.mats[j]))
+        cls_cur = sign_classes(vals_cur, p._zero_threshold(p.mats[j]))
         # sorted-order matching is optimal for Hermitian spectra under small steps
-        for a, b, ca, cb in zip(vals_prev, vals_cur, cls_prev, cls_cur):
-            d = 0
-            if ca < 0 <= cb:
-                d = 1
-            elif cb < 0 <= ca:
-                d = -1
-            if d != 0:
-                frac = abs(a) / max(abs(b - a), 1e-300)
-                tc = p.times[j - 1] + min(frac, 1.0) * (p.times[j] - p.times[j - 1])
-                crossings.append(Crossing(float(tc), d, float(a), float(b)))
+        dirs = crossing_signs(cls_prev, cls_cur)
+        for i in np.flatnonzero(dirs):
+            a, b = vals_prev[i], vals_cur[i]
+            frac = abs(a) / max(abs(b - a), 1e-300)
+            tc = p.times[j - 1] + min(frac, 1.0) * (p.times[j] - p.times[j - 1])
+            crossings.append(Crossing(float(tc), int(dirs[i]), float(a), float(b)))
         vals_prev, cls_prev = vals_cur, cls_cur
     log = CrossingLog(tuple(sorted(crossings, key=lambda c: c.t)))
     return SpectralFlowResult(log.total, log)
@@ -142,7 +132,7 @@ def eta_finite(h, tol: float = ZERO_TOL) -> tuple[int, int, float]:
     h = _require_hermitian(h, 1e-9, "eta_finite argument")
     vals = np.linalg.eigvalsh(h)
     threshold = tol * max(1.0, np.linalg.norm(h, 2))
-    cls = _classify(vals, threshold)
+    cls = sign_classes(vals, threshold)
     eta = int(np.sum(cls))
     dim_ker = int(np.sum(cls == 0))
     return eta, dim_ker, 0.5 * (eta + dim_ker)

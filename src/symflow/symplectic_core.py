@@ -17,8 +17,8 @@ import numpy as np
 from ._linalg import (
     DEFAULT_TOL,
     as_complex_matrix,
+    at_phase,
     complement_within,
-    count_unit_eigenvalues_at_one,
     intersect_subspaces,
     nearest_unitary,
     orthonormal_columns,
@@ -237,7 +237,8 @@ def intersection_dim(l1: Lagrangian, l2: Lagrangian, tol: float = DEFAULT_TOL) -
     """
     if not l1.space.same_space(l2.space):
         raise DimensionMismatch("Lagrangians live in different spaces")
-    by_phi = count_unit_eigenvalues_at_one(l1.phi @ l2.phi.conj().T, tol)
+    phases = np.angle(np.linalg.eigvals(l1.phi @ l2.phi.conj().T))
+    by_phi = int(np.sum(at_phase(phases, 0.0, tol)))
     # principal angle alpha corresponds to eigenphase 2*alpha of phi1 phi2*;
     # sines computed via sqrt(1 - s^2) resolve zero only to ~sqrt(eps)
     sines = principal_angle_sines(l1.frame, l2.frame)

@@ -8,8 +8,9 @@ Conventions, fixed once and used everywhere:
 * the winding number counts signed crossings of eigenphases through -1,
   counterclockwise positive;
 * for a path whose endpoint spectra contain -1, the whole path is first
-  multiplied by e^{-i*eps} with eps half the smallest nonzero circular
-  distance of the endpoint eigenphases to pi (pi/2 when none exists).
+  multiplied by e^{-i*eps} with eps half the smallest circular distance to
+  pi among the endpoint eigenphases not at -1 at ``tol`` (pi/2 when none
+  exists); whether an eigenphase is at -1 is decided by ``_linalg.at_phase``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,15 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._linalg import as_integer, branch_log_unitary, require_unitary, wrap_phase
+from ._linalg import (
+    as_integer,
+    at_phase,
+    branch_log_unitary,
+    branch_phases,
+    crossing_signs,
+    require_unitary,
+    wrap_phase,
+)
 from .errors import MethodDisagreement, NonIntegerResult, RefinementExhausted
 
 __all__ = [
@@ -69,6 +78,17 @@ class WindResult:
         return self.value
 
 
+def sample_times(samples: Sequence[tuple]) -> list[float]:
+    """The times of (t, ...) samples; ValueError unless there are at least
+    two and they strictly increase."""
+    if len(samples) < 2:
+        raise ValueError("a path needs at least two samples")
+    ts = [float(s[0]) for s in samples]
+    if any(b <= a for a, b in zip(ts, ts[1:])):
+        raise ValueError("sample times must be strictly increasing")
+    return ts
+
+
 class SampledPath:
     """Sampled matrix path, optionally generator-backed.
 
@@ -84,11 +104,7 @@ class SampledPath:
 
     def __init__(self, samples: Sequence[tuple[float, np.ndarray]],
                  generator: Optional[Callable[[float], np.ndarray]] = None):
-        if len(samples) < 2:
-            raise ValueError("a path needs at least two samples")
-        ts = [float(t) for t, _ in samples]
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise ValueError("sample times must be strictly increasing")
+        ts = sample_times(samples)
         mats = [self._checked(m, f"sample at t={t}") for t, m in samples]
         k = mats[0].shape[0]
         if any(m.shape[0] != k for m in mats):
@@ -182,15 +198,15 @@ def tr_log(u, tol: float = 1e-9) -> complex:
     return branch_log_unitary(u, tol)
 
 
-def _endpoint_shift(u0: np.ndarray, u1: np.ndarray, atol: float = 1e-11) -> float:
+def _endpoint_shift(u0: np.ndarray, u1: np.ndarray, tol: float) -> float:
     """eps for the endpoint convention wind(f) := wind(f e^{-i eps})."""
     phases = np.concatenate([np.angle(np.linalg.eigvals(u0)),
                              np.angle(np.linalg.eigvals(u1))])
     dist = np.abs(wrap_phase(phases - np.pi))
-    nonzero = dist[dist > atol]
-    if nonzero.size == 0:
+    away = dist[~at_phase(phases, np.pi, tol)]
+    if away.size == 0:
         return 0.5 * np.pi
-    return 0.5 * float(np.min(nonzero))
+    return 0.5 * float(np.min(away))
 
 
 def _match_phases(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
@@ -202,19 +218,6 @@ def _match_phases(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
     return cols
 
 
-def _crossing_count(u_prev: float, u_cur: float) -> int:
-    """Signed crossing of -1 for one matched eigenphase arc.
-
-    Positions are measured relative to pi (u = 0 means the eigenvalue sits at
-    -1); a value exactly at -1 counts as already on the counterclockwise side.
-    """
-    if u_prev < 0.0 <= u_cur:
-        return 1
-    if u_cur < 0.0 <= u_prev:
-        return -1
-    return 0
-
-
 def wind(path: UnitaryPath, tol: float = 1e-9) -> WindResult:
     """Winding number of a unitary path, computed two ways that must agree.
 
@@ -224,7 +227,7 @@ def wind(path: UnitaryPath, tol: float = 1e-9) -> WindResult:
     raises MethodDisagreement (numerical breakdown, never silently resolved).
     """
     p = path.refined()
-    eps = _endpoint_shift(p.mats[0], p.mats[-1])
+    eps = _endpoint_shift(p.mats[0], p.mats[-1], tol)
     shift = np.exp(-1j * eps)
     mats = [u * shift for u in p.mats]
     times = p.times
@@ -246,23 +249,26 @@ def wind(path: UnitaryPath, tol: float = 1e-9) -> WindResult:
         u_prev[np.abs(u_prev) <= 1e-9] = 0.0
         u_cur = u_prev + arcs
         u_cur[np.abs(u_cur) <= 1e-9] = 0.0
-        for a, b, th0, th1 in zip(u_prev, u_cur, phases_prev, matched):
-            d = _crossing_count(a, b)
-            if d != 0:
-                frac = abs(a) / max(abs(b - a), 1e-300)
-                tc = times[j - 1] + frac * (times[j] - times[j - 1])
-                crossings.append(Crossing(float(tc), d, float(th0), float(th1)))
+        dirs = crossing_signs(u_prev, u_cur)
+        for i in np.flatnonzero(dirs):
+            a, b = u_prev[i], u_cur[i]
+            frac = abs(a) / max(abs(b - a), 1e-300)
+            tc = times[j - 1] + frac * (times[j] - times[j - 1])
+            crossings.append(Crossing(float(tc), int(dirs[i]), float(phases_prev[i]),
+                                      float(matched[i])))
         phases_prev = np.sort(phases_cur)
     log = CrossingLog(tuple(sorted(crossings, key=lambda c: c.t)))
     by_counting = log.total
 
-    # method (a): continuous arg det minus endpoint branch corrections
+    # method (a): continuous arg det minus endpoint branch corrections; after
+    # the shift no endpoint eigenphase is within 4*tol of -1, so np.angle is
+    # already on the branch and no classification is needed
     arg_det = 0.0
     for j in range(1, len(mats)):
         rel = mats[j] @ mats[j - 1].conj().T
         arg_det += float(np.sum(np.angle(np.linalg.eigvals(rel))))
-    by_det = (arg_det - branch_log_unitary(mats[-1], tol).imag
-              + branch_log_unitary(mats[0], tol).imag) / (2.0 * np.pi)
+    by_det = (arg_det - np.sum(np.angle(np.linalg.eigvals(mats[-1])))
+              + np.sum(np.angle(np.linalg.eigvals(mats[0])))) / (2.0 * np.pi)
     try:
         by_det_int = as_integer(by_det, 1e-6, what="winding (det method)")
     except NonIntegerResult as exc:
@@ -274,12 +280,10 @@ def wind(path: UnitaryPath, tol: float = 1e-9) -> WindResult:
     return WindResult(by_counting, log, eps)
 
 
-def _principal_log_matrix(u: np.ndarray) -> np.ndarray:
+def _principal_log_matrix(u: np.ndarray, tol: float) -> np.ndarray:
     """Matrix log of a unitary with the (-pi, pi] branch (eigendecomposition)."""
     vals, vecs = np.linalg.eig(u)
-    phases = np.angle(vals)
-    phases[np.abs(np.abs(phases) - np.pi) <= 1e-12] = np.pi
-    return (vecs * (1j * phases)) @ np.linalg.inv(vecs)
+    return (vecs * (1j * branch_phases(vals, tol))) @ np.linalg.inv(vecs)
 
 
 def tau_w(u, v, tol: float = 1e-9, cross_check: bool = False) -> int:
@@ -298,15 +302,15 @@ def tau_w(u, v, tol: float = 1e-9, cross_check: bool = False) -> int:
     if abs(raw.imag) > 1e-8:
         raise NonIntegerResult(f"tau_w has imaginary residue {raw.imag:.3e}")
     if cross_check:
-        lu = _principal_log_matrix(u)
-        lv = _principal_log_matrix(v)
+        lu = _principal_log_matrix(u, tol)
+        lv = _principal_log_matrix(v, tol)
         from scipy.linalg import expm
 
         f = UnitaryPath.from_generator(lambda s: expm(s * lu), initial_samples=17)
         g = UnitaryPath.from_generator(lambda s: expm(s * lv), initial_samples=17)
         fg = UnitaryPath.from_generator(lambda s: expm(s * lu) @ expm(s * lv),
                                         initial_samples=17)
-        by_path = wind(f).value + wind(g).value - wind(fg).value
+        by_path = wind(f, tol).value + wind(g, tol).value - wind(fg, tol).value
         if by_path != value:
             raise MethodDisagreement(
                 f"tau_w trace-log formula gives {value}, path definition gives {by_path}"
@@ -325,7 +329,7 @@ def wind_plus_inverse_check(path: UnitaryPath, tol: float = 1e-9):
     wi = wind(path.pointwise_inverse(), tol).value
 
     def ker_dim(u):
-        return int(np.sum(np.abs(np.abs(np.angle(np.linalg.eigvals(u))) - np.pi) <= 1e-9))
+        return int(np.sum(at_phase(np.angle(np.linalg.eigvals(u)), np.pi, tol)))
 
     d0 = ker_dim(path.mats[0])
     d1 = ker_dim(path.mats[-1])

@@ -207,6 +207,37 @@ class TestRunCommand:
         assert r.returncode == 2, r.stderr
         assert "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize("samples", [
+        [[1.0, [[[1, 0]], [[0, 0]]], [[[0, 0]], [[1, 0]]]],
+         [0.0, [[[1, 0]], [[0, 0]]], [[[0, 0]], [[1, 0]]]]],
+        [[0.0, [[[1, 0]], [[0, 0]]], [[[0, 0]], [[1, 0]]]]],
+        [["a", [[[1, 0]], [[0, 0]]], [[[0, 0]], [[1, 0]]]],
+         [1.0, [[[1, 0]], [[0, 0]]], [[[0, 0]], [[1, 0]]]]],
+        [[float("nan"), [[[1, 0]], [[0, 0]]], [[[0, 0]], [[1, 0]]]],
+         [1.0, [[[1, 0]], [[0, 0]]], [[[0, 0]], [[1, 0]]]]],
+    ], ids=["decreasing-times", "one-sample", "string-time", "nan-time"])
+    def test_malformed_maslov_samples_exit_2(self, tmp_path, samples):
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps({"scenarios": [{
+            "name": "bad", "op": "maslov",
+            "inputs": {"space": "standard:1", "samples": samples}}]}))
+        r = run_cli("run", str(f))
+        assert r.returncode == 2, r.stderr
+        assert "Traceback" not in r.stderr
+
+    def test_bad_scenario_does_not_hide_the_rest(self, tmp_path, capsys):
+        good = {"name": "t", "op": "tr_log", "inputs": {"U": [[[1, 0]]]}}
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps([good, {"op": "nope"}, good]))
+        assert main(["run", str(f)]) == 2
+        first, bad, last = [
+            json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
+        assert first["value"] == last["value"] == [0.0, 0.0]
+        assert bad["error"] == "SchemaError"
+        assert bad["pass"] is False
+        assert (bad["name"], bad["op"]) == ("?", "nope")
+        assert bad["detail"]
+
     def test_out_file_and_pretty(self, tmp_path):
         f = tmp_path / "s.json"
         f.write_text(json.dumps({"scenarios": [{

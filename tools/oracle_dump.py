@@ -1,0 +1,74 @@
+"""Write symflow's observable behaviour to a directory, for ``diff -r``.
+
+    python3 tools/oracle_dump.py OUTDIR
+
+Run it from the root of a checkout; symflow is imported from ``src/`` beside
+this directory.  It writes
+
+* ``OUTDIR/verify-all-s42.txt``: the stdout and exit code of
+  ``symflow verify all --seed 42``;
+* ``OUTDIR/<workload>/<document>.out``: the stdout, the exit code and the last
+  line of any escaped traceback of ``symflow run DOC`` (workloads ``refine``
+  and ``batch``) or ``symflow model WHAT DOC`` (workload ``model``; ``WHAT``
+  is the document name up to its first ``-``), for every document in
+  ``.bench_out/<workload>-s1-t0/in/``.
+
+Generate those documents first with
+``python3 bench/run.py --workload W --seed 1 --seconds 1`` for each
+workload.  Two checkouts behave the same on this oracle when
+``diff -r`` of their two output directories is empty.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("refine", "batch", "model")
+
+
+def _call(main, argv: list[str]) -> str:
+    """stdout, exit code and escaped exception of one in-process CLI call."""
+    out = io.StringIO()
+    escaped = ""
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:  # an escaped traceback is behaviour too
+            code = 1
+            escaped = f"traceback: {type(exc).__name__}: {exc}\n"
+    return f"{out.getvalue()}exit: {code}\n{escaped}"
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    outdir = Path(argv[0])
+    sys.path.insert(0, str(ROOT / "src"))
+    from symflow.cli import main as cli_main
+
+    missing = [w for w in WORKLOADS if not (ROOT / ".bench_out" / f"{w}-s1-t0" / "in").is_dir()]
+    if missing:
+        print(f"no bench documents for {missing}; run "
+              "python3 bench/run.py --workload W --seed 1 --seconds 1 first", file=sys.stderr)
+        return 2
+    outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / "verify-all-s42.txt").write_text(
+        _call(cli_main, ["verify", "all", "--seed", "42"]), encoding="utf-8")
+    for w in WORKLOADS:
+        (outdir / w).mkdir(exist_ok=True)
+        for doc in sorted((ROOT / ".bench_out" / f"{w}-s1-t0" / "in").glob("*.json")):
+            cmd = ["model", doc.stem.split("-", 1)[0]] if w == "model" else ["run"]
+            (outdir / w / f"{doc.stem}.out").write_text(
+                _call(cli_main, cmd + [str(doc)]), encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
