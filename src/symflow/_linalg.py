@@ -137,20 +137,6 @@ def crossing_signs(before, after) -> np.ndarray:
     return ((before < 0) & (after >= 0)).astype(int) - ((after < 0) & (before >= 0)).astype(int)
 
 
-def principal_angle_sines(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
-    """Sines of principal angles between equal-rank orthonormal frames (ascending)."""
-    f1 = as_complex_matrix(f1)
-    f2 = as_complex_matrix(f2)
-    if f1.shape[0] != f2.shape[0]:
-        raise DimensionMismatch(f"ambient dims differ: {f1.shape[0]} vs {f2.shape[0]}")
-    if f1.shape[1] != f2.shape[1]:
-        raise DimensionMismatch(f"subspace dims differ: {f1.shape[1]} vs {f2.shape[1]}")
-    s = np.linalg.svd(f1.conj().T @ f2, compute_uv=False)
-    s = np.clip(s, 0.0, 1.0)
-    # ascending singular values give descending sines; index 0 = largest angle
-    return np.sqrt(1.0 - np.sort(s) ** 2)
-
-
 def subspace_gap(f1: np.ndarray, f2: np.ndarray) -> float:
     """Sine of the largest principal angle; 0 iff the spans coincide.
 

@@ -324,30 +324,24 @@ def _model_report(what: str, parsed: dict) -> dict:
         return {"kind": "cauchy", "frame": matrix_to_json(lx.frame),
                   "phi": matrix_to_json(lx.phi)}
     elif what == "stretch":
-        stretch = parsed["stretch"]
-        require_fields(stretch, (), ("nu", "lengths"), "stretch")
-        nu = float(stretch.get("nu", 0.0))
+        nu = parsed["stretch"]["nu"]
         dbs = md.double_boundary(op)
         lim = md.adiabatic_limit(op, nu=nu, dbs=dbs)
-        lengths = stretch.get("lengths") or [2.0, 5.0, 10.0, 20.0, 50.0]
         dists = [
-            {"length": float(r),
-             "distance": subspace_distance(
-                 md.cauchy_data(op, dbs, side="+", length=float(r)), lim)}
-            for r in lengths
+            {"length": r,
+             "distance": subspace_distance(md.cauchy_data(op, dbs, side="+", length=r), lim)}
+            for r in parsed["stretch"]["lengths"]
         ]
         return {"kind": "stretch", "nu": nu, "limit_frame":
                   matrix_to_json(lim.frame), "distances": dists}
     elif what == "glue":
         glue = parsed["glue"]
-        require_fields(glue, ("length_minus", "P"), ("n_max",), "glue")
-        op_minus = md.build_model(op.space, op.a_matrix,
-                                  md.Interval(float(glue["length_minus"])))
+        if glue is None:
+            raise SchemaError("model glue needs a 'glue' section")
+        op_minus = md.build_model(op.space, op.a_matrix, md.Interval(glue["length_minus"]))
         dbs = md.double_boundary(op)
         p = lagrangian_from_json(glue["P"], dbs.space)
-        rec = md.glue_verify(op, op_minus, p,
-                             n_max=int(glue.get("n_max", parsed["n_max"])),
-                             eta_tol=parsed["eta_tol"])
+        rec = md.glue_verify(op, op_minus, p, n_max=glue["n_max"], eta_tol=parsed["eta_tol"])
         return {"kind": "glue", **rec, "pass": True}
     raise SchemaError(f"unknown model action {what!r}")  # pragma: no cover
 

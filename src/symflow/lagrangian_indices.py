@@ -109,7 +109,7 @@ def gamma_conjugate(lag: Lagrangian) -> Lagrangian:
     return lagrangian_from_frame(lag.space, lag.space.gamma @ lag.frame)
 
 
-def _ker_cap_im(f: Lagrangian, g: Lagrangian, tol: float) -> int:
+def _ker_cap_im(f: Lagrangian, g: Lagrangian, tol: float = 1e-9) -> int:
     """dim(ker proj(f) ∩ im proj(g)) = dim(gamma f ∩ g)."""
     return intersection_dim(gamma_conjugate(f), g, tol)
 

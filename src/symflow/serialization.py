@@ -2,7 +2,9 @@
 Lagrangians by frame or graph unitary, paths by samples or parametric form.
 
 Every parser validates shape and rejects unknown fields with SchemaError so
-the CLI can map malformed input to its own exit code.
+the CLI can map malformed input to its own exit code.  Every number a
+document sets (sizes, sample counts, lengths, windows, truncations) is read
+through ``number_from_json``, which also enforces the caps below.
 """
 
 from __future__ import annotations
@@ -34,6 +36,13 @@ __all__ = [
     "pair_path_from_json", "hermitian_path_from_json", "model_from_json", "require_fields",
 ]
 
+# Caps on the numbers that set an allocation without a matching amount of
+# document text: the half-dimension of "standard:n", the initial samples of a
+# parametric path, and the eta truncation N_max (glue n_max too).
+MAX_STANDARD_N = 512
+MAX_SAMPLES = 100_000
+MAX_N_MAX = 100_000
+
 
 def complex_to_json(z: complex) -> list[float]:
     z = complex(z)
@@ -41,7 +50,30 @@ def complex_to_json(z: complex) -> list[float]:
 
 
 def _finite_number(x) -> bool:
-    return isinstance(x, (int, float)) and math.isfinite(x)
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def number_from_json(x, what: str, *, positive: bool = False,
+                     integer_in: Optional[tuple[int, int]] = None):
+    """A finite JSON number (never a bool) for the field ``what``.
+
+    ``positive`` requires x > 0; ``integer_in=(lo, hi)`` requires an integral
+    value in [lo, hi] and returns an int.  Anything else is a SchemaError.
+    """
+    if integer_in is not None:
+        lo, hi = integer_in
+        if _finite_number(x) and x == int(x) and lo <= x <= hi:
+            return int(x)
+        raise SchemaError(f"{what} must be an integer in [{lo}, {hi}], got {x!r}")
+    if _finite_number(x) and (x > 0 or not positive):
+        return float(x)
+    kind = "a positive finite number" if positive else "a finite number"
+    raise SchemaError(f"{what} must be {kind}, got {x!r}")
 
 
 def complex_from_json(obj) -> complex:
@@ -90,9 +122,11 @@ def space_from_json(obj, tol: float = 1e-9) -> SymplecticSpace:
     if isinstance(obj, str):
         if obj.startswith("standard:"):
             try:
-                return standard_space(int(obj.split(":", 1)[1]))
+                n = int(obj.split(":", 1)[1])
             except ValueError as exc:
                 raise SchemaError(f"bad standard space spec {obj!r}") from exc
+            return standard_space(number_from_json(n, "standard:n",
+                                                   integer_in=(1, MAX_STANDARD_N)))
         raise SchemaError(f"space string must be 'standard:n', got {obj!r}")
     return space_from_gamma(matrix_from_json(obj, "gamma"), tol)
 
@@ -132,6 +166,11 @@ def _samples_from_json(obj, what: str):
             for t, m in _sample_items(obj, what, ("t", "matrix"))]
 
 
+def _initial_samples(par: dict, default: int) -> int:
+    return number_from_json(par.get("samples", default), "parametric samples",
+                            integer_in=(2, MAX_SAMPLES))
+
+
 @contextmanager
 def _path_errors(what: str):
     """Report a path the constructor rejects (too few samples, times out of
@@ -163,7 +202,7 @@ def unitary_path_from_json(obj) -> UnitaryPath:
             from .unitary_invariants import _principal_log_matrix
 
             rel = _principal_log_matrix(u1 @ u0.conj().T, DEFAULT_TOL)
-            n = int(par.get("samples", 17))
+            n = _initial_samples(par, 17)
             return UnitaryPath.from_generator(lambda t: expm(t * rel) @ u0,
                                               initial_samples=n)
         if kind == "rotation":
@@ -175,7 +214,7 @@ def unitary_path_from_json(obj) -> UnitaryPath:
                 raise SchemaError("rotation path needs equal-length phases and rates")
             v = (matrix_from_json(par["frame"], "frame") if "frame" in par
                  else np.eye(len(phases), dtype=complex))
-            n = int(par.get("samples", 33))
+            n = _initial_samples(par, 33)
 
             def gen(t):
                 d = np.exp(1j * (phases + rates * t))
@@ -214,7 +253,7 @@ def hermitian_path_from_json(obj, tol: float = ZERO_TOL) -> HermitianPath:
         require_fields(par, ("kind", "h0", "h1"), ("samples",), "linear path")
         h0 = matrix_from_json(par["h0"], "h0")
         h1 = matrix_from_json(par["h1"], "h1")
-        n = int(par.get("samples", 17))
+        n = _initial_samples(par, 17)
         return HermitianPath.from_generator(lambda t: (1 - t) * h0 + t * h1,
                                             initial_samples=n, zero_tol=tol)
 
@@ -224,31 +263,58 @@ def model_from_json(obj, tol: float = 1e-9) -> dict:
 
     { "gamma": ..., "A": ..., "geometry": {"interval": L} | {"circle": C},
       "boundary": {"P": Lagrangian, "Q": Lagrangian}?, "window": ...?,
-      "eta": {"N_max": ..., "tol": ...}?, "stretch": {...}?, "glue": {...}? }
+      "eta": {"N_max": ..., "tol": ...}?, "stretch": {"nu", "lengths"}?,
+      "glue": {"length_minus", "P", "n_max"?}? }
+
+    Every number is checked before the operator is built.  ``glue`` is None
+    when the document has none; its "P" stays JSON, since it lives on the
+    double boundary of the operator.
     """
     require_fields(obj, ("gamma", "A", "geometry"),
                    ("boundary", "window", "eta", "stretch", "glue"), "model")
-    space = space_from_json(obj["gamma"], tol)
-    a = matrix_from_json(obj["A"], "A")
     geo = obj["geometry"]
     require_fields(geo, (), ("interval", "circle"), "geometry")
     if ("interval" in geo) == ("circle" in geo):
         raise SchemaError("geometry needs exactly one of 'interval' or 'circle'")
-    geometry = (Interval(float(geo["interval"])) if "interval" in geo
-                else Circle(float(geo["circle"])))
-    op = build_model(space, a, geometry, tol)
-    out: dict[str, Any] = {"op": op, "space": space}
+    kind = "interval" if "interval" in geo else "circle"
+    length = number_from_json(geo[kind], f"geometry.{kind}", positive=True)
+    eta = obj.get("eta", {})
+    require_fields(eta, (), ("N_max", "tol"), "eta")
+    out: dict[str, Any] = {
+        "window": number_from_json(obj.get("window", 10.0), "window", positive=True),
+        "n_max": number_from_json(eta.get("N_max", 2000), "eta.N_max",
+                                  integer_in=(1, MAX_N_MAX)),
+        "eta_tol": number_from_json(eta.get("tol", 1e-9), "eta.tol", positive=True),
+    }
+    stretch = obj.get("stretch", {})
+    require_fields(stretch, (), ("nu", "lengths"), "stretch")
+    lengths = stretch.get("lengths", [])
+    if not isinstance(lengths, list):
+        raise SchemaError(f"stretch.lengths must be an array, got {lengths!r}")
+    out["stretch"] = {
+        "nu": number_from_json(stretch.get("nu", 0.0), "stretch.nu"),
+        "lengths": [number_from_json(r, "stretch.lengths entry", positive=True)
+                    for r in lengths or [2.0, 5.0, 10.0, 20.0, 50.0]],
+    }
+    out["glue"] = None
+    if "glue" in obj:
+        glue = obj["glue"]
+        require_fields(glue, ("length_minus", "P"), ("n_max",), "glue")
+        out["glue"] = {
+            "length_minus": number_from_json(glue["length_minus"], "glue.length_minus",
+                                             positive=True),
+            "n_max": number_from_json(glue.get("n_max", out["n_max"]), "glue.n_max",
+                                      integer_in=(1, MAX_N_MAX)),
+            "P": glue["P"],
+        }
+    space = space_from_json(obj["gamma"], tol)
+    a = matrix_from_json(obj["A"], "A")
+    geometry = Interval(length) if kind == "interval" else Circle(length)
+    out.update(op=build_model(space, a, geometry, tol), space=space)
     if "boundary" in obj:
         require_fields(obj["boundary"], (), ("P", "Q"), "boundary")
         if "P" in obj["boundary"]:
             out["p"] = lagrangian_from_json(obj["boundary"]["P"], space, tol)
         if "Q" in obj["boundary"]:
             out["q"] = lagrangian_from_json(obj["boundary"]["Q"], space, tol)
-    out["window"] = float(obj.get("window", 10.0))
-    eta = obj.get("eta", {})
-    require_fields(eta, (), ("N_max", "tol"), "eta")
-    out["n_max"] = int(eta.get("N_max", 2000))
-    out["eta_tol"] = float(eta.get("tol", 1e-9))
-    out["stretch"] = obj.get("stretch", {})
-    out["glue"] = obj.get("glue", {})
     return out

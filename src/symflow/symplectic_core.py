@@ -23,7 +23,6 @@ from ._linalg import (
     nearest_unitary,
     orthonormal_columns,
     phase_fix_columns,
-    principal_angle_sines,
     random_unitary,
     readonly,
     require_unitary,
@@ -240,9 +239,11 @@ def intersection_dim(l1: Lagrangian, l2: Lagrangian, tol: float = DEFAULT_TOL) -
     phases = np.angle(np.linalg.eigvals(l1.phi @ l2.phi.conj().T))
     by_phi = int(np.sum(at_phase(phases, 0.0, tol)))
     # principal angle alpha corresponds to eigenphase 2*alpha of phi1 phi2*;
-    # sines computed via sqrt(1 - s^2) resolve zero only to ~sqrt(eps)
-    sines = principal_angle_sines(l1.frame, l2.frame)
-    by_angles = int(np.sum(sines <= max(tol, 1e-7)))
+    # the sines are the singular values of the residual (I - P1) F2, which
+    # resolve small angles to machine precision, as in subspace_gap
+    f1, f2 = l1.frame, l2.frame
+    sines = np.linalg.svd(f2 - f1 @ (f1.conj().T @ f2), compute_uv=False)
+    by_angles = int(np.sum(at_phase(2.0 * np.arcsin(np.clip(sines, 0.0, 1.0)), 0.0, tol)))
     if by_phi != by_angles:
         raise ToleranceAmbiguity(
             f"graph-unitary count {by_phi} disagrees with principal-angle "

@@ -1,24 +1,25 @@
 """Seeded verification suites for every identity the library asserts.
 
 Each suite draws all randomness from one counter-based stream keyed by the
-user seed, runs a batch of checks, and reports per-identity pass counts.
-The same batches back the acceptance test suite; suite headers name the
-identity under test.
+user seed, and runs its cases through ``SuiteReport.run``, which reports
+per-identity pass counts.  The same batches back the acceptance test suite;
+suite headers name the identity under test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 from scipy.linalg import expm
 
 from . import model_dirac as md
-from ._linalg import random_unitary
-from .errors import SymflowError
+from ._linalg import orthonormal_columns, random_unitary
+from .errors import SchemaError, SymflowError
 from .lagrangian_indices import (
     LagrangianPairPath,
+    _ker_cap_im,
     gamma_conjugate,
     m_pairing,
     maslov,
@@ -45,17 +46,11 @@ from .unitary_invariants import UnitaryPath, tau_w, tr_log, wind, wind_plus_inve
 
 __all__ = ["SuiteReport", "CheckResult", "SUITES", "run_suite", "rng_for",
            "random_unitary", "random_lagrangian", "random_symplectic",
-           "planted_anticommuting", "random_block_line"]
+           "planted_anticommuting"]
 
 
 # ---------------------------------------------------------------------------
-# seeded randomness: one Philox stream per (seed, suite index)
-
-_SUITE_STREAM = {
-    "winding": 1, "tauw": 2, "maslov": 3, "triple": 4, "mtsig": 5, "sf": 6,
-    "model-symmetry": 7, "nicolaescu": 8, "gluing": 9, "adiabatic": 10,
-    "core": 11, "rebase": 12,
-}
+# seeded randomness: one Philox stream per (seed, suite stream number)
 
 
 def rng_for(seed: int, stream: int) -> np.random.Generator:
@@ -87,11 +82,6 @@ def transport_lagrangian(space: SymplecticSpace, h: np.ndarray, lag: Lagrangian)
     return lagrangian_from_frame(space, h @ lag.frame)
 
 
-def random_block_line(rng) -> np.ndarray:
-    a = rng.uniform(0, np.pi)
-    return np.array([np.cos(a), np.sin(a)])
-
-
 def planted_anticommuting(space: SymplecticSpace, mus, rng) -> np.ndarray:
     """A = sum mu (psi psi* - (gamma psi)(gamma psi)*) over isotropic unit psi.
 
@@ -121,40 +111,30 @@ def planted_anticommuting(space: SymplecticSpace, mus, rng) -> np.ndarray:
     return a
 
 
-def random_model(rng, n_half_max: int = 3, allow_kernel: bool = True,
-                 length: Optional[float] = None):
+def random_model(rng, n_half_max: int = 3, allow_kernel: bool = True):
     """Seeded interval model with <= 3 mode blocks (plus optional kernel)."""
     n = int(rng.integers(1, n_half_max + 1))
     space = standard_space(n)
     max_blocks = n if not allow_kernel else int(rng.integers(0, n + 1))
     mus = sorted(rng.uniform(0.3, 2.5, size=max_blocks))
     a = planted_anticommuting(space, mus, rng)
-    ell = float(length if length is not None else rng.uniform(0.6, 1.6))
+    ell = float(rng.uniform(0.6, 1.6))
     return md.build_model(space, a, md.Interval(ell)), list(mus)
 
 
 def random_split_boundary(op, dbs, rng) -> Lagrangian:
     """Block-compatible boundary Lagrangian: one line per block per side, plus
     random kernel-block Lagrangians."""
-    def side_lagrangian():
-        cols = []
-        for b in op.blocks:
-            line = random_block_line(rng)
-            cols.append(b.frame @ line.astype(complex))
-        if op.kernel is not None:
-            ksp = op.kernel.block_space
-            lk = random_lagrangian(ksp, rng)
-            cols.extend(list((op.kernel.frame @ lk.frame).T))
-        return lagrangian_from_frame(op.space, np.array(cols).T)
-
-    return md.direct_sum_lagrangian(dbs, side_lagrangian(), side_lagrangian())
+    return md.direct_sum_lagrangian(dbs, random_boundary_on_h(op, rng),
+                                    random_boundary_on_h(op, rng))
 
 
 def random_boundary_on_h(op, rng) -> Lagrangian:
     """Block-compatible Lagrangian on the single boundary space H."""
     cols = []
     for b in op.blocks:
-        cols.append(b.frame @ random_block_line(rng).astype(complex))
+        a = rng.uniform(0, np.pi)
+        cols.append(b.frame @ np.array([np.cos(a), np.sin(a)], dtype=complex))
     if op.kernel is not None:
         lk = random_lagrangian(op.kernel.block_space, rng)
         cols.extend(list((op.kernel.frame @ lk.frame).T))
@@ -167,14 +147,20 @@ def random_boundary_on_h(op, rng) -> Lagrangian:
 
 @dataclass
 class CheckResult:
+    """One identity's tally: skipped cases count toward neither ``passed``
+    nor ``total``; ``reasons`` holds the errors of the failed cases."""
+
     label: str
-    passed: int
-    total: int
+    passed: int = 0
+    total: int = 0
     detail: str = ""
+    skipped: int = 0
+    reasons: list[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return self.passed == self.total
+        # a check whose every case was skipped verified nothing
+        return self.passed == self.total and (self.total > 0 or self.skipped == 0)
 
 
 @dataclass
@@ -187,84 +173,96 @@ class SuiteReport:
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
 
-    def add(self, label: str, passed: int, total: int, detail: str = ""):
-        self.checks.append(CheckResult(label, passed, total, detail))
+    def run(self, labels: Union[str, tuple[str, ...]],
+            cases: Iterable[Callable[[], object]]) -> None:
+        """Run the cases in order and add one check per label.
+
+        A case returns one truth value per label (a bare value for a single
+        label), or ``None`` when its hypothesis fails, which skips it.  A
+        ``SymflowError`` fails every label of its case and keeps
+        ``"<ErrorName>: <message>"`` as the reason.
+        """
+        single = isinstance(labels, str)
+        checks = [CheckResult(label) for label in ([labels] if single else labels)]
+        for case in cases:
+            try:
+                value = case()
+            except SymflowError as exc:
+                for c in checks:
+                    c.total += 1
+                    c.reasons.append(f"{type(exc).__name__}: {exc}")
+                continue
+            if value is None:
+                for c in checks:
+                    c.skipped += 1
+                continue
+            for c, v in zip(checks, [value] if single else value, strict=True):
+                c.total += 1
+                c.passed += bool(v)
+        self.checks.extend(checks)
 
     def lines(self) -> list[str]:
         out = [f"suite {self.name}: {self.header}"]
         for c in self.checks:
-            mark = "pass" if c.ok else "FAIL"
-            extra = f"  ({c.detail})" if c.detail else ""
-            out.append(f"  [{mark}] {c.label}: {c.passed}/{c.total}{extra}")
+            notes = [c.detail] if c.detail else []
+            if c.skipped:
+                notes.append(f"{c.skipped} skipped")
+            if c.reasons:
+                notes.append(f"first error {c.reasons[0]}")
+            extra = f"  ({'; '.join(notes)})" if notes else ""
+            out.append(f"  [{'pass' if c.ok else 'FAIL'}] {c.label}: {c.passed}/{c.total}{extra}")
         return out
 
 
 # ---------------------------------------------------------------------------
-# suites
+# suites: each takes its report, its seeded generator and a case count
 
 
-def suite_winding(seed: int, count: int = 200) -> SuiteReport:
-    rng = rng_for(seed, _SUITE_STREAM["winding"])
-    rep = SuiteReport("winding", "winding-number conventions: endpoint rule, "
-                                 "path additivity, inverse identity")
+def suite_winding(rep: SuiteReport, rng, count: int = 200) -> None:
     eps = 0.3
-    anchors = 0
-    p_in = UnitaryPath.from_generator(lambda s: np.array([[-np.exp(-2j * (s * eps - eps))]]))
-    anchors += wind(p_in).value == -1
-    p_out = UnitaryPath.from_generator(lambda s: np.array([[-np.exp(-2j * s * eps)]]))
-    anchors += wind(p_out).value == 0
-    loop = UnitaryPath.from_generator(lambda s: np.array([[np.exp(2j * np.pi * s)]]))
-    anchors += wind(loop).value == 1
-    const = UnitaryPath([(0.0, -np.eye(2)), (1.0, -np.eye(2))])
-    anchors += wind(const).value == 0
-    rep.add("endpoint anchors (crossing in/out of -1, loop, constant)", anchors, 4)
+    rep.run("endpoint anchors (crossing in/out of -1, loop, constant)", [
+        lambda: wind(UnitaryPath.from_generator(
+            lambda s: np.array([[-np.exp(-2j * (s * eps - eps))]]))).value == -1,
+        lambda: wind(UnitaryPath.from_generator(
+            lambda s: np.array([[-np.exp(-2j * s * eps)]]))).value == 0,
+        lambda: wind(UnitaryPath.from_generator(
+            lambda s: np.array([[np.exp(2j * np.pi * s)]]))).value == 1,
+        lambda: wind(UnitaryPath([(0.0, -np.eye(2)), (1.0, -np.eye(2))])).value == 0,
+    ])
 
-    ok = tot = 0
-    for _ in range(count // 4):
+    def additivity():
         k = int(rng.integers(1, 5))
         h1 = _herm(rng, k)
         h2 = _herm(rng, k)
         u0 = random_unitary(rng, k)
-        f1 = UnitaryPath.from_generator(lambda t, u0=u0, h1=h1: expm(1j * t * h1) @ u0,
-                                        initial_samples=17)
+        f1 = UnitaryPath.from_generator(lambda t: expm(1j * t * h1) @ u0, initial_samples=17)
         mid = expm(1j * h1) @ u0
-        f2 = UnitaryPath.from_generator(lambda t, mid=mid, h2=h2: expm(1j * t * h2) @ mid,
-                                        initial_samples=17)
+        f2 = UnitaryPath.from_generator(lambda t: expm(1j * t * h2) @ mid, initial_samples=17)
         joint = UnitaryPath.from_generator(
-            lambda t, u0=u0, h1=h1, h2=h2, mid=mid:
-            expm(2j * t * h1) @ u0 if t <= 0.5 else expm(1j * (2 * t - 1) * h2) @ mid,
+            lambda t: expm(2j * t * h1) @ u0 if t <= 0.5 else expm(1j * (2 * t - 1) * h2) @ mid,
             initial_samples=33)
-        ok += wind(joint).value == wind(f1).value + wind(f2).value
-        tot += 1
-    rep.add("path additivity on seeded concatenations", ok, tot)
+        return wind(joint).value == wind(f1).value + wind(f2).value
+    rep.run("path additivity on seeded concatenations", [additivity] * (count // 4))
 
-    ok = tot = 0
-    for _ in range(count // 4):
+    def resampling():
         k = int(rng.integers(1, 4))
         h = _herm(rng, k, scale=2.5)
         u0 = random_unitary(rng, k)
-        gen = lambda t, u0=u0, h=h: expm(1j * t * h) @ u0
+        gen = lambda t: expm(1j * t * h) @ u0
         w1 = wind(UnitaryPath.from_generator(gen, initial_samples=9)).value
-        w2 = wind(UnitaryPath.from_generator(gen, initial_samples=57)).value
-        ok += w1 == w2
-        tot += 1
-    rep.add("invariance under resampling of the same generator", ok, tot)
+        return w1 == wind(UnitaryPath.from_generator(gen, initial_samples=57)).value
+    rep.run("invariance under resampling of the same generator", [resampling] * (count // 4))
 
-    ok = tot = 0
-    for _ in range(count // 2):
+    def inverse_identity():
         k = int(rng.integers(1, 4))
         h = _herm(rng, k, scale=2.0)
         mult = int(rng.integers(0, min(k, 3) + 1))
         u_end = unitary_with_minus_ones(rng, k, mult)
-        gen = lambda t, u=u_end, h=h: expm(1j * (1 - t) * h) @ u
-        try:
-            wind_plus_inverse_check(UnitaryPath.from_generator(gen, initial_samples=17))
-            ok += 1
-        except SymflowError:
-            pass
-        tot += 1
-    rep.add("wind(f) + wind(f^-1) = kernel-dimension difference", ok, tot)
-    return rep
+        wind_plus_inverse_check(UnitaryPath.from_generator(
+            lambda t: expm(1j * (1 - t) * h) @ u_end, initial_samples=17))
+        return True
+    rep.run("wind(f) + wind(f^-1) = kernel-dimension difference",
+            [inverse_identity] * (count // 2))
 
 
 def _herm(rng, k: int, scale: float = 1.0) -> np.ndarray:
@@ -272,45 +270,35 @@ def _herm(rng, k: int, scale: float = 1.0) -> np.ndarray:
     return 0.5 * (h + h.conj().T) * scale
 
 
-def suite_tauw(seed: int, count: int = 200) -> SuiteReport:
-    rng = rng_for(seed, _SUITE_STREAM["tauw"])
-    rep = SuiteReport("tauw", "double-index identities: tau_w(I,U) = tau_w(U,I) = 0, "
-                              "tau_w(U, U^-1) = -dim ker(U+I)")
-    ok_id = ok_inv = 0
-    for _ in range(count):
+def suite_tauw(rep: SuiteReport, rng, count: int = 200) -> None:
+    def double_index():
         k = int(rng.integers(1, 9))
         mult = int(rng.integers(0, min(k, 3) + 1))
         u = unitary_with_minus_ones(rng, k, mult)
         eye = np.eye(k)
-        ok_id += tau_w(eye, u) == 0 and tau_w(u, eye) == 0
-        ok_inv += tau_w(u, u.conj().T) == -mult
-    rep.add("tau_w(I,U) = tau_w(U,I) = 0", ok_id, count)
-    rep.add("tau_w(U,U^-1) = -dim ker(U+I), planted multiplicities 0..3", ok_inv, count)
+        return (tau_w(eye, u) == 0 and tau_w(u, eye) == 0,
+                tau_w(u, u.conj().T) == -mult)
+    rep.run(("tau_w(I,U) = tau_w(U,I) = 0",
+             "tau_w(U,U^-1) = -dim ker(U+I), planted multiplicities 0..3"),
+            [double_index] * count)
+    few = max(10, count // 10)
 
-    ok = tot = 0
-    for _ in range(max(10, count // 10)):
+    def cross_check():
         k = int(rng.integers(1, 4))
         u = random_unitary(rng, k)
         v = random_unitary(rng, k)
-        try:
-            tau_w(u, v, cross_check=True)
-            ok += 1
-        except SymflowError:
-            pass
-        tot += 1
-    rep.add("closed formula agrees with the path definition", ok, tot)
+        tau_w(u, v, cross_check=True)
+        return True
+    rep.run("closed formula agrees with the path definition", [cross_check] * few)
 
-    ok = tot = 0
-    for _ in range(max(10, count // 10)):
+    def conjugation():
         k = int(rng.integers(1, 5))
         u = unitary_with_minus_ones(rng, k, int(rng.integers(0, k + 1)))
         w = random_unitary(rng, k)
-        ok += abs(tr_log(w @ u @ w.conj().T) - tr_log(u)) < 1e-9 * k
-        tot += 1
-    rep.add("tr_log conjugation invariance", ok, tot)
+        return abs(tr_log(w @ u @ w.conj().T) - tr_log(u)) < 1e-9 * k
+    rep.run("tr_log conjugation invariance", [conjugation] * few)
 
-    ok = tot = 0
-    for _ in range(max(10, count // 10)):
+    def homotopy():
         k = int(rng.integers(1, 4))
         h1, h2 = _herm(rng, k), _herm(rng, k)
         u0, v0 = random_unitary(rng, k), random_unitary(rng, k)
@@ -319,84 +307,55 @@ def suite_tauw(seed: int, count: int = 200) -> SuiteReport:
         wf = wind(UnitaryPath.from_generator(f, initial_samples=17)).value
         wg = wind(UnitaryPath.from_generator(g, initial_samples=17)).value
         wfg = wind(UnitaryPath.from_generator(lambda t: f(t) @ g(t), initial_samples=17)).value
-        lhs = tau_w(f(1.0), g(1.0)) - tau_w(f(0.0), g(0.0))
-        ok += lhs == wf + wg - wfg
-        tot += 1
-    rep.add("homotopy identity tau_w(f1,g1) - tau_w(f0,g0) = wind defect", ok, tot)
-    return rep
+        return tau_w(f(1.0), g(1.0)) - tau_w(f(0.0), g(0.0)) == wf + wg - wfg
+    rep.run("homotopy identity tau_w(f1,g1) - tau_w(f0,g0) = wind defect", [homotopy] * few)
 
 
-def suite_maslov(seed: int, count: int = 200) -> SuiteReport:
-    rng = rng_for(seed, _SUITE_STREAM["maslov"])
-    rep = SuiteReport("maslov", "Maslov index: rotation normalization, orientation "
-                                "and opposite-structure identities")
+def _random_lagrangian_paths(rng, count: int) -> list:
+    """``count`` seeded paths t -> L(t) in one standard space, L(t) having
+    graph unitary exp(i t h) u."""
+    n = int(rng.integers(1, 4))
+    space = standard_space(n)
+    hs = [_herm(rng, n) for _ in range(count)]
+    us = [random_unitary(rng, n) for _ in range(count)]
+    return [lambda t, h=h, u=u: lagrangian_from_phi(space, expm(1j * t * h) @ u)
+            for h, u in zip(hs, us)]
+
+
+def suite_maslov(rep: SuiteReport, rng, count: int = 200) -> None:
     sp = standard_space(1)
     line = lagrangian_from_frame(sp, np.array([[1.0], [0.0]], dtype=complex))
     gline = gamma_conjugate(line)
     eps = 0.2
-    pp = LagrangianPairPath.from_generator(
-        lambda t: (gamma_rotate(line, -eps + 2 * eps * t), gline))
-    rep.add("normalization Mas(e^{t gamma} L, gamma L) = dim overlap",
-            int(maslov(pp).value == 1), 1)
-    ppf = LagrangianPairPath.from_generator(
-        lambda t: (gamma_rotate(line, np.pi * t), gline), initial_samples=33)
-    rep.add("half-turn rotation gives index 1", int(maslov(ppf).value == 1), 1)
+    rep.run("normalization Mas(e^{t gamma} L, gamma L) = dim overlap", [
+        lambda: maslov(LagrangianPairPath.from_generator(
+            lambda t: (gamma_rotate(line, -eps + 2 * eps * t), gline))).value == 1])
+    rep.run("half-turn rotation gives index 1", [
+        lambda: maslov(LagrangianPairPath.from_generator(
+            lambda t: (gamma_rotate(line, np.pi * t), gline), initial_samples=33)).value == 1])
 
-    ok = tot = 0
-    for _ in range(count):
-        n = int(rng.integers(1, 4))
-        space = standard_space(n)
-        h1, h2 = _herm(rng, n), _herm(rng, n)
-        u1, u2 = random_unitary(rng, n), random_unitary(rng, n)
-        gen = lambda t, u1=u1, u2=u2, h1=h1, h2=h2, space=space: (
-            lagrangian_from_phi(space, expm(1j * t * h1) @ u1),
-            lagrangian_from_phi(space, expm(1j * t * h2) @ u2))
-        pp = LagrangianPairPath.from_generator(gen, initial_samples=17)
-        try:
-            maslov_orientation_check(pp)
-            ok += 1
-        except SymflowError:
-            pass
-        tot += 1
-    rep.add("orientation identities on seeded pair paths", ok, tot)
+    def orientation():
+        f, g = _random_lagrangian_paths(rng, 2)
+        maslov_orientation_check(LagrangianPairPath.from_generator(
+            lambda t: (f(t), g(t)), initial_samples=17))
+        return True
+    rep.run("orientation identities on seeded pair paths", [orientation] * count)
 
-    ok = tot = 0
-    for _ in range(count // 10):
-        n = int(rng.integers(1, 4))
-        space = standard_space(n)
-        h1, h2 = _herm(rng, n), _herm(rng, n)
-        u1, u2 = random_unitary(rng, n), random_unitary(rng, n)
-        gen = lambda t, u1=u1, u2=u2, h1=h1, h2=h2, space=space: (
-            lagrangian_from_phi(space, expm(1j * t * h1) @ u1),
-            lagrangian_from_phi(space, expm(1j * t * h2) @ u2))
+    def refinement():
+        f, g = _random_lagrangian_paths(rng, 2)
+        gen = lambda t: (f(t), g(t))
         m1 = maslov(LagrangianPairPath.from_generator(gen, initial_samples=9)).value
-        m2 = maslov(LagrangianPairPath.from_generator(gen, initial_samples=41)).value
-        ok += m1 == m2
-        tot += 1
-    rep.add("invariance under refinement", ok, tot)
+        return m1 == maslov(LagrangianPairPath.from_generator(gen, initial_samples=41)).value
+    rep.run("invariance under refinement", [refinement] * (count // 10))
 
-    ok = tot = 0
-    for _ in range(count // 10):
-        n = int(rng.integers(1, 4))
-        space = standard_space(n)
-        hs = [_herm(rng, n) for _ in range(3)]
-        us = [random_unitary(rng, n) for _ in range(3)]
-        paths = [lambda t, u=u, h=h, space=space: lagrangian_from_phi(space, expm(1j * t * h) @ u)
-                 for u, h in zip(us, hs)]
-        f, g, h = paths
-        mfg = maslov(LagrangianPairPath.from_generator(lambda t: (f(t), g(t)),
-                                                       initial_samples=17)).value
-        mgh = maslov(LagrangianPairPath.from_generator(lambda t: (g(t), h(t)),
-                                                       initial_samples=17)).value
-        mfh = maslov(LagrangianPairPath.from_generator(lambda t: (f(t), h(t)),
-                                                       initial_samples=17)).value
-        lhs = mfg + mgh - mfh
-        rhs = tau_mu(f(1.0), g(1.0), h(1.0)) - tau_mu(f(0.0), g(0.0), h(0.0))
-        ok += lhs == rhs
-        tot += 1
-    rep.add("Mas(f,g) + Mas(g,h) - Mas(f,h) = triple-index difference of endpoints",
-            ok, tot)
-    return rep
+    def triple_difference():
+        f, g, h = _random_lagrangian_paths(rng, 3)
+        mas = lambda a, b: maslov(LagrangianPairPath.from_generator(
+            lambda t: (a(t), b(t)), initial_samples=17)).value
+        lhs = mas(f, g) + mas(g, h) - mas(f, h)
+        return lhs == tau_mu(f(1.0), g(1.0), h(1.0)) - tau_mu(f(0.0), g(0.0), h(0.0))
+    rep.run("Mas(f,g) + Mas(g,h) - Mas(f,h) = triple-index difference of endpoints",
+            [triple_difference] * (count // 10))
 
 
 def _planted_lagrangian(space: SymplecticSpace, rng) -> Lagrangian:
@@ -411,138 +370,89 @@ def _planted_lagrangian(space: SymplecticSpace, rng) -> Lagrangian:
     return lagrangian_from_phi(space, u)
 
 
-def _ker_cap_im(a: Lagrangian, b: Lagrangian) -> int:
-    return intersection_dim(gamma_conjugate(a), b)
-
-
-def suite_triple(seed: int, count: int = 500) -> SuiteReport:
-    rng = rng_for(seed, _SUITE_STREAM["triple"])
-    rep = SuiteReport("triple", "triple-index permutation and degeneracy relations")
-    ok_deg = ok_perm = ok_swap = tot = 0
-    for _ in range(count):
+def suite_triple(rep: SuiteReport, rng, count: int = 500) -> None:
+    def relations():
         n = int(rng.integers(1, 6))
         space = standard_space(n)
-        p = _planted_lagrangian(space, rng)
-        q = _planted_lagrangian(space, rng)
-        r = _planted_lagrangian(space, rng)
-        try:
-            ok_deg += (tau_mu(p, p, q) == 0 and tau_mu(q, p, p) == 0
-                       and tau_mu(p, q, p) == _ker_cap_im(p, q))
-            t0 = tau_mu(p, q, r)
-            ok_perm += (
-                tau_mu(p, r, q) == -t0 + _ker_cap_im(q, r)
-                and tau_mu(q, p, r) == -t0 + _ker_cap_im(p, q)
-                and tau_mu(r, q, p) == -t0 + _ker_cap_im(p, q) + _ker_cap_im(q, r)
-                - _ker_cap_im(p, r)
-            )
-            ok_swap += 1
-        except SymflowError:
-            pass
-        tot += 1
-    rep.add("tau_mu(P,P,Q) = tau_mu(Q,P,P) = 0 and tau_mu(P,Q,P) = overlap", ok_deg, tot)
-    rep.add("all three permutation relations", ok_perm, tot)
-    rep.add("no tolerance ambiguities on planted triples", ok_swap, tot)
-    return rep
+        p, q, r = [_planted_lagrangian(space, rng) for _ in range(3)]
+        degenerate = (tau_mu(p, p, q) == 0 and tau_mu(q, p, p) == 0
+                      and tau_mu(p, q, p) == _ker_cap_im(p, q))
+        t0 = tau_mu(p, q, r)
+        permuted = (
+            tau_mu(p, r, q) == -t0 + _ker_cap_im(q, r)
+            and tau_mu(q, p, r) == -t0 + _ker_cap_im(p, q)
+            and tau_mu(r, q, p) == -t0 + _ker_cap_im(p, q) + _ker_cap_im(q, r)
+            - _ker_cap_im(p, r)
+        )
+        return degenerate, permuted, True
+    rep.run(("tau_mu(P,P,Q) = tau_mu(Q,P,P) = 0 and tau_mu(P,Q,P) = overlap",
+             "all three permutation relations",
+             "no tolerance ambiguities on planted triples"), [relations] * count)
 
 
-def suite_mtsig(seed: int, count: int = 200) -> SuiteReport:
-    rng = rng_for(seed, _SUITE_STREAM["mtsig"])
-    rep = SuiteReport("mtsig", "pairing antisymmetry/additivity, Wall-correction "
-                               "symmetry and invariance, index conversions")
+def suite_mtsig(rep: SuiteReport, rng, count: int = 200) -> None:
     sp2 = standard_space(1)
-    col = lambda v: np.array(v, dtype=complex).reshape(2, 1)
-    v2 = lagrangian_from_frame(sp2, col((1, 0)))
-    w2 = lagrangian_from_frame(sp2, col((1, 1)))
-    u2 = lagrangian_from_frame(sp2, col((0, 1)))
-    rep.add("standard C^2 triple has correction 1", int(tsig(v2, w2, u2) == 1), 1)
-    rep.add("graph maps of the three standard lines are (1, -i, -1)",
-            int(abs(v2.phi[0, 0] - 1) < 1e-12 and abs(w2.phi[0, 0] + 1j) < 1e-12
-                and abs(u2.phi[0, 0] + 1) < 1e-12), 1)
+    v2 = lagrangian_from_frame(sp2, np.array([[1], [0]], dtype=complex))
+    w2 = lagrangian_from_frame(sp2, np.array([[1], [1]], dtype=complex))
+    u2 = lagrangian_from_frame(sp2, np.array([[0], [1]], dtype=complex))
+    rep.run("standard C^2 triple has correction 1", [lambda: tsig(v2, w2, u2) == 1])
+    rep.run("graph maps of the three standard lines are (1, -i, -1)", [
+        lambda: (abs(v2.phi[0, 0] - 1) < 1e-12 and abs(w2.phi[0, 0] + 1j) < 1e-12
+                 and abs(u2.phi[0, 0] + 1) < 1e-12)])
 
-    ok_anti = ok_sum = tot = 0
-    for _ in range(count):
+    def pairing():
         n1 = int(rng.integers(1, 4))
         n2 = int(rng.integers(1, 4))
         s1, s2 = standard_space(n1), standard_space(n2)
         a1, b1 = _planted_lagrangian(s1, rng), _planted_lagrangian(s1, rng)
         a2, b2 = _planted_lagrangian(s2, rng), _planted_lagrangian(s2, rng)
-        try:
-            ok_anti += abs(m_pairing(a1, b1) + m_pairing(b1, a1)) < 1e-9
-            s12 = standard_space(n1 + n2)
-            asum = _direct_sum_on_standard(s1, s2, s12, a1, a2)
-            bsum = _direct_sum_on_standard(s1, s2, s12, b1, b2)
-            ok_sum += abs(m_pairing(asum, bsum)
-                          - m_pairing(a1, b1) - m_pairing(a2, b2)) < 1e-9
-        except SymflowError:
-            pass
-        tot += 1
-    rep.add("antisymmetry m(W,V) = -m(V,W)", ok_anti, tot)
-    rep.add("additivity under direct sums", ok_sum, tot)
+        antisymmetric = abs(m_pairing(a1, b1) + m_pairing(b1, a1)) < 1e-9
+        s12 = standard_space(n1 + n2)
+        asum = _direct_sum_on_standard(s1, s2, s12, a1, a2)
+        bsum = _direct_sum_on_standard(s1, s2, s12, b1, b2)
+        return antisymmetric, abs(m_pairing(asum, bsum)
+                                  - m_pairing(a1, b1) - m_pairing(a2, b2)) < 1e-9
+    rep.run(("antisymmetry m(W,V) = -m(V,W)", "additivity under direct sums"),
+            [pairing] * count)
 
-    ok_perm = ok_inv = tot2 = 0
-    for _ in range(count // 2):
+    def wall_correction():
         n = int(rng.integers(1, 4))
         space = standard_space(n)
-        v = _planted_lagrangian(space, rng)
-        w = _planted_lagrangian(space, rng)
-        u = _planted_lagrangian(space, rng)
-        try:
-            s0 = tsig(v, w, u)
-            ok_perm += (tsig(w, v, u) == -s0 and tsig(v, u, w) == -s0
-                        and tsig(w, u, v) == s0 and tsig(u, v, w) == s0)
-            h = random_symplectic(space, rng)
-            ok_inv += tsig(transport_lagrangian(space, h, v),
-                           transport_lagrangian(space, h, w),
-                           transport_lagrangian(space, h, u)) == s0
-        except SymflowError:
-            pass
-        tot2 += 1
-    rep.add("sign character under permutations", ok_perm, tot2)
-    rep.add("invariance under symplectic automorphisms", ok_inv, tot2)
+        v, w, u = [_planted_lagrangian(space, rng) for _ in range(3)]
+        s0 = tsig(v, w, u)
+        permuted = (tsig(w, v, u) == -s0 and tsig(v, u, w) == -s0
+                    and tsig(w, u, v) == s0 and tsig(u, v, w) == s0)
+        h = random_symplectic(space, rng)
+        return permuted, tsig(transport_lagrangian(space, h, v),
+                              transport_lagrangian(space, h, w),
+                              transport_lagrangian(space, h, u)) == s0
+    rep.run(("sign character under permutations",
+             "invariance under symplectic automorphisms"), [wall_correction] * (count // 2))
 
-    ok_conv = tot3 = 0
-    for _ in range(count // 2):
+    def conversion():
         n = int(rng.integers(1, 5))
         space = standard_space(n)
-        try:
-            tsig_tau_mu_conversion(_planted_lagrangian(space, rng),
-                                   _planted_lagrangian(space, rng),
-                                   _planted_lagrangian(space, rng))
-            ok_conv += 1
-        except SymflowError:
-            pass
-        tot3 += 1
-    rep.add("both conversion formulas between the two indices", ok_conv, tot3)
+        tsig_tau_mu_conversion(*[_planted_lagrangian(space, rng) for _ in range(3)])
+        return True
+    rep.run("both conversion formulas between the two indices", [conversion] * (count // 2))
 
-    ok_cont = tot4 = 0
-    for _ in range(10):
+    def continuity():
         n = int(rng.integers(1, 3))
         space = standard_space(n)
         v = random_lagrangian(space, rng)
         w = random_lagrangian(space, rng)
         s = _herm(rng, space.dim, scale=0.5)
-        gen_h = lambda t, s=s, space=space: expm(t * (space.gamma @ s))
-        ts = np.linspace(0.0, 1.0, 1001)
-        vals = []
-        jumpless = True
         dim0 = intersection_dim(v, w)
-        for t in ts:
-            h = gen_h(float(t))
+        vals = []
+        for t in np.linspace(0.0, 1.0, 1001):
+            h = expm(float(t) * (space.gamma @ s))
             vt = transport_lagrangian(space, h, v)
             wt = transport_lagrangian(space, h, w)
             if intersection_dim(vt, wt) != dim0:
-                jumpless = False
-                break
+                return None  # the overlap jumped: the orbit is not constant-overlap
             vals.append(m_pairing(vt, wt))
-        if not jumpless:
-            tot4 += 1  # hypothesis failed by construction; skip but count attempt
-            ok_cont += 1
-            continue
-        diffs = np.abs(np.diff(vals))
-        ok_cont += bool(np.max(diffs) < 0.05)
-        tot4 += 1
-    rep.add("continuity along constant-overlap automorphism orbits", ok_cont, tot4)
-    return rep
+        return np.max(np.abs(np.diff(vals))) < 0.05
+    rep.run("continuity along constant-overlap automorphism orbits", [continuity] * 10)
 
 
 def _direct_sum_on_standard(s1: SymplecticSpace, s2: SymplecticSpace,
@@ -563,64 +473,39 @@ def _direct_sum_on_standard(s1: SymplecticSpace, s2: SymplecticSpace,
     return lagrangian_from_frame(s12, frame)
 
 
-def suite_sf(seed: int, count: int = 100) -> SuiteReport:
-    rng = rng_for(seed, _SUITE_STREAM["sf"])
-    rep = SuiteReport("sf", "spectral flow: eta~ difference identity, counting "
-                            "rule against eigenvalue-tracking oracle")
-    ok_eta = ok_oracle = tot = 0
-    for _ in range(count):
+def suite_sf(rep: SuiteReport, rng, count: int = 100) -> None:
+    def eta_and_oracle():
         k = int(rng.integers(2, 9))
         a, b = _herm(rng, k), _herm(rng, k)
-        path = HermitianPath.from_generator(lambda t, a=a, b=b: (1 - t) * a + t * b,
-                                            initial_samples=33)
-        try:
-            r = sf_eta_consistency(path)
-            ok_eta += 1
-            ok_oracle += r["sf"] == _sf_tracking_oracle(
-                lambda t, a=a, b=b: (1 - t) * a + t * b)
-        except SymflowError:
-            pass
-        tot += 1
-    rep.add("eta~(1) - eta~(0) = SF on seeded Hermitian paths", ok_eta, tot)
-    rep.add("counting rule equals the tracking oracle", ok_oracle, tot)
+        gen = lambda t: (1 - t) * a + t * b
+        r = sf_eta_consistency(HermitianPath.from_generator(gen, initial_samples=33))
+        return True, r["sf"] == _sf_tracking_oracle(gen)
+    rep.run(("eta~(1) - eta~(0) = SF on seeded Hermitian paths",
+             "counting rule equals the tracking oracle"), [eta_and_oracle] * count)
 
-    ok = tot2 = 0
-    for _ in range(count // 5):
+    def reversal():
         k = int(rng.integers(2, 6))
         a, b = _herm(rng, k), _herm(rng, k)
-        gen = lambda t, a=a, b=b: (1 - t) * a + t * b
-        fwd = HermitianPath.from_generator(gen, initial_samples=33)
-        ker0 = eta_finite(a)[1]
-        ker1 = eta_finite(b)[1]
-        if ker0 or ker1:
-            ok += 1  # reversal identity only claimed for invertible endpoints
-            tot2 += 1
-            continue
-        rev = fwd.reversed()
-        ok += spectral_flow(fwd).value + spectral_flow(rev).value == 0
-        tot2 += 1
-    rep.add("flow of a path and its reverse cancels (invertible endpoints)", ok, tot2)
+        if eta_finite(a)[1] or eta_finite(b)[1]:
+            return None  # the identity is claimed for invertible endpoints only
+        fwd = HermitianPath.from_generator(lambda t: (1 - t) * a + t * b, initial_samples=33)
+        return spectral_flow(fwd).value + spectral_flow(fwd.reversed()).value == 0
+    rep.run("flow of a path and its reverse cancels (invertible endpoints)",
+            [reversal] * (count // 5))
 
-    planted = 0
-    trials = 20
-    for _ in range(trials):
+    def planted():
         k = int(rng.integers(2, 5))
         v = random_unitary(rng, k)
         a0 = rng.uniform(-1.0, 1.0, size=k)
         slope = rng.uniform(-2.0, 2.0, size=k)
-        lam = lambda t: a0 + slope * t
-
-        def gen(t, v=v, lam=lam):
-            return v @ np.diag(lam(float(t))) @ v.conj().T
-
         expected = 0
         for a0j, sj in zip(a0, slope):
             end = a0j + sj
             expected += int(a0j < 0 <= end) - int(end < 0 <= a0j)
-        path = HermitianPath.from_generator(gen, initial_samples=41)
-        planted += spectral_flow(path).value == expected
-    rep.add("planted eigenvalue curves with known crossing counts", planted, trials)
-    return rep
+        path = HermitianPath.from_generator(
+            lambda t: v @ np.diag(a0 + slope * float(t)) @ v.conj().T, initial_samples=41)
+        return spectral_flow(path).value == expected
+    rep.run("planted eigenvalue curves with known crossing counts", [planted] * 20)
 
 
 def _sf_tracking_oracle(gen: Callable[[float], np.ndarray], samples: int = 2001) -> int:
@@ -635,76 +520,61 @@ def _sf_tracking_oracle(gen: Callable[[float], np.ndarray], samples: int = 2001)
     return int(np.sum(above[-1]) - np.sum(above[0]))
 
 
-def suite_model_symmetry(seed: int, count: int = 50) -> SuiteReport:
-    rng = rng_for(seed, _SUITE_STREAM["model-symmetry"])
-    rep = SuiteReport("model-symmetry", "interval spectra: swap antisymmetry, "
-                                        "kernel counting, split-vs-coupled engines")
-    ok_sym = ok_ker = ok_union = tot = 0
-    for _ in range(count):
+def suite_model_symmetry(rep: SuiteReport, rng, count: int = 50) -> None:
+    def spectra():
         op, _ = random_model(rng)
         p = random_boundary_on_h(op, rng)
         q = random_boundary_on_h(op, rng)
+        # the symmetry check raises on a violation; that fails its check only
         try:
             md.model_symmetry_check(op, p, q, window=20.0, tol=1e-8)
-            ok_sym += 1
+            symmetric = True
         except SymflowError:
-            pass
+            symmetric = False
         dbs = md.double_boundary(op)
         constraint = md.direct_sum_lagrangian(dbs, gamma_conjugate(p), q)
         spec = md.interval_spectrum(op, p, q, 20.0)
         near_zero = int(np.sum(np.abs(spec) <= 1e-7))
-        ok_ker += near_zero == md.interval_kernel_dim(op, constraint, dbs)
         coupled = md.boundary_spectrum(op, constraint, 8.0, dbs=dbs)
         split = spec[np.abs(spec) <= 8.0 + 1e-12]
-        ok_union += (coupled.size == split.size
-                     and (coupled.size == 0
-                          or float(np.max(np.abs(coupled - split))) < 1e-7))
-        tot += 1
-    rep.add("spec D_{P,Q} = -spec D_{Q,P} elementwise", ok_sym, tot)
-    rep.add("root count at zero equals Cauchy-data intersection", ok_ker, tot)
-    rep.add("split and coupled engines agree", ok_union, tot)
-    return rep
+        return (symmetric, near_zero == md.interval_kernel_dim(op, constraint, dbs),
+                coupled.size == split.size
+                and (coupled.size == 0 or float(np.max(np.abs(coupled - split))) < 1e-7))
+    rep.run(("spec D_{P,Q} = -spec D_{Q,P} elementwise",
+             "root count at zero equals Cauchy-data intersection",
+             "split and coupled engines agree"), [spectra] * count)
 
 
-def suite_nicolaescu(seed: int, count: int = 30) -> SuiteReport:
-    rng = rng_for(seed, _SUITE_STREAM["nicolaescu"])
-    rep = SuiteReport("nicolaescu", "spectral flow equals the Maslov index "
-                                    "against the Cauchy data space")
-    ok = tot = 0
+def suite_nicolaescu(rep: SuiteReport, rng, count: int = 30) -> None:
     flows = []
-    for i in range(count):
+
+    def boundary_path():
         op, _ = random_model(rng, n_half_max=2)
         dbs = md.double_boundary(op)
         turns = float(rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]))
         q_side = random_boundary_on_h(op, rng)
         base = random_boundary_on_h(op, rng)
-
-        def bnd(t, op=op, dbs=dbs, base=base, q_side=q_side, turns=turns):
+        fam = []
+        for t in np.linspace(0, 1, 33 + 16 * int(abs(turns))):
             rot = expm(float(t) * turns * np.pi * np.asarray(op.space.gamma))
             moved = lagrangian_from_frame(op.space, rot @ base.frame)
-            return md.direct_sum_lagrangian(dbs, moved, q_side)
-
-        fam = [(float(t), bnd(float(t))) for t in np.linspace(0, 1, 33 + 16 * int(abs(turns)))]
-        try:
-            r = md.nicolaescu_verify(op, fam, window=14.0)
-            ok += 1
-            flows.append(r["sf"])
-        except SymflowError:
-            pass
-        tot += 1
-    span = sorted(set(flows))
-    rep.add("SF = Mas on seeded boundary-condition paths", ok, tot,
-            detail=f"flows seen: {span}")
-    return rep
+            fam.append((float(t), md.direct_sum_lagrangian(dbs, moved, q_side)))
+        flows.append(md.nicolaescu_verify(op, fam, window=14.0)["sf"])
+        return True
+    rep.run("SF = Mas on seeded boundary-condition paths", [boundary_path] * count)
+    rep.checks[-1].detail = f"flows seen: {sorted(set(flows))}"
 
 
-def suite_gluing(seed: int, count: int = 20) -> SuiteReport:
-    rng = rng_for(seed, _SUITE_STREAM["gluing"])
-    rep = SuiteReport("gluing", "eta gluing across a circle: exact zero-mode "
-                                "closure, truncation-bounded mixed closure, "
-                                "integer triple-index part")
-    ok_zero = tot_zero = 0
-    for _ in range(count):
+def _glue_pair(rng):
+    """A seeded interval model and a second piece of another length."""
+    op_p, _ = random_model(rng, n_half_max=2)
+    op_m = md.build_model(op_p.space, op_p.a_matrix,
+                          md.Interval(float(rng.uniform(0.5, 1.5))))
+    return op_p, op_m
+
+
+def suite_gluing(rep: SuiteReport, rng, count: int = 20) -> None:
+    def zero_mode():
         n = int(rng.integers(1, 3))
         space = standard_space(n)
         a = np.zeros((space.dim, space.dim))
@@ -718,196 +588,143 @@ def suite_gluing(seed: int, count: int = 20) -> SuiteReport:
             p = gamma_conjugate(md.transmission_lagrangian(dbs))
         else:
             p = random_split_boundary(op_p, dbs, rng)
-        try:
-            r = md.glue_verify(op_p, op_m, p, eta_tol=1e-9)
-            ok_zero += r["defect"] <= 1e-9
-        except SymflowError:
-            pass
-        tot_zero += 1
-    rep.add("zero-mode models close to 1e-9", ok_zero, tot_zero)
-
-    ok_mix = tot_mix = 0
+        return md.glue_verify(op_p, op_m, p, eta_tol=1e-9)["defect"] <= 1e-9
+    rep.run("zero-mode models close to 1e-9", [zero_mode] * count)
     bounds = []
-    for _ in range(count // 2):
-        op_p, mus = random_model(rng, n_half_max=2)
-        op_m = md.build_model(op_p.space, op_p.a_matrix,
-                              md.Interval(float(rng.uniform(0.5, 1.5))))
-        dbs = md.double_boundary(op_p)
-        p = random_split_boundary(op_p, dbs, rng)
-        try:
-            r = md.glue_verify(op_p, op_m, p, n_max=10_000)
-            ok_mix += r["defect"] <= r["bound"] + 1e-9 and r["bound"] <= 5e-3
-            bounds.append(r["bound"])
-        except SymflowError:
-            pass
-        tot_mix += 1
-    rep.add("mixed models close within the reported bound (and bound <= 5e-3)",
-            ok_mix, tot_mix,
-            detail=f"max bound {max(bounds):.2e}" if bounds else "")
 
-    ok_cald = tot_cald = 0
-    for _ in range(max(4, count // 4)):
-        op_p, _ = random_model(rng, n_half_max=2)
-        op_m = md.build_model(op_p.space, op_p.a_matrix,
-                              md.Interval(float(rng.uniform(0.5, 1.5))))
-        try:
-            md.caldconst_check(op_p, op_m)
-            ok_cald += 1
-        except SymflowError:
-            pass
-        tot_cald += 1
-    rep.add("glued-kernel dimension constant along the transmission family",
-            ok_cald, tot_cald)
-    return rep
+    def mixed():
+        op_p, op_m = _glue_pair(rng)
+        p = random_split_boundary(op_p, md.double_boundary(op_p), rng)
+        r = md.glue_verify(op_p, op_m, p, n_max=10_000)
+        bounds.append(r["bound"])
+        return r["defect"] <= r["bound"] + 1e-9 and r["bound"] <= 5e-3
+    rep.run("mixed models close within the reported bound (and bound <= 5e-3)",
+            [mixed] * (count // 2))
+    if bounds:
+        rep.checks[-1].detail = f"max bound {max(bounds):.2e}"
+
+    def calderon():
+        md.caldconst_check(*_glue_pair(rng))
+        return True
+    rep.run("glued-kernel dimension constant along the transmission family",
+            [calderon] * max(4, count // 4))
 
 
-def suite_adiabatic(seed: int, count: int = 20) -> SuiteReport:
-    rng = rng_for(seed, _SUITE_STREAM["adiabatic"])
-    rep = SuiteReport("adiabatic", "stretched Cauchy data converges monotonically "
-                                   "to the filtered-projection limit")
-    ok = tot = 0
-    for _ in range(count):
+def suite_adiabatic(rep: SuiteReport, rng, count: int = 20) -> None:
+    def stretches():
         op, mus = random_model(rng, n_half_max=2)
         if not mus:
             op, mus = random_model(rng, n_half_max=2, allow_kernel=False)
         dbs = md.double_boundary(op)
-        try:
-            lim = md.adiabatic_limit(op, nu=0.0, dbs=dbs)
-        except SymflowError:
-            tot += 1
-            continue
+        lim = md.adiabatic_limit(op, nu=0.0, dbs=dbs)
         mu_min = min(mus)
         rs = np.linspace(2.0 / mu_min, 50.0 / mu_min, 7)
         dists = [subspace_distance(md.cauchy_data(op, dbs, side="+", length=float(r)), lim)
                  for r in rs]
-        mono = all(b <= a + 1e-12 for a, b in zip(dists, dists[1:]))
-        ok += mono and dists[-1] < 1e-8
-        tot += 1
-    rep.add("distance decreasing over sampled stretches and < 1e-8 at 50/mu_min",
-            ok, tot)
-    return rep
+        return all(b <= a + 1e-12 for a, b in zip(dists, dists[1:])) and dists[-1] < 1e-8
+    rep.run("distance decreasing over sampled stretches and < 1e-8 at 50/mu_min",
+            [stretches] * count)
 
 
-def suite_core(seed: int, count: int = 500) -> SuiteReport:
-    rng = rng_for(seed, _SUITE_STREAM["core"])
-    rep = SuiteReport("core", "symplectic-space plumbing: graph-map round trip, "
-                              "projection identity, reduction, intersections")
-    ok_rt = ok_proj = tot = 0
-    for _ in range(count):
+def suite_core(rep: SuiteReport, rng, count: int = 500) -> None:
+    def graph_map():
         n = int(rng.integers(1, 7))
         space = standard_space(n)
         lag = random_lagrangian(space, rng)
-        back = lagrangian_from_phi(space, lag.phi)
-        ok_rt += subspace_distance(lag, back) < 1e-10
+        round_trip = subspace_distance(lag, lagrangian_from_phi(space, lag.phi)) < 1e-10
         pmat = projection_of(lag).matrix
         g = space.gamma
-        ok_proj += (np.linalg.norm(g @ pmat @ g.conj().T + pmat - np.eye(2 * n), 2)
-                    < 1e-12 * 10 * n)
-        tot += 1
-    rep.add("phi round trip spans the same subspace", ok_rt, tot)
-    rep.add("gamma P gamma* = I - P for every projection", ok_proj, tot)
+        return round_trip, (np.linalg.norm(g @ pmat @ g.conj().T + pmat - np.eye(2 * n), 2)
+                            < 1e-12 * 10 * n)
+    rep.run(("phi round trip spans the same subspace",
+             "gamma P gamma* = I - P for every projection"), [graph_map] * count)
 
-    ok_int = tot_int = 0
-    for _ in range(count // 5):
+    def intersections():
         n = int(rng.integers(2, 6))
         space = standard_space(n)
         k = int(rng.integers(0, n + 1))
         l1 = random_lagrangian(space, rng)
         # plant a k-dimensional overlap by reusing k graph directions
-        u1 = l1.phi
         v = random_unitary(rng, n)
         d = np.exp(1j * np.concatenate([np.zeros(k), rng.uniform(0.3, 2.8, n - k)]))
-        u2 = u1 @ v @ np.diag(d) @ v.conj().T
-        l2 = lagrangian_from_phi(space, u2)
-        try:
-            ok_int += (intersection_dim(l1, l2) == k
-                       and intersection_dim(l2, l1) == k)
-        except SymflowError:
-            pass
-        tot_int += 1
-    rep.add("planted intersection dimensions recovered symmetrically", ok_int, tot_int)
+        l2 = lagrangian_from_phi(space, l1.phi @ v @ np.diag(d) @ v.conj().T)
+        return intersection_dim(l1, l2) == k and intersection_dim(l2, l1) == k
+    rep.run("planted intersection dimensions recovered symmetrically",
+            [intersections] * (count // 5))
 
-    ok_red = tot_red = 0
-    for _ in range(count // 10):
+    def reduction():
         n = int(rng.integers(2, 5))
         space = standard_space(n)
         lag = random_lagrangian(space, rng)
         iso = random_lagrangian(space, rng).frame[:, : int(rng.integers(1, n))]
-        giso = space.gamma @ iso
-        rest = np.hstack([iso, giso])
-        perp = np.eye(2 * n) - _proj(rest)
-        u_frame = np.hstack([iso, perp])
-        try:
-            red = symplectic_reduce(lag, u_frame)
-            ok_red += red.lagrangian.frame.shape[1] == red.space.dim_half
-        except SymflowError:
-            pass
-        tot_red += 1
-    rep.add("reduction by coisotropic subspaces yields reduced Lagrangians",
-            ok_red, tot_red)
-    return rep
+        rest = orthonormal_columns(np.hstack([iso, space.gamma @ iso]))
+        u_frame = np.hstack([iso, np.eye(2 * n) - rest @ rest.conj().T])
+        red = symplectic_reduce(lag, u_frame)
+        return red.lagrangian.frame.shape[1] == red.space.dim_half
+    rep.run("reduction by coisotropic subspaces yields reduced Lagrangians",
+            [reduction] * (count // 10))
 
 
-def _proj(frame: np.ndarray) -> np.ndarray:
-    from ._linalg import orthonormal_columns
-
-    q = orthonormal_columns(frame)
-    return q @ q.conj().T
-
-
-def suite_rebase(seed: int, count: int = 50) -> SuiteReport:
-    rng = rng_for(seed, _SUITE_STREAM["rebase"])
-    rep = SuiteReport("rebase", "basis independence: integer invariants exact, "
-                                "pairing within 1e-9, under eigenbasis re-phasing")
-    ok = tot = 0
-    for _ in range(count):
+def suite_rebase(rep: SuiteReport, rng, count: int = 50) -> None:
+    def rebased():
         n = int(rng.integers(1, 4))
         space = standard_space(n)
         other = rebased_space(space, rng)
         frames = [_planted_lagrangian(space, rng).frame for _ in range(3)]
         l_a = [lagrangian_from_frame(space, f) for f in frames]
         l_b = [lagrangian_from_frame(other, f) for f in frames]
-        try:
-            same = (
-                intersection_dim(l_a[0], l_a[1]) == intersection_dim(l_b[0], l_b[1])
+        return (intersection_dim(l_a[0], l_a[1]) == intersection_dim(l_b[0], l_b[1])
                 and tau_mu(*l_a) == tau_mu(*l_b)
                 and tsig(*l_a) == tsig(*l_b)
-                and abs(m_pairing(l_a[0], l_a[1]) - m_pairing(l_b[0], l_b[1])) < 1e-9
-            )
-            ok += bool(same)
-        except SymflowError:
-            pass
-        tot += 1
-    rep.add("invariants agree across re-based eigenbases", ok, tot)
-    return rep
+                and abs(m_pairing(l_a[0], l_a[1]) - m_pairing(l_b[0], l_b[1])) < 1e-9)
+    rep.run("invariants agree across re-based eigenbases", [rebased] * count)
 
 
-SUITES: dict[str, Callable[..., SuiteReport]] = {
-    "core": suite_core,
-    "winding": suite_winding,
-    "tauw": suite_tauw,
-    "maslov": suite_maslov,
-    "triple": suite_triple,
-    "mtsig": suite_mtsig,
-    "sf": suite_sf,
-    "model-symmetry": suite_model_symmetry,
-    "nicolaescu": suite_nicolaescu,
-    "gluing": suite_gluing,
-    "adiabatic": suite_adiabatic,
-    "rebase": suite_rebase,
+# name -> (stream number of rng_for, header naming the identities, suite body)
+SUITES: dict[str, tuple[int, str, Callable[..., None]]] = {
+    "core": (11, "symplectic-space plumbing: graph-map round trip, projection identity, "
+                 "reduction, intersections", suite_core),
+    "winding": (1, "winding-number conventions: endpoint rule, path additivity, "
+                   "inverse identity", suite_winding),
+    "tauw": (2, "double-index identities: tau_w(I,U) = tau_w(U,I) = 0, "
+                "tau_w(U, U^-1) = -dim ker(U+I)", suite_tauw),
+    "maslov": (3, "Maslov index: rotation normalization, orientation and "
+                  "opposite-structure identities", suite_maslov),
+    "triple": (4, "triple-index permutation and degeneracy relations", suite_triple),
+    "mtsig": (5, "pairing antisymmetry/additivity, Wall-correction symmetry and "
+                 "invariance, index conversions", suite_mtsig),
+    "sf": (6, "spectral flow: eta~ difference identity, counting rule against "
+              "eigenvalue-tracking oracle", suite_sf),
+    "model-symmetry": (7, "interval spectra: swap antisymmetry, kernel counting, "
+                          "split-vs-coupled engines", suite_model_symmetry),
+    "nicolaescu": (8, "spectral flow equals the Maslov index against the Cauchy "
+                      "data space", suite_nicolaescu),
+    "gluing": (9, "eta gluing across a circle: exact zero-mode closure, "
+                  "truncation-bounded mixed closure, integer triple-index part",
+               suite_gluing),
+    "adiabatic": (10, "stretched Cauchy data converges monotonically to the "
+                      "filtered-projection limit", suite_adiabatic),
+    "rebase": (12, "basis independence: integer invariants exact, pairing within 1e-9, "
+                   "under eigenbasis re-phasing", suite_rebase),
 }
 
 
 def run_suite(name: str, seed: int = 0, count: Optional[int] = None) -> list[SuiteReport]:
-    """Run one suite (or 'all'); returns the reports in registry order."""
+    """Run one suite (or 'all'); returns the reports in registry order.
+    ``count`` (at least 1) replaces each suite's default case count."""
     if name == "all":
         names = list(SUITES)
     elif name in SUITES:
         names = [name]
     else:
         raise KeyError(f"unknown suite {name!r}; choose from {list(SUITES)} or 'all'")
+    if count is not None and count < 1:
+        raise SchemaError(f"count must be at least 1, got {count}")
     out = []
     for nm in names:
-        fn = SUITES[nm]
-        out.append(fn(seed) if count is None else fn(seed, count))
+        stream, header, body = SUITES[nm]
+        rep = SuiteReport(nm, header)
+        rng = rng_for(seed, stream)
+        body(rep, rng) if count is None else body(rep, rng, count)
+        out.append(rep)
     return out

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import symflow as sf
-from symflow._linalg import crossing_signs, sign_classes
+from symflow._linalg import DEFAULT_TOL, crossing_signs, sign_classes
 from symflow.errors import ToleranceAmbiguity
 
 POLICY_TOL = 5e-8
@@ -21,27 +21,33 @@ def _lag(theta):
     return sf.lagrangian_from_phi(SPACE, _phi(theta))
 
 
-# site -> (value with one eigenphase at distance d from +1 or -1,
+# site -> (tolerance, value with one eigenphase at distance d from +1 or -1,
 #          value when it is counted as there, value when it is not)
 POLICY_SITES = {
-    "intersection_dim": (lambda d: sf.intersection_dim(_lag(d), _lag(0.0), POLICY_TOL), 1, 0),
-    "m_pairing": (lambda d: sf.m_pairing(_lag(d), _lag(0.0), POLICY_TOL), 0.0, 1.0),
-    "tr_log": (lambda d: sf.tr_log(_phi(-np.pi + d), POLICY_TOL).imag / np.pi, 1.0, -1.0),
-    "tau_mu": (lambda d: sf.tau_mu(_lag(-np.pi + d), _lag(0.0), _lag(-0.5 * np.pi),
-                                   POLICY_TOL), 1, 0),
+    "intersection_dim": (POLICY_TOL, lambda d: sf.intersection_dim(_lag(d), _lag(0.0),
+                                                                   POLICY_TOL), 1, 0),
+    # at the default tol the principal-angle cross-check shares the band:
+    # d = 2e-8, 1e-7 and 1.9e-7 are not intersections, 5e-9 is ambiguous
+    "intersection_dim_default_tol": (DEFAULT_TOL,
+                                     lambda d: sf.intersection_dim(_lag(d), _lag(0.0)), 1, 0),
+    "m_pairing": (POLICY_TOL, lambda d: sf.m_pairing(_lag(d), _lag(0.0), POLICY_TOL), 0.0, 1.0),
+    "tr_log": (POLICY_TOL, lambda d: sf.tr_log(_phi(-np.pi + d), POLICY_TOL).imag / np.pi,
+               1.0, -1.0),
+    "tau_mu": (POLICY_TOL, lambda d: sf.tau_mu(_lag(-np.pi + d), _lag(0.0), _lag(-0.5 * np.pi),
+                                               POLICY_TOL), 1, 0),
 }
 
 
-@pytest.mark.parametrize("factor", [0.5, 5.0, 20.0])
+@pytest.mark.parametrize("factor", [0.5, 5.0, 20.0, 100.0, 190.0])
 @pytest.mark.parametrize("site", sorted(POLICY_SITES))
 def test_one_classification_policy(site, factor):
-    value_at, counted, not_counted = POLICY_SITES[site]
+    tol, value_at, counted, not_counted = POLICY_SITES[site]
     if factor == 5.0:
         with pytest.raises(ToleranceAmbiguity):
-            value_at(factor * POLICY_TOL)
+            value_at(factor * tol)
     else:
         expected = counted if factor < 1 else not_counted
-        assert value_at(factor * POLICY_TOL) == pytest.approx(expected, abs=1e-5)
+        assert value_at(factor * tol) == pytest.approx(expected, abs=1e-5)
 
 
 def _start_near_minus_one(offset):

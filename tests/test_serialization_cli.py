@@ -225,6 +225,26 @@ class TestRunCommand:
         assert r.returncode == 2, r.stderr
         assert "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize("samples", [None, [3], 1, 2.5, True, float("inf")],
+                             ids=["null", "array", "one", "fraction", "bool", "inf"])
+    @pytest.mark.parametrize("op, par", [
+        ("spectral_flow", {"kind": "linear", "h0": [[[-1, 0]]], "h1": [[[1, 0]]]}),
+        ("wind", {"kind": "rotation", "phases": [0.0], "rates": [1.0]}),
+        ("wind", {"kind": "exp-interp", "u0": [[[1, 0]]], "u1": [[[0, 1]]]}),
+    ], ids=["linear", "rotation", "exp-interp"])
+    def test_bad_parametric_samples_keep_the_batch(self, tmp_path, capsys, op, par, samples):
+        bad = {"name": "bad", "op": op,
+               "inputs": {"path": {"parametric": {**par, "samples": samples}}}}
+        good = {"name": "t", "op": "tr_log", "inputs": {"U": [[[1, 0]]]}}
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps([bad, good]))
+        assert main(["run", str(f)]) == 2
+        bad_rec, good_rec = [
+            json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
+        assert bad_rec["error"] == "SchemaError"
+        assert "parametric samples" in bad_rec["detail"]
+        assert good_rec["pass"] is True
+
     def test_bad_scenario_does_not_hide_the_rest(self, tmp_path, capsys):
         good = {"name": "t", "op": "tr_log", "inputs": {"U": [[[1, 0]]]}}
         f = tmp_path / "s.json"
@@ -336,11 +356,78 @@ class TestModelCommand:
         assert rec["tau_mu"] == 0
         assert rec["defect"] <= rec["bound"] + 1e-9
 
+    @pytest.mark.parametrize("what, field, value", [
+        ("spectrum", "geometry", {"interval": "abc"}),
+        ("spectrum", "geometry", {"interval": -1.0}),
+        ("spectrum", "geometry", {"circle": float("nan")}),
+        ("spectrum", "window", "x"),
+        ("spectrum", "window", 0),
+        ("spectrum", "eta", {"N_max": None}),
+        ("spectrum", "eta", {"N_max": 0}),
+        ("spectrum", "eta", {"tol": True}),
+        ("stretch", "stretch", {"lengths": ["a"]}),
+        ("stretch", "stretch", {"lengths": 5.0}),
+        ("stretch", "stretch", {"nu": "x"}),
+        ("glue", "glue", {"length_minus": None, "P": {"frame": [[[1, 0]]]}}),
+        ("glue", "glue", {"length_minus": 0.7, "P": {"frame": [[[1, 0]]]}, "n_max": 2.5}),
+    ], ids=["interval-string", "interval-negative", "circle-nan", "window-string",
+            "window-zero", "N_max-null", "N_max-zero", "eta-tol-bool", "lengths-string",
+            "lengths-scalar", "nu-string", "length_minus-null", "n_max-fraction"])
+    def test_malformed_number_exits_2(self, tmp_path, capsys, model_doc, what, field, value):
+        model_doc[field] = value
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps(model_doc))
+        assert main(["model", what, str(f)]) == 2
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["error"] == "SchemaError"
+        assert rec["pass"] is False
+
     def test_schema_error_exits_2(self, tmp_path, model_doc):
         model_doc["bogus"] = 1
         f = tmp_path / "m.json"
         f.write_text(json.dumps(model_doc))
         assert run_cli("model", "spectrum", str(f)).returncode == 2
+
+
+class TestCaps:
+    """Each cap is checked before anything is allocated: the constructor is
+    replaced by a stub that records its argument, and no call reaches numpy."""
+
+    def test_standard_space_cap(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(ser, "standard_space", built.append)
+        ser.space_from_json(f"standard:{ser.MAX_STANDARD_N}")
+        for spec in (f"standard:{ser.MAX_STANDARD_N + 1}", "standard:0", "standard:-2"):
+            with pytest.raises(SchemaError):
+                ser.space_from_json(spec)
+        assert built == [ser.MAX_STANDARD_N]
+
+    def test_parametric_samples_cap(self, monkeypatch):
+        built = []
+
+        class Stub:
+            @staticmethod
+            def from_generator(gen, initial_samples, **kw):
+                built.append(initial_samples)
+
+        monkeypatch.setattr(ser, "HermitianPath", Stub)
+        par = {"kind": "linear", "h0": [[[1, 0]]], "h1": [[[1, 0]]]}
+        ser.hermitian_path_from_json({"parametric": {**par, "samples": ser.MAX_SAMPLES}})
+        with pytest.raises(SchemaError):
+            ser.hermitian_path_from_json(
+                {"parametric": {**par, "samples": ser.MAX_SAMPLES + 1}})
+        assert built == [ser.MAX_SAMPLES]
+
+    @pytest.mark.parametrize("section", [
+        {"eta": {"N_max": ser.MAX_N_MAX + 1}},
+        {"glue": {"length_minus": 1.0, "P": {}, "n_max": ser.MAX_N_MAX + 1}},
+    ], ids=["eta-N_max", "glue-n_max"])
+    def test_truncation_cap(self, monkeypatch, section):
+        monkeypatch.setattr(ser, "build_model", lambda *a: pytest.fail("model built"))
+        doc = {"gamma": "standard:1", "A": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]],
+               "geometry": {"interval": 1.0}, **section}
+        with pytest.raises(SchemaError):
+            ser.model_from_json(doc)
 
 
 class TestMainEntry:

@@ -7,6 +7,10 @@ this directory.  It writes
 
 * ``OUTDIR/verify-all-s42.txt``: the stdout and exit code of
   ``symflow verify all --seed 42``;
+* ``OUTDIR/verify-draws-s42.txt``: one line per verification suite, its name
+  and a sha256 over the bytes of every value the suite drew from its
+  ``verification.rng_for`` streams at seed 42, in draw order (pass counts
+  alone cannot show that a suite still draws the same cases);
 * ``OUTDIR/<workload>/<document>.out``: the stdout, the exit code and the last
   line of any escaped traceback of ``symflow run DOC`` (workloads ``refine``
   and ``batch``) or ``symflow model WHAT DOC`` (workload ``model``; ``WHAT``
@@ -22,9 +26,12 @@ workload.  Two checkouts behave the same on this oracle when
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("refine", "batch", "model")
@@ -45,6 +52,45 @@ def _call(main, argv: list[str]) -> str:
     return f"{out.getvalue()}exit: {code}\n{escaped}"
 
 
+class _RecordingGenerator:
+    """A ``numpy.random.Generator`` stand-in that feeds the bytes of every
+    value it returns into one running hash."""
+
+    def __init__(self, gen, digest):
+        self._gen = gen
+        self._digest = digest
+
+    def __getattr__(self, name):
+        attr = getattr(self._gen, name)
+        if not callable(attr):
+            return attr
+
+        def draw(*args, **kwargs):
+            value = attr(*args, **kwargs)
+            self._digest.update(np.asarray(value).tobytes())
+            return value
+
+        return draw
+
+
+def _draw_digests(seed: int) -> str:
+    """Per suite, the sha256 of everything it draws from ``rng_for``."""
+    from symflow import verification
+
+    original = verification.rng_for
+    lines = []
+    try:
+        for name in verification.SUITES:
+            digest = hashlib.sha256()
+            verification.rng_for = lambda s, stream: _RecordingGenerator(
+                original(s, stream), digest)
+            verification.run_suite(name, seed=seed)
+            lines.append(f"{name} {digest.hexdigest()}\n")
+    finally:
+        verification.rng_for = original
+    return "".join(lines)
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -61,6 +107,7 @@ def main(argv: list[str]) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "verify-all-s42.txt").write_text(
         _call(cli_main, ["verify", "all", "--seed", "42"]), encoding="utf-8")
+    (outdir / "verify-draws-s42.txt").write_text(_draw_digests(42), encoding="utf-8")
     for w in WORKLOADS:
         (outdir / w).mkdir(exist_ok=True)
         for doc in sorted((ROOT / ".bench_out" / f"{w}-s1-t0" / "in").glob("*.json")):
