@@ -67,10 +67,35 @@ def require_unitary(u: np.ndarray, tol: float = 1e-9, what: str = "matrix") -> n
     u = as_complex_matrix(u)
     if u.shape[0] != u.shape[1]:
         raise NotUnitary(f"{what} is not square: {u.shape}")
-    defect = np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]), 2)
-    if defect > tol * 10 * max(1, u.shape[0]):
-        raise NotUnitary(f"{what} fails unitarity by {defect:.3e}")
+    gram_defect = u.conj().T @ u - np.eye(u.shape[0])
+    limit = tol * 10 * max(1, u.shape[0])
+    # the 2-norm is at most the Frobenius norm, so a small Frobenius norm settles it
+    if not np.linalg.norm(gram_defect) <= limit:
+        defect = np.linalg.norm(gram_defect, 2)
+        if defect > limit:
+            raise NotUnitary(f"{what} fails unitarity by {defect:.3e}")
     return u
+
+
+def norms_below(diffs: np.ndarray, bounds, hermitian: bool = False) -> np.ndarray:
+    """Mask of ``||diffs[i]||_2 < bounds[i]`` over a stack of square matrices.
+
+    With ||X||_2 <= ||X||_F <= sqrt(k) ||X||_2, a Frobenius norm below the
+    bound passes and one at or above sqrt(k) times the bound fails; only the
+    matrices in between get an exact 2-norm: the largest |eigenvalue| when
+    they are Hermitian (``hermitian``), else the largest singular value.
+    """
+    bounds = np.broadcast_to(np.asarray(bounds, dtype=float), diffs.shape[:1])
+    fro = np.linalg.norm(diffs, axis=(1, 2))
+    ok = fro < bounds
+    open_ = ~ok & ~(fro >= np.sqrt(diffs.shape[-1]) * bounds)
+    if np.any(open_):
+        if hermitian:
+            exact = np.max(np.abs(np.linalg.eigvalsh(diffs[open_])), axis=1)
+        else:
+            exact = np.array([np.linalg.norm(d, 2) for d in diffs[open_]])
+        ok[open_] = exact < bounds[open_]
+    return ok
 
 
 def random_unitary(rng, n: int) -> np.ndarray:

@@ -17,7 +17,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import model_dirac as md
-from . import verification
 from .errors import (
     BracketingFailure,
     ConvergenceTooSlow,
@@ -127,7 +126,11 @@ def _op_maslov(inputs, tol):
 
 def _op_eta_finite(inputs, tol):
     require_fields(inputs, ("H",), (), "eta_finite inputs")
-    eta, ker, red = eta_finite(matrix_from_json(inputs["H"], "H"), tol)
+    h = matrix_from_json(inputs["H"], "H")
+    try:
+        eta, ker, red = eta_finite(h, tol)
+    except ValueError as exc:  # not square or not Hermitian
+        raise SchemaError(f"H: {exc}") from exc
     return {"value": {"eta": eta, "dim_ker": ker, "eta_tilde": red}}
 
 
@@ -164,7 +167,7 @@ def _parse_tol(value, what: str) -> float:
     """A tolerance from --tol, SYMFLOW_TOL or a scenario: a finite number > 0."""
     try:
         tol = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         tol = math.nan
     if not (math.isfinite(tol) and tol > 0.0):
         raise SchemaError(f"{what} must be a positive finite number, got {value!r}")
@@ -183,7 +186,7 @@ def run_scenario(scenario: dict, default_tol: float, timing: bool = False) -> di
                    ("seed", "tolerances"), "scenario")
     name = scenario["name"]
     op = scenario["op"]
-    if op not in OPS:
+    if not isinstance(op, str) or op not in OPS:
         raise SchemaError(f"unknown op {op!r}; available: {sorted(OPS)}")
     tolerances = scenario.get("tolerances", {})
     require_fields(tolerances, (), ("tol",), "tolerances")
@@ -207,12 +210,12 @@ def _failure(exc: SymflowError, **ident) -> tuple[dict, int]:
 
 
 def _emit(reports, out_path: Optional[str], pretty: bool):
-    text = "\n".join(
+    text = "".join(
         json.dumps(r, indent=2 if pretty else None,
                    separators=None if pretty else (",", ":"), sort_keys=True,
-                   default=_json_default)
+                   default=_json_default) + "\n"
         for r in reports
-    ) + "\n"
+    )
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -242,6 +245,8 @@ def cmd_run(args) -> int:
     if isinstance(doc, dict) and "scenarios" in doc:
         require_fields(doc, ("scenarios",), (), "scenario file")
         scenarios = doc["scenarios"]
+        if not isinstance(scenarios, list):
+            raise SchemaError(f"scenarios must be an array, got {scenarios!r}")
     elif isinstance(doc, list):
         scenarios = doc
     elif isinstance(doc, dict):
@@ -268,6 +273,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # imported here: the suites pull in scipy.linalg, which no other command needs
+    from . import verification
+
     try:
         reports = verification.run_suite(args.suite, seed=args.seed, count=args.count)
     except KeyError as exc:
@@ -364,8 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_verify = sub.add_parser("verify", help="run a seeded verification suite")
-    p_verify.add_argument("suite",
-                          choices=sorted(verification.SUITES) + ["all"])
+    p_verify.add_argument("suite", help="a suite name or 'all'; an unknown name "
+                                        "exits 2 and lists the suites")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--count", type=int, default=None)
     p_verify.add_argument("--out", default=None)

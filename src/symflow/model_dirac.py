@@ -44,6 +44,7 @@ from .errors import (
     IdentityViolation,
     IncompatibleBoundary,
     ResonanceViolation,
+    SchemaError,
     WindowEscape,
 )
 from .lagrangian_indices import LagrangianPairPath, gamma_conjugate, maslov, tau_mu
@@ -85,6 +86,12 @@ __all__ = [
     "sw_modz_check",
     "model_symmetry_check",
 ]
+
+# The eta truncation cap (glue n_max too), and the root-scan grid that a
+# window holding MAX_N_MAX roots per half-line needs at a quarter of the root
+# spacing: both bound an allocation that no amount of document text pays for.
+MAX_N_MAX = 100_000
+MAX_SCAN_POINTS = 8 * MAX_N_MAX
 
 
 @dataclass(frozen=True)
@@ -407,6 +414,16 @@ def _block_root_function(mu: float, ell: float, p: np.ndarray, q: np.ndarray) ->
     return f
 
 
+def _scan_grid(window: float, step: float) -> np.ndarray:
+    """The root-scan grid on [-window, window]; SchemaError past MAX_SCAN_POINTS."""
+    if 2.0 * window / step > MAX_SCAN_POINTS:
+        raise SchemaError(
+            f"a root scan of [-{window:.6g}, {window:.6g}] at step {step:.3g} needs more than "
+            f"{MAX_SCAN_POINTS} points: the window or ||A|| is too large"
+        )
+    return np.arange(-window, window + step, step)
+
+
 def _scan_step(mu: float, ell: float) -> float:
     """Root-scan grid step: a quarter of the lattice spacing pi/L, finer for large mu."""
     return min(np.pi / (4.0 * ell), 0.45 / max(mu, 1.0))
@@ -414,7 +431,7 @@ def _scan_step(mu: float, ell: float) -> float:
 
 def _bracketed_roots(f: Callable, window: float, step: float, tol: float) -> np.ndarray:
     """All roots of a scalar function on [-window, window] by scan + bisection."""
-    grid = np.arange(-window, window + step, step)
+    grid = _scan_grid(window, step)
     vals = np.asarray(f(grid), dtype=float)
     scale = max(1.0, float(np.max(np.abs(vals))))
     exact_zero = np.abs(vals) <= 1e-13 * scale
@@ -636,7 +653,7 @@ def _tracked_block_roots(block: DoubledBlock, ell: float, bc_phi_h: np.ndarray,
     crossing is bisected in lambda with batched evaluations.
     """
     step = _scan_step(block.mu, ell)
-    grid = np.arange(-window, window + step, step)
+    grid = _scan_grid(window, step)
     ph = _phases_grid(block, ell, bc_phi_h, grid, side)
     for _ in range(6):
         aligned = _aligned_phase_branches(ph)

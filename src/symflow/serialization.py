@@ -18,7 +18,7 @@ import numpy as np
 from ._linalg import DEFAULT_TOL
 from .errors import SchemaError
 from .lagrangian_indices import LagrangianPairPath
-from .model_dirac import Circle, Interval, build_model
+from .model_dirac import MAX_N_MAX, Circle, Interval, build_model
 from .spectral_flow import ZERO_TOL, HermitianPath
 from .symplectic_core import (
     Lagrangian,
@@ -38,10 +38,10 @@ __all__ = [
 
 # Caps on the numbers that set an allocation without a matching amount of
 # document text: the half-dimension of "standard:n", the initial samples of a
-# parametric path, and the eta truncation N_max (glue n_max too).
+# parametric path, and (``model_dirac.MAX_N_MAX``) the eta truncation N_max,
+# glue n_max and the roots per block a model window may hold.
 MAX_STANDARD_N = 512
 MAX_SAMPLES = 100_000
-MAX_N_MAX = 100_000
 
 
 def complex_to_json(z: complex) -> list[float]:
@@ -74,6 +74,12 @@ def number_from_json(x, what: str, *, positive: bool = False,
         return float(x)
     kind = "a positive finite number" if positive else "a finite number"
     raise SchemaError(f"{what} must be {kind}, got {x!r}")
+
+
+def _numbers_from_json(x, what: str) -> np.ndarray:
+    if not isinstance(x, list) or not x:
+        raise SchemaError(f"{what} must be a nonempty array of numbers, got {x!r}")
+    return np.array([number_from_json(v, f"{what} entry") for v in x])
 
 
 def complex_from_json(obj) -> complex:
@@ -208,9 +214,9 @@ def unitary_path_from_json(obj) -> UnitaryPath:
         if kind == "rotation":
             require_fields(par, ("kind", "phases", "rates"), ("frame", "samples"),
                            "rotation path")
-            phases = np.asarray(par["phases"], dtype=float)
-            rates = np.asarray(par["rates"], dtype=float)
-            if phases.shape != rates.shape or phases.ndim != 1:
+            phases = _numbers_from_json(par["phases"], "rotation phases")
+            rates = _numbers_from_json(par["rates"], "rotation rates")
+            if phases.shape != rates.shape:
                 raise SchemaError("rotation path needs equal-length phases and rates")
             v = (matrix_from_json(par["frame"], "frame") if "frame" in par
                  else np.eye(len(phases), dtype=complex))
@@ -286,6 +292,10 @@ def model_from_json(obj, tol: float = 1e-9) -> dict:
                                   integer_in=(1, MAX_N_MAX)),
         "eta_tol": number_from_json(eta.get("tol", 1e-9), "eta.tol", positive=True),
     }
+    # the roots of a mode block lie about pi / length apart
+    if out["window"] * length / np.pi > MAX_N_MAX:
+        raise SchemaError(f"window {out['window']!r} holds more than {MAX_N_MAX} roots per "
+                          f"block at geometry.{kind} = {length!r}")
     stretch = obj.get("stretch", {})
     require_fields(stretch, (), ("nu", "lengths"), "stretch")
     lengths = stretch.get("lengths", [])

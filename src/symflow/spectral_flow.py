@@ -3,8 +3,9 @@
 The (-eps,-eps) convention is used throughout: the flow counts eigenvalues
 moving from negative to nonnegative minus those moving from nonnegative to
 negative, with zero eigenvalues belonging to the nonnegative side.  The zero
-threshold |lambda| <= tol * ||H|| is shared between the flow and eta so the
-two can never classify an eigenvalue differently.
+threshold |lambda| <= tol * max(1, ||H||), with ||H|| the largest |eigenvalue|
+of the same solve, is shared between the flow and eta so the two can never
+classify an eigenvalue differently.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._linalg import crossing_signs, sign_classes
+from ._linalg import crossing_signs, norms_below, sign_classes
 from .errors import IdentityViolation
 from .unitary_invariants import Crossing, CrossingLog, SampledPath
 
@@ -33,17 +34,28 @@ def _require_hermitian(h: np.ndarray, tol: float, what: str) -> np.ndarray:
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"{what} must be a square matrix")
-    scale = max(1.0, np.linalg.norm(h, 2))
-    if np.linalg.norm(h - h.conj().T, 2) > tol * 10 * scale:
-        raise ValueError(f"{what} is not Hermitian within tolerance")
+    skew = h - h.conj().T
+    # ||skew||_2 <= ||skew||_F and the scale below is at least 1, so a small
+    # Frobenius norm settles it
+    if not np.linalg.norm(skew) <= tol * 10:
+        scale = max(1.0, np.linalg.norm(h, 2))
+        if np.linalg.norm(skew, 2) > tol * 10 * scale:
+            raise ValueError(f"{what} is not Hermitian within tolerance")
     return 0.5 * (h + h.conj().T)
+
+
+def _scale(vals: np.ndarray) -> np.ndarray:
+    """max(1, ||H||) per sample, from the eigenvalues on the last axis; the
+    zero threshold is tol times this."""
+    return np.maximum(1.0, np.max(np.abs(vals), axis=-1, initial=0.0))
 
 
 class HermitianPath(SampledPath):
     """Sampled path of Hermitian matrices, optionally generator-backed.
 
     Eigenvalues with |lambda| <= zero_tol * ||H|| are zero for the flow and
-    the endpoint eta invariants.
+    the endpoint eta invariants.  The ``info`` of a refined path is its
+    eigenvalues, one ascending row per sample.
     """
 
     NO_GENERATOR = "move eigenvalues across the spectral gap and no generator is available"
@@ -54,37 +66,35 @@ class HermitianPath(SampledPath):
         super().__init__(samples, generator)
         self.zero_tol = zero_tol
 
-    def _like(self, samples, generator) -> "HermitianPath":
-        return HermitianPath(samples, generator, self.zero_tol)
-
     @staticmethod
     def _checked(h, what: str) -> np.ndarray:
         return _require_hermitian(h, 1e-9, what)
 
-    def _zero_threshold(self, h: np.ndarray) -> float:
-        return self.zero_tol * max(1.0, np.linalg.norm(h, 2))
-
-    def _info(self, h: np.ndarray) -> tuple[float, float]:
-        """(crossing window, smallest |eigenvalue| outside it) of one sample.
-
-        Eigenvalues inside the window are treated as "currently crossing";
-        refinement localizes them to this resolution instead of chasing the
-        vanishing gap at the crossing itself.
-        """
-        vals = np.linalg.eigvalsh(h)
-        norm = float(np.max(np.abs(vals))) if vals.size else 0.0
-        window = max(4.0 * self.zero_tol * max(1.0, norm), 1e-4 * max(1.0, norm))
-        outside = np.abs(vals)[np.abs(vals) > window]
-        gap = float(outside.min()) if outside.size else np.inf
-        return window, gap
-
     @staticmethod
-    def _step_ok(ha, ia, hb, ib) -> bool:
-        """Weyl: each eigenvalue moves at most ||hb - ha||, kept below half the gap."""
-        w = max(ia[0], ib[0])
-        g = min(ia[1], ib[1])
-        bound = max(0.5 * g, w) if np.isfinite(g) else np.inf
-        return np.linalg.norm(hb - ha, 2) < bound
+    def _info(hs: np.ndarray) -> np.ndarray:
+        return np.linalg.eigvalsh(hs)
+
+    def _steps_ok(self, ha, va, hb, vb) -> np.ndarray:
+        """Weyl: each eigenvalue moves at most ||hb - ha||, kept below half the gap.
+
+        A sample's crossing window max(4*zero_tol, 1e-4) * max(1, ||H||) holds
+        the eigenvalues treated as "currently crossing"; refinement localizes
+        them to this resolution instead of chasing the vanishing gap at the
+        crossing itself.  The gap is the smallest |eigenvalue| outside it.
+        """
+        def window_gap(vals):
+            scale = _scale(vals)
+            window = np.maximum(4.0 * self.zero_tol * scale, 1e-4 * scale)
+            mags = np.abs(vals)
+            gap = np.min(np.where(mags > window[:, None], mags, np.inf), axis=-1, initial=np.inf)
+            return window, gap
+
+        wa, ga = window_gap(va)
+        wb, gb = window_gap(vb)
+        w = np.maximum(wa, wb)
+        g = np.minimum(ga, gb)
+        bound = np.where(np.isfinite(g), np.maximum(0.5 * g, w), np.inf)
+        return norms_below(hb - ha, bound, hermitian=True)
 
 
 @dataclass(frozen=True)
@@ -104,23 +114,30 @@ def spectral_flow(path: HermitianPath) -> SpectralFlowResult:
     -1 for the reverse.  Eigenvalues inside |lambda| <= tol*||H|| belong to
     the nonnegative side (zero class).
     """
-    p = path.refined()
+    return _flow(path.refined())
+
+
+def _flow(p: HermitianPath) -> SpectralFlowResult:
+    """The flow of a refined path, from the eigenvalues it carries."""
+    vals = p.info
+    cls = sign_classes(vals, p.zero_tol * _scale(vals)[:, None])
+    # sorted-order matching is optimal for Hermitian spectra under small steps
+    dirs = crossing_signs(cls[:-1], cls[1:])
     crossings: list[Crossing] = []
-    vals_prev = np.linalg.eigvalsh(p.mats[0])
-    cls_prev = sign_classes(vals_prev, p._zero_threshold(p.mats[0]))
-    for j in range(1, len(p.mats)):
-        vals_cur = np.linalg.eigvalsh(p.mats[j])
-        cls_cur = sign_classes(vals_cur, p._zero_threshold(p.mats[j]))
-        # sorted-order matching is optimal for Hermitian spectra under small steps
-        dirs = crossing_signs(cls_prev, cls_cur)
-        for i in np.flatnonzero(dirs):
-            a, b = vals_prev[i], vals_cur[i]
-            frac = abs(a) / max(abs(b - a), 1e-300)
-            tc = p.times[j - 1] + min(frac, 1.0) * (p.times[j] - p.times[j - 1])
-            crossings.append(Crossing(float(tc), int(dirs[i]), float(a), float(b)))
-        vals_prev, cls_prev = vals_cur, cls_cur
+    for j, i in zip(*np.nonzero(dirs)):
+        a, b = vals[j, i], vals[j + 1, i]
+        frac = abs(a) / max(abs(b - a), 1e-300)
+        tc = p.times[j] + min(frac, 1.0) * (p.times[j + 1] - p.times[j])
+        crossings.append(Crossing(float(tc), int(dirs[j, i]), float(a), float(b)))
     log = CrossingLog(tuple(sorted(crossings, key=lambda c: c.t)))
     return SpectralFlowResult(log.total, log)
+
+
+def _eta(vals: np.ndarray, tol: float) -> tuple[int, int, float]:
+    cls = sign_classes(vals, tol * _scale(vals))
+    eta = int(np.sum(cls))
+    dim_ker = int(np.sum(cls == 0))
+    return eta, dim_ker, 0.5 * (eta + dim_ker)
 
 
 def eta_finite(h, tol: float = ZERO_TOL) -> tuple[int, int, float]:
@@ -130,12 +147,7 @@ def eta_finite(h, tol: float = ZERO_TOL) -> tuple[int, int, float]:
     (eta + dim ker)/2; the kernel is |lambda| <= tol * ||H||.
     """
     h = _require_hermitian(h, 1e-9, "eta_finite argument")
-    vals = np.linalg.eigvalsh(h)
-    threshold = tol * max(1.0, np.linalg.norm(h, 2))
-    cls = sign_classes(vals, threshold)
-    eta = int(np.sum(cls))
-    dim_ker = int(np.sum(cls == 0))
-    return eta, dim_ker, 0.5 * (eta + dim_ker)
+    return _eta(np.linalg.eigvalsh(h), tol)
 
 
 def sf_eta_consistency(path: HermitianPath) -> dict:
@@ -145,9 +157,10 @@ def sf_eta_consistency(path: HermitianPath) -> dict:
     theory vanishes, so reduced eta at the endpoints must satisfy
     eta~(1) - eta~(0) = SF exactly.
     """
-    sf = spectral_flow(path).value
-    _, _, eta0 = eta_finite(path.mats[0], path.zero_tol)
-    _, _, eta1 = eta_finite(path.mats[-1], path.zero_tol)
+    p = path.refined()
+    sf = _flow(p).value
+    _, _, eta0 = _eta(p.info[0], p.zero_tol)
+    _, _, eta1 = _eta(p.info[-1], p.zero_tol)
     delta = eta1 - eta0
     if abs(delta - sf) > 1e-12:
         raise IdentityViolation(f"eta~(1) - eta~(0) = {delta} != SF = {sf}")

@@ -15,6 +15,7 @@ Conventions, fixed once and used everywhere:
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -26,6 +27,7 @@ from ._linalg import (
     branch_log_unitary,
     branch_phases,
     crossing_signs,
+    norms_below,
     require_unitary,
     wrap_phase,
 )
@@ -49,6 +51,9 @@ STEP_NORM_BOUND = np.sqrt(2.0) * 0.95
 MAX_ARC = 0.5 * np.pi * 0.98
 # bisections allowed per initial step before refinement gives up
 REFINE_LIMIT = 24
+# failing steps bisected together in one round of refinement; it also bounds
+# the work done on a path whose steps keep failing until REFINE_LIMIT
+REFINE_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -98,8 +103,10 @@ class SampledPath:
     it until every step meets the path kind's step invariant.
 
     A path kind supplies ``_checked`` (validate one matrix), ``_info``
-    (per-sample data for the step test), ``_step_ok`` and ``NO_GENERATOR``,
-    the reason given when a step fails and there is no generator.
+    (per-sample data of the step test, for a stack of samples), ``_steps_ok``
+    (the step test for stacks of step endpoints) and ``NO_GENERATOR``, the
+    reason given when a step fails and there is no generator.  ``info`` holds
+    the per-sample data of a path returned by ``refined``, else None.
     """
 
     def __init__(self, samples: Sequence[tuple[float, np.ndarray]],
@@ -113,6 +120,7 @@ class SampledPath:
         self.mats = mats
         self.generator = generator
         self.size = k
+        self.info = None
 
     @classmethod
     def from_generator(cls, generator: Callable[[float], np.ndarray],
@@ -122,9 +130,11 @@ class SampledPath:
         ts = np.linspace(t0, t1, initial_samples)
         return cls([(float(t), generator(float(t))) for t in ts], generator, **kwargs)
 
-    def _like(self, samples, generator):
-        """A path of the same kind and settings through other samples."""
-        return type(self)(samples, generator)
+    def _with(self, times, mats, generator, info=None):
+        """A path of the same kind and settings through already checked samples."""
+        new = copy.copy(self)
+        new.times, new.mats, new.generator, new.info = times, mats, generator, info
+        return new
 
     def reversed(self):
         t0, t1 = self.times[0], self.times[-1]
@@ -132,38 +142,62 @@ class SampledPath:
         if self.generator is not None:
             g = self.generator
             gen = lambda t: g(t0 + t1 - t)
-        rev = [(t0 + t1 - t, m) for t, m in zip(self.times[::-1], self.mats[::-1])]
-        return self._like(rev, gen)
+        return self._with([t0 + t1 - t for t in self.times[::-1]], self.mats[::-1], gen)
 
     def refined(self):
-        """Insert generator midpoints until every step meets the step invariant."""
-        out_t = [self.times[0]]
-        out_m = [self.mats[0]]
+        """Insert generator midpoints until every step meets the step invariant.
 
-        def push(ta, ma, ia, tb, mb, ib, depth):
-            if self._step_ok(ma, ia, mb, ib):
-                out_t.append(tb)
-                out_m.append(mb)
-                return
+        Refinement runs in rounds.  A round takes the leftmost REFINE_BATCH
+        failing steps, evaluates the generator at their midpoints and tests
+        all new half steps at once, so while no more than REFINE_BATCH steps
+        fail there is one round per bisection level.  A step's verdict
+        depends only on its two endpoints, so the samples are those of
+        bisecting each failing step in turn.
+        """
+        ts = list(self.times)
+        mats = list(self.mats)
+        stack = np.array(mats)
+        info = self._info(stack)
+        infos = list(info)
+        fail = ~self._steps_ok(stack[:-1], info[:-1], stack[1:], info[1:])
+        # failing steps as (left sample, right sample, bisections so far),
+        # the leftmost last
+        pending = [(i, i + 1, 0) for i in np.flatnonzero(fail)[::-1]]
+        while pending:
+            batch = pending[:-REFINE_BATCH - 1:-1]
+            del pending[-REFINE_BATCH:]
+            a, b, _ = batch[0]
             if self.generator is None:
-                raise RefinementExhausted(f"samples at t={ta:.6g}, {tb:.6g} {self.NO_GENERATOR}")
-            if depth >= REFINE_LIMIT:
                 raise RefinementExhausted(
-                    f"step invariant unreachable after {depth} bisections near t={ta:.6g}"
+                    f"samples at t={ts[a]:.6g}, {ts[b]:.6g} {self.NO_GENERATOR}")
+            deep = [step for step in batch if step[2] >= REFINE_LIMIT]
+            if deep:
+                a, _, depth = deep[0]
+                raise RefinementExhausted(
+                    f"step invariant unreachable after {depth} bisections near t={ts[a]:.6g}"
                 )
-            tm = 0.5 * (ta + tb)
-            mm = self._checked(self.generator(tm), f"generator at t={tm}")
-            im = self._info(mm)
-            push(ta, ma, ia, tm, mm, im, depth + 1)
-            push(tm, mm, im, tb, mb, ib, depth + 1)
-
-        infos = [self._info(m) for m in self.mats]
-        for i in range(len(self.times) - 1):
-            push(self.times[i], self.mats[i], infos[i],
-                 self.times[i + 1], self.mats[i + 1], infos[i + 1], 0)
-        if len(out_t) == len(self.times):
-            return self
-        return self._like(list(zip(out_t, out_m)), self.generator)
+            first = len(ts)
+            ts += [0.5 * (ts[a] + ts[b]) for a, b, _ in batch]
+            mids = np.array([self._checked(self.generator(t), f"generator at t={t}")
+                             for t in ts[first:]])
+            mids_info = self._info(mids)
+            mats += list(mids)
+            infos += list(mids_info)
+            ok = self._steps_ok(
+                np.concatenate([np.array([mats[a] for a, _, _ in batch]), mids]),
+                np.concatenate([np.array([infos[a] for a, _, _ in batch]), mids_info]),
+                np.concatenate([mids, np.array([mats[b] for _, b, _ in batch])]),
+                np.concatenate([mids_info, np.array([infos[b] for _, b, _ in batch])]))
+            n = len(batch)
+            for r in range(n - 1, -1, -1):
+                a, b, depth = batch[r]
+                if not ok[n + r]:
+                    pending.append((first + r, b, depth + 1))
+                if not ok[r]:
+                    pending.append((a, first + r, depth + 1))
+        order = np.argsort(ts, kind="stable")
+        return self._with([ts[i] for i in order], [mats[i] for i in order], self.generator,
+                          np.array(infos)[order])
 
 
 class UnitaryPath(SampledPath):
@@ -177,12 +211,13 @@ class UnitaryPath(SampledPath):
         return require_unitary(u, what=what)
 
     @staticmethod
-    def _info(u) -> None:
-        return None
+    def _info(us: np.ndarray) -> np.ndarray:
+        # the unitary step test needs no per-sample data
+        return np.empty((len(us), 0))
 
     @staticmethod
-    def _step_ok(ua, _ia, ub, _ib) -> bool:
-        return np.linalg.norm(ub - ua, 2) < STEP_NORM_BOUND
+    def _steps_ok(ua, _ia, ub, _ib) -> np.ndarray:
+        return norms_below(ub - ua, STEP_NORM_BOUND)
 
     def pointwise_inverse(self) -> "UnitaryPath":
         gen = None
@@ -200,8 +235,7 @@ def tr_log(u, tol: float = 1e-9) -> complex:
 
 def _endpoint_shift(u0: np.ndarray, u1: np.ndarray, tol: float) -> float:
     """eps for the endpoint convention wind(f) := wind(f e^{-i eps})."""
-    phases = np.concatenate([np.angle(np.linalg.eigvals(u0)),
-                             np.angle(np.linalg.eigvals(u1))])
+    phases = np.angle(np.linalg.eigvals(np.array([u0, u1]))).ravel()
     dist = np.abs(wrap_phase(phases - np.pi))
     away = dist[~at_phase(phases, np.pi, tol)]
     if away.size == 0:
@@ -228,15 +262,15 @@ def wind(path: UnitaryPath, tol: float = 1e-9) -> WindResult:
     """
     p = path.refined()
     eps = _endpoint_shift(p.mats[0], p.mats[-1], tol)
-    shift = np.exp(-1j * eps)
-    mats = [u * shift for u in p.mats]
+    mats = np.array(p.mats) * np.exp(-1j * eps)
+    phases = np.angle(np.linalg.eigvals(mats))
     times = p.times
 
     # method (b): eigenphase transport
     crossings: list[Crossing] = []
-    phases_prev = np.sort(np.angle(np.linalg.eigvals(mats[0])))
+    phases_prev = np.sort(phases[0])
     for j in range(1, len(mats)):
-        phases_cur = np.angle(np.linalg.eigvals(mats[j]))
+        phases_cur = phases[j]
         perm = _match_phases(phases_prev, phases_cur)
         matched = phases_cur[perm]
         arcs = wrap_phase(matched - phases_prev)
@@ -263,12 +297,9 @@ def wind(path: UnitaryPath, tol: float = 1e-9) -> WindResult:
     # method (a): continuous arg det minus endpoint branch corrections; after
     # the shift no endpoint eigenphase is within 4*tol of -1, so np.angle is
     # already on the branch and no classification is needed
-    arg_det = 0.0
-    for j in range(1, len(mats)):
-        rel = mats[j] @ mats[j - 1].conj().T
-        arg_det += float(np.sum(np.angle(np.linalg.eigvals(rel))))
-    by_det = (arg_det - np.sum(np.angle(np.linalg.eigvals(mats[-1])))
-              + np.sum(np.angle(np.linalg.eigvals(mats[0])))) / (2.0 * np.pi)
+    rel = mats[1:] @ mats[:-1].conj().transpose(0, 2, 1)
+    arg_det = float(np.sum(np.angle(np.linalg.eigvals(rel))))
+    by_det = (arg_det - np.sum(phases[-1]) + np.sum(phases[0])) / (2.0 * np.pi)
     try:
         by_det_int = as_integer(by_det, 1e-6, what="winding (det method)")
     except NonIntegerResult as exc:

@@ -1,0 +1,169 @@
+"""The step certificate and the sampled-path core.
+
+Every norm test first tries a Frobenius bound, which can only give the exact
+answer, and takes the exact 2-norm when that bound cannot decide; a refined
+path is validated and eigen-solved once per sample, and each bisection level
+is one stacked eigen-solve.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import symflow as sf
+from symflow._linalg import norms_below, require_unitary
+from symflow.errors import NotUnitary
+from symflow.verification import random_unitary, rng_for
+
+K = 8
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 8), rank=st.integers(1, 8),
+       hermitian=st.booleans(), ratio=st.floats(0.5, 2.0))
+def test_step_test_is_the_exact_two_norm_test(seed, k, rank, hermitian, ratio):
+    # ratio = ||d||_2 / bound in [0.5, 2]; the rank spreads the Frobenius norm
+    # over [||d||_2, sqrt(k) ||d||_2], so all three verdict paths are taken.
+    # Within rounding of the bound two ways of computing a norm may round
+    # apart, so the bound stays clear of it.
+    assume(abs(ratio - 1.0) > 1e-9)
+    rng = np.random.default_rng(seed)
+    rank = min(rank, k)
+    v = random_unitary(rng, k)
+    spectrum = np.zeros(k)
+    spectrum[:rank] = rng.uniform(-1.0, 1.0, rank)
+    if hermitian:
+        d = (v * spectrum) @ v.conj().T
+    else:
+        # a unitary step: u1 = u0 exp(i H) with H of the given rank
+        u0 = random_unitary(rng, k)
+        d = u0 @ ((v * np.exp(1j * np.pi * spectrum)) @ v.conj().T) - u0
+    norm = np.linalg.norm(d, 2)
+    if norm == 0.0:
+        return
+    bound = norm / ratio
+    got = norms_below(d[None], bound, hermitian=hermitian)[0]
+    assert got == (norm < bound)
+
+
+def _equal_singular_defect(size):
+    """i*size/2 * I_K: h - h* = i*size*I has K equal singular values, so its
+    Frobenius norm is sqrt(K) = 2.8 times its 2-norm."""
+    return 0.5j * size * np.eye(K)
+
+
+def test_hermitian_check_accepts_through_the_fallback():
+    h = _equal_singular_defect(5e-9)
+    skew = h - h.conj().T
+    assert np.linalg.norm(skew, 2) < 1e-8 < np.linalg.norm(skew)
+    assert sf.eta_finite(h) == (0, K, K / 2)
+
+
+def test_hermitian_check_rejects_just_above_ten_tol():
+    with pytest.raises(ValueError, match="not Hermitian"):
+        sf.eta_finite(_equal_singular_defect(1.01e-8))
+
+
+def _scaled_identity(defect):
+    """(1 + eps) I_K with ||U*U - I||_2 = defect, equal singular values."""
+    return np.sqrt(1.0 + defect) * np.eye(K, dtype=complex)
+
+
+def test_unitary_check_accepts_through_the_fallback():
+    u = _scaled_identity(5e-8)      # the limit is 10 * tol * K = 8e-8
+    gram = u.conj().T @ u - np.eye(K)
+    assert np.linalg.norm(gram, 2) < 8e-8 < np.linalg.norm(gram)
+    assert require_unitary(u) is not None
+
+
+def test_unitary_check_rejects_just_above_its_limit():
+    with pytest.raises(NotUnitary, match="fails unitarity by 8.1"):
+        require_unitary(_scaled_identity(8.1e-8))
+
+
+# -- one validation and one eigen-solve per sample ---------------------------
+
+V = random_unitary(rng_for(7, 0), K)
+START = np.linspace(0.5, 4.0, K)
+SLOPE = np.array([-0.45, 1.0, -0.5, 0.3, 0.0, -1.0, 0.5, 1.0])
+PHASES = np.linspace(-3.0, 3.0, K)
+RATES = np.linspace(-4.0, 5.0, K)
+
+
+def _hermitian_path():
+    return sf.HermitianPath.from_generator(
+        lambda t: V @ np.diag(START + SLOPE * t) @ V.conj().T, initial_samples=3)
+
+
+def _unitary_path(initial_samples=3):
+    return sf.UnitaryPath.from_generator(
+        lambda t: V @ np.diag(np.exp(1j * (PHASES + RATES * t))) @ V.conj().T,
+        initial_samples=initial_samples)
+
+
+# the sample sets of the recursive bisection this core replaced
+HERMITIAN_TIMES = [0.0, 0.125, 0.25, 0.375, 0.5, 0.5625, 0.625, 0.6875, 0.75, 0.8125,
+                   0.84375, 0.875, 0.90625, 0.9375, 0.96875, 0.984375, 1.0]
+UNITARY_TIMES = [0.0, 0.25, 0.5, 0.75, 1.0]
+
+
+def test_refined_samples_are_those_of_recursive_bisection():
+    assert _hermitian_path().refined().times == HERMITIAN_TIMES
+    assert _unitary_path().refined().times == UNITARY_TIMES
+
+
+@pytest.fixture()
+def lapack_calls(monkeypatch):
+    """Calls of the eigen-solvers and SVDs numpy offers; norm(., 2) of a
+    matrix counts as an SVD, which numpy runs through an internal binding."""
+    calls = {"svd": 0, "eigvalsh": 0, "eigvals": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("eigvalsh", "eigvals", "svd"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    norm = np.linalg.norm
+
+    def counting_norm(x, ord=None, *args, **kwargs):
+        if ord == 2 and np.ndim(x) == 2:
+            calls["svd"] += 1
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    return calls
+
+
+def _rounds(times) -> int:
+    """Rounds of level-order bisection behind a sample set: the initial one
+    plus one per level, 0.5 / 2**levels being the finest step."""
+    return 1 + int(round(np.log2(0.5 / np.min(np.diff(times)))))
+
+
+@pytest.mark.parametrize("run", [sf.spectral_flow, sf.sf_eta_consistency],
+                         ids=["spectral_flow", "sf_eta_consistency"])
+def test_hermitian_hot_path_counts(lapack_calls, run):
+    path = _hermitian_path()
+    lapack_calls.update(svd=0, eigvalsh=0)
+    result = run(path)
+    assert lapack_calls["svd"] == 0
+    # one stacked solve of the new samples per round, at most one of fallbacks
+    assert lapack_calls["eigvalsh"] <= 2 * _rounds(HERMITIAN_TIMES)
+    assert (result.value if run is sf.spectral_flow else result["sf"]) == 0
+
+
+def test_wind_hot_path_counts(lapack_calls):
+    # steps of at most 5/32 rad pass on their Frobenius norm.  Bisecting a
+    # unitary path always takes an exact 2-norm somewhere: the Frobenius norms
+    # of two half steps add up to at least that of the step, so a chain of
+    # failing halves ends in one that the Frobenius bounds cannot decide.
+    path = _unitary_path(initial_samples=33)
+    lapack_calls.update(svd=0, eigvals=0)
+    assert sf.wind(path).value == 1
+    assert lapack_calls["svd"] == 0
+    # the endpoint shift, the shifted samples and the step products
+    assert lapack_calls["eigvals"] == 3

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -275,6 +276,14 @@ class TestVerifyCommand:
         assert a.returncode == 0
         assert a.stdout == b.stdout
 
+    def test_import_leaves_scipy_linalg_out(self):
+        # only `verify` needs the suites, and they pull in scipy.linalg
+        r = subprocess.run([sys.executable, "-c", "import sys, symflow.cli; "
+                            "print('scipy.linalg' in sys.modules)"],
+                           capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "False"
+
     def test_unknown_suite_exits_2(self):
         r = run_cli("verify", "nonsense")
         assert r.returncode == 2
@@ -428,6 +437,39 @@ class TestCaps:
                "geometry": {"interval": 1.0}, **section}
         with pytest.raises(SchemaError):
             ser.model_from_json(doc)
+
+
+class TestWindowAndScanCaps:
+    """A model window holds at most MAX_N_MAX roots per block, and a root scan
+    at most MAX_SCAN_POINTS grid points: a large window, a large ||A|| (which
+    shrinks the scan step 0.45/mu) or a tiny length exits 2 at once."""
+
+    GLUE_P = {"frame": [[[-0.938507899795, 0], [0, 0]], [[0, 0], [-0.345257761712, 0]],
+                        [[-0.345257761712, 0], [0, 0]], [[0, 0], [-0.938507899795, 0]]]}
+
+    @pytest.mark.parametrize("what, change", [
+        ("spectrum", {"geometry": {"circle": 1.0}, "boundary": None, "window": 1e12}),
+        ("spectrum", {"window": 1e12}),
+        ("spectrum", {"window": 1e6, "geometry": {"interval": 1e-9}}),
+        ("spectrum", {"A": ser.matrix_to_json(np.diag([1e7, -1e7]))}),
+        ("glue", {"A": ser.matrix_to_json(np.diag([1e7, -1e7])),
+                  "glue": {"length_minus": 0.7, "P": GLUE_P, "n_max": 200}}),
+    ], ids=["circle-window", "interval-window", "tiny-length", "large-A", "large-A-glue"])
+    def test_exits_2_within_a_second(self, tmp_path, capsys, what, change):
+        doc = {"gamma": "standard:1", "A": ser.matrix_to_json(np.diag([1.0, -1.0])),
+               "geometry": {"interval": 1.0},
+               "boundary": {"P": {"frame": [[[1, 0]], [[0, 0]]]},
+                            "Q": {"frame": [[[0, 0]], [[1, 0]]]}}}
+        doc.update(change)
+        doc = {k: v for k, v in doc.items() if v is not None}
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps(doc))
+        t0 = time.perf_counter()
+        assert main(["model", what, str(f)]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["error"] == "SchemaError"
+        assert rec["pass"] is False
 
 
 class TestMainEntry:
