@@ -63,8 +63,8 @@ from .symplectic_core import (
 )
 from .unitary_invariants import (
     CrossingLog,
+    IndexResult,
     UnitaryPath,
-    WindResult,
     tau_w,
     tr_log,
     wind,

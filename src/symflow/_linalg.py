@@ -77,14 +77,16 @@ def require_unitary(u: np.ndarray, tol: float = 1e-9, what: str = "matrix") -> n
     return u
 
 
-def norms_below(diffs: np.ndarray, bounds, hermitian: bool = False) -> np.ndarray:
-    """Mask of ``||diffs[i]||_2 < bounds[i]`` over a stack of square matrices.
+def norms_below(a: np.ndarray, b: np.ndarray, bounds, hermitian: bool = False) -> np.ndarray:
+    """Mask of ``||b[i] - a[i]||_2 < bounds[i]`` over stacks of square matrices.
 
     With ||X||_2 <= ||X||_F <= sqrt(k) ||X||_2, a Frobenius norm below the
     bound passes and one at or above sqrt(k) times the bound fails; only the
-    matrices in between get an exact 2-norm: the largest |eigenvalue| when
-    they are Hermitian (``hermitian``), else the largest singular value.
+    steps in between get an exact 2-norm: the largest |eigenvalue| of the
+    difference when the matrices are Hermitian (``hermitian``), else, for
+    unitaries, max |lambda(b a*) - 1|, exact because b a* - I is normal.
     """
+    diffs = b - a
     bounds = np.broadcast_to(np.asarray(bounds, dtype=float), diffs.shape[:1])
     fro = np.linalg.norm(diffs, axis=(1, 2))
     ok = fro < bounds
@@ -93,7 +95,8 @@ def norms_below(diffs: np.ndarray, bounds, hermitian: bool = False) -> np.ndarra
         if hermitian:
             exact = np.max(np.abs(np.linalg.eigvalsh(diffs[open_])), axis=1)
         else:
-            exact = np.array([np.linalg.norm(d, 2) for d in diffs[open_]])
+            rel = b[open_] @ a[open_].conj().transpose(0, 2, 1)
+            exact = np.max(np.abs(np.linalg.eigvals(rel) - 1.0), axis=1)
         ok[open_] = exact < bounds[open_]
     return ok
 
@@ -145,6 +148,15 @@ def branch_log_unitary(u: np.ndarray, tol: float = DEFAULT_TOL) -> complex:
     """Sum of eigenvalue logs with the branch cut just below -1 (arg in (-pi, pi])."""
     vals = np.linalg.eigvals(as_complex_matrix(u))
     return complex(np.sum(np.log(np.abs(vals))) + 1j * np.sum(branch_phases(vals, tol)))
+
+
+def principal_power(u: np.ndarray, tol: float = DEFAULT_TOL):
+    """s -> U^s on the branch of ``branch_phases``: V diag(e^{i s phi}) V^{-1}
+    from one eigendecomposition U = V diag(e^{i phi}) V^{-1}."""
+    vals, vecs = np.linalg.eig(u)
+    phases = branch_phases(vals, tol)
+    inv = np.linalg.inv(vecs)
+    return lambda s: (vecs * np.exp(1j * s * phases)) @ inv
 
 
 def sign_classes(vals, threshold: float) -> np.ndarray:

@@ -66,7 +66,7 @@ def _op_tr_log(inputs, tol):
 
 def _op_wind(inputs, tol):
     require_fields(inputs, ("path",), (), "wind inputs")
-    r = wind(unitary_path_from_json(inputs["path"]), tol)
+    r = wind(unitary_path_from_json(inputs["path"], tol), tol)
     return {"value": r.value, "log": _crossing_log_json(r.log)}
 
 
@@ -79,7 +79,8 @@ def _op_tau_w(inputs, tol):
 
 def _op_wind_inverse(inputs, tol):
     require_fields(inputs, ("path",), (), "wind_plus_inverse_check inputs")
-    wf, wi, d0, d1 = wind_plus_inverse_check(unitary_path_from_json(inputs["path"]), tol)
+    wf, wi, d0, d1 = wind_plus_inverse_check(unitary_path_from_json(inputs["path"], tol),
+                                             tol)
     return {"value": [wf, wi, d0, d1], "pass": True}
 
 

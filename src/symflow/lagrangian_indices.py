@@ -9,7 +9,6 @@ spectra of products phi(L1) phi(L2)* are invariant under re-basing of the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -22,7 +21,7 @@ from .symplectic_core import (
     intersection_dim,
     lagrangian_from_frame,
 )
-from .unitary_invariants import CrossingLog, UnitaryPath, sample_times, tau_w, wind
+from .unitary_invariants import IndexResult, UnitaryPath, sample_times, tau_w, wind
 
 __all__ = [
     "LagrangianPairPath",
@@ -75,23 +74,14 @@ class LagrangianPairPath:
         return (f0, g0), (f1, g1)
 
 
-@dataclass(frozen=True)
-class MaslovResult:
-    value: int
-    log: CrossingLog
-
-    def __int__(self) -> int:
-        return self.value
-
-
-def maslov(pp: LagrangianPairPath, tol: float = 1e-9) -> MaslovResult:
+def maslov(pp: LagrangianPairPath, tol: float = 1e-9) -> IndexResult:
     """Maslov index Mas(f, g) = -wind(phi(f) phi(g)*).
 
     Counts passages of gamma(f_t) = ker proj(f_t) through g_t; the crossing
     log reports the parameter values where the intersection dimension jumps.
     """
     w = wind(pp.induced_unitary_path(), tol)
-    return MaslovResult(-w.value, w.log)
+    return IndexResult(-w.value, w.log)
 
 
 def opposite_space(space: SymplecticSpace) -> SymplecticSpace:

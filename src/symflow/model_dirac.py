@@ -208,12 +208,9 @@ class DoubledBlock:
     frame: np.ndarray       # (2 dim H) x (2k) embedding of the doubled block
     space: SymplecticSpace  # the doubled block in its own coordinates
     is_kernel: bool
-    kernel_gamma: Optional[np.ndarray] = None  # gamma of the single block (kernel only)
 
     def __post_init__(self):
         object.__setattr__(self, "frame", readonly(self.frame))
-        if self.kernel_gamma is not None:
-            object.__setattr__(self, "kernel_gamma", readonly(self.kernel_gamma))
 
 
 @dataclass(frozen=True)
@@ -259,8 +256,7 @@ def double_boundary(op: ModelOperator, tol: float = DEFAULT_TOL) -> DoubleBounda
     if op.kernel is not None:
         frame = _doubled_frame(op.kernel.frame, d)
         gb = frame.conj().T @ gamma_tilde @ frame
-        doubled.append(DoubledBlock(0.0, frame, space_from_gamma(gb, tol), True,
-                                    op.kernel.block_space.gamma))
+        doubled.append(DoubledBlock(0.0, frame, space_from_gamma(gb, tol), True))
     return DoubleBoundarySpace(op.space, space, a_tilde, tuple(doubled))
 
 
@@ -387,12 +383,6 @@ def _transfer_terms(lam, mu: float, ell: float):
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         s = np.where(small, ell * (1.0 + (kl**2).real / 6.0), (np.sinh(kl) / safe).real)
     return c, s
-
-
-def _transfer_matrix(lam: float, mu: float, ell: float) -> np.ndarray:
-    c, s = _transfer_terms(np.array([lam]), mu, ell)
-    m = np.array([[-mu, lam], [-lam, mu]])
-    return c[0] * np.eye(2) + s[0] * m
 
 
 def _block_root_function(mu: float, ell: float, p: np.ndarray, q: np.ndarray) -> Callable:
@@ -583,18 +573,6 @@ def _split_block_constraint(bc: Lagrangian, half: int) -> Optional[tuple]:
     return out[0], out[1]
 
 
-def _graph_frame_block(block: DoubledBlock, ell: float, lam: float, side: str) -> np.ndarray:
-    """Orthonormal frame of the solution graph inside one doubled block."""
-    k = block.frame.shape[1] // 2
-    if block.is_kernel:
-        t = np.cos(lam * ell) * np.eye(k) - np.sin(lam * ell) * block.kernel_gamma
-    else:
-        t = _transfer_matrix(lam, block.mu, ell)
-    eye = np.eye(k)
-    raw = np.vstack([eye, t]) if side == "+" else np.vstack([t, eye])
-    return orthonormal_columns(raw)
-
-
 def _phases_grid(block: DoubledBlock, ell: float, bc_phi_h: np.ndarray,
                  lams: np.ndarray, side: str) -> np.ndarray:
     """Eigenphases of phi(graph(lam)) phi(B)* for a batch of lam, shape (G, 2).
@@ -716,9 +694,12 @@ def _kernel_coupled_offsets(block: DoubledBlock, ell: float, bc_phi_h: np.ndarra
     eigenvalues form one lattice of spacing 2 pi / L per branch.
     """
     rate = -ell if side == "+" else ell
+    # at lambda = 0 the transfer matrix of the kernel block is I on either
+    # side, so the solution graph is the diagonal {(x, x)}
+    eye = np.eye(block.frame.shape[1] // 2)
+    graph = orthonormal_columns(np.vstack([eye, eye]))
     theta0 = np.angle(np.linalg.eigvals(
-        lagrangian_from_frame(block.space, _graph_frame_block(block, ell, 0.0, side)).phi
-        @ bc_phi_h))
+        lagrangian_from_frame(block.space, graph).phi @ bc_phi_h))
     bases = theta0 / (-rate)
     return bases, 2.0 * np.pi / ell
 

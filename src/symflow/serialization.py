@@ -15,7 +15,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from ._linalg import DEFAULT_TOL
+from ._linalg import DEFAULT_TOL, principal_power
 from .errors import SchemaError
 from .lagrangian_indices import LagrangianPairPath
 from .model_dirac import MAX_N_MAX, Circle, Interval, build_model
@@ -187,14 +187,18 @@ def _path_errors(what: str):
         raise SchemaError(f"{what}: {exc}") from exc
 
 
-def unitary_path_from_json(obj) -> UnitaryPath:
-    """{"samples": [[t, U], ...]} or {"parametric": {"kind": ..., ...}}."""
+def unitary_path_from_json(obj, tol: float = DEFAULT_TOL) -> UnitaryPath:
+    """{"samples": [[t, U], ...]} or {"parametric": {"kind": ..., ...}}.
+
+    ``tol`` is the path tolerance: samples are checked for unitarity at it,
+    and the exp-interp log takes its branch cut at it.
+    """
     require_fields(obj, (), ("samples", "parametric"), "unitary path")
     if ("samples" in obj) == ("parametric" in obj):
         raise SchemaError("unitary path needs exactly one of 'samples' or 'parametric'")
     with _path_errors("unitary path"):
         if "samples" in obj:
-            return UnitaryPath(_samples_from_json(obj["samples"], "unitary path"))
+            return UnitaryPath(_samples_from_json(obj["samples"], "unitary path"), tol=tol)
         par = obj["parametric"]
         if not isinstance(par, dict) or "kind" not in par:
             raise SchemaError("parametric path needs a 'kind'")
@@ -203,14 +207,10 @@ def unitary_path_from_json(obj) -> UnitaryPath:
             require_fields(par, ("kind", "u0", "u1"), ("samples",), "exp-interp path")
             u0 = matrix_from_json(par["u0"], "u0")
             u1 = matrix_from_json(par["u1"], "u1")
-            from scipy.linalg import expm
-
-            from .unitary_invariants import _principal_log_matrix
-
-            rel = _principal_log_matrix(u1 @ u0.conj().T, DEFAULT_TOL)
+            power = principal_power(u1 @ u0.conj().T, tol)
             n = _initial_samples(par, 17)
-            return UnitaryPath.from_generator(lambda t: expm(t * rel) @ u0,
-                                              initial_samples=n)
+            return UnitaryPath.from_generator(lambda t: power(t) @ u0, initial_samples=n,
+                                              tol=tol)
         if kind == "rotation":
             require_fields(par, ("kind", "phases", "rates"), ("frame", "samples"),
                            "rotation path")
@@ -226,7 +226,7 @@ def unitary_path_from_json(obj) -> UnitaryPath:
                 d = np.exp(1j * (phases + rates * t))
                 return v @ np.diag(d) @ v.conj().T
 
-            return UnitaryPath.from_generator(gen, initial_samples=n)
+            return UnitaryPath.from_generator(gen, initial_samples=n, tol=tol)
         raise SchemaError(f"unknown parametric kind {kind!r}")
 
 
@@ -244,7 +244,8 @@ def pair_path_from_json(obj, tol: float = 1e-9) -> LagrangianPairPath:
 def hermitian_path_from_json(obj, tol: float = ZERO_TOL) -> HermitianPath:
     """{"samples": [[t, H], ...]} or {"parametric": {"kind": "linear", ...}}.
 
-    ``tol`` is the path's zero threshold (relative to ||H||) for the flow and eta.
+    ``tol`` is the path tolerance: samples are checked for Hermiticity at it,
+    and it is the zero threshold (relative to ||H||) for the flow and eta.
     """
     require_fields(obj, (), ("samples", "parametric"), "hermitian path")
     if ("samples" in obj) == ("parametric" in obj):
@@ -252,7 +253,7 @@ def hermitian_path_from_json(obj, tol: float = ZERO_TOL) -> HermitianPath:
     with _path_errors("hermitian path"):
         if "samples" in obj:
             return HermitianPath(_samples_from_json(obj["samples"], "hermitian path"),
-                                 zero_tol=tol)
+                                 tol=tol)
         par = obj["parametric"]
         if not isinstance(par, dict) or par.get("kind") != "linear":
             raise SchemaError("hermitian parametric paths support kind 'linear'")
@@ -261,7 +262,7 @@ def hermitian_path_from_json(obj, tol: float = ZERO_TOL) -> HermitianPath:
         h1 = matrix_from_json(par["h1"], "h1")
         n = _initial_samples(par, 17)
         return HermitianPath.from_generator(lambda t: (1 - t) * h0 + t * h1,
-                                            initial_samples=n, zero_tol=tol)
+                                            initial_samples=n, tol=tol)
 
 
 def model_from_json(obj, tol: float = 1e-9) -> dict:

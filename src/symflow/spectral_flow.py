@@ -10,18 +10,14 @@ classify an eigenvalue differently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
-
 import numpy as np
 
 from ._linalg import crossing_signs, norms_below, sign_classes
 from .errors import IdentityViolation
-from .unitary_invariants import Crossing, CrossingLog, SampledPath
+from .unitary_invariants import CrossingLog, IndexResult, SampledPath
 
 __all__ = [
     "HermitianPath",
-    "SpectralFlowResult",
     "spectral_flow",
     "eta_finite",
     "sf_eta_consistency",
@@ -53,22 +49,16 @@ def _scale(vals: np.ndarray) -> np.ndarray:
 class HermitianPath(SampledPath):
     """Sampled path of Hermitian matrices, optionally generator-backed.
 
-    Eigenvalues with |lambda| <= zero_tol * ||H|| are zero for the flow and
-    the endpoint eta invariants.  The ``info`` of a refined path is its
-    eigenvalues, one ascending row per sample.
+    The path tolerance ``tol`` is also the zero threshold: eigenvalues with
+    |lambda| <= tol * ||H|| are zero for the flow and the endpoint eta
+    invariants.  The ``info`` of a refined path is its eigenvalues, one
+    ascending row per sample.
     """
 
     NO_GENERATOR = "move eigenvalues across the spectral gap and no generator is available"
 
-    def __init__(self, samples: Sequence[tuple[float, np.ndarray]],
-                 generator: Optional[Callable[[float], np.ndarray]] = None,
-                 zero_tol: float = ZERO_TOL):
-        super().__init__(samples, generator)
-        self.zero_tol = zero_tol
-
-    @staticmethod
-    def _checked(h, what: str) -> np.ndarray:
-        return _require_hermitian(h, 1e-9, what)
+    def _checked(self, h, what: str) -> np.ndarray:
+        return _require_hermitian(h, self.tol, what)
 
     @staticmethod
     def _info(hs: np.ndarray) -> np.ndarray:
@@ -77,14 +67,14 @@ class HermitianPath(SampledPath):
     def _steps_ok(self, ha, va, hb, vb) -> np.ndarray:
         """Weyl: each eigenvalue moves at most ||hb - ha||, kept below half the gap.
 
-        A sample's crossing window max(4*zero_tol, 1e-4) * max(1, ||H||) holds
+        A sample's crossing window max(4*tol, 1e-4) * max(1, ||H||) holds
         the eigenvalues treated as "currently crossing"; refinement localizes
         them to this resolution instead of chasing the vanishing gap at the
         crossing itself.  The gap is the smallest |eigenvalue| outside it.
         """
         def window_gap(vals):
             scale = _scale(vals)
-            window = np.maximum(4.0 * self.zero_tol * scale, 1e-4 * scale)
+            window = np.maximum(4.0 * self.tol * scale, 1e-4 * scale)
             mags = np.abs(vals)
             gap = np.min(np.where(mags > window[:, None], mags, np.inf), axis=-1, initial=np.inf)
             return window, gap
@@ -94,19 +84,10 @@ class HermitianPath(SampledPath):
         w = np.maximum(wa, wb)
         g = np.minimum(ga, gb)
         bound = np.where(np.isfinite(g), np.maximum(0.5 * g, w), np.inf)
-        return norms_below(hb - ha, bound, hermitian=True)
+        return norms_below(ha, hb, bound, hermitian=True)
 
 
-@dataclass(frozen=True)
-class SpectralFlowResult:
-    value: int
-    log: CrossingLog
-
-    def __int__(self) -> int:
-        return self.value
-
-
-def spectral_flow(path: HermitianPath) -> SpectralFlowResult:
+def spectral_flow(path: HermitianPath) -> IndexResult:
     """(-eps,-eps) spectral flow of a Hermitian path, with a crossing log.
 
     Counted per refined step from sorted-order matched eigenvalues: +1 when a
@@ -117,20 +98,14 @@ def spectral_flow(path: HermitianPath) -> SpectralFlowResult:
     return _flow(path.refined())
 
 
-def _flow(p: HermitianPath) -> SpectralFlowResult:
+def _flow(p: HermitianPath) -> IndexResult:
     """The flow of a refined path, from the eigenvalues it carries."""
     vals = p.info
-    cls = sign_classes(vals, p.zero_tol * _scale(vals)[:, None])
+    cls = sign_classes(vals, p.tol * _scale(vals)[:, None])
     # sorted-order matching is optimal for Hermitian spectra under small steps
-    dirs = crossing_signs(cls[:-1], cls[1:])
-    crossings: list[Crossing] = []
-    for j, i in zip(*np.nonzero(dirs)):
-        a, b = vals[j, i], vals[j + 1, i]
-        frac = abs(a) / max(abs(b - a), 1e-300)
-        tc = p.times[j] + min(frac, 1.0) * (p.times[j + 1] - p.times[j])
-        crossings.append(Crossing(float(tc), int(dirs[j, i]), float(a), float(b)))
-    log = CrossingLog(tuple(sorted(crossings, key=lambda c: c.t)))
-    return SpectralFlowResult(log.total, log)
+    log = CrossingLog.from_steps(p.times, crossing_signs(cls[:-1], cls[1:]),
+                                 vals[:-1], vals[1:])
+    return IndexResult(log.total, log)
 
 
 def _eta(vals: np.ndarray, tol: float) -> tuple[int, int, float]:
@@ -146,7 +121,7 @@ def eta_finite(h, tol: float = ZERO_TOL) -> tuple[int, int, float]:
     eta = sum of sign(lambda) over nonzero eigenvalues, reduced eta =
     (eta + dim ker)/2; the kernel is |lambda| <= tol * ||H||.
     """
-    h = _require_hermitian(h, 1e-9, "eta_finite argument")
+    h = _require_hermitian(h, tol, "eta_finite argument")
     return _eta(np.linalg.eigvalsh(h), tol)
 
 
@@ -159,8 +134,8 @@ def sf_eta_consistency(path: HermitianPath) -> dict:
     """
     p = path.refined()
     sf = _flow(p).value
-    _, _, eta0 = _eta(p.info[0], p.zero_tol)
-    _, _, eta1 = _eta(p.info[-1], p.zero_tol)
+    _, _, eta0 = _eta(p.info[0], p.tol)
+    _, _, eta1 = _eta(p.info[-1], p.tol)
     delta = eta1 - eta0
     if abs(delta - sf) > 1e-12:
         raise IdentityViolation(f"eta~(1) - eta~(0) = {delta} != SF = {sf}")

@@ -22,12 +22,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from ._linalg import (
+    DEFAULT_TOL,
     as_integer,
     at_phase,
     branch_log_unitary,
-    branch_phases,
     crossing_signs,
     norms_below,
+    principal_power,
     require_unitary,
     wrap_phase,
 )
@@ -38,7 +39,7 @@ __all__ = [
     "UnitaryPath",
     "Crossing",
     "CrossingLog",
-    "WindResult",
+    "IndexResult",
     "tr_log",
     "wind",
     "tau_w",
@@ -72,12 +73,34 @@ class CrossingLog:
     def total(self) -> int:
         return sum(c.direction for c in self.crossings)
 
+    @classmethod
+    def from_steps(cls, times, dirs, before, after, logged=None) -> "CrossingLog":
+        """The crossings of matched values along a sampled path, sorted by time.
+
+        ``dirs``, ``before`` and ``after`` are (steps, k) arrays: the
+        ``crossing_signs`` of each step and the values that move from
+        ``before`` at times[j] to ``after`` at times[j + 1]; a crossing is
+        timed where their linear interpolation meets zero.  ``logged`` is
+        the (before, after) pair each crossing reports, by default the
+        interpolated values themselves.
+        """
+        j, i = np.nonzero(dirs)
+        a, b = before[j, i], after[j, i]
+        frac = np.minimum(np.abs(a) / np.maximum(np.abs(b - a), 1e-300), 1.0)
+        t = np.asarray(times)
+        tc = t[j] + frac * (t[j + 1] - t[j])
+        pb, pa = (before, after) if logged is None else logged
+        crossings = [Crossing(float(c), int(d), float(x), float(y))
+                     for c, d, x, y in zip(tc, dirs[j, i], pb[j, i], pa[j, i])]
+        return cls(tuple(sorted(crossings, key=lambda c: c.t)))
+
 
 @dataclass(frozen=True)
-class WindResult:
+class IndexResult:
+    """An integer path invariant (winding, spectral flow, Maslov index) with
+    the crossings it counts."""
     value: int
     log: CrossingLog
-    eps_shift: float
 
     def __int__(self) -> int:
         return self.value
@@ -100,9 +123,11 @@ class SampledPath:
     ``samples`` is a list of (t, M) with t strictly increasing (any real
     interval is accepted).  If ``generator`` is given it must be a pure
     function t -> matrix agreeing with the samples; ``refined`` bisects with
-    it until every step meets the path kind's step invariant.
+    it until every step meets the path kind's step invariant.  ``tol`` is the
+    path's tolerance: every sample is checked at it, and a path kind may use
+    it for more (the zero threshold of a Hermitian path).
 
-    A path kind supplies ``_checked`` (validate one matrix), ``_info``
+    A path kind supplies ``_checked`` (validate one matrix at ``tol``), ``_info``
     (per-sample data of the step test, for a stack of samples), ``_steps_ok``
     (the step test for stacks of step endpoints) and ``NO_GENERATOR``, the
     reason given when a step fails and there is no generator.  ``info`` holds
@@ -110,7 +135,9 @@ class SampledPath:
     """
 
     def __init__(self, samples: Sequence[tuple[float, np.ndarray]],
-                 generator: Optional[Callable[[float], np.ndarray]] = None):
+                 generator: Optional[Callable[[float], np.ndarray]] = None,
+                 tol: float = DEFAULT_TOL):
+        self.tol = tol
         ts = sample_times(samples)
         mats = [self._checked(m, f"sample at t={t}") for t, m in samples]
         k = mats[0].shape[0]
@@ -206,9 +233,8 @@ class UnitaryPath(SampledPath):
     NO_GENERATOR = ("violate the step invariant and no generator is available "
                     "(interpolation would invent data)")
 
-    @staticmethod
-    def _checked(u, what: str) -> np.ndarray:
-        return require_unitary(u, what=what)
+    def _checked(self, u, what: str) -> np.ndarray:
+        return require_unitary(u, self.tol, what)
 
     @staticmethod
     def _info(us: np.ndarray) -> np.ndarray:
@@ -217,14 +243,15 @@ class UnitaryPath(SampledPath):
 
     @staticmethod
     def _steps_ok(ua, _ia, ub, _ib) -> np.ndarray:
-        return norms_below(ub - ua, STEP_NORM_BOUND)
+        return norms_below(ua, ub, STEP_NORM_BOUND)
 
     def pointwise_inverse(self) -> "UnitaryPath":
         gen = None
         if self.generator is not None:
             g = self.generator
             gen = lambda t: g(t).conj().T
-        return UnitaryPath([(t, u.conj().T) for t, u in zip(self.times, self.mats)], gen)
+        return UnitaryPath([(t, u.conj().T) for t, u in zip(self.times, self.mats)], gen,
+                           self.tol)
 
 
 def tr_log(u, tol: float = 1e-9) -> complex:
@@ -243,16 +270,29 @@ def _endpoint_shift(u0: np.ndarray, u1: np.ndarray, tol: float) -> float:
     return 0.5 * float(np.min(away))
 
 
-def _match_phases(prev: np.ndarray, cur: np.ndarray) -> np.ndarray:
-    """Permutation matching phases of consecutive samples on the circle."""
-    from scipy.optimize import linear_sum_assignment
+def _least_arc_matching(phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Match each row of ascending eigenphases (samples, k) to the row before.
 
-    diff = wrap_phase(cur[None, :] - prev[:, None])
-    _, cols = linear_sum_assignment(np.abs(diff))
-    return cols
+    On the circle some order-preserving matching, i.e. a cyclic shift of the
+    sorted next row, reaches the least total |arc| over all matchings, so the
+    shift of least total |arc| is a minimum-cost assignment.  It is chosen
+    for all steps at once, one pass per shift.  Returns the matched next rows
+    and their arcs from the previous rows, both (samples - 1, k).
+    """
+    prev, nxt = phases[:-1], phases[1:]
+    k = phases.shape[1]
+    best = np.zeros(len(prev), dtype=int)
+    least = np.full(len(prev), np.inf)
+    for shift in range(k):
+        cost = np.sum(np.abs(wrap_phase(np.roll(nxt, -shift, axis=1) - prev)), axis=1)
+        better = cost < least
+        best[better] = shift
+        least[better] = cost[better]
+    matched = np.take_along_axis(nxt, (np.arange(k) + best[:, None]) % k, axis=1)
+    return matched, wrap_phase(matched - prev)
 
 
-def wind(path: UnitaryPath, tol: float = 1e-9) -> WindResult:
+def wind(path: UnitaryPath, tol: float = 1e-9) -> IndexResult:
     """Winding number of a unitary path, computed two ways that must agree.
 
     (a) accumulated det-phase of step-relative unitaries, corrected by the
@@ -264,34 +304,23 @@ def wind(path: UnitaryPath, tol: float = 1e-9) -> WindResult:
     eps = _endpoint_shift(p.mats[0], p.mats[-1], tol)
     mats = np.array(p.mats) * np.exp(-1j * eps)
     phases = np.angle(np.linalg.eigvals(mats))
-    times = p.times
 
-    # method (b): eigenphase transport
-    crossings: list[Crossing] = []
-    phases_prev = np.sort(phases[0])
-    for j in range(1, len(mats)):
-        phases_cur = phases[j]
-        perm = _match_phases(phases_prev, phases_cur)
-        matched = phases_cur[perm]
-        arcs = wrap_phase(matched - phases_prev)
-        if np.any(np.abs(arcs) > MAX_ARC):
-            raise RefinementExhausted(
-                f"eigenphase moved by {np.max(np.abs(arcs)):.3f} rad in one refined step "
-                f"near t={times[j - 1]:.6g}; transport ambiguous"
-            )
-        u_prev = wrap_phase(phases_prev - np.pi)
-        u_prev[np.abs(u_prev) <= 1e-9] = 0.0
-        u_cur = u_prev + arcs
-        u_cur[np.abs(u_cur) <= 1e-9] = 0.0
-        dirs = crossing_signs(u_prev, u_cur)
-        for i in np.flatnonzero(dirs):
-            a, b = u_prev[i], u_cur[i]
-            frac = abs(a) / max(abs(b - a), 1e-300)
-            tc = times[j - 1] + frac * (times[j] - times[j - 1])
-            crossings.append(Crossing(float(tc), int(dirs[i]), float(phases_prev[i]),
-                                      float(matched[i])))
-        phases_prev = np.sort(phases_cur)
-    log = CrossingLog(tuple(sorted(crossings, key=lambda c: c.t)))
+    # method (b): eigenphase transport, in coordinates u = phase - pi around -1
+    ordered = np.sort(phases, axis=1)
+    matched, arcs = _least_arc_matching(ordered)
+    far = np.abs(arcs) > MAX_ARC
+    if np.any(far):
+        j = int(np.flatnonzero(np.any(far, axis=1))[0])
+        raise RefinementExhausted(
+            f"eigenphase moved by {np.max(np.abs(arcs[j])):.3f} rad in one refined step "
+            f"near t={p.times[j]:.6g}; transport ambiguous"
+        )
+    u_prev = wrap_phase(ordered[:-1] - np.pi)
+    u_prev[np.abs(u_prev) <= 1e-9] = 0.0
+    u_cur = u_prev + arcs
+    u_cur[np.abs(u_cur) <= 1e-9] = 0.0
+    log = CrossingLog.from_steps(p.times, crossing_signs(u_prev, u_cur), u_prev, u_cur,
+                                 (ordered[:-1], matched))
     by_counting = log.total
 
     # method (a): continuous arg det minus endpoint branch corrections; after
@@ -308,13 +337,7 @@ def wind(path: UnitaryPath, tol: float = 1e-9) -> WindResult:
         raise MethodDisagreement(
             f"det-phase method gives {by_det_int}, crossing count gives {by_counting}"
         )
-    return WindResult(by_counting, log, eps)
-
-
-def _principal_log_matrix(u: np.ndarray, tol: float) -> np.ndarray:
-    """Matrix log of a unitary with the (-pi, pi] branch (eigendecomposition)."""
-    vals, vecs = np.linalg.eig(u)
-    return (vecs * (1j * branch_phases(vals, tol))) @ np.linalg.inv(vecs)
+    return IndexResult(by_counting, log)
 
 
 def tau_w(u, v, tol: float = 1e-9, cross_check: bool = False) -> int:
@@ -333,14 +356,11 @@ def tau_w(u, v, tol: float = 1e-9, cross_check: bool = False) -> int:
     if abs(raw.imag) > 1e-8:
         raise NonIntegerResult(f"tau_w has imaginary residue {raw.imag:.3e}")
     if cross_check:
-        lu = _principal_log_matrix(u, tol)
-        lv = _principal_log_matrix(v, tol)
-        from scipy.linalg import expm
-
-        f = UnitaryPath.from_generator(lambda s: expm(s * lu), initial_samples=17)
-        g = UnitaryPath.from_generator(lambda s: expm(s * lv), initial_samples=17)
-        fg = UnitaryPath.from_generator(lambda s: expm(s * lu) @ expm(s * lv),
-                                        initial_samples=17)
+        pu = principal_power(u, tol)
+        pv = principal_power(v, tol)
+        f = UnitaryPath.from_generator(pu, initial_samples=17, tol=tol)
+        g = UnitaryPath.from_generator(pv, initial_samples=17, tol=tol)
+        fg = UnitaryPath.from_generator(lambda s: pu(s) @ pv(s), initial_samples=17, tol=tol)
         by_path = wind(f, tol).value + wind(g, tol).value - wind(fg, tol).value
         if by_path != value:
             raise MethodDisagreement(

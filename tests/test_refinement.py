@@ -43,7 +43,9 @@ def test_step_test_is_the_exact_two_norm_test(seed, k, rank, hermitian, ratio):
     if norm == 0.0:
         return
     bound = norm / ratio
-    got = norms_below(d[None], bound, hermitian=hermitian)[0]
+    # the step from a to a + d: a unitary step starts at u0
+    a = np.zeros_like(d) if hermitian else u0
+    got = norms_below(a[None], (a + d)[None], bound, hermitian=hermitian)[0]
     assert got == (norm < bound)
 
 
@@ -167,3 +169,12 @@ def test_wind_hot_path_counts(lapack_calls):
     assert lapack_calls["svd"] == 0
     # the endpoint shift, the shifted samples and the step products
     assert lapack_calls["eigvals"] == 3
+
+
+def test_bisecting_wind_takes_no_svd(lapack_calls):
+    # every initial step of the 3-sample path fails and is bisected; a step
+    # the Frobenius bounds leave open takes max |lambda(U_b U_a*) - 1|
+    path = _unitary_path()
+    lapack_calls.update(svd=0)
+    assert sf.wind(path).value == 1
+    assert lapack_calls["svd"] == 0

@@ -10,6 +10,7 @@ import symflow as sf
 from symflow import serialization as ser
 from symflow.cli import main
 from symflow.errors import SchemaError
+from symflow.verification import random_unitary, rng_for
 
 
 @pytest.fixture(autouse=True)
@@ -84,6 +85,18 @@ class TestPathJson:
                             "u1": ser.matrix_to_json(u1)}})
         np.testing.assert_allclose(path.mats[0], u0, atol=1e-12)
         np.testing.assert_allclose(path.mats[-1], u1, atol=1e-12)
+
+    def test_exp_interp_generator_endpoints(self):
+        # the relative unitary u1 u0* has an eigenvalue at -1, on the branch cut
+        rng = rng_for(3, 0)
+        u0 = random_unitary(rng, 4)
+        v = random_unitary(rng, 4)
+        u1 = (v * np.exp(1j * np.array([np.pi, 2.0, -1.0, 0.5]))) @ v.conj().T @ u0
+        path = ser.unitary_path_from_json(
+            {"parametric": {"kind": "exp-interp", "u0": ser.matrix_to_json(u0),
+                            "u1": ser.matrix_to_json(u1)}})
+        np.testing.assert_allclose(path.generator(0.0), u0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(path.generator(1.0), u1, rtol=0, atol=1e-12)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(SchemaError):
@@ -192,6 +205,31 @@ class TestRunCommand:
         assert eta_rec["value"]["sf"] == 0
         assert default_rec["value"] == 1
 
+    # Inputs off by about 7e-8, as if printed to 7 decimals: the run
+    # tolerance 1e-5 accepts them, the default 1e-9 does not.
+    ROUNDED_TURN = {"samples": [
+        [j / 8, [[[round(np.cos(np.pi * j / 4), 7), round(np.sin(np.pi * j / 4), 7)]]]]
+        for j in range(9)]}
+    ROUNDED_H = [[[1.0, 0], [0.5 + 7e-8, 0]], [[0.5, 0], [-2.0, 0]]]
+
+    @pytest.mark.parametrize("op, inputs, default_code, value", [
+        ("wind", {"path": ROUNDED_TURN}, 1, 1),
+        ("spectral_flow", {"path": {"parametric": {
+            "kind": "linear", "h0": ROUNDED_H,
+            "h1": [[[3.0, 0], [0.5 + 7e-8, 0]], [[0.5, 0], [2.0, 0]]]}}}, 2, 1),
+        ("eta_finite", {"H": ROUNDED_H}, 2, {"eta": 0, "dim_ker": 0, "eta_tilde": 0.0}),
+    ], ids=["wind", "spectral_flow", "eta_finite"])
+    def test_run_tolerance_reaches_the_sample_checks(self, tmp_path, capsys, op, inputs,
+                                                     default_code, value):
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps({"name": op, "op": op, "inputs": inputs}))
+        assert main(["run", str(f)]) == default_code
+        capsys.readouterr()
+        assert main(["--tol", "1e-5", "run", str(f)]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["tolerances"]["tol"] == 1e-5
+        assert rec["value"] == value
+
     @pytest.mark.parametrize("path", [
         {"parametric": {"kind": "linear", "h0": [[[-1, 0]]], "h1": [[[1, 0]]],
                         "samples": 1}},
@@ -283,6 +321,40 @@ class TestVerifyCommand:
                            capture_output=True, text=True)
         assert r.returncode == 0, r.stderr
         assert r.stdout.strip() == "False"
+
+    def test_run_and_model_load_no_scipy(self, tmp_path):
+        # winding, the inverse check, Maslov, exp-interp paths and a model
+        # spectrum all run on numpy alone
+        u1 = ser.matrix_to_json(np.diag([-1.0, 1j]))
+        turn = {"parametric": {"kind": "rotation", "phases": [0.0, 1.0],
+                               "rates": [2 * np.pi, -1.0]}}
+        line = [[[1, 0]], [[0, 0]]]
+        scenarios = [
+            {"name": "w", "op": "wind", "inputs": {"path": turn}},
+            {"name": "wi", "op": "wind_plus_inverse_check", "inputs": {"path": turn}},
+            {"name": "x", "op": "wind", "inputs": {"path": {"parametric": {
+                "kind": "exp-interp", "u0": ser.matrix_to_json(np.eye(2)), "u1": u1}}}},
+            {"name": "m", "op": "maslov", "inputs": {"space": "standard:1", "samples": [
+                [j / 8, [[[np.cos(np.pi * j / 8), 0]], [[np.sin(np.pi * j / 8), 0]]], line]
+                for j in range(9)]}},
+        ]
+        run_doc = tmp_path / "s.json"
+        run_doc.write_text(json.dumps(scenarios))
+        model_doc = tmp_path / "m.json"
+        model_doc.write_text(json.dumps({
+            "gamma": "standard:1", "A": ser.matrix_to_json(np.diag([1.0, -1.0])),
+            "geometry": {"circle": 1.0}, "window": 6.0}))
+        out = tmp_path / "out.json"
+        script = (
+            "import json, sys\n"
+            "from symflow.cli import main\n"
+            f"codes = [main(['run', {str(run_doc)!r}, '--out', {str(out)!r}]),\n"
+            f"         main(['model', 'spectrum', {str(model_doc)!r}, '--out', {str(out)!r}])]\n"
+            "print(json.dumps([codes, sorted(m for m in sys.modules\n"
+            "                                if m.split('.')[0] == 'scipy')]))\n")
+        r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert json.loads(r.stdout) == [[0, 0], []]
 
     def test_unknown_suite_exits_2(self):
         r = run_cli("verify", "nonsense")

@@ -3,14 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.optimize import linear_sum_assignment
 
 import symflow as sf
+from symflow._linalg import wrap_phase
 from symflow.errors import (
     IdentityViolation,
     MethodDisagreement,
     NotUnitary,
     RefinementExhausted,
 )
+from symflow.unitary_invariants import MAX_ARC, _least_arc_matching
 from symflow.verification import random_unitary, rng_for, unitary_with_minus_ones
 
 EPS = 0.3
@@ -189,3 +192,44 @@ class TestPathAdditivity:
                 else expm(1j * (2 * t - 1) * h2) @ mid,
                 initial_samples=33)
             assert sf.wind(glue).value == sf.wind(f1).value + sf.wind(f2).value
+
+
+class TestLeastArcMatching:
+    """The eigenphase transport of ``wind`` matches consecutive samples by the
+    cyclic shift of least total |arc|, which is a minimum-cost assignment."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(k=st.integers(1, 12), data=st.data())
+    def test_total_arc_is_the_assignment_optimum(self, k, data):
+        phase = st.floats(-np.pi, np.pi, exclude_max=True)
+        # duplicates come from a small pool, long arcs from near MAX_ARC and pi
+        pool = data.draw(st.lists(phase, min_size=1, max_size=k))
+        prev = np.array(data.draw(st.lists(
+            st.one_of(st.sampled_from(pool), phase), min_size=k, max_size=k)))
+        move = st.one_of(st.floats(-np.pi, np.pi),
+                         st.sampled_from([0.0, MAX_ARC, -MAX_ARC, np.pi]),
+                         st.floats(0.99 * MAX_ARC, MAX_ARC),
+                         st.floats(-MAX_ARC, -0.99 * MAX_ARC))
+        nxt = wrap_phase(prev + np.array(data.draw(st.lists(move, min_size=k, max_size=k))))
+        rows = np.sort(np.array([prev, nxt]), axis=1)
+        matched, arcs = _least_arc_matching(rows)
+        assert sorted(matched[0]) == sorted(rows[1])
+        cost = np.abs(wrap_phase(rows[1][None, :] - rows[0][:, None]))
+        r, c = linear_sum_assignment(cost)
+        assert abs(np.sum(np.abs(arcs)) - cost[r, c].sum()) <= 1e-12
+
+    def test_tied_curves_crossing_log(self):
+        # Both curves move by 0.3 through -1 and every next phase lies past
+        # every previous one, so both matchings cost 0.6 up to rounding.  The
+        # one chosen gives each curve its own arc; the other would log the
+        # crossings at t = 11/14 and 0.9.
+        def u(t):
+            return np.diag(np.exp(1j * (np.pi + np.array([-0.25, -0.2]) + 0.3 * t)))
+
+        r = sf.wind(sf.UnitaryPath([(0.0, u(0.0)), (1.0, u(1.0))]))
+        eps = 0.025  # half the distance from -1 of the endpoint phase pi + 0.05
+        assert r.value == 2
+        got = [(c.t, c.direction, c.phase_before, c.phase_after) for c in r.log.crossings]
+        want = [(0.75, 1, np.pi - 0.2 - eps, 0.1 - eps - np.pi),
+                (0.275 / 0.3, 1, np.pi - 0.25 - eps, 0.05 - eps - np.pi)]
+        assert got == [pytest.approx(w, abs=1e-12) for w in want]
