@@ -10,7 +10,9 @@ Everything here operates on plain ndarrays.  Tolerance policy:
   winding endpoint shift and the kernel dimensions of the inverse check all
   use it;
 * ``sign_classes`` and ``crossing_signs`` are the (-eps,-eps) rule of
-  spectral flow and winding: zero counts as nonnegative.
+  spectral flow and winding: zero counts as nonnegative;
+* ``least_arc_matching`` is the one eigenphase matcher, shared by ``wind``
+  and the coupled model roots.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ INT_RESIDUE_TOL = 1e-8
 # Values in (tol, AMBIGUITY_FACTOR*tol] are neither clearly zero nor clearly
 # nonzero; classification there raises ToleranceAmbiguity instead of guessing.
 AMBIGUITY_FACTOR = 10.0
+# Matchings whose total |arc| differ by at most this are tied (rounding level).
+ARC_TIE_TOL = 1e-12
 
 
 def as_complex_matrix(a) -> np.ndarray:
@@ -164,6 +168,28 @@ def sign_classes(vals, threshold: float) -> np.ndarray:
     cls = np.sign(vals).astype(int)
     cls[np.abs(vals) <= threshold] = 0
     return cls
+
+
+def least_arc_matching(prev: np.ndarray, nxt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Match each row of eigenphases ``nxt`` (n, k) to the same row of ``prev``.
+
+    Each row lists its phases in circular order (ascending, or a cyclic
+    rotation of that).  On the circle some order-preserving matching, i.e. a
+    cyclic shift of the next row, reaches the least total |arc| over all
+    matchings, so the shift of least total |arc| is a minimum-cost
+    assignment.  It is chosen for all rows at once, one pass per shift;
+    shifts within ``ARC_TIE_TOL`` of the least cost are tied and the smallest
+    wins, so rounding does not pick the curve.  Returns the matched next rows
+    and their arcs from ``prev``, both (n, k).
+    """
+    k = prev.shape[1]
+    best = np.zeros(len(prev), dtype=int)
+    if k:
+        costs = np.array([np.sum(np.abs(wrap_phase(np.roll(nxt, -shift, axis=1) - prev)), axis=1)
+                          for shift in range(k)])
+        best = np.argmax(costs <= np.min(costs, axis=0) + ARC_TIE_TOL, axis=0)
+    matched = np.take_along_axis(nxt, (np.arange(k) + best[:, None]) % k, axis=1)
+    return matched, wrap_phase(matched - prev)
 
 
 def crossing_signs(before, after) -> np.ndarray:

@@ -28,11 +28,11 @@ from ._linalg import (
     as_complex_matrix,
     crossing_signs,
     intersect_subspaces,
+    least_arc_matching,
     orthonormal_columns,
     phase_fix_columns,
     readonly,
     sign_classes,
-    wrap_phase,
 )
 from .errors import (
     AnticommutationFailure,
@@ -143,10 +143,6 @@ class ModelOperator:
     def length(self) -> float:
         return self.geometry.length if isinstance(self.geometry, Interval) \
             else self.geometry.circumference
-
-    def min_positive_mu(self) -> float:
-        mus = [b.mu for b in self.blocks]
-        return min(mus) if mus else np.inf
 
 
 def build_model(space: SymplecticSpace, a_matrix, geometry,
@@ -611,31 +607,26 @@ def _phases_grid(block: DoubledBlock, ell: float, bc_phi_h: np.ndarray,
     return np.angle(np.stack([(tr + disc) / 2.0, (tr - disc) / 2.0], axis=1))
 
 
-def _aligned_phase_branches(ph: np.ndarray) -> np.ndarray:
-    """Align the 2-phase rows into continuous branches (identity-or-swap)."""
-    d_id = np.sum(np.abs(wrap_phase(ph[1:] - ph[:-1])), axis=1)
-    d_sw = np.sum(np.abs(wrap_phase(ph[1:, ::-1] - ph[:-1])), axis=1)
-    flips = d_sw < d_id
-    parity = np.concatenate([[False], np.cumsum(flips) % 2 == 1])
-    out = ph.copy()
-    out[parity] = out[parity][:, ::-1]
-    return out
-
-
 def _tracked_block_roots(block: DoubledBlock, ell: float, bc_phi_h: np.ndarray,
                          side: str, window: float, tol: float) -> np.ndarray:
     """Eigenvalues from one doubled 2-D block by eigenphase tracking.
 
-    The intersection condition is an eigenphase of phi(graph) phi(B)* hitting
-    zero; the two branches are aligned along the scan grid and each zero
-    crossing is bisected in lambda with batched evaluations.
+    The eigenvalues are the lambda where an eigenphase of phi(graph) phi(B)*
+    crosses zero, one per crossing, and the crossing form is definite, so
+    all crossings of a scan have one sign (else BracketingFailure).  The
+    sorted eigenphase pairs of the scan grid are matched step by step with
+    ``least_arc_matching``, the matcher of ``wind``; every (step, branch)
+    with a nonzero crossing sign is bisected in lambda, matching the pair at
+    each midpoint to the tracked pair at the lower end.  A double root is
+    two branches crossing and comes out twice.
     """
-    step = _scan_step(block.mu, ell)
-    grid = _scan_grid(window, step)
-    ph = _phases_grid(block, ell, bc_phi_h, grid, side)
+    def phases(lams):
+        return np.sort(_phases_grid(block, ell, bc_phi_h, lams, side), axis=1)
+
+    grid = _scan_grid(window, _scan_step(block.mu, ell))
+    ph = phases(grid)
     for _ in range(6):
-        aligned = _aligned_phase_branches(ph)
-        arcs = wrap_phase(aligned[1:] - aligned[:-1])
+        _, arcs = least_arc_matching(ph[:-1], ph[1:])
         if float(np.max(np.abs(arcs))) <= 0.45 * np.pi:
             break
         # densify globally; the transfer terms are cheap and this is rare
@@ -643,46 +634,35 @@ def _tracked_block_roots(block: DoubledBlock, ell: float, bc_phi_h: np.ndarray,
         fine[0::2] = grid
         fine[1::2] = 0.5 * (grid[:-1] + grid[1:])
         grid = fine
-        ph = _phases_grid(block, ell, bc_phi_h, grid, side)
+        ph = phases(grid)
     else:
         raise BracketingFailure("eigenphase tracking lost after densifying the scan")
 
-    u0 = aligned[:-1]
-    u1 = u0 + arcs
-    crossing = crossing_signs(u0, u1) != 0
-    at_grid = np.abs(aligned) <= 1e-12
-
-    lo_idx, branch = np.nonzero(crossing & ~(np.abs(u0) <= 1e-12))
+    signs = crossing_signs(ph[:-1], ph[:-1] + arcs)
+    if np.any(signs > 0) and np.any(signs < 0):
+        raise BracketingFailure(
+            f"eigenphase crossings of both signs in the root scan of block mu={block.mu:.6g}: "
+            "the crossing form is not definite"
+        )
+    lo_idx, branch = np.nonzero(signs)
     lo = grid[lo_idx]
     hi = grid[lo_idx + 1]
-    ref = u0[lo_idx, branch]
-    flo = ref.copy()
+    pair = ph[lo_idx]
+    rows = np.arange(lo.size)
+    flo = pair[rows, branch]
     for _ in range(64):
         if lo.size == 0 or float(np.max(hi - lo)) < tol:
             break
         mid = 0.5 * (lo + hi)
-        phm = _phases_grid(block, ell, bc_phi_h, mid, side)
-        rel = wrap_phase(phm - flo[:, None])
-        pick = np.argmin(np.abs(rel), axis=1)
-        fm = flo + rel[np.arange(lo.size), pick]
-        left = np.sign(fm) == np.sign(flo)
+        matched, arcs = least_arc_matching(pair, phases(mid))
+        fm = flo + arcs[rows, branch]
+        left = crossing_signs(flo, fm) == 0
         lo = np.where(left, mid, lo)
         flo = np.where(left, fm, flo)
+        pair = np.where(left[:, None], matched, pair)
         hi = np.where(left, hi, mid)
-    candidates = list(0.5 * (lo + hi)) + list(grid[np.any(at_grid, axis=1)])
-    candidates = sorted(c for c in candidates if abs(c) <= window + 1e-9)
-    if not candidates:
-        return np.array([])
-    clusters = [candidates[0]]
-    for r in candidates[1:]:
-        if r - clusters[-1] > max(tol * 10, 1e-9):
-            clusters.append(r)
-    out = []
-    for r in clusters:
-        mult = int(np.sum(np.abs(wrap_phase(
-            _phases_grid(block, ell, bc_phi_h, np.array([r]), side)[0])) <= 1e-7))
-        out.extend([r] * max(mult, 1))
-    return np.array(out)
+    roots = np.sort(0.5 * (lo + hi))
+    return roots[np.abs(roots) <= window + 1e-9]
 
 
 def _kernel_coupled_offsets(block: DoubledBlock, ell: float, bc_phi_h: np.ndarray,
@@ -779,25 +759,14 @@ def eta_lattice(offset: float) -> tuple[float, int]:
     return 1.0 - 2.0 * a, 0
 
 
-def eta_truncated(eigenvalues, n_max: Optional[int] = None,
-                  mode: str = "symmetric-sum", zero_tol: float = 1e-9,
+def eta_truncated(eigenvalues, n_max: Optional[int] = None, zero_tol: float = 1e-9,
                   require_bound: Optional[float] = None) -> EtaEstimate:
     """Estimate eta = "sum" of sign(lambda) from a window-complete spectrum.
 
-    mode 'symmetric-sum': prefix sums over the |lambda|-sorted spectrum are
-    pair-averaged; the reported bound is the observed oscillation plus drift
-    of the averaged tail.  mode 'zero-mode-closed-form': ``eigenvalues``
-    holds lattice offsets (fractions of the spacing); exact, bound 0.
+    Prefix sums over the |lambda|-sorted spectrum are pair-averaged; the
+    reported bound is the observed oscillation plus drift of the averaged
+    tail.  Exact lattices take ``eta_lattice`` instead.
     """
-    if mode == "zero-mode-closed-form":
-        eta = 0.0
-        offs = np.atleast_1d(np.asarray(eigenvalues, dtype=float))
-        for a in offs:
-            e, _ = eta_lattice(float(a))
-            eta += e
-        return EtaEstimate(eta, 0.0, offs.size)
-    if mode != "symmetric-sum":
-        raise ValueError(f"unknown mode {mode!r}")
     lams = np.asarray(eigenvalues, dtype=float)
     lams = lams[np.abs(lams) > zero_tol]
     mags = np.sort(np.abs(lams))

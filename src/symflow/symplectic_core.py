@@ -77,10 +77,6 @@ class SymplecticSpace:
     def dim(self) -> int:
         return 2 * self.dim_half
 
-    def omega(self, x: np.ndarray, y: np.ndarray) -> complex:
-        """Symplectic form <x, gamma y>."""
-        return complex(np.vdot(x, self.gamma @ y))
-
     def same_space(self, other: "SymplecticSpace", tol: float = 1e-12) -> bool:
         return self.dim == other.dim and np.allclose(self.gamma, other.gamma, atol=tol)
 

@@ -27,6 +27,7 @@ from ._linalg import (
     at_phase,
     branch_log_unitary,
     crossing_signs,
+    least_arc_matching,
     norms_below,
     principal_power,
     require_unitary,
@@ -270,28 +271,6 @@ def _endpoint_shift(u0: np.ndarray, u1: np.ndarray, tol: float) -> float:
     return 0.5 * float(np.min(away))
 
 
-def _least_arc_matching(phases: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Match each row of ascending eigenphases (samples, k) to the row before.
-
-    On the circle some order-preserving matching, i.e. a cyclic shift of the
-    sorted next row, reaches the least total |arc| over all matchings, so the
-    shift of least total |arc| is a minimum-cost assignment.  It is chosen
-    for all steps at once, one pass per shift.  Returns the matched next rows
-    and their arcs from the previous rows, both (samples - 1, k).
-    """
-    prev, nxt = phases[:-1], phases[1:]
-    k = phases.shape[1]
-    best = np.zeros(len(prev), dtype=int)
-    least = np.full(len(prev), np.inf)
-    for shift in range(k):
-        cost = np.sum(np.abs(wrap_phase(np.roll(nxt, -shift, axis=1) - prev)), axis=1)
-        better = cost < least
-        best[better] = shift
-        least[better] = cost[better]
-    matched = np.take_along_axis(nxt, (np.arange(k) + best[:, None]) % k, axis=1)
-    return matched, wrap_phase(matched - prev)
-
-
 def wind(path: UnitaryPath, tol: float = 1e-9) -> IndexResult:
     """Winding number of a unitary path, computed two ways that must agree.
 
@@ -307,7 +286,7 @@ def wind(path: UnitaryPath, tol: float = 1e-9) -> IndexResult:
 
     # method (b): eigenphase transport, in coordinates u = phase - pi around -1
     ordered = np.sort(phases, axis=1)
-    matched, arcs = _least_arc_matching(ordered)
+    matched, arcs = least_arc_matching(ordered[:-1], ordered[1:])
     far = np.abs(arcs) > MAX_ARC
     if np.any(far):
         j = int(np.flatnonzero(np.any(far, axis=1))[0])

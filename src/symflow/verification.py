@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import model_dirac as md
-from ._linalg import orthonormal_columns, random_unitary
+from ._linalg import DEFAULT_TOL, orthonormal_columns, random_unitary
 from .errors import SchemaError, SymflowError
 from .lagrangian_indices import (
     LagrangianPairPath,
@@ -520,6 +520,10 @@ def _sf_tracking_oracle(gen: Callable[[float], np.ndarray], samples: int = 2001)
     return int(np.sum(above[-1]) - np.sum(above[0]))
 
 
+def _same_roots(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.size == b.size and (a.size == 0 or float(np.max(np.abs(a - b))) < 1e-7)
+
+
 def suite_model_symmetry(rep: SuiteReport, rng, count: int = 50) -> None:
     def spectra():
         op, _ = random_model(rng)
@@ -537,9 +541,17 @@ def suite_model_symmetry(rep: SuiteReport, rng, count: int = 50) -> None:
         near_zero = int(np.sum(np.abs(spec) <= 1e-7))
         coupled = md.boundary_spectrum(op, constraint, 8.0, dbs=dbs)
         split = spec[np.abs(spec) <= 8.0 + 1e-12]
-        return (symmetric, near_zero == md.interval_kernel_dim(op, constraint, dbs),
-                coupled.size == split.size
-                and (coupled.size == 0 or float(np.max(np.abs(coupled - split))) < 1e-7))
+        agree = _same_roots(coupled, split)
+        # a direct-sum constraint takes the split engine in boundary_spectrum;
+        # run the coupled (eigenphase-tracking) engine on each block as well
+        for block in dbs.blocks:
+            if not block.is_kernel:
+                bc = md._block_constraint(block, constraint, DEFAULT_TOL)
+                tracked = md._tracked_block_roots(block, op.geometry.length, bc.phi.conj().T,
+                                                  "+", 8.0, 1e-10)
+                split_block = md._block_roots(block, bc, op.geometry.length, "+", 8.0, 1e-10)
+                agree = agree and _same_roots(tracked, split_block)
+        return symmetric, near_zero == md.interval_kernel_dim(op, constraint, dbs), agree
     rep.run(("spec D_{P,Q} = -spec D_{Q,P} elementwise",
              "root count at zero equals Cauchy-data intersection",
              "split and coupled engines agree"), [spectra] * count)

@@ -251,9 +251,10 @@ class TestEtaTruncated:
         est = md.eta_truncated(lams)
         assert est.eta == 0.0
 
-    def test_zero_mode_closed_form_mode(self):
-        est = md.eta_truncated([0.25, 0.75], mode="zero-mode-closed-form")
-        assert est.eta == 0.0 and est.bound == 0.0
+    def test_lattice_offsets_cancel_in_closed_form(self):
+        # offsets a and 1 - a are mirror lattices: their etas cancel exactly
+        assert md.eta_lattice(0.25)[0] + md.eta_lattice(0.75)[0] == 0.0
+        assert md.eta_lattice(0.25) == (0.5, 0) and md.eta_lattice(0.75) == (-0.5, 0)
 
     def test_convergence_guard(self):
         lams = (0.3 + np.arange(-40, 40)) * 1.0
@@ -433,6 +434,49 @@ class TestGlueVerify:
             rec = md.glue_verify(op_p, op_m, p, n_max=10_000)
             assert rec["defect"] <= rec["bound"] + 1e-9
             assert rec["bound"] <= 5e-3
+
+
+class TestCoupledBlockRoots:
+    """Roots of a coupled mode block against the second route of flow = Maslov:
+    the eigenvalues are the lam where W(lam) = phi(graph(lam)) phi(B)* has the
+    eigenvalue 1, and these crossings all have one sign, so their number in a
+    window is |wind(lam -> -W(lam))|."""
+
+    @staticmethod
+    def foreign_cauchy_block(seed):
+        # one mode block plus a kernel pair, glued with the Cauchy data of
+        # another length: a condition that couples the two ends of the block
+        rng = rng_for(seed, 77)
+        sp = sf.standard_space(2)
+        mu = float(rng.uniform(0.2, 1.0))
+        a = planted_anticommuting(sp, [mu], rng)
+        ell = float(rng.uniform(1.5, 2.5))
+        rng.uniform(1.5, 2.5)  # the length of the other piece
+        op = md.build_model(sp, a, md.Interval(ell))
+        dbs = md.double_boundary(op)
+        p = md.cauchy_data(op, dbs, "+", length=float(rng.uniform(0.3, 0.8)))
+        block = next(b for b in dbs.blocks if not b.is_kernel)
+        bc = md._block_constraint(block, sf.gamma_conjugate(p), 1e-9)
+        return block, bc, ell
+
+    @pytest.mark.parametrize("window", [10.0, 30.0])
+    def test_one_root_per_eigenphase_crossing(self, window):
+        block, bc, ell = self.foreign_cauchy_block(1)
+        assert abs(block.mu - 0.250) < 1e-3 and abs(ell - 2.187) < 1e-3
+        roots = md._block_roots(block, bc, ell, "+", window, 1e-10)
+
+        def minus_w(t):
+            lam = window * (2.0 * t - 1.0)
+            c, s = md._transfer_terms(lam, block.mu, ell)
+            t_lam = np.array([[c - block.mu * s, s * lam], [-s * lam, c + block.mu * s]])
+            graph = sf.lagrangian_from_frame(block.space, np.vstack([np.eye(2), t_lam]))
+            return -graph.phi @ bc.phi.conj().T
+
+        path = sf.UnitaryPath.from_generator(minus_w, initial_samples=int(16 * window) + 1)
+        assert roots.size == abs(sf.wind(path).value)
+        # both branches cross 0 in the scan step [9.969, 10.328], at 9.9773
+        # and at 10.1428: two roots, one per crossing
+        assert np.min(np.abs(roots - 9.9773)) < 1e-3
 
 
 class TestNicolaescu:

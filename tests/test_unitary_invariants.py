@@ -6,14 +6,14 @@ from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 
 import symflow as sf
-from symflow._linalg import wrap_phase
+from symflow._linalg import least_arc_matching, wrap_phase
 from symflow.errors import (
     IdentityViolation,
     MethodDisagreement,
     NotUnitary,
     RefinementExhausted,
 )
-from symflow.unitary_invariants import MAX_ARC, _least_arc_matching
+from symflow.unitary_invariants import MAX_ARC
 from symflow.verification import random_unitary, rng_for, unitary_with_minus_ones
 
 EPS = 0.3
@@ -212,11 +212,18 @@ class TestLeastArcMatching:
                          st.floats(-MAX_ARC, -0.99 * MAX_ARC))
         nxt = wrap_phase(prev + np.array(data.draw(st.lists(move, min_size=k, max_size=k))))
         rows = np.sort(np.array([prev, nxt]), axis=1)
-        matched, arcs = _least_arc_matching(rows)
+        matched, arcs = least_arc_matching(rows[:1], rows[1:])
         assert sorted(matched[0]) == sorted(rows[1])
         cost = np.abs(wrap_phase(rows[1][None, :] - rows[0][:, None]))
         r, c = linear_sum_assignment(cost)
         assert abs(np.sum(np.abs(arcs)) - cost[r, c].sum()) <= 1e-12
+
+    def test_rounding_level_tie_goes_to_the_smallest_shift(self):
+        # both matchings cost 1.91; in floating point the swap is 8e-16 cheaper
+        prev, nxt = np.array([[-0.51, -0.11]]), np.array([[0.36, 0.93]])
+        matched, arcs = least_arc_matching(prev, nxt)
+        assert matched.tolist() == [[0.36, 0.93]]
+        assert arcs == pytest.approx(np.array([[0.87, 1.04]]), abs=1e-12)
 
     def test_tied_curves_crossing_log(self):
         # Both curves move by 0.3 through -1 and every next phase lies past
