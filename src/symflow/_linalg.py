@@ -12,10 +12,15 @@ Everything here operates on plain ndarrays.  Tolerance policy:
 * ``sign_classes`` and ``crossing_signs`` are the (-eps,-eps) rule of
   spectral flow and winding: zero counts as nonnegative;
 * ``least_arc_matching`` is the one eigenphase matcher, shared by ``wind``
-  and the coupled model roots.
+  and the coupled model roots;
+* ``norm_at_most`` (one matrix) and ``norms_below`` (stacks) decide a 2-norm
+  bound from the Frobenius bounds and take the exact 2-norm only when those
+  leave it open.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -72,13 +77,41 @@ def require_unitary(u: np.ndarray, tol: float = 1e-9, what: str = "matrix") -> n
     if u.shape[0] != u.shape[1]:
         raise NotUnitary(f"{what} is not square: {u.shape}")
     gram_defect = u.conj().T @ u - np.eye(u.shape[0])
-    limit = tol * 10 * max(1, u.shape[0])
-    # the 2-norm is at most the Frobenius norm, so a small Frobenius norm settles it
-    if not np.linalg.norm(gram_defect) <= limit:
-        defect = np.linalg.norm(gram_defect, 2)
-        if defect > limit:
-            raise NotUnitary(f"{what} fails unitarity by {defect:.3e}")
+    if not norm_at_most(gram_defect, tol * 10 * max(1, u.shape[0])):
+        raise NotUnitary(f"{what} fails unitarity by {np.linalg.norm(gram_defect, 2):.3e}")
     return u
+
+
+def _two_norm_bracket(x: np.ndarray) -> tuple[float, float]:
+    """(||x||_F / sqrt(smaller side), ||x||_F), bounds of ||x||_2; the sum of
+    squares is one BLAS dot, and if it overflows (silently) the exact 2-norm."""
+    fro = math.sqrt(np.vdot(x, x).real)
+    if math.isfinite(fro):
+        return fro / math.sqrt(max(1, min(x.shape))), fro
+    exact = float(np.linalg.norm(x, 2))
+    return exact, exact
+
+
+def norm_at_most(x: np.ndarray, limit: float, scale: np.ndarray | None = None) -> bool:
+    """Exact verdict of ``||x||_2 <= limit``, or of ``<= limit * max(1, ||scale||_2)``.
+
+    The rule of ``norms_below``: a Frobenius norm at or below the limit
+    passes, one above sqrt(rank) times the limit fails, and only the case in
+    between takes the exact 2-norm (an SVD).  The scale is bracketed by its
+    Frobenius norm the same way and taken exactly only when that decides.
+    """
+    x_lo, x_hi = _two_norm_bracket(x)
+    if x_hi <= limit:
+        return True
+    lo = hi = limit
+    if scale is not None:
+        s_lo, s_hi = _two_norm_bracket(scale)
+        lo, hi = limit * max(1.0, s_lo), limit * max(1.0, s_hi)
+    if lo < x_hi and x_lo <= hi:
+        x_lo = x_hi = float(np.linalg.norm(x, 2))
+        if scale is not None and lo < x_hi <= hi:
+            lo = limit * max(1.0, float(np.linalg.norm(scale, 2)))
+    return x_hi <= lo
 
 
 def norms_below(a: np.ndarray, b: np.ndarray, bounds, hermitian: bool = False) -> np.ndarray:

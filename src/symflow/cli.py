@@ -274,7 +274,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # imported here: the suites pull in scipy.linalg, which no other command needs
+    # imported here: only `verify` needs the suites, so no other command loads them
     from . import verification
 
     try:

@@ -29,6 +29,7 @@ from ._linalg import (
     crossing_signs,
     intersect_subspaces,
     least_arc_matching,
+    norm_at_most,
     orthonormal_columns,
     phase_fix_columns,
     readonly,
@@ -156,16 +157,15 @@ def build_model(space: SymplecticSpace, a_matrix, geometry,
     a = as_complex_matrix(a_matrix)
     if a.shape != (space.dim, space.dim):
         raise DimensionMismatch(f"A must be {space.dim} x {space.dim}")
-    scale = max(1.0, np.linalg.norm(a, 2))
-    if np.linalg.norm(a - a.conj().T, 2) > tol * 10 * scale:
+    if not norm_at_most(a - a.conj().T, tol * 10, scale=a):
         raise AnticommutationFailure("A is not Hermitian within tolerance")
     anti = space.gamma @ a + a @ space.gamma
-    if np.linalg.norm(anti, 2) > tol * 100 * scale:
+    if not norm_at_most(anti, tol * 100, scale=a):
         raise AnticommutationFailure(
             f"gamma A + A gamma has norm {np.linalg.norm(anti, 2):.3e}"
         )
     vals, vecs = np.linalg.eigh(a)
-    zero_thr = tol * 100 * scale
+    zero_thr = tol * 100 * max(1.0, float(np.max(np.abs(vals))))
     pos = vals > zero_thr
     neg = vals < -zero_thr
     pos_vals = np.sort(vals[pos])
@@ -326,33 +326,6 @@ def _block_trace(frame: np.ndarray, block_frame: np.ndarray, tol: float) -> np.n
     return orthonormal_columns(block_frame.conj().T @ inter, tol)
 
 
-def _split_along_blocks(op: ModelOperator, lag: Lagrangian, tol: float) -> dict:
-    """Per-block traces of a boundary Lagrangian on H, or IncompatibleBoundary."""
-    traces = {}
-    total = 0
-    for i, b in enumerate(op.blocks):
-        tr = _block_trace(lag.frame, b.frame, tol)
-        if tr.shape[1] != 1:
-            raise IncompatibleBoundary(
-                f"boundary Lagrangian meets mode block mu={b.mu:.6g} in dimension "
-                f"{tr.shape[1]}, expected a line"
-            )
-        traces[i] = tr
-        total += 1
-    if op.kernel is not None:
-        tr = _block_trace(lag.frame, op.kernel.frame, tol)
-        m = op.kernel.frame.shape[1] // 2
-        if tr.shape[1] != m:
-            raise IncompatibleBoundary(
-                f"kernel-block trace has dimension {tr.shape[1]}, expected {m}"
-            )
-        traces["kernel"] = tr
-        total += m
-    if total != op.space.dim_half:
-        raise IncompatibleBoundary("block traces do not add up to a Lagrangian")
-    return traces
-
-
 def _real_line_rep(vec: np.ndarray, tol: float = 1e-7) -> np.ndarray:
     """Real unit representative of a Lagrangian line in a 2-D mode block."""
     v = vec.ravel()
@@ -465,21 +438,6 @@ def _bracketed_roots(f: Callable, window: float, step: float, tol: float) -> np.
     return roots[np.abs(roots) <= window + 1e-9]
 
 
-def _kernel_offsets_split(op: ModelOperator, p_tr: np.ndarray, q_tr: np.ndarray,
-                          tol: float) -> np.ndarray:
-    """Lattice offsets, in units of pi/L, of a kernel block with split conditions.
-
-    Eigenvalues are lambda = (-beta_j/2 + pi k)/L with e^{i beta_j} the
-    spectrum of phi(constraint line at 0) phi(constraint line at L)* inside
-    the kernel-block space.
-    """
-    ksp = op.kernel.block_space
-    lp = lagrangian_from_frame(ksp, p_tr, tol)
-    lq = lagrangian_from_frame(ksp, q_tr, tol)
-    betas = np.angle(np.linalg.eigvals(lp.phi @ lq.phi.conj().T))
-    return np.mod(-betas / 2.0, np.pi) / np.pi
-
-
 def _lattice_in_window(offsets: np.ndarray, spacing: float, window: float) -> np.ndarray:
     out = []
     for a in np.atleast_1d(offsets):
@@ -488,30 +446,6 @@ def _lattice_in_window(offsets: np.ndarray, spacing: float, window: float) -> np
         lams = (a + np.arange(k0, k1 + 1)) * spacing
         out.append(lams[np.abs(lams) <= window + 1e-12])
     return np.concatenate(out) if out else np.array([])
-
-
-def interval_spectrum(op: ModelOperator, p: Lagrangian, q: Lagrangian,
-                      window: float, tol: float = 1e-10) -> np.ndarray:
-    """Eigenvalues in [-window, window] of D_{P,Q} on the interval.
-
-    D_{P,Q} constrains beta(0) to ker proj(P) = gamma P and beta(L) to
-    im proj(Q) = Q; both must be block-compatible Lagrangians on H.
-    """
-    if not isinstance(op.geometry, Interval):
-        raise ValueError("interval_spectrum needs an interval model")
-    ell = op.geometry.length
-    tr_p = _split_along_blocks(op, gamma_conjugate(p), DEFAULT_TOL)
-    tr_q = _split_along_blocks(op, q, DEFAULT_TOL)
-    out = []
-    for i, b in enumerate(op.blocks):
-        pv = _real_line_rep(tr_p[i])
-        qv = _real_line_rep(tr_q[i])
-        f = _block_root_function(b.mu, ell, pv, qv)
-        out.append(_bracketed_roots(f, window, _scan_step(b.mu, ell), tol))
-    if op.kernel is not None:
-        offsets = _kernel_offsets_split(op, tr_p["kernel"], tr_q["kernel"], DEFAULT_TOL)
-        out.append(_lattice_in_window(offsets, np.pi / ell, window))
-    return np.sort(np.concatenate(out)) if out else np.array([])
 
 
 def circle_spectrum(op: ModelOperator, window: float) -> np.ndarray:
@@ -665,9 +599,9 @@ def _tracked_block_roots(block: DoubledBlock, ell: float, bc_phi_h: np.ndarray,
     return roots[np.abs(roots) <= window + 1e-9]
 
 
-def _kernel_coupled_offsets(block: DoubledBlock, ell: float, bc_phi_h: np.ndarray,
-                            side: str) -> tuple[np.ndarray, float]:
-    """(base roots, spacing) of the kernel doubled block with any constraint.
+def _kernel_offsets(block: DoubledBlock, ell: float, bc_phi_h: np.ndarray,
+                    side: str) -> np.ndarray:
+    """Lattice offsets in [0, 1), in units of 2 pi / L, of the kernel doubled block.
 
     The graph unitary is e^{-+ i lam L} times a constant, so each eigenphase
     branch is exactly linear with slope -L (side '+') or +L (side '-');
@@ -680,8 +614,7 @@ def _kernel_coupled_offsets(block: DoubledBlock, ell: float, bc_phi_h: np.ndarra
     graph = orthonormal_columns(np.vstack([eye, eye]))
     theta0 = np.angle(np.linalg.eigvals(
         lagrangian_from_frame(block.space, graph).phi @ bc_phi_h))
-    bases = theta0 / (-rate)
-    return bases, 2.0 * np.pi / ell
+    return np.mod(theta0 / (-rate) / (2.0 * np.pi / ell), 1.0)
 
 
 def _block_roots(block: DoubledBlock, bc: Lagrangian, ell: float, side: str,
@@ -701,6 +634,26 @@ def _block_roots(block: DoubledBlock, bc: Lagrangian, ell: float, side: str,
     return _bracketed_roots(f, window, _scan_step(block.mu, ell), tol)
 
 
+def _block_spectra(op: ModelOperator, constraint: Lagrangian, side: str,
+                   dbs: DoubleBoundarySpace, window: Callable[[DoubledBlock], float],
+                   tol: float):
+    """Per doubled block of ``dbs``: (block, the kernel block's lattice offsets
+    from ``_kernel_offsets``, or a mode block's roots in +/- ``window(block)``).
+
+    Raises IncompatibleBoundary when ``constraint`` does not meet every
+    doubled block in half its dimension.
+    """
+    if not isinstance(op.geometry, Interval):
+        raise ValueError("interval spectra need an interval model")
+    ell = op.geometry.length
+    for block in dbs.blocks:
+        bc = _block_constraint(block, constraint, DEFAULT_TOL)
+        if block.is_kernel:
+            yield block, _kernel_offsets(block, ell, bc.phi.conj().T, side)
+        else:
+            yield block, _block_roots(block, bc, ell, side, window(block), tol)
+
+
 def boundary_spectrum(op: ModelOperator, constraint: Lagrangian, window: float,
                       side: str = "+", dbs: Optional[DoubleBoundarySpace] = None,
                       tol: float = 1e-10) -> np.ndarray:
@@ -710,21 +663,26 @@ def boundary_spectrum(op: ModelOperator, constraint: Lagrangian, window: float,
     Split constraints per block reduce to the real transfer calculus; coupled
     ones go through eigenphase tracking; kernel blocks are exact lattices.
     """
-    if not isinstance(op.geometry, Interval):
-        raise ValueError("boundary_spectrum needs an interval model")
     if dbs is None:
         dbs = double_boundary(op)
-    ell = op.geometry.length
-    out = []
-    for block in dbs.blocks:
-        bc = _block_constraint(block, constraint, DEFAULT_TOL)
-        if block.is_kernel:
-            bases, spacing = _kernel_coupled_offsets(block, ell, bc.phi.conj().T, side)
-            frac = np.mod(bases / spacing, 1.0)
-            out.append(_lattice_in_window(frac, spacing, window))
-            continue
-        out.append(_block_roots(block, bc, ell, side, window, tol))
+    out = [_lattice_in_window(found, 2.0 * np.pi / op.length, window) if block.is_kernel
+           else found
+           for block, found in _block_spectra(op, constraint, side, dbs,
+                                              lambda _: window, tol)]
     return np.sort(np.concatenate(out)) if out else np.array([])
+
+
+def interval_spectrum(op: ModelOperator, p: Lagrangian, q: Lagrangian,
+                      window: float, tol: float = 1e-10) -> np.ndarray:
+    """Eigenvalues in [-window, window] of D_{P,Q} on the interval.
+
+    D_{P,Q} constrains beta(0) to ker proj(P) = gamma P and beta(L) to
+    im proj(Q) = Q, i.e. the boundary data to the Lagrangian gamma P ⊕ Q of
+    the double space; both must be block-compatible Lagrangians on H.
+    """
+    dbs = double_boundary(op)
+    return boundary_spectrum(op, direct_sum_lagrangian(dbs, gamma_conjugate(p), q), window,
+                             dbs=dbs, tol=tol)
 
 
 def interval_kernel_dim(op: ModelOperator, constraint: Lagrangian,
@@ -820,23 +778,19 @@ def interval_eta_tilde(op: ModelOperator, constraint: Lagrangian, side: str = "+
     """
     if dbs is None:
         dbs = double_boundary(op)
-    ell = op.geometry.length
     eta = 0.0
     bound = 0.0
-    for block in dbs.blocks:
-        bc = _block_constraint(block, constraint, DEFAULT_TOL)
+    for block, found in _block_spectra(
+            op, constraint, side, dbs,
+            lambda b: (n_max / 2.0) * np.pi / op.length + 5.0 * b.mu + 5.0, tol):
         if block.is_kernel:
-            bases, spacing = _kernel_coupled_offsets(block, ell, bc.phi.conj().T, side)
-            for base in bases:
-                e, _ = eta_lattice(float(np.mod(base / spacing, 1.0)))
-                eta += e
-            continue
-        window = (n_max / 2.0) * np.pi / ell + 5.0 * block.mu + 5.0
-        roots = _block_roots(block, bc, ell, side, window, tol)
-        est = eta_truncated(roots, n_max=n_max)
-        eta += est.eta
-        bound += est.bound
-    dim_ker = intersection_dim(cauchy_data(op, dbs, side=side), constraint, DEFAULT_TOL)
+            for offset in found:
+                eta += eta_lattice(float(offset))[0]
+        else:
+            est = eta_truncated(found, n_max=n_max)
+            eta += est.eta
+            bound += est.bound
+    dim_ker = interval_kernel_dim(op, constraint, dbs, side)
     return 0.5 * (eta + dim_ker), 0.5 * bound
 
 
@@ -931,7 +885,7 @@ def _eigenspaces(a: np.ndarray, tol: float = 1e-9):
             j += 1
         groups.append((float(np.mean(vals[i: j + 1])), vecs[:, i: j + 1]))
         i = j + 1
-    return groups
+    return groups, scale
 
 
 def adiabatic_limit(op: ModelOperator, l_x: Optional[Lagrangian] = None,
@@ -948,8 +902,8 @@ def adiabatic_limit(op: ModelOperator, l_x: Optional[Lagrangian] = None,
         dbs = double_boundary(op)
     if l_x is None:
         l_x = cauchy_data(op, dbs, side="+")
-    groups = _eigenspaces(dbs.a_tilde, tol)
-    thr = tol * 100 * max(1.0, np.linalg.norm(dbs.a_tilde, 2))
+    groups, scale = _eigenspaces(dbs.a_tilde, tol)
+    thr = tol * 100 * scale
     f_minus = [v for mu, v in groups if mu < -nu - thr]
     middle = [(mu, v) for mu, v in groups if mu <= nu + thr and mu >= -nu - thr]
     f_plus = [v for mu, v in groups if mu > nu + thr]
@@ -994,7 +948,7 @@ def _constraint_of(boundary: Lagrangian) -> Lagrangian:
 
 
 def glue_verify(op_plus: ModelOperator, op_minus: ModelOperator, p: Lagrangian,
-                window: float = 20.0, n_max: int = 10_000,
+                n_max: int = 10_000,
                 eta_tol: float = 1e-9, dbs: Optional[DoubleBoundarySpace] = None) -> dict:
     """Verify the eta gluing identity on the circle glued from two intervals.
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._linalg import crossing_signs, norms_below, sign_classes
+from ._linalg import crossing_signs, norm_at_most, norms_below, sign_classes
 from .errors import IdentityViolation
 from .unitary_invariants import CrossingLog, IndexResult, SampledPath
 
@@ -30,13 +30,8 @@ def _require_hermitian(h: np.ndarray, tol: float, what: str) -> np.ndarray:
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"{what} must be a square matrix")
-    skew = h - h.conj().T
-    # ||skew||_2 <= ||skew||_F and the scale below is at least 1, so a small
-    # Frobenius norm settles it
-    if not np.linalg.norm(skew) <= tol * 10:
-        scale = max(1.0, np.linalg.norm(h, 2))
-        if np.linalg.norm(skew, 2) > tol * 10 * scale:
-            raise ValueError(f"{what} is not Hermitian within tolerance")
+    if not norm_at_most(h - h.conj().T, tol * 10, scale=h):
+        raise ValueError(f"{what} is not Hermitian within tolerance")
     return 0.5 * (h + h.conj().T)
 
 

@@ -21,6 +21,7 @@ from ._linalg import (
     complement_within,
     intersect_subspaces,
     nearest_unitary,
+    norm_at_most,
     orthonormal_columns,
     phase_fix_columns,
     random_unitary,
@@ -151,10 +152,9 @@ def space_from_gamma(gamma, tol: float = DEFAULT_TOL, *, _rng=None) -> Symplecti
     d = gamma.shape[0]
     if gamma.shape[0] != gamma.shape[1] or d % 2 != 0 or d == 0:
         raise InvalidGamma(f"gamma must be square of even size, got {gamma.shape}")
-    scale = max(1.0, np.linalg.norm(gamma, 2))
-    if np.linalg.norm(gamma + gamma.conj().T, 2) > tol * 10 * scale:
+    if not norm_at_most(gamma + gamma.conj().T, tol * 10, scale=gamma):
         raise InvalidGamma("gamma is not skew-adjoint within tolerance")
-    if np.linalg.norm(gamma @ gamma + np.eye(d), 2) > tol * 10 * scale:
+    if not norm_at_most(gamma @ gamma + np.eye(d), tol * 10, scale=gamma):
         raise InvalidGamma("gamma^2 != -I within tolerance")
     # -i*gamma is Hermitian with eigenvalues +1 on E_i and -1 on E_{-i}
     vals, vecs = np.linalg.eigh(-1j * gamma)
@@ -199,9 +199,10 @@ def lagrangian_from_frame(space: SymplecticSpace, frame, tol: float = DEFAULT_TO
     n = space.dim_half
     if f.shape[1] != n:
         raise NotLagrangian(f"Lagrangian must have dimension {n}, frame spans {f.shape[1]}")
-    iso = np.linalg.norm(f.conj().T @ (space.gamma @ f), 2)
-    if iso > tol * 100 * max(1, n):
-        raise NotLagrangian(f"gamma L is not orthogonal to L (defect {iso:.3e})")
+    iso = f.conj().T @ (space.gamma @ f)
+    if not norm_at_most(iso, tol * 100 * max(1, n)):
+        raise NotLagrangian(
+            f"gamma L is not orthogonal to L (defect {np.linalg.norm(iso, 2):.3e})")
     a_plus = space.basis_plus.conj().T @ f
     a_minus = space.basis_minus.conj().T @ f
     phi = nearest_unitary(a_minus @ np.linalg.inv(a_plus))
@@ -273,7 +274,7 @@ def symplectic_reduce(lag: Lagrangian, u_frame, tol: float = DEFAULT_TOL) -> Red
     if ann.shape[1] > 0:
         # containment Ann(U) ⊆ U
         resid = ann - u @ (u.conj().T @ ann)
-        if np.linalg.norm(resid, 2) > tol * 100:
+        if not norm_at_most(resid, tol * 100):
             raise NotCoisotropic("Ann(U) is not contained in U")
     # U = Ann(U) ⊥ (U ∩ gamma U), so the reduced space is the complement of Ann in U
     red_frame = complement_within(ann, u, tol)

@@ -11,8 +11,10 @@ from symflow.errors import (
 )
 from symflow.model_dirac import (
     _block_root_function,
+    _block_trace,
+    _bracketed_roots,
     _real_line_rep,
-    _split_along_blocks,
+    _scan_step,
 )
 from symflow.verification import (
     planted_anticommuting,
@@ -22,6 +24,12 @@ from symflow.verification import (
     random_split_boundary,
     rng_for,
 )
+
+
+def trace(lag, block_frame):
+    """What a boundary Lagrangian on H cuts out of one block, in block
+    coordinates: a line of a mode block, a Lagrangian of the kernel block."""
+    return _block_trace(lag.frame, block_frame, 1e-9)
 
 
 def line(sp, angle):
@@ -139,15 +147,46 @@ class TestIntervalSpectrum:
             p = random_boundary_on_h(op, rng)
             q = random_boundary_on_h(op, rng)
             lams = md.interval_spectrum(op, p, q, 12.0)
-            tr_p = _split_along_blocks(op, sf.gamma_conjugate(p), 1e-9)
-            tr_q = _split_along_blocks(op, q, 1e-9)
-            f = _block_root_function(1.0, 1.0, _real_line_rep(tr_p[0]),
-                                     _real_line_rep(tr_q[0]))
+            frame = op.blocks[0].frame
+            f = _block_root_function(1.0, 1.0, _real_line_rep(trace(sf.gamma_conjugate(p), frame)),
+                                     _real_line_rep(trace(q, frame)))
             grid = np.arange(-12.0, 12.0, 1e-4)
             vals = f(grid)
             brute = grid[:-1][np.sign(vals[:-1]) * np.sign(vals[1:]) < 0] + 5e-5
             assert lams.size == brute.size
             assert np.max(np.abs(lams - brute)) < 1e-4
+
+    @pytest.mark.parametrize("n, mus", [(2, [0.8]), (3, [0.6, 1.7]), (2, [])],
+                             ids=["kernel2", "kernel2-two-blocks", "kernel4"])
+    def test_single_space_reference(self, n, mus):
+        # the spectrum on H ⊕ H against the route on H alone: per block the
+        # traces of gamma P and Q; a mode block's roots are the sign changes
+        # of its transfer function, and the kernel block's eigenvalues are
+        # (-beta_j/2 + pi k)/L with e^{i beta_j} the spectrum of
+        # phi(gamma P_ker) phi(Q_ker)* in the kernel-block space
+        rng = rng_for(57, 24 + n + len(mus))
+        sp = sf.standard_space(n)
+        op = md.build_model(sp, planted_anticommuting(sp, mus, rng), md.Interval(1.3))
+        assert op.kernel.frame.shape[1] == 2 * n - 2 * len(mus)
+        window = 9.0
+        for _ in range(4):
+            p = random_boundary_on_h(op, rng)
+            q = random_boundary_on_h(op, rng)
+            gp = sf.gamma_conjugate(p)
+            expected = []
+            for b in op.blocks:
+                f = _block_root_function(b.mu, 1.3, _real_line_rep(trace(gp, b.frame)),
+                                         _real_line_rep(trace(q, b.frame)))
+                expected.append(_bracketed_roots(f, window, _scan_step(b.mu, 1.3), 1e-10))
+            ksp = op.kernel.block_space
+            lp = sf.lagrangian_from_frame(ksp, trace(gp, op.kernel.frame))
+            lq = sf.lagrangian_from_frame(ksp, trace(q, op.kernel.frame))
+            betas = np.angle(np.linalg.eigvals(lp.phi @ lq.phi.conj().T))
+            ks = np.arange(-10, 11)
+            lattice = ((-betas[:, None] / 2.0 + np.pi * ks) / 1.3).ravel()
+            expected.append(lattice[np.abs(lattice) <= window])
+            np.testing.assert_allclose(md.interval_spectrum(op, p, q, window),
+                                       np.sort(np.concatenate(expected)), atol=1e-9)
 
     def test_spectral_symmetry_seeded(self):
         rng = rng_for(54, 27)

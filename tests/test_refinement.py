@@ -6,15 +6,23 @@ path is validated and eigen-solved once per sample, and each bisection level
 is one stacked eigen-solve.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import symflow as sf
-from symflow._linalg import norms_below, require_unitary
+from symflow import model_dirac as md
+from symflow._linalg import norm_at_most, norms_below, require_unitary
 from symflow.errors import NotUnitary
-from symflow.verification import random_unitary, rng_for
+from symflow.verification import (
+    planted_anticommuting,
+    random_boundary_on_h,
+    random_unitary,
+    rng_for,
+)
 
 K = 8
 
@@ -82,6 +90,86 @@ def test_unitary_check_accepts_through_the_fallback():
 def test_unitary_check_rejects_just_above_its_limit():
     with pytest.raises(NotUnitary, match="fails unitarity by 8.1"):
         require_unitary(_scaled_identity(8.1e-8))
+
+
+def _of_rank(rng, rows, cols, rank, norm, flat=False):
+    """A rows x cols matrix of the given rank and 2-norm; ``flat``: all its
+    nonzero singular values equal, so the Frobenius norm is sqrt(rank) times
+    the 2-norm."""
+    sv = np.ones(rank) if flat else np.sort(rng.uniform(0.05, 1.0, rank))[::-1]
+    sv[0] = 1.0
+    u = random_unitary(rng, rows)[:, :rank]
+    v = random_unitary(rng, cols)[:, :rank]
+    return norm * (u * sv) @ v.conj().T
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 6), cols=st.integers(1, 6),
+       rank=st.integers(1, 6), flat=st.booleans(), ratio=st.floats(0.5, 2.0),
+       scale_norm=st.one_of(st.none(), st.floats(0.2, 5.0)))
+def test_nearness_test_is_the_exact_two_norm_test(seed, rows, cols, rank, flat, ratio,
+                                                  scale_norm):
+    # ratio = ||x||_2 over the limit, which is c or c * max(1, ||S||_2); the
+    # ranks spread both Frobenius norms, so every verdict path is taken
+    assume(abs(ratio - 1.0) > 1e-9)
+    rng = np.random.default_rng(seed)
+    x = _of_rank(rng, rows, cols, min(rank, rows, cols), 1.0, flat)
+    scale = None
+    limit = 1.0 / ratio
+    if scale_norm is not None:
+        scale = _of_rank(rng, rows, rows, int(rng.integers(1, rows + 1)), scale_norm)
+        limit /= max(1.0, np.linalg.norm(scale, 2))
+    assert norm_at_most(x, limit, scale) == (ratio < 1.0)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_nearness_test_is_tight_on_equal_singular_values(k):
+    # ||I_k||_F = sqrt(k) ||I_k||_2: the Frobenius lower bound is the 2-norm
+    eye = np.eye(k, dtype=complex)
+    assert norm_at_most(eye, 1.0 + 1e-9) and not norm_at_most(eye, 1.0 - 1e-9)
+    assert norm_at_most(eye, (1.0 + 1e-9) / 3.0, scale=3.0 * eye)
+    assert not norm_at_most(eye, (1.0 - 1e-9) / 3.0, scale=3.0 * eye)
+
+
+def test_nearness_test_overflows_to_the_exact_norm():
+    # entries of 1e200 overflow the Frobenius sum of squares; the verdict
+    # comes from the exact 2-norm, without a RuntimeWarning
+    huge = 1e200 * np.eye(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not norm_at_most(huge, 1e199)
+        assert norm_at_most(huge, 2e-9, scale=5e208 * np.eye(3))
+        assert not norm_at_most(huge, 1e-9, scale=5e208 * np.eye(3))
+
+
+@pytest.fixture()
+def two_norms(monkeypatch):
+    """Number of norm(M, 2) calls on a matrix, each an SVD."""
+    calls = [0]
+    norm = np.linalg.norm
+
+    def counting_norm(x, ord=None, *args, **kwargs):
+        calls[0] += ord == 2 and np.ndim(x) == 2
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    return calls
+
+
+def test_validation_of_well_formed_input_takes_no_two_norm(two_norms):
+    # a model, its double space, Cauchy data, an interval spectrum, the
+    # adiabatic limit (a symplectic reduction), a Hermitian and a unitary
+    # check: every nearness test is settled by the Frobenius bounds
+    rng = rng_for(58, 23)
+    sp = sf.standard_space(3)
+    op = md.build_model(sp, planted_anticommuting(sp, [0.5, 1.5], rng), md.Interval(1.2))
+    dbs = md.double_boundary(op)
+    p, q = random_boundary_on_h(op, rng), random_boundary_on_h(op, rng)
+    assert md.interval_spectrum(op, p, q, 10.0).size
+    md.adiabatic_limit(op, nu=0.6, dbs=dbs)
+    sf.eta_finite(np.diag([1.0, -2.0, 3.0]))
+    require_unitary(random_unitary(rng, 4))
+    assert two_norms[0] == 0
 
 
 # -- one validation and one eigen-solve per sample ---------------------------

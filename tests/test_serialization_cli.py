@@ -315,7 +315,6 @@ class TestVerifyCommand:
         assert a.stdout == b.stdout
 
     def test_import_leaves_scipy_linalg_out(self):
-        # only `verify` needs the suites, and they pull in scipy.linalg
         r = subprocess.run([sys.executable, "-c", "import sys, symflow.cli; "
                             "print('scipy.linalg' in sys.modules)"],
                            capture_output=True, text=True)
@@ -355,6 +354,19 @@ class TestVerifyCommand:
         r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert r.returncode == 0, r.stderr
         assert json.loads(r.stdout) == [[0, 0], []]
+
+    def test_verify_loads_no_scipy(self):
+        # every suite, with one case per identity, on numpy alone
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from symflow.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['verify', 'all', '--seed', '3', '--count', '1'])\n"
+            "print(json.dumps([code, sorted(m for m in sys.modules\n"
+            "                               if m.split('.')[0] == 'scipy')]))\n")
+        r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert json.loads(r.stdout)[1] == []
 
     def test_unknown_suite_exits_2(self):
         r = run_cli("verify", "nonsense")
