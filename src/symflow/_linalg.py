@@ -15,7 +15,8 @@ Everything here operates on plain ndarrays.  Tolerance policy:
   and the coupled model roots;
 * ``norm_at_most`` (one matrix) and ``norms_below`` (stacks) decide a 2-norm
   bound from the Frobenius bounds and take the exact 2-norm only when those
-  leave it open.
+  leave it open; ``conditioned_inverse`` decides the rank cut of a square
+  matrix the same way, so no Lagrangian constructor takes an SVD.
 """
 
 from __future__ import annotations
@@ -50,26 +51,16 @@ def readonly(a: np.ndarray) -> np.ndarray:
 
 def phase_fix_columns(m: np.ndarray) -> np.ndarray:
     """Rotate each column so its first entry of largest modulus is real positive."""
-    out = np.array(m, dtype=complex)
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        i = int(np.argmax(np.abs(col)))
-        piv = col[i]
-        if abs(piv) > 0:
-            out[:, j] = col * (piv.conjugate() / abs(piv))
-    return out
+    m = np.asarray(m, dtype=complex)
+    piv = m[np.argmax(np.abs(m), axis=0), np.arange(m.shape[1])]
+    return m * np.divide(piv.conjugate(), np.abs(piv), out=np.ones_like(piv), where=piv != 0)
 
 
 def orthonormal_columns(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of the column span, rank-revealed by SVD."""
     m = as_complex_matrix(m)
-    if m.shape[1] == 0:
-        return m
     u, s, _ = np.linalg.svd(m, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return m[:, :0]
-    rank = int(np.sum(s > tol * s[0]))
-    return u[:, :rank]
+    return u[:, :int(np.sum(s > tol * s[0]))] if s.size else m[:, :0]
 
 
 def require_unitary(u: np.ndarray, tol: float = 1e-9, what: str = "matrix") -> np.ndarray:
@@ -82,10 +73,15 @@ def require_unitary(u: np.ndarray, tol: float = 1e-9, what: str = "matrix") -> n
     return u
 
 
+def _frobenius(x: np.ndarray) -> float:
+    """||x||_F from one BLAS dot (inf if the sum of squares overflows)."""
+    return math.sqrt(np.vdot(x, x).real)
+
+
 def _two_norm_bracket(x: np.ndarray) -> tuple[float, float]:
-    """(||x||_F / sqrt(smaller side), ||x||_F), bounds of ||x||_2; the sum of
-    squares is one BLAS dot, and if it overflows (silently) the exact 2-norm."""
-    fro = math.sqrt(np.vdot(x, x).real)
+    """(||x||_F / sqrt(smaller side), ||x||_F), bounds of ||x||_2; if the sum
+    of squares overflows (silently), the exact 2-norm."""
+    fro = _frobenius(x)
     if math.isfinite(fro):
         return fro / math.sqrt(max(1, min(x.shape))), fro
     exact = float(np.linalg.norm(x, 2))
@@ -112,6 +108,23 @@ def norm_at_most(x: np.ndarray, limit: float, scale: np.ndarray | None = None) -
         if scale is not None and lo < x_hi <= hi:
             lo = limit * max(1.0, float(np.linalg.norm(scale, 2)))
     return x_hi <= lo
+
+
+def conditioned_inverse(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray | None:
+    """a^{-1} if s_min(a) > tol * s_max(a), the rank cut of ``orthonormal_columns``,
+    else None.  As cond(a) <= ||a||_F ||a^{-1}||_F <= n cond(a), only a product
+    in [1/tol, n/tol) (or an overflow) takes the singular values."""
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        return None
+    product = _frobenius(a) * _frobenius(inv)
+    if product < 1.0 / tol:
+        return inv
+    if math.isfinite(product) and product >= a.shape[0] / tol:
+        return None
+    s = np.linalg.svd(a, compute_uv=False)
+    return inv if s[-1] > tol * s[0] else None
 
 
 def norms_below(a: np.ndarray, b: np.ndarray, bounds, hermitian: bool = False) -> np.ndarray:
@@ -146,9 +159,19 @@ def random_unitary(rng, n: int) -> np.ndarray:
 
 
 def nearest_unitary(u: np.ndarray) -> np.ndarray:
-    """Polar projection onto the unitary group."""
-    w, _, vh = np.linalg.svd(u)
-    return w @ vh
+    """The polar factor of u, by Newton-Schulz steps u <- u(3I - u*u)/2 until
+    ||u*u - I||_F <= 8 n eps (rounding level).  They converge quadratically from
+    every u whose singular values lie in (0, sqrt 3), as after a unitarity check;
+    a u with ||u*u - I||_F >= 1 is first scaled to ||u||_F = 1 to put them there."""
+    eye = np.eye(u.shape[0])
+    if _frobenius(u.conj().T @ u - eye) >= 1.0:
+        u = u / _frobenius(u)
+    for _ in range(64):
+        defect = u.conj().T @ u - eye
+        if _frobenius(defect) <= 8 * np.finfo(float).eps * u.shape[0]:
+            return u
+        u = u - 0.5 * (u @ defect)
+    raise NotUnitary("Newton-Schulz steps do not reach the unitary group")
 
 
 def wrap_phase(x) -> np.ndarray:
@@ -233,61 +256,34 @@ def crossing_signs(before, after) -> np.ndarray:
     return ((before < 0) & (after >= 0)).astype(int) - ((after < 0) & (before >= 0)).astype(int)
 
 
-def subspace_gap(f1: np.ndarray, f2: np.ndarray) -> float:
-    """Sine of the largest principal angle; 0 iff the spans coincide.
-
-    Computed as the residual norm ||(I - P1) F2||_2, which resolves small
-    angles to machine precision (sqrt(1 - s^2) floors near ~1e-8).
-    """
-    if f1.shape[0] != f2.shape[0]:
-        raise DimensionMismatch(f"ambient dims differ: {f1.shape[0]} vs {f2.shape[0]}")
-    if f1.shape[1] != f2.shape[1]:
-        raise DimensionMismatch(f"subspace dims differ: {f1.shape[1]} vs {f2.shape[1]}")
-    if f1.shape[1] == 0:
-        return 0.0
-    r12 = f2 - f1 @ (f1.conj().T @ f2)
-    r21 = f1 - f2 @ (f2.conj().T @ f1)
-    return float(max(np.linalg.norm(r12, 2), np.linalg.norm(r21, 2)))
-
-
 def intersect_subspaces(frames: list[np.ndarray], tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal frame of the intersection of the given column spans."""
+    """Orthonormal frame of the intersection of the spans of orthonormal frames."""
     if not frames:
         raise DimensionMismatch("need at least one subspace")
-    cur = orthonormal_columns(frames[0], tol)
+    cur = frames[0]
     dim = cur.shape[0]
-    eye = np.eye(dim)
-    for f in frames[1:]:
-        nxt = orthonormal_columns(f, tol)
+    for nxt in frames[1:]:
         if nxt.shape[0] != dim:
             raise DimensionMismatch("ambient dimensions differ")
         if cur.shape[1] == 0 or nxt.shape[1] == 0:
             return np.zeros((dim, 0), dtype=complex)
-        # vectors of cur killed by projection onto the complement of nxt
-        resid = (eye - nxt @ nxt.conj().T) @ cur
-        _, s, vh = np.linalg.svd(resid, full_matrices=False)
-        scale = max(1.0, s[0] if s.size else 0.0)
-        keep = vh.conj().T[:, s <= tol * scale] if s.size else vh.conj().T
-        cur = orthonormal_columns(cur @ keep, tol)
+        # combinations of cur that projection onto the complement of nxt kills
+        _, s, vh = np.linalg.svd(cur - nxt @ (nxt.conj().T @ cur), full_matrices=False)
+        cur = cur @ vh.conj().T[:, s <= tol * max(1.0, s[0])]
     return cur
 
 
-def complement_within(sub: np.ndarray, ambient_frame: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal frame of the orthogonal complement of `sub` inside span(ambient_frame).
+def complement_within(sub: np.ndarray, amb: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Orthonormal frame of the orthogonal complement of `sub` inside span(amb).
 
     Both inputs are orthonormal frames, so true complement directions carry
     singular value ~1; the rank cut is therefore absolute, not relative
     (a numerically zero residual must yield an empty frame).
     """
-    amb = orthonormal_columns(ambient_frame, tol)
     if sub.shape[1] == 0:
         return amb
-    proj = amb - sub @ (sub.conj().T @ amb)
-    if proj.shape[1] == 0:
-        return proj
-    u, s, _ = np.linalg.svd(proj, full_matrices=False)
-    rank = int(np.sum(s > max(10 * tol, 1e-8)))
-    return u[:, :rank]
+    u, s, _ = np.linalg.svd(amb - sub @ (sub.conj().T @ amb), full_matrices=False)
+    return u[:, :int(np.sum(s > max(10 * tol, 1e-8)))]
 
 
 def as_integer(x: float, tol: float = INT_RESIDUE_TOL, what: str = "value") -> int:

@@ -15,12 +15,7 @@ import numpy as np
 
 from ._linalg import as_integer, at_phase, branch_log_unitary
 from .errors import DimensionMismatch, IdentityViolation
-from .symplectic_core import (
-    Lagrangian,
-    SymplecticSpace,
-    intersection_dim,
-    lagrangian_from_frame,
-)
+from .symplectic_core import Lagrangian, SymplecticSpace, intersection_dim
 from .unitary_invariants import IndexResult, UnitaryPath, sample_times, tau_w, wind
 
 __all__ = [
@@ -91,12 +86,13 @@ def opposite_space(space: SymplecticSpace) -> SymplecticSpace:
 
 
 def _in_opposite(lag: Lagrangian, opp: SymplecticSpace) -> Lagrangian:
-    return lagrangian_from_frame(opp, lag.frame)
+    """L in the opposite space, where E_i and E_{-i} trade places: the graph of phi*."""
+    return Lagrangian(opp, lag.phi.conj().T)
 
 
 def gamma_conjugate(lag: Lagrangian) -> Lagrangian:
     """The orthogonal-complement Lagrangian gamma(L); phi flips sign."""
-    return lagrangian_from_frame(lag.space, lag.space.gamma @ lag.frame)
+    return Lagrangian(lag.space, -lag.phi)
 
 
 def _ker_cap_im(f: Lagrangian, g: Lagrangian, tol: float = 1e-9) -> int:

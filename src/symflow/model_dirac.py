@@ -312,8 +312,7 @@ def cauchy_data(op: ModelOperator, dbs: Optional[DoubleBoundarySpace] = None,
     if op.kernel is not None:
         for j in range(op.kernel.frame.shape[1]):
             cols.append(graph_col(op.kernel.frame[:, j], 0.0))
-    frame = orthonormal_columns(np.array(cols).T)
-    return lagrangian_from_frame(dbs.space, frame)
+    return lagrangian_from_frame(dbs.space, np.array(cols).T)
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +320,9 @@ def cauchy_data(op: ModelOperator, dbs: Optional[DoubleBoundarySpace] = None,
 
 
 def _block_trace(frame: np.ndarray, block_frame: np.ndarray, tol: float) -> np.ndarray:
-    """Coordinates, in the block basis, of span(frame) ∩ span(block_frame)."""
-    inter = intersect_subspaces([frame, block_frame], tol)
-    return orthonormal_columns(block_frame.conj().T @ inter, tol)
+    """Orthonormal coordinates, in the block basis, of span(frame) ∩ span(block_frame),
+    both orthonormal frames."""
+    return block_frame.conj().T @ intersect_subspaces([frame, block_frame], tol)
 
 
 def _real_line_rep(vec: np.ndarray, tol: float = 1e-7) -> np.ndarray:
@@ -611,9 +610,8 @@ def _kernel_offsets(block: DoubledBlock, ell: float, bc_phi_h: np.ndarray,
     # at lambda = 0 the transfer matrix of the kernel block is I on either
     # side, so the solution graph is the diagonal {(x, x)}
     eye = np.eye(block.frame.shape[1] // 2)
-    graph = orthonormal_columns(np.vstack([eye, eye]))
     theta0 = np.angle(np.linalg.eigvals(
-        lagrangian_from_frame(block.space, graph).phi @ bc_phi_h))
+        lagrangian_from_frame(block.space, np.vstack([eye, eye])).phi @ bc_phi_h))
     return np.mod(theta0 / (-rate) / (2.0 * np.pi / ell), 1.0)
 
 
@@ -933,8 +931,7 @@ def adiabatic_limit(op: ModelOperator, l_x: Optional[Lagrangian] = None,
         parts.append(np.hstack(f_plus))
     if not parts:
         raise ResonanceViolation("empty adiabatic limit; degenerate model")
-    frame = orthonormal_columns(np.hstack(parts), tol)
-    return lagrangian_from_frame(dbs.space, frame)
+    return lagrangian_from_frame(dbs.space, np.hstack(parts), tol)
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,16 @@
 A Hermitian symplectic space is C^{2n} with a unitary gamma satisfying
 gamma^2 = -I, gamma* = -gamma and balanced +/-i eigenspaces; the symplectic
 form is omega(x, y) = <x, gamma y>.  A Lagrangian subspace L satisfies
-gamma(L) = L^perp and is carried here as an orthonormal frame together with
-its graph unitary phi(L): E_i -> E_{-i}, expressed in the space's fixed
-eigenbases, so that L = { x + phi(L) x : x in E_i }.
+gamma(L) = L^perp and is stored as its graph unitary phi(L): E_i -> E_{-i},
+expressed in the space's fixed eigenbases b_+, b_-, so that
+L = { x + phi(L) x : x in E_i }.  Its frame (b_+ + b_- phi)/sqrt2 is derived
+from phi and is orthonormal because phi is unitary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,6 +21,7 @@ from ._linalg import (
     as_complex_matrix,
     at_phase,
     complement_within,
+    conditioned_inverse,
     intersect_subspaces,
     nearest_unitary,
     norm_at_most,
@@ -27,7 +30,6 @@ from ._linalg import (
     random_unitary,
     readonly,
     require_unitary,
-    subspace_gap,
 )
 from .errors import (
     DimensionMismatch,
@@ -70,29 +72,36 @@ class SymplecticSpace:
     basis_minus: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma", readonly(self.gamma))
-        object.__setattr__(self, "basis_plus", readonly(self.basis_plus))
-        object.__setattr__(self, "basis_minus", readonly(self.basis_minus))
+        for name in ("gamma", "basis_plus", "basis_minus"):
+            object.__setattr__(self, name, readonly(getattr(self, name)))
 
     @property
     def dim(self) -> int:
         return 2 * self.dim_half
 
     def same_space(self, other: "SymplecticSpace", tol: float = 1e-12) -> bool:
-        return self.dim == other.dim and np.allclose(self.gamma, other.gamma, atol=tol)
+        """Same eigenbases (so gamma) within ``tol``: phi is written in them."""
+        return self is other or (
+            self.dim == other.dim
+            and np.allclose(self.basis_plus, other.basis_plus, rtol=0.0, atol=tol)
+            and np.allclose(self.basis_minus, other.basis_minus, rtol=0.0, atol=tol))
 
 
 @dataclass(frozen=True)
 class Lagrangian:
-    """Lagrangian subspace: orthonormal frame plus cached graph unitary phi."""
+    """Lagrangian subspace, the graph of its unitary phi: E_i -> E_{-i}."""
 
     space: SymplecticSpace
-    frame: np.ndarray
     phi: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "frame", readonly(self.frame))
         object.__setattr__(self, "phi", readonly(self.phi))
+
+    @cached_property
+    def frame(self) -> np.ndarray:
+        """The orthonormal graph frame (b_+ + b_- phi)/sqrt2."""
+        return readonly((self.space.basis_plus + self.space.basis_minus @ self.phi)
+                        / np.sqrt(2.0))
 
 
 @dataclass(frozen=True)
@@ -160,22 +169,16 @@ def space_from_gamma(gamma, tol: float = DEFAULT_TOL, *, _rng=None) -> Symplecti
     vals, vecs = np.linalg.eigh(-1j * gamma)
     if np.any(np.abs(np.abs(vals) - 1.0) > max(tol * 100, 1e-7)):
         raise InvalidGamma("gamma has eigenvalues away from +/-i beyond tolerance")
-    n_minus = int(np.sum(vals < 0))
-    n_plus = d - n_minus
-    if n_plus != n_minus:
-        raise UnbalancedEigenspaces(
-            f"dim ker(gamma - i) = {n_plus} != {n_minus} = dim ker(gamma + i)"
-        )
-    n = n_plus
-    basis_minus = vecs[:, :n]
-    basis_plus = vecs[:, n:]
+    n = int(np.sum(vals > 0))
+    if 2 * n != d:
+        raise UnbalancedEigenspaces(f"dim ker(gamma - i) = {n} != {d - n} = dim ker(gamma + i)")
+    basis_minus, basis_plus = vecs[:, :n], vecs[:, n:]
     if _rng is not None:
         # randomized re-basing hook: invariants must not depend on this choice
         basis_plus = basis_plus @ random_unitary(_rng, n)
         basis_minus = basis_minus @ random_unitary(_rng, n)
-    basis_plus = phase_fix_columns(orthonormal_columns(basis_plus, tol))
-    basis_minus = phase_fix_columns(orthonormal_columns(basis_minus, tol))
-    return SymplecticSpace(n, gamma, basis_plus, basis_minus)
+    return SymplecticSpace(n, gamma, phase_fix_columns(basis_plus),
+                           phase_fix_columns(basis_minus))
 
 
 def rebased_space(space: SymplecticSpace, rng) -> SymplecticSpace:
@@ -184,29 +187,30 @@ def rebased_space(space: SymplecticSpace, rng) -> SymplecticSpace:
 
 
 def lagrangian_from_frame(space: SymplecticSpace, frame, tol: float = DEFAULT_TOL) -> Lagrangian:
-    """Orthonormalize a spanning set and verify gamma L = L^perp.
+    """The Lagrangian spanned by n columns F, with gamma L = L^perp verified.
 
-    The graph unitary is recovered from the fixed eigenbases: with
-    a_pm = basis_pm* F one has phi = a_minus a_plus^{-1}, and sqrt(2) a_plus
-    is unitary whenever L is Lagrangian, so the solve is well conditioned.
+    With a_pm = b_pm* F, F spans a Lagrangian iff a_+ is invertible and
+    phi = a_- a_+^{-1} is unitary.  For a Lagrangian span s(a_+) = s(F)/sqrt2,
+    so a_+ carries the relative rank cut ``tol`` of F.  An orthonormal frame G
+    of the span has G* gamma G = i A*(I - phi*phi)A with A*(I + phi*phi)A = I
+    (A = b_+* G), so its isotropy defect is ||(I - phi*phi)(I + phi*phi)^{-1}||_2.
     """
     frame = as_complex_matrix(frame)
     if frame.shape[0] != space.dim:
         raise DimensionMismatch(f"frame has {frame.shape[0]} rows, space has dim {space.dim}")
-    f = orthonormal_columns(frame, tol)
-    if f.shape[1] != frame.shape[1]:
-        raise NotLagrangian("frame columns are linearly dependent")
     n = space.dim_half
-    if f.shape[1] != n:
-        raise NotLagrangian(f"Lagrangian must have dimension {n}, frame spans {f.shape[1]}")
-    iso = f.conj().T @ (space.gamma @ f)
+    if frame.shape[1] != n:
+        raise NotLagrangian(f"frame has {frame.shape[1]} columns, a Lagrangian has {n}")
+    inv = conditioned_inverse(space.basis_plus.conj().T @ frame, tol)
+    if inv is None:
+        raise NotLagrangian("frame columns are linearly dependent or meet ker(gamma + i)")
+    phi = space.basis_minus.conj().T @ frame @ inv
+    gram = phi.conj().T @ phi
+    iso = np.linalg.solve(np.eye(n) + gram, np.eye(n) - gram)
     if not norm_at_most(iso, tol * 100 * max(1, n)):
         raise NotLagrangian(
             f"gamma L is not orthogonal to L (defect {np.linalg.norm(iso, 2):.3e})")
-    a_plus = space.basis_plus.conj().T @ f
-    a_minus = space.basis_minus.conj().T @ f
-    phi = nearest_unitary(a_minus @ np.linalg.inv(a_plus))
-    return Lagrangian(space, f, phi)
+    return Lagrangian(space, nearest_unitary(phi))
 
 
 def lagrangian_from_phi(space: SymplecticSpace, phi, tol: float = DEFAULT_TOL) -> Lagrangian:
@@ -214,8 +218,7 @@ def lagrangian_from_phi(space: SymplecticSpace, phi, tol: float = DEFAULT_TOL) -
     phi = require_unitary(phi, tol, what="phi")
     if phi.shape[0] != space.dim_half:
         raise DimensionMismatch(f"phi must be {space.dim_half} x {space.dim_half}")
-    raw = (space.basis_plus + space.basis_minus @ phi) / np.sqrt(2.0)
-    return Lagrangian(space, orthonormal_columns(raw, tol), nearest_unitary(phi))
+    return Lagrangian(space, nearest_unitary(phi.copy()))
 
 
 def projection_of(lag: Lagrangian) -> LagrangianProjection:
@@ -237,7 +240,7 @@ def intersection_dim(l1: Lagrangian, l2: Lagrangian, tol: float = DEFAULT_TOL) -
     by_phi = int(np.sum(at_phase(phases, 0.0, tol)))
     # principal angle alpha corresponds to eigenphase 2*alpha of phi1 phi2*;
     # the sines are the singular values of the residual (I - P1) F2, which
-    # resolve small angles to machine precision, as in subspace_gap
+    # resolve small angles to machine precision, as in subspace_distance
     f1, f2 = l1.frame, l2.frame
     sines = np.linalg.svd(f2 - f1 @ (f1.conj().T @ f2), compute_uv=False)
     by_angles = int(np.sum(at_phase(2.0 * np.arcsin(np.clip(sines, 0.0, 1.0)), 0.0, tol)))
@@ -250,10 +253,18 @@ def intersection_dim(l1: Lagrangian, l2: Lagrangian, tol: float = DEFAULT_TOL) -
 
 
 def subspace_distance(s1, s2) -> float:
-    """Sine of the largest principal angle between equal-dimensional subspaces."""
-    f1 = s1.frame if isinstance(s1, Lagrangian) else orthonormal_columns(as_complex_matrix(s1))
-    f2 = s2.frame if isinstance(s2, Lagrangian) else orthonormal_columns(as_complex_matrix(s2))
-    return subspace_gap(f1, f2)
+    """Sine of the largest principal angle between equal-dimensional subspaces
+    (Lagrangians or spanning frames); 0 iff the spans coincide.
+
+    Computed as the residual norm ||(I - P1) F2||_2, which resolves small
+    angles to machine precision (sqrt(1 - s^2) floors near ~1e-8).
+    """
+    f1, f2 = (s.frame if isinstance(s, Lagrangian) else orthonormal_columns(s) for s in (s1, s2))
+    if f1.shape != f2.shape:
+        raise DimensionMismatch(f"subspaces differ in shape: {f1.shape} vs {f2.shape}")
+    r12 = f2 - f1 @ (f1.conj().T @ f2)
+    r21 = f1 - f2 @ (f2.conj().T @ f1)
+    return float(max(np.linalg.norm(r12, 2), np.linalg.norm(r21, 2))) if f1.shape[1] else 0.0
 
 
 def symplectic_reduce(lag: Lagrangian, u_frame, tol: float = DEFAULT_TOL) -> Reduction:
@@ -264,29 +275,22 @@ def symplectic_reduce(lag: Lagrangian, u_frame, tol: float = DEFAULT_TOL) -> Red
     projection of L ∩ U onto it.
     """
     space = lag.space
-    u = orthonormal_columns(as_complex_matrix(u_frame), tol)
+    u = orthonormal_columns(u_frame, tol)
     if u.shape[0] != space.dim:
         raise DimensionMismatch("U has wrong ambient dimension")
-    gamma_u = orthonormal_columns(space.gamma @ u, tol)
-    # Ann(U) = orthogonal complement of gamma U in the ambient space
-    full = np.eye(space.dim, dtype=complex)
-    ann = complement_within(gamma_u, full, tol)
-    if ann.shape[1] > 0:
-        # containment Ann(U) ⊆ U
-        resid = ann - u @ (u.conj().T @ ann)
-        if not norm_at_most(resid, tol * 100):
-            raise NotCoisotropic("Ann(U) is not contained in U")
+    # Ann(U) = orthogonal complement of gamma U (orthonormal: gamma is unitary)
+    ann = complement_within(space.gamma @ u, np.eye(space.dim, dtype=complex), tol)
+    if not norm_at_most(ann - u @ (u.conj().T @ ann), tol * 100):
+        raise NotCoisotropic("Ann(U) is not contained in U")
     # U = Ann(U) ⊥ (U ∩ gamma U), so the reduced space is the complement of Ann in U
     red_frame = complement_within(ann, u, tol)
     m2 = red_frame.shape[1]
     if m2 == 0 or m2 % 2 != 0:
         raise NotCoisotropic(f"U ∩ gamma U has dimension {m2}; not a symplectic subspace")
-    gamma_red = red_frame.conj().T @ space.gamma @ red_frame
-    red_space = space_from_gamma(gamma_red, tol)
+    red_space = space_from_gamma(red_frame.conj().T @ space.gamma @ red_frame, tol)
     # L ∩ U, projected into reduced coordinates
-    inter = intersect_subspaces([lag.frame, u], tol)
-    coords = red_frame.conj().T @ inter
-    red_lag_frame = orthonormal_columns(coords, tol)
+    red_lag_frame = orthonormal_columns(
+        red_frame.conj().T @ intersect_subspaces([lag.frame, u], tol), tol)
     if red_lag_frame.shape[1] != m2 // 2:
         raise NotLagrangian(
             f"reduction of L has dimension {red_lag_frame.shape[1]}, expected {m2 // 2}"
@@ -295,6 +299,5 @@ def symplectic_reduce(lag: Lagrangian, u_frame, tol: float = DEFAULT_TOL) -> Red
 
 
 def gamma_rotate(lag: Lagrangian, s: float) -> Lagrangian:
-    """The rotated Lagrangian e^{s gamma} L (graph unitary picks up e^{-2is})."""
-    rot = np.cos(s) * np.eye(lag.space.dim) + np.sin(s) * lag.space.gamma
-    return lagrangian_from_frame(lag.space, rot @ lag.frame)
+    """The rotated Lagrangian e^{s gamma} L, whose graph unitary is e^{-2is} phi."""
+    return Lagrangian(lag.space, np.exp(-2j * s) * lag.phi)

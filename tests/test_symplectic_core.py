@@ -4,13 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symflow as sf
+from symflow._linalg import nearest_unitary, random_unitary
 from symflow.errors import (
     DimensionMismatch,
     InvalidGamma,
     NotCoisotropic,
     NotLagrangian,
+    NotUnitary,
     UnbalancedEigenspaces,
 )
+from symflow.lagrangian_indices import _in_opposite
 from symflow.verification import planted_anticommuting, random_lagrangian, rng_for
 
 
@@ -69,6 +72,31 @@ class TestSpaceFromGamma:
         np.testing.assert_allclose(sp.gamma @ sp.basis_plus, 1j * sp.basis_plus, atol=1e-10)
 
 
+def isotropy_defect(space, frame):
+    """||G* gamma G||_2 for an orthonormal frame G of span(frame)."""
+    g, _ = np.linalg.qr(frame)
+    return np.linalg.norm(g.conj().T @ space.gamma @ g, 2)
+
+
+@pytest.fixture()
+def svd_calls(monkeypatch):
+    """Number of np.linalg.svd calls and of norm(M, 2) calls on a matrix."""
+    calls = [0]
+    svd, norm = np.linalg.svd, np.linalg.norm
+
+    def counting_svd(*args, **kwargs):
+        calls[0] += 1
+        return svd(*args, **kwargs)
+
+    def counting_norm(x, ord=None, *args, **kwargs):
+        calls[0] += ord == 2 and np.ndim(x) == 2
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    return calls
+
+
 class TestLagrangian:
     def test_graph_map_values_of_the_three_standard_lines(self):
         sp = sf.standard_space(1)
@@ -88,8 +116,11 @@ class TestLagrangian:
 
     def test_phi_constructor_inverts_extraction(self):
         sp = sf.standard_space(1)
-        lag = sf.lagrangian_from_phi(sp, np.array([[1.0]]))
+        phi = np.array([[1.0]], dtype=complex)
+        lag = sf.lagrangian_from_phi(sp, phi)
         assert sf.subspace_distance(lag.frame, col(1, 0)) < 1e-12
+        # the Lagrangian keeps its own read-only phi, not the caller's array
+        assert phi.flags.writeable and not lag.phi.flags.writeable
 
     def test_phi_round_trip_on_random_lagrangians(self):
         rng = rng_for(2, 98)
@@ -105,6 +136,120 @@ class TestLagrangian:
         lag = sf.lagrangian_from_phi(sp, np.eye(2))
         expected = (sp.basis_plus + sp.basis_minus) / np.sqrt(2)
         assert sf.subspace_distance(lag.frame, expected) < 1e-12
+
+    def test_derived_frame_is_orthonormal_and_spans_the_input(self):
+        rng = rng_for(12, 88)
+        for n in (1, 3, 6):
+            sp = sf.rebased_space(sf.standard_space(n), rng)
+            frame = random_lagrangian(sp, rng).frame @ (np.eye(n) + 0.4 * rng.normal(size=(n, n)))
+            lag = sf.lagrangian_from_frame(sp, frame)
+            np.testing.assert_allclose(lag.frame.conj().T @ lag.frame, np.eye(n), atol=1e-14)
+            assert sf.subspace_distance(lag.frame, frame) < 1e-13
+            assert not lag.frame.flags.writeable
+
+    def test_dependent_columns_rejected(self):
+        sp = sf.standard_space(2)
+        v = random_lagrangian(sp, rng_for(13, 87)).frame[:, :1]
+        with pytest.raises(NotLagrangian):
+            sf.lagrangian_from_frame(sp, np.hstack([v, 2.0 * v]))
+
+    def test_constructors_and_gamma_maps_take_no_svd(self, svd_calls):
+        # a frame, a phi, and the three gamma-maps, on standard and re-based
+        # spaces: the Lagrangian is phi, and nothing here needs an SVD
+        rng = rng_for(14, 86)
+        made = []
+        for n in (1, 3, 6):
+            for sp in (sf.standard_space(n), sf.rebased_space(sf.standard_space(n), rng)):
+                lag = sf.lagrangian_from_phi(sp, random_unitary(rng, n))
+                frame = lag.frame @ (np.eye(n) + 0.4 * rng.normal(size=(n, n)))
+                again = sf.lagrangian_from_frame(sp, frame)
+                made.append((lag, again, sf.gamma_rotate(again, 0.3),
+                             sf.gamma_conjugate(again),
+                             _in_opposite(again, sf.opposite_space(sp))))
+        assert all(lg.frame.shape == (2 * lg.phi.shape[0], lg.phi.shape[0])
+                   for row in made for lg in row)
+        assert svd_calls[0] == 0
+        for lag, again, rotated, conj, opposite in made:
+            sp = lag.space
+            np.testing.assert_allclose(again.phi, lag.phi, atol=1e-13)
+            rot = np.cos(0.3) * np.eye(sp.dim) + np.sin(0.3) * sp.gamma
+            assert sf.subspace_distance(rotated.frame, rot @ lag.frame) < 1e-13
+            assert sf.subspace_distance(conj.frame, sp.gamma @ lag.frame) < 1e-13
+            assert sf.subspace_distance(opposite.frame, lag.frame) < 1e-13
+            np.testing.assert_allclose(
+                sf.lagrangian_from_frame(opposite.space, lag.frame).phi, opposite.phi,
+                atol=1e-13)
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6])
+    @pytest.mark.parametrize("factor, accepted", [(0.5, True), (2.0, False)])
+    def test_isotropy_band_is_the_tolerance_asked_for(self, tol, factor, accepted):
+        # one singular value s of phi moved off 1 gives the isotropy defect
+        # (s^2 - 1)/(s^2 + 1); place it at factor x the band tol * 100 * n
+        rng = rng_for(15, 85)
+        for n in (1, 2, 4):
+            sp = sf.rebased_space(sf.standard_space(n), rng)
+            delta = factor * tol * 100 * n
+            v = random_unitary(rng, n)
+            stretch = np.ones(n)
+            stretch[0] = np.sqrt((1 + delta) / (1 - delta))
+            phi = random_unitary(rng, n) @ v @ np.diag(stretch) @ v.conj().T
+            frame = (sp.basis_plus + sp.basis_minus @ phi) @ (
+                np.eye(n) + 0.3 * rng.normal(size=(n, n)))
+            assert isotropy_defect(sp, frame) == pytest.approx(delta, rel=1e-4)
+            if accepted:
+                sf.lagrangian_from_frame(sp, frame, tol)
+            else:
+                with pytest.raises(NotLagrangian):
+                    sf.lagrangian_from_frame(sp, frame, tol)
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6])
+    @pytest.mark.parametrize("factor, accepted", [(2.0, True), (0.5, False)])
+    def test_rank_cut_is_the_tolerance_asked_for(self, tol, factor, accepted):
+        # singular values (1, ..., 1, r) with r = factor x tol: the columns are
+        # independent exactly when r > tol, as for orthonormal_columns
+        r = factor * tol
+        frames = []
+        for n in (2, 3):
+            # exact: the Lagrangian of the first n coordinates, last column scaled
+            frame = np.zeros((2 * n, n), dtype=complex)
+            frame[:n] = np.diag(np.r_[np.ones(n - 1), r])
+            frames.append((sf.standard_space(n), frame))
+        if tol > 1e-8:
+            rng = rng_for(16, 84)
+            for n in (2, 4):
+                sp = sf.rebased_space(sf.standard_space(n), rng)
+                scale = np.diag(np.r_[np.ones(n - 1), r])
+                frames.append((sp, random_lagrangian(sp, rng).frame
+                               @ random_unitary(rng, n) @ scale @ random_unitary(rng, n)))
+        for sp, frame in frames:
+            s = np.linalg.svd(frame, compute_uv=False)
+            assert s[-1] / s[0] == pytest.approx(r, rel=1e-6)
+            if accepted:
+                sf.lagrangian_from_frame(sp, frame, tol)
+            else:
+                with pytest.raises(NotLagrangian):
+                    sf.lagrangian_from_frame(sp, frame, tol)
+
+
+class TestNearestUnitary:
+    def test_newton_schulz_reaches_the_polar_factor(self):
+        rng = rng_for(17, 83)
+        for n in (1, 4, 16):
+            u = random_unitary(rng, n) + 0.2 * rng.normal(size=(n, n)) / np.sqrt(n)
+            w, _, vh = np.linalg.svd(u)
+            np.testing.assert_allclose(nearest_unitary(u), w @ vh, atol=1e-13)
+        # singular values outside (0, sqrt 3) are scaled into it first
+        far = random_unitary(rng, 3) @ np.diag([3.0, 1e-3, 1.0]) @ random_unitary(rng, 3)
+        w, _, vh = np.linalg.svd(far)
+        np.testing.assert_allclose(nearest_unitary(far), w @ vh, atol=1e-13)
+
+    def test_unitary_input_is_returned_as_it_is(self):
+        u = random_unitary(rng_for(18, 82), 5)
+        assert nearest_unitary(u) is u
+
+    def test_singular_input_has_no_polar_factor(self):
+        with pytest.raises(NotUnitary):
+            nearest_unitary(np.diag([1.0, 0.0]))
 
 
 class TestProjection:
@@ -239,6 +384,31 @@ class TestSymplecticReduce:
         kf = op.kernel.frame
         diag = np.vstack([kf, kf]) / np.sqrt(2)
         assert sf.subspace_distance(red.embedded_frame, diag) < 1e-9
+
+
+class TestSameSpace:
+    def test_equal_gamma_with_other_eigenbases_is_another_space(self):
+        # e^{t gamma} commutes with gamma, so the rotated gamma equals the
+        # standard one to rounding, but eigh picks other eigenbases for it
+        sp = sf.standard_space(2)
+        rot = np.cos(1e-6) * np.eye(4) + np.sin(1e-6) * sp.gamma
+        other = sf.space_from_gamma(rot @ sp.gamma @ rot.conj().T)
+        assert np.max(np.abs(other.gamma - sp.gamma)) < 1e-15
+        assert np.max(np.abs(other.basis_plus - sp.basis_plus)) > 0.1
+        assert not sp.same_space(other) and not other.same_space(sp)
+        rng = rng_for(19, 81)
+        p = random_lagrangian(sp, rng)
+        q, r = random_lagrangian(other, rng), random_lagrangian(other, rng)
+        with pytest.raises(DimensionMismatch):
+            sf.tau_mu(p, q, r)
+        with pytest.raises(DimensionMismatch):
+            sf.intersection_dim(p, q)
+
+    def test_spaces_with_equal_bases_are_one_space(self):
+        gamma = sf.standard_space(3).gamma
+        a, b = sf.space_from_gamma(gamma), sf.space_from_gamma(gamma)
+        assert a is not b and a.same_space(b) and a.same_space(a)
+        assert not a.same_space(sf.opposite_space(a))
 
 
 class TestBasisIndependence:
