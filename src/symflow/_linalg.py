@@ -34,6 +34,10 @@ INT_RESIDUE_TOL = 1e-8
 AMBIGUITY_FACTOR = 10.0
 # Matchings whose total |arc| differ by at most this are tied (rounding level).
 ARC_TIE_TOL = 1e-12
+# A unitary has ||u||_F = sqrt(n).  Past this Frobenius norm the unitarity
+# defect is at least ||u||_F^2 / n - 1 ~ 1e300, which no tolerance admits;
+# below it the Gram product of ``require_unitary`` cannot overflow.
+UNITARY_FROBENIUS_CAP = 1e150
 
 
 def as_complex_matrix(a) -> np.ndarray:
@@ -67,6 +71,9 @@ def require_unitary(u: np.ndarray, tol: float = 1e-9, what: str = "matrix") -> n
     u = as_complex_matrix(u)
     if u.shape[0] != u.shape[1]:
         raise NotUnitary(f"{what} is not square: {u.shape}")
+    if not _frobenius(u) <= UNITARY_FROBENIUS_CAP:
+        raise NotUnitary(f"{what} fails unitarity: it has an entry of modulus "
+                         f"{float(np.max(np.abs(u))):.3e}, a unitary has none above 1")
     gram_defect = u.conj().T @ u - np.eye(u.shape[0])
     if not norm_at_most(gram_defect, tol * 10 * max(1, u.shape[0])):
         raise NotUnitary(f"{what} fails unitarity by {np.linalg.norm(gram_defect, 2):.3e}")

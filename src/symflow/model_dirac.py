@@ -93,6 +93,12 @@ __all__ = [
 # spacing: both bound an allocation that no amount of document text pays for.
 MAX_N_MAX = 100_000
 MAX_SCAN_POINTS = 8 * MAX_N_MAX
+# A root with |lambda| at most this is a kernel mode: eta leaves it out and
+# the reduced eta counts it through the Cauchy-data kernel dimension.
+ZERO_ROOT = 1e-9
+# Rounding bound on a contour eta: an arctan of a unit vector formed from two
+# rounded unit lines, a few ulps, times 2/pi.
+CONTOUR_ROUNDING = 8 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -353,16 +359,24 @@ def _transfer_terms(lam, mu: float, ell: float):
     return c, s
 
 
+def _block_coefficients(mu: float, p: np.ndarray, q: np.ndarray) -> tuple[float, float, float]:
+    """(<q_perp, p>, m_const, m_lin) of F(lambda) = <q_perp, T_L(lambda) p>, with
+    q_perp = (-q_1, q_0) and p, q real unit lines of one 2-D block; note
+    <q_perp, p>^2 + m_lin^2 = 1."""
+    qp = np.array([-q[1], q[0]])
+    m_const = -mu * qp[0] * p[0] + mu * qp[1] * p[1]
+    m_lin = qp[0] * p[1] - qp[1] * p[0]
+    dot = qp[0] * p[0] + qp[1] * p[1]
+    return float(dot), float(m_const), float(m_lin)
+
+
 def _block_root_function(mu: float, ell: float, p: np.ndarray, q: np.ndarray) -> Callable:
     """F(lambda) = <q_perp, T_L(lambda) p> for one 2-D block, vectorized.
 
     p spans the in-block constraint line at x=0, q the constraint line at
     x=L; roots of F are the block's eigenvalues.
     """
-    qp = np.array([-q[1], q[0]])
-    m_const = -mu * qp[0] * p[0] + mu * qp[1] * p[1]
-    m_lin = qp[0] * p[1] - qp[1] * p[0]
-    dot = qp[0] * p[0] + qp[1] * p[1]
+    dot, m_const, m_lin = _block_coefficients(mu, p, q)
 
     def f(lam):
         lam = np.asarray(lam, dtype=float)
@@ -370,6 +384,39 @@ def _block_root_function(mu: float, ell: float, p: np.ndarray, q: np.ndarray) ->
         return c * dot + s * (m_const + lam * m_lin)
 
     return f
+
+
+def _block_contour_eta(mu: float, ell: float, p: np.ndarray, q: np.ndarray) -> EtaEstimate:
+    """Eta of one split 2-D block from the argument of F along the imaginary axis.
+
+    F (``_block_root_function``) is entire and real on the real axis, so
+    eta = -(2/pi) [arg F(i inf) - arg F(i0+)], arg followed continuously up
+    the imaginary axis (the contour method of Kirsten and McKane, Ann. Phys.
+    308, 2003).  With kappa = sqrt(mu^2 + y^2), the scaled G(y) = e^{-kappa L} F(iy) is
+
+        (1 + e^{-2 kappa L})/2 <q_perp, p> + (1 - e^{-2 kappa L})/(2 kappa) (m_const + i y m_lin),
+
+    tending to (<q_perp, p> + i m_lin)/2.  Im G(y) has the sign of m_lin for
+    every y > 0, so the continuous argument never leaves that open
+    half-plane and is the principal one there: the contour needs no samples
+    and no tail.  G(0) is real; a root within ZERO_ROOT of 0, read off
+    G(y) = G(0) + i y G'(0) + O(y^2), is a kernel mode as in ``eta_truncated``,
+    and the contour starts at i0+, where G ~ i y G'(0).  Only e^{-2 mu L}
+    enters (through expm1), so no mu L overflows.  The bound is rounding:
+    no roots are summed (``n_used`` 0).
+    """
+    dot, m_const, m_lin = _block_coefficients(mu, p, q)
+    t = -np.expm1(-2.0 * mu * ell)  # 1 - e^{-2 mu L}
+    g0 = (1.0 - 0.5 * t) * dot + t / (2.0 * mu) * m_const
+    slope = t / (2.0 * mu) * abs(m_lin)  # |G'(0)|
+    # conjugate into the upper half-plane when m_lin < 0
+    orient = -1.0 if m_lin < 0 else 1.0
+    if abs(g0) <= ZERO_ROOT * slope:
+        start = 0.5 * np.pi
+    else:
+        start = 0.0 if g0 > 0 else np.pi
+    end = float(np.arctan2(abs(m_lin), dot))
+    return EtaEstimate(-(2.0 / np.pi) * orient * (end - start), CONTOUR_ROUNDING, 0)
 
 
 def _scan_grid(window: float, step: float) -> np.ndarray:
@@ -488,18 +535,44 @@ def _block_constraint(block: DoubledBlock, lag: Lagrangian, tol: float) -> Lagra
     return lagrangian_from_frame(block.space, tr, tol)
 
 
-def _split_block_constraint(bc: Lagrangian, half: int) -> Optional[tuple]:
-    """(line at slot 0, line at slot 1) when a 2-line block constraint splits."""
-    frame = bc.frame
-    top, bot = frame[:half, :], frame[half:, :]
-    out = []
+def _null_line(m: np.ndarray) -> Optional[np.ndarray]:
+    """Unit null vector of a 2x2 matrix with exactly one singular value at
+    most 1e-9, else None.
+
+    The SVD in closed form: s_max^2 is the larger eigenvalue of m*m,
+    s_min = |det m| / s_max, and the null vector is the eigenvector of m*m
+    for s_min^2, read off whichever row of m*m - s_min^2 I is longer.
+    """
+    h = m.conj().T @ m
+    a, c, b = h[0, 0].real, h[1, 1].real, h[0, 1]
+    s_max = np.sqrt(0.5 * (a + c) + np.hypot(0.5 * (a - c), abs(b)))
+    if not s_max > 1e-9:
+        return None
+    s_min = abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) / s_max
+    if s_min > 1e-9:
+        return None
+    lam = s_min * s_min
+    v = np.array([-b, a - lam]) if a >= c else np.array([c - lam, -b.conjugate()])
+    return v / np.linalg.norm(v)
+
+
+def _split_lines(bc: Lagrangian, side: str) -> Optional[tuple]:
+    """Real unit lines (p, q) of a 2-line block constraint that splits into a
+    line at each end, p at the end the transfer matrix starts from (slot 0
+    for side '+', slot 1 for '-'), q at the other; None when it couples them.
+
+    A line at slot 0 is what the frame gives on the null vector of its slot-1
+    half, and the other way round.
+    """
+    top, bot = bc.frame[:2, :], bc.frame[2:, :]
+    lines = []
     for part, other in ((top, bot), (bot, top)):
-        u, s, vh = np.linalg.svd(other)
-        ns = vh.conj().T[:, np.sum(s > 1e-9):]
-        if ns.shape[1] != 1:
+        ns = _null_line(other)
+        if ns is None:
             return None
-        out.append((part @ ns).ravel())
-    return out[0], out[1]
+        lines.append(_real_line_rep(part @ ns))
+    p, q = lines if side == "+" else lines[::-1]
+    return p, q
 
 
 def _phases_grid(block: DoubledBlock, ell: float, bc_phi_h: np.ndarray,
@@ -623,20 +696,31 @@ def _block_roots(block: DoubledBlock, bc: Lagrangian, ell: float, side: str,
     of the real transfer function; a coupled one goes through eigenphase
     tracking.
     """
-    split = _split_block_constraint(bc, 2)
-    if split is None:
+    lines = _split_lines(bc, side)
+    if lines is None:
         return _tracked_block_roots(block, ell, bc.phi.conj().T, side, window, tol)
-    s0, s1 = split
-    p, q = (s0, s1) if side == "+" else (s1, s0)
-    f = _block_root_function(block.mu, ell, _real_line_rep(p), _real_line_rep(q))
+    f = _block_root_function(block.mu, ell, *lines)
     return _bracketed_roots(f, window, _scan_step(block.mu, ell), tol)
 
 
+def _block_eta(block: DoubledBlock, bc: Lagrangian, ell: float, side: str,
+               n_max: int, tol: float) -> EtaEstimate:
+    """Eta of one doubled 2-D mode block: the contour for a split constraint;
+    for a coupled one, the roots in a window holding about n_max of them,
+    summed by ``eta_truncated``."""
+    lines = _split_lines(bc, side)
+    if lines is not None:
+        return _block_contour_eta(block.mu, ell, *lines)
+    window = (n_max / 2.0) * np.pi / ell + 5.0 * block.mu + 5.0
+    roots = _tracked_block_roots(block, ell, bc.phi.conj().T, side, window, tol)
+    return eta_truncated(roots, n_max=n_max)
+
+
 def _block_spectra(op: ModelOperator, constraint: Lagrangian, side: str,
-                   dbs: DoubleBoundarySpace, window: Callable[[DoubledBlock], float],
-                   tol: float):
+                   dbs: DoubleBoundarySpace, mode: Callable):
     """Per doubled block of ``dbs``: (block, the kernel block's lattice offsets
-    from ``_kernel_offsets``, or a mode block's roots in +/- ``window(block)``).
+    from ``_kernel_offsets``, or ``mode(block, bc)`` for a mode block with
+    block constraint bc).
 
     Raises IncompatibleBoundary when ``constraint`` does not meet every
     doubled block in half its dimension.
@@ -649,7 +733,7 @@ def _block_spectra(op: ModelOperator, constraint: Lagrangian, side: str,
         if block.is_kernel:
             yield block, _kernel_offsets(block, ell, bc.phi.conj().T, side)
         else:
-            yield block, _block_roots(block, bc, ell, side, window(block), tol)
+            yield block, mode(block, bc)
 
 
 def boundary_spectrum(op: ModelOperator, constraint: Lagrangian, window: float,
@@ -665,8 +749,9 @@ def boundary_spectrum(op: ModelOperator, constraint: Lagrangian, window: float,
         dbs = double_boundary(op)
     out = [_lattice_in_window(found, 2.0 * np.pi / op.length, window) if block.is_kernel
            else found
-           for block, found in _block_spectra(op, constraint, side, dbs,
-                                              lambda _: window, tol)]
+           for block, found in _block_spectra(
+               op, constraint, side, dbs,
+               lambda b, bc: _block_roots(b, bc, op.length, side, window, tol))]
     return np.sort(np.concatenate(out)) if out else np.array([])
 
 
@@ -715,13 +800,17 @@ def eta_lattice(offset: float) -> tuple[float, int]:
     return 1.0 - 2.0 * a, 0
 
 
-def eta_truncated(eigenvalues, n_max: Optional[int] = None, zero_tol: float = 1e-9,
+def eta_truncated(eigenvalues, n_max: Optional[int] = None, zero_tol: float = ZERO_ROOT,
                   require_bound: Optional[float] = None) -> EtaEstimate:
     """Estimate eta = "sum" of sign(lambda) from a window-complete spectrum.
 
     Prefix sums over the |lambda|-sorted spectrum are pair-averaged; the
     reported bound is the observed oscillation plus drift of the averaged
-    tail.  Exact lattices take ``eta_lattice`` instead.
+    tail.  The edge term takes the median gap between levels of |lambda|:
+    magnitudes closer than ``zero_tol`` or a thousandth of the mean gap are
+    one level.  On a coupled block they come in pairs (a root and its
+    mirror, or a double root split by rounding), and the median of all gaps
+    would be rounding.  Exact lattices take ``eta_lattice`` instead.
     """
     lams = np.asarray(eigenvalues, dtype=float)
     lams = lams[np.abs(lams) > zero_tol]
@@ -754,7 +843,9 @@ def eta_truncated(eigenvalues, n_max: Optional[int] = None, zero_tol: float = 1e
     a_half = trailing_average(0.5)
     a_quarter = trailing_average(0.75)
     est = a_quarter
-    spacing = float(np.median(np.diff(mags))) if mags.size > 4 else float(mags[-1])
+    gaps = np.diff(mags)
+    levels = gaps[gaps > max(zero_tol, 1e-3 * float(np.mean(gaps)))] if mags.size > 4 else gaps[:0]
+    spacing = float(np.median(levels)) if levels.size else float(mags[-1])
     edge = 4.0 * spacing / max(mags[-1] - 0.75 * mags[-1], 1e-300)
     bound = 2.0 * abs(a_half - a_quarter) + edge + 1e-12
     if require_bound is not None and bound > require_bound:
@@ -768,11 +859,15 @@ def eta_truncated(eigenvalues, n_max: Optional[int] = None, zero_tol: float = 1e
 def interval_eta_tilde(op: ModelOperator, constraint: Lagrangian, side: str = "+",
                        dbs: Optional[DoubleBoundarySpace] = None,
                        n_max: int = 2000, tol: float = 1e-10) -> tuple[float, float]:
-    """(reduced eta, truncation bound) of the constrained interval operator.
+    """(reduced eta, bound) of the constrained interval operator.
 
-    Kernel-block branches use the exact lattice form (bound 0); each 2-D mode
-    block is summed symmetrically over a window holding about n_max roots.
-    The kernel dimension entering reduced eta is exact (Cauchy data).
+    Kernel-block branches use the exact lattice form (bound 0).  A 2-D mode
+    block whose constraint splits into a line at each end takes the contour
+    (``_block_contour_eta``, no roots, bound at rounding level); a coupled
+    one is summed symmetrically over a window holding about ``n_max`` roots
+    (``eta_truncated``, bound of the truncation), so ``n_max`` bounds coupled
+    blocks only.  The kernel dimension entering reduced eta is exact (Cauchy
+    data).
     """
     if dbs is None:
         dbs = double_boundary(op)
@@ -780,14 +875,13 @@ def interval_eta_tilde(op: ModelOperator, constraint: Lagrangian, side: str = "+
     bound = 0.0
     for block, found in _block_spectra(
             op, constraint, side, dbs,
-            lambda b: (n_max / 2.0) * np.pi / op.length + 5.0 * b.mu + 5.0, tol):
+            lambda b, bc: _block_eta(b, bc, op.length, side, n_max, tol)):
         if block.is_kernel:
             for offset in found:
                 eta += eta_lattice(float(offset))[0]
         else:
-            est = eta_truncated(found, n_max=n_max)
-            eta += est.eta
-            bound += est.bound
+            eta += found.eta
+            bound += found.bound
     dim_ker = interval_kernel_dim(op, constraint, dbs, side)
     return 0.5 * (eta + dim_ker), 0.5 * bound
 

@@ -316,6 +316,24 @@ class TestEtaTruncated:
             assert abs((e1 + e2) - ker) <= b1 + b2 + 1e-9
 
 
+    def test_coupled_bound_covers_the_transmission_block(self):
+        # on a coupled block the |lambda| come in equal pairs (here every
+        # eigenvalue is double, the circle's), so the edge term must take
+        # the gap between levels, not the rounding within a pair
+        sp = sf.standard_space(2)
+        a = np.diag([0.5, 1.0, -0.5, -1.0])
+        op_p = md.build_model(sp, a, md.Interval(1.0))
+        op_m = md.build_model(sp, a, md.Interval(0.7))
+        md.glue_verify(op_p, op_m, md.transmission_lagrangian(md.double_boundary(op_p)),
+                       n_max=1000)
+        op = md.build_model(sf.standard_space(1), np.diag([1.0, -1.0]), md.Interval(1.0))
+        dbs = md.double_boundary(op)
+        transmission = md.transmission_lagrangian(dbs)
+        eta, bound = md.interval_eta_tilde(op, transmission, dbs=dbs, n_max=1000)
+        # a symmetric spectrum: the exact eta is 0
+        assert abs(eta - 0.5 * md.interval_kernel_dim(op, transmission, dbs)) <= bound
+
+
 class TestPTheta:
     def test_endpoints(self):
         rng = rng_for(59, 22)
@@ -473,6 +491,196 @@ class TestGlueVerify:
             rec = md.glue_verify(op_p, op_m, p, n_max=10_000)
             assert rec["defect"] <= rec["bound"] + 1e-9
             assert rec["bound"] <= 5e-3
+
+
+def _split_block(rng, mu, ell):
+    """A doubled mode block of one planted mu on standard:1 and a random
+    split constraint of it: (model, block, block constraint)."""
+    sp = sf.standard_space(1)
+    op = md.build_model(sp, planted_anticommuting(sp, [mu], rng), md.Interval(ell))
+    dbs = md.double_boundary(op)
+    constraint = random_split_boundary(op, dbs, rng)
+    (block,) = dbs.blocks
+    return op, block, md._block_constraint(block, constraint, 1e-9)
+
+
+def _root_sum_reference(block, bc, ell, n_max=10_000):
+    """The eta of a split block by the route the contour replaces: bracket the
+    roots in a window holding about n_max of them, then ``eta_truncated``."""
+    p, q = md._split_lines(bc, "+")
+    window = (n_max / 2.0) * np.pi / ell + 5.0 * block.mu + 5.0
+    f = _block_root_function(block.mu, ell, p, q)
+    return md.eta_truncated(_bracketed_roots(f, window, _scan_step(block.mu, ell), 1e-10),
+                            n_max=n_max)
+
+
+class TestContourEta:
+    """The eta of a split mode block from the argument of F on the imaginary
+    axis (``_block_contour_eta``), against the root sum it replaces, against
+    mpmath, and in the gluing identity at mu L where cosh overflows."""
+
+    def test_agrees_with_the_root_sum_within_its_bound(self):
+        rng = rng_for(91, 40)
+        for _ in range(12):
+            ell = float(rng.uniform(0.5, 2.0))
+            _, block, bc = _split_block(rng, float(rng.uniform(0.1, 3.0)), ell)
+            got = md._block_contour_eta(block.mu, ell, *md._split_lines(bc, "+"))
+            ref = _root_sum_reference(block, bc, ell)
+            assert abs(got.eta - ref.eta) <= ref.bound
+            assert 0.0 < got.bound < 1e-14 and got.n_used == 0
+
+    def test_split_blocks_sum_no_roots(self, monkeypatch):
+        rng = rng_for(91, 41)
+        op, _, _ = _split_block(rng, 0.9, 1.2)
+        dbs = md.double_boundary(op)
+        constraint = random_split_boundary(op, dbs, rng)
+        want = md.interval_eta_tilde(op, constraint, dbs=dbs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a split block summed roots for eta")
+
+        monkeypatch.setattr(md, "_bracketed_roots", forbidden)
+        monkeypatch.setattr(md, "eta_truncated", forbidden)
+        assert md.interval_eta_tilde(op, constraint, dbs=dbs) == want
+
+    @pytest.mark.parametrize("shift", [0.0, 1e-12, -1e-12], ids=["exact", "plus", "minus"])
+    def test_a_root_within_zero_tol_is_a_kernel_mode(self, mu_one_model, shift):
+        # a line a at x=0 and e^{-LA} a at x=L carry the zero mode e^{-xA} a;
+        # turning the far line by ~1e-12 moves that root off 0 by ~1e-12, which
+        # must not add +-1 to eta: it stays a kernel mode, as in eta_truncated
+        op = mu_one_model
+        dbs = md.double_boundary(op)
+        ang = 0.4
+        far = np.arctan2(np.e * np.sin(ang), np.cos(ang) / np.e) + shift
+        constraint = md.direct_sum_lagrangian(dbs, line(op.space, ang), line(op.space, far))
+        (block,) = dbs.blocks
+        bc = md._block_constraint(block, constraint, 1e-9)
+        p, q = md._split_lines(bc, "+")
+        f = _block_root_function(block.mu, 1.0, p, q)
+        root = -f(0.0) / ((f(1e-6) - f(-1e-6)) / 2e-6)
+        assert abs(root) < 1e-11 and (shift == 0.0 or root * shift < 0 and abs(root) > 1e-12)
+        ker = md.interval_kernel_dim(op, constraint, dbs)
+        assert ker == 1
+        ref = _root_sum_reference(block, bc, 1.0)
+        eta, bound = md.interval_eta_tilde(op, constraint, dbs=dbs)
+        assert abs(eta - 0.5 * (ref.eta + ker)) <= 0.5 * ref.bound
+        exact = md.direct_sum_lagrangian(dbs, line(op.space, ang),
+                                         line(op.space, far - shift))
+        assert abs(eta - md.interval_eta_tilde(op, exact, dbs=dbs)[0]) < 1e-9
+
+    def test_split_glue_past_cosh_overflow(self):
+        # mu L in [620, 960]: cosh(mu L) overflows; every draw must close to
+        # 1e-9 with the integer part -tau_mu (a kernel pair gives tau_mu = -1)
+        taus = set()
+        for k in range(8):
+            rng = rng_for(97, k)
+            sp = sf.standard_space(2)
+            mus = sorted(rng.uniform(40.0, 60.0, size=1 + k % 2))
+            a = planted_anticommuting(sp, mus, rng)
+            ell, ell_minus = rng.uniform(14.0, 18.0, size=2)
+            op_p = md.build_model(sp, a, md.Interval(float(ell)))
+            op_m = md.build_model(sp, a, md.Interval(float(ell_minus)))
+            dbs = md.double_boundary(op_p)
+            rec = md.glue_verify(op_p, op_m, random_split_boundary(op_p, dbs, rng),
+                                 n_max=10_000, dbs=dbs)
+            assert rec["defect"] <= 1e-9
+            assert round(rec["delta"]) == -rec["tau_mu"]
+            taus.add(rec["tau_mu"])
+        assert taus == {0, -1}
+
+    def test_mixed_split_glues_close_to_1e_9(self):
+        # the draws of the gluing suite's mixed models
+        rng = rng_for(98, 3)
+        for _ in range(8):
+            op_p, _ = random_model(rng, n_half_max=2)
+            op_m = md.build_model(op_p.space, op_p.a_matrix,
+                                  md.Interval(float(rng.uniform(0.5, 1.5))))
+            p = random_split_boundary(op_p, md.double_boundary(op_p), rng)
+            rec = md.glue_verify(op_p, op_m, p, n_max=10_000)
+            assert rec["defect"] <= 1e-9
+            assert rec["bound"] < 1e-13
+
+    @pytest.mark.parametrize("mu, ell", [(50.0, 15.0), (60.0, 16.0), (48.0, 14.9)])
+    def test_against_mpmath_past_cosh_overflow(self, mu, ell):
+        # the continuous argument of the unscaled F(iy) at 30 digits, sampled
+        # on y = 0 and a log grid with every step under pi/4, plus the tail
+        # as one principal difference from a point within 1/4 of the limit
+        mp = pytest.importorskip("mpmath")
+        rng = rng_for(99, int(mu))
+        for _ in range(3):
+            a, b = rng.uniform(0.0, np.pi, size=2)
+            p, q = np.array([np.cos(a), np.sin(a)]), np.array([np.cos(b), np.sin(b)])
+            dot, m_const, m_lin = md._block_coefficients(mu, p, q)
+
+            def big_f(y):
+                kappa = mp.sqrt(mp.mpf(mu) ** 2 + mp.mpf(y) ** 2)
+                return (mp.cosh(kappa * ell) * dot
+                        + mp.sinh(kappa * ell) / kappa * (m_const + 1j * mp.mpf(y) * m_lin))
+
+            ys = np.concatenate([[0.0], np.logspace(-8, 6, 1500)])
+            with mp.workdps(30):
+                args = [float(mp.arg(big_f(y))) for y in ys]
+                kappa = mp.sqrt(mp.mpf(mu) ** 2 + mp.mpf(ys[-1]) ** 2)
+                scaled_end = complex(big_f(ys[-1]) * mp.exp(-kappa * ell))
+            steps = np.angle(np.exp(1j * np.diff(args)))
+            assert np.max(np.abs(steps)) < np.pi / 4
+            limit = complex(dot, m_lin) / 2
+            assert abs(scaled_end - limit) < 0.25
+            change = np.sum(steps) + np.angle(limit * np.exp(-1j * args[-1]))
+            # the samples fix the number of turns; the endpoints fix the rest
+            turns = round((change - (np.angle(limit) - args[0])) / (2.0 * np.pi))
+            want = -(2.0 / np.pi) * (np.angle(limit) - args[0] + 2.0 * np.pi * turns)
+            got = md._block_contour_eta(mu, ell, p, q)
+            assert abs(got.eta - want) <= got.bound + 1e-15
+
+
+class TestSplitLines:
+    @staticmethod
+    def svd_lines(bc):
+        """The lines of a split block constraint by full SVDs of its halves."""
+        top, bot = bc.frame[:2, :], bc.frame[2:, :]
+        out = []
+        for part, other in ((top, bot), (bot, top)):
+            _, s, vh = np.linalg.svd(other)
+            ns = vh.conj().T[:, np.sum(s > 1e-9):]
+            if ns.shape[1] != 1:
+                return None
+            out.append(_real_line_rep(part @ ns))
+        return out
+
+    def test_match_the_svd_route_up_to_sign(self):
+        rng = rng_for(92, 8)
+        for _ in range(10):
+            op, _ = random_model(rng, n_half_max=3)
+            dbs = md.double_boundary(op)
+            for constraint, split in ((random_split_boundary(op, dbs, rng), True),
+                                      (sf.gamma_conjugate(md.cauchy_data(op, dbs)), False)):
+                for block in dbs.blocks:
+                    if block.is_kernel:
+                        continue
+                    bc = md._block_constraint(block, constraint, 1e-9)
+                    want = self.svd_lines(bc)
+                    got = md._split_lines(bc, "+")
+                    assert (want is not None) == (got is not None) == split
+                    for g, w in zip(got or (), want or ()):
+                        assert min(np.linalg.norm(g - w), np.linalg.norm(g + w)) < 1e-12
+                    if split:
+                        assert all(np.array_equal(a, b) for a, b in
+                                   zip(md._split_lines(bc, "-"), got[::-1]))
+
+    def test_boundary_spectrum_takes_one_svd_per_block(self, monkeypatch):
+        # the one SVD of intersect_subspaces in _block_trace; finding the
+        # lines of a split block takes none
+        rng = rng_for(92, 9)
+        sp = sf.standard_space(3)
+        op = md.build_model(sp, planted_anticommuting(sp, [0.6, 1.7], rng), md.Interval(1.1))
+        dbs = md.double_boundary(op)
+        constraint = random_split_boundary(op, dbs, rng)
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        md.boundary_spectrum(op, constraint, 6.0, dbs=dbs)
+        assert len(dbs.blocks) == 3 and len(calls) == 3
 
 
 class TestCoupledBlockRoots:

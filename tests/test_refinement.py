@@ -92,6 +92,18 @@ def test_unitary_check_rejects_just_above_its_limit():
         require_unitary(_scaled_identity(8.1e-8))
 
 
+def test_unitary_check_rejects_overflowing_entries_quietly():
+    # the Gram product of an entry near 1e200 would overflow (two numpy
+    # RuntimeWarnings, then a NaN defect); such a matrix fails on its
+    # Frobenius norm before that product is formed
+    u = np.eye(3, dtype=complex)
+    u[0, 1] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotUnitary, match=r"entry of modulus 1\.000e\+200"):
+            require_unitary(u)
+
+
 def _of_rank(rng, rows, cols, rank, norm, flat=False):
     """A rows x cols matrix of the given rank and 2-norm; ``flat``: all its
     nonzero singular values equal, so the Frobenius norm is sqrt(rank) times

@@ -146,6 +146,23 @@ class TestRunCommand:
         r = run_cli("run", str(f))
         assert r.returncode == 3
 
+    def test_overflowing_sample_is_a_quiet_not_unitary_record(self, tmp_path):
+        u = random_unitary(rng_for(61, 3), 3)
+        bad = u.copy()
+        bad[0, 1] = 1e200
+        f = tmp_path / "big.json"
+        f.write_text(json.dumps({"scenarios": [{
+            "name": "big", "op": "wind",
+            "inputs": {"path": {"samples": [[0.0, ser.matrix_to_json(bad)],
+                                            [1.0, ser.matrix_to_json(u)]]}}}]}))
+        r = run_cli("run", str(f))
+        assert r.stderr == ""
+        rec = json.loads(r.stdout)
+        assert rec["error"] == "NotUnitary" and "modulus 1.000e+200" in rec["detail"]
+        # a sample off the unitary group fails its scenario (exit 1) at any
+        # distance, as in test_run_tolerance_reaches_the_sample_checks[wind]
+        assert r.returncode == 1
+
     def test_tolerance_priority(self, tmp_path, monkeypatch):
         f = tmp_path / "s.json"
         f.write_text(json.dumps({"scenarios": [{
