@@ -1,7 +1,8 @@
 """Batch front-end: scenario files in, JSON-line reports out.
 
 Exit codes: 0 all good, 1 an asserted identity failed, 2 schema error,
-3 numerical resolution failure (refinement or eta convergence).
+3 numerical resolution failure (refinement, root bracketing or the
+spectral window).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numpy as np
 from . import model_dirac as md
 from .errors import (
     BracketingFailure,
-    ConvergenceTooSlow,
     RefinementExhausted,
     SchemaError,
     SymflowError,
@@ -48,8 +48,7 @@ from .spectral_flow import eta_finite, sf_eta_consistency, spectral_flow
 from .symplectic_core import intersection_dim, subspace_distance
 from .unitary_invariants import tau_w, tr_log, wind, wind_plus_inverse_check
 
-RESOLUTION_ERRORS = (RefinementExhausted, ConvergenceTooSlow, BracketingFailure,
-                     WindowEscape)
+RESOLUTION_ERRORS = (RefinementExhausted, BracketingFailure, WindowEscape)
 
 
 def _crossing_log_json(log) -> list:

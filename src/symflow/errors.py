@@ -65,10 +65,6 @@ class AsymmetricSpectrum(SymflowError):
     """The tangential operator's spectrum is not symmetric about zero."""
 
 
-class ConvergenceTooSlow(SymflowError):
-    """A truncated eta sum cannot reach the requested tolerance at N_max."""
-
-
 class ResonanceViolation(SymflowError):
     """The non-resonance condition L ∩ F⁻ = 0 fails at the requested level."""
 

@@ -34,12 +34,12 @@ from ._linalg import (
     phase_fix_columns,
     readonly,
     sign_classes,
+    wrap_phase,
 )
 from .errors import (
     AnticommutationFailure,
     AsymmetricSpectrum,
     BracketingFailure,
-    ConvergenceTooSlow,
     DimensionMismatch,
     GluingViolation,
     IdentityViolation,
@@ -347,16 +347,18 @@ def _real_line_rep(vec: np.ndarray, tol: float = 1e-7) -> np.ndarray:
 
 
 def _transfer_terms(lam, mu: float, ell: float):
-    """cosh(kappa L) and sinh(kappa L)/kappa with kappa^2 = mu^2 - lambda^2."""
-    lam = np.asarray(lam, dtype=float)
-    kappa = np.sqrt(np.asarray(mu**2 - lam**2, dtype=complex))
-    kl = kappa * ell
-    c = np.cosh(kl).real
-    small = np.abs(kl) < 1e-8
-    safe = np.where(np.abs(kappa) < 1e-300, 1.0, kappa)
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        s = np.where(small, ell * (1.0 + (kl**2).real / 6.0), (np.sinh(kl) / safe).real)
-    return c, s
+    """(c, s, e): e cosh(kappa L) and e sinh(kappa L)/kappa, kappa^2 = mu^2 - lambda^2,
+    scaled by e = e^{-max(Re kappa, 0) L} > 0, so bounded at every mu L: in the gap
+    |lambda| < mu, c = (1 + e^{-2 kappa L})/2 and s = (1 - e^{-2 kappa L})/(2 kappa)."""
+    a = np.abs(np.asarray(lam, dtype=float))
+    kappa = np.sqrt(np.abs((mu - a) * (mu + a)))
+    x, gap = kappa * ell, a < mu
+    em = np.expm1(-x)  # e - 1 in the gap
+    shrink = -em * (2.0 + em)  # 1 - e^{-2 kappa L}
+    c = np.where(gap, 1.0 - 0.5 * shrink, np.cos(x))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.where(kappa > 0, np.where(gap, 0.5 * shrink, np.sin(x)) / kappa, ell)
+    return c, s, np.where(gap, 1.0 + em, 1.0)
 
 
 def _block_coefficients(mu: float, p: np.ndarray, q: np.ndarray) -> tuple[float, float, float]:
@@ -380,7 +382,7 @@ def _block_root_function(mu: float, ell: float, p: np.ndarray, q: np.ndarray) ->
 
     def f(lam):
         lam = np.asarray(lam, dtype=float)
-        c, s = _transfer_terms(lam, mu, ell)
+        c, s, _ = _transfer_terms(lam, mu, ell)
         return c * dot + s * (m_const + lam * m_lin)
 
     return f
@@ -392,96 +394,131 @@ def _block_contour_eta(mu: float, ell: float, p: np.ndarray, q: np.ndarray) -> E
     F (``_block_root_function``) is entire and real on the real axis, so
     eta = -(2/pi) [arg F(i inf) - arg F(i0+)], arg followed continuously up
     the imaginary axis (the contour method of Kirsten and McKane, Ann. Phys.
-    308, 2003).  With kappa = sqrt(mu^2 + y^2), the scaled G(y) = e^{-kappa L} F(iy) is
-
-        (1 + e^{-2 kappa L})/2 <q_perp, p> + (1 - e^{-2 kappa L})/(2 kappa) (m_const + i y m_lin),
-
-    tending to (<q_perp, p> + i m_lin)/2.  Im G(y) has the sign of m_lin for
-    every y > 0, so the continuous argument never leaves that open
-    half-plane and is the principal one there: the contour needs no samples
-    and no tail.  G(0) is real; a root within ZERO_ROOT of 0, read off
-    G(y) = G(0) + i y G'(0) + O(y^2), is a kernel mode as in ``eta_truncated``,
-    and the contour starts at i0+, where G ~ i y G'(0).  Only e^{-2 mu L}
-    enters (through expm1), so no mu L overflows.  The bound is rounding:
-    no roots are summed (``n_used`` 0).
+    308, 2003).  With kappa = sqrt(mu^2 + y^2), the scaled G(y) = e^{-kappa L} F(iy)
+    is c <q_perp, p> + s (m_const + i y m_lin) with c, s the gap terms of
+    ``_transfer_terms`` at kappa, tending to (<q_perp, p> + i m_lin)/2.
+    Im G(y) has the sign of m_lin for every y > 0, so the continuous argument
+    is the principal one: the contour needs no samples and no tail.  A root
+    within ZERO_ROOT of 0, read off G(y) = G(0) + i y G'(0) + O(y^2), is a
+    kernel mode as in ``eta_truncated``, and the contour starts at i0+.  The
+    bound is rounding: no roots are summed (``n_used`` 0).
     """
     dot, m_const, m_lin = _block_coefficients(mu, p, q)
-    t = -np.expm1(-2.0 * mu * ell)  # 1 - e^{-2 mu L}
-    g0 = (1.0 - 0.5 * t) * dot + t / (2.0 * mu) * m_const
-    slope = t / (2.0 * mu) * abs(m_lin)  # |G'(0)|
-    # conjugate into the upper half-plane when m_lin < 0
-    orient = -1.0 if m_lin < 0 else 1.0
-    if abs(g0) <= ZERO_ROOT * slope:
-        start = 0.5 * np.pi
-    else:
-        start = 0.0 if g0 > 0 else np.pi
+    c, s, _ = _transfer_terms(0.0, mu, ell)
+    g0 = c * dot + s * m_const
+    slope = s * abs(m_lin)  # |G'(0)|
+    orient = -1.0 if m_lin < 0 else 1.0  # conjugate into the upper half-plane
+    start = 0.5 * np.pi if abs(g0) <= ZERO_ROOT * slope else (0.0 if g0 > 0 else np.pi)
     end = float(np.arctan2(abs(m_lin), dot))
     return EtaEstimate(-(2.0 / np.pi) * orient * (end - start), CONTOUR_ROUNDING, 0)
 
 
-def _scan_grid(window: float, step: float) -> np.ndarray:
-    """The root-scan grid on [-window, window]; SchemaError past MAX_SCAN_POINTS."""
+def _scan_grid(window: float, mu: float, ell: float) -> np.ndarray:
+    """The root-scan grid on [-window, window], its step a quarter of the lattice
+    spacing pi/L, finer for large mu; SchemaError past MAX_SCAN_POINTS."""
+    step = min(np.pi / (4.0 * ell), 0.45 / max(mu, 1.0))
     if 2.0 * window / step > MAX_SCAN_POINTS:
         raise SchemaError(
             f"a root scan of [-{window:.6g}, {window:.6g}] at step {step:.3g} needs more than "
-            f"{MAX_SCAN_POINTS} points: the window or ||A|| is too large"
-        )
+            f"{MAX_SCAN_POINTS} points: the window or ||A|| is too large")
     return np.arange(-window, window + step, step)
 
 
-def _scan_step(mu: float, ell: float) -> float:
-    """Root-scan grid step: a quarter of the lattice spacing pi/L, finer for large mu."""
-    return min(np.pi / (4.0 * ell), 0.45 / max(mu, 1.0))
+def _polish(lo, hi, flo, fhi, carry, at: Callable, tol: float) -> np.ndarray:
+    """Midpoints of brackets [lo, hi] narrowed below ``tol`` by Illinois regula
+    falsi (Dowell and Jarratt, BIT 11, 1971).  flo, fhi lie on the two sides
+    of the crossing rule; ``at(x, carry)`` gives the values at x, read against
+    the carries at lo, and the carries at x.  A falsi point moves tol/4 toward
+    the midpoint, so a close one lands across the root; a bracket that two
+    rounds have not halved is bisected.  Illinois halves only the weights.
+    """
+    wlo, whi, bisect, before = flo, fhi, np.zeros(lo.size, dtype=bool), np.inf
+    last = np.zeros(lo.size)  # +1 where the last falsi step moved lo, -1 hi
+    for _ in range(128):
+        width = hi - lo
+        if lo.size == 0 or float(np.max(width)) < tol:
+            break
+        mid = 0.5 * (lo + hi)
+        falsi = lo + width * wlo / (wlo - whi)
+        x = np.where(bisect, mid, falsi + np.clip(mid - falsi, -0.25 * tol, 0.25 * tol))
+        fx, cx = at(x, carry)
+        left = (fx < 0) == (flo < 0)
+        # an end that two falsi steps in a row kept has its weight halved
+        whi = np.where(left, np.where(last > 0, 0.5 * whi, whi), fx)
+        wlo = np.where(left, fx, np.where(last < 0, 0.5 * wlo, wlo))
+        lo, flo, hi = np.where(left, x, lo), np.where(left, fx, flo), np.where(left, hi, x)
+        carry = np.where(left[:, None], cx, carry)
+        last = np.where(bisect, last, np.where(left, 1.0, -1.0))
+        bisect, before = hi - lo > 0.5 * before, width
+    return 0.5 * (lo + hi)
 
 
-def _bracketed_roots(f: Callable, window: float, step: float, tol: float) -> np.ndarray:
-    """All roots of a scalar function on [-window, window] by scan + bisection."""
-    grid = _scan_grid(window, step)
-    vals = np.asarray(f(grid), dtype=float)
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    exact_zero = np.abs(vals) <= 1e-13 * scale
-    sgn = np.sign(vals)
-    sgn[exact_zero] = 0.0
-    sign_change = sgn[:-1] * sgn[1:] < 0
-    interior_min = np.zeros(len(grid), dtype=bool)
-    interior_min[1:-1] = (
-        (np.abs(vals[1:-1]) < np.abs(vals[:-2]))
-        & (np.abs(vals[1:-1]) < np.abs(vals[2:]))
-        & (np.abs(vals[1:-1]) < 1e-10 * scale)
-        & ~exact_zero[1:-1]
-    )
-    if np.any(interior_min):
-        j = int(np.nonzero(interior_min)[0][0])
-        if not (sign_change[max(0, j - 1)] or (j < len(sign_change) and sign_change[j])):
-            raise BracketingFailure(
-                f"|F| minimum {np.abs(vals[j]):.3e} without sign change near "
-                f"lambda={grid[j]:.6g}"
-            )
-    lo = grid[:-1][sign_change].astype(float)
-    hi = grid[1:][sign_change].astype(float)
-    flo = vals[:-1][sign_change]
-    if lo.size:
-        for _ in range(64):
-            mid = 0.5 * (lo + hi)
-            fm = np.asarray(f(mid), dtype=float)
-            left = np.sign(fm) == np.sign(flo)
-            lo = np.where(left, mid, lo)
-            flo = np.where(left, fm, flo)
-            hi = np.where(left, hi, mid)
-            if float(np.max(hi - lo)) < tol:
-                break
-        roots = 0.5 * (lo + hi)
-    else:
-        roots = np.array([])
-    hits = grid[exact_zero]
-    if hits.size:
-        keep = np.ones(hits.size, dtype=bool)
-        for i, h in enumerate(hits):
-            if roots.size and np.min(np.abs(roots - h)) < max(step * 1e-6, 10 * tol):
-                keep[i] = False
-        roots = np.concatenate([roots, hits[keep]])
-    roots = np.sort(roots)
+def _certified_roots(scan: Callable, at: Callable, mu: float, ell: float, window: float,
+                     tol: float) -> np.ndarray:
+    """Roots on [-window, window] of one mode block, their number certified.
+
+    ``scan(grid)`` is None where the grid does not resolve the scan variable,
+    else (the steps holding a crossing, the values at both ends, the carries
+    at lo, an independent root count over the grid).  The grid is doubled, at
+    most six times and within MAX_SCAN_POINTS, until the counts agree, else
+    BracketingFailure."""
+    grid = _scan_grid(window, mu, ell)
+    for doublings in range(7):
+        found = scan(grid)
+        if found is not None and found[0].size == found[-1]:
+            break
+        if doublings == 6 or 2 * grid.size - 1 > MAX_SCAN_POINTS:
+            counts = "unresolved" if found is None else f"{found[0].size} vs {found[-1]} roots"
+            raise BracketingFailure(f"root scan of block mu={mu:.6g} not certified at "
+                                    f"{grid.size} points: {counts}")
+        grid = np.linspace(grid[0], grid[-1], 2 * grid.size - 1)
+    idx, flo, fhi, carry, _ = found
+    roots = np.sort(_polish(grid[idx], grid[idx + 1], flo, fhi, carry, at, tol))
     return roots[np.abs(roots) <= window + 1e-9]
+
+
+def _sturm_count(mu: float, ell: float, p: np.ndarray, q: np.ndarray,
+                 lo: float, hi: float) -> int:
+    """Number of roots of F (``_block_root_function``) in [lo, hi), in closed form.
+
+    u(x) = T_x p solves u' = M u, M = [[-mu, lambda], [-lambda, mu]]; its
+    Pruefer angle obeys theta' = -lambda + mu sin 2 theta, so theta(L) is
+    strictly decreasing in lambda, and F = 0 where theta(L) = psi_q mod pi.
+    For |lambda| <= mu the orbit stays between the lines where theta' = 0:
+    the sweep is the principal angle from p to T_L p.  For |lambda| > mu,
+    u(x + pi/omega) = -u(x), omega^2 = lambda^2 - mu^2: it is k pi, k =
+    floor(omega L/pi), plus the sweep of the rest, all of sign -sign(lambda).
+    """
+    psi_p, psi_q = np.arctan2(p[1], p[0]), np.arctan2(q[1], q[0])
+    rate, tilt = mu * np.sin(2.0 * psi_p), mu * np.cos(2.0 * psi_p)  # theta'(0) + lambda, -<p, Mp>
+
+    def level(lam):
+        if abs(lam) <= mu:
+            c, s, _ = _transfer_terms(lam, mu, ell)
+            sweep = np.arctan2(s * (rate - lam), c - s * tilt)
+        else:
+            omega = np.sqrt((abs(lam) - mu) * (abs(lam) + mu))
+            k, r = divmod(omega * ell, np.pi)
+            sweep = np.arctan2(np.sin(r) * (rate - lam), omega * np.cos(r) - np.sin(r) * tilt) \
+                - np.sign(lam) * k * np.pi
+        return np.floor((psi_p + sweep - psi_q) / np.pi)
+
+    return int(abs(level(lo) - level(hi)))
+
+
+def _bracketed_roots(mu: float, ell: float, p: np.ndarray, q: np.ndarray, window: float,
+                     tol: float) -> np.ndarray:
+    """Roots on [-window, window] of a split block: crossings of F
+    (``_block_root_function``) counted against ``_sturm_count``, polished on F."""
+    f = _block_root_function(mu, ell, p, q)
+
+    def scan(grid):
+        vals = f(grid)
+        idx = np.flatnonzero(crossing_signs(vals[:-1], vals[1:]))
+        return (idx, vals[idx], vals[idx + 1], np.empty((idx.size, 0)),
+                _sturm_count(mu, ell, p, q, grid[0], grid[-1]))
+
+    return _certified_roots(scan, lambda x, carry: (f(x), carry), mu, ell, window, tol)
 
 
 def _lattice_in_window(offsets: np.ndarray, spacing: float, window: float) -> np.ndarray:
@@ -577,98 +614,64 @@ def _split_lines(bc: Lagrangian, side: str) -> Optional[tuple]:
 
 def _phases_grid(block: DoubledBlock, ell: float, bc_phi_h: np.ndarray,
                  lams: np.ndarray, side: str) -> np.ndarray:
-    """Eigenphases of phi(graph(lam)) phi(B)* for a batch of lam, shape (G, 2).
+    """Sorted eigenphases of W = phi(graph(lam)) phi(B)* for a batch of lam, (G, 2).
 
-    The graph map is A_minus A_plus^{-1} of the unnormalized frame [I; T] (or
-    [T; I]), which is exact for any spanning frame, so everything reduces to
-    batched 2x2 arithmetic.
-    """
+    phi(graph) = A_minus A_plus^{-1}, A_pm = b_pm* F, for the frame F = e [I; T]
+    (or e [T; I]), T = c I + s (lam J - mu Z): A_plus and phi(B)* A_minus are
+    linear in (e, c, -mu s, lam s) of ``_transfer_terms``, and W enters through
+    tr W = tr(adj(A_plus) phi(B)* A_minus) / det A_plus and det W."""
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    mu = block.mu
-    c, s = _transfer_terms(lams, mu, ell)
-    t11, t12 = c - mu * s, s * lams
-    t21, t22 = -s * lams, c + mu * s
-    if side == "+":
-        rows = (np.ones_like(lams), np.zeros_like(lams), t11, t21,
-                np.zeros_like(lams), np.ones_like(lams), t12, t22)
-    else:
-        rows = (t11, t21, np.ones_like(lams), np.zeros_like(lams),
-                t12, t22, np.zeros_like(lams), np.ones_like(lams))
-    f = np.empty((lams.size, 4, 2), dtype=complex)
-    f[:, 0, 0], f[:, 1, 0], f[:, 2, 0], f[:, 3, 0] = rows[0], rows[1], rows[2], rows[3]
-    f[:, 0, 1], f[:, 1, 1], f[:, 2, 1], f[:, 3, 1] = rows[4], rows[5], rows[6], rows[7]
-    bp_h = block.space.basis_plus.conj().T
-    bm_h = block.space.basis_minus.conj().T
-    a_plus = np.einsum("ij,gjk->gik", bp_h, f)
-    a_minus = np.einsum("ij,gjk->gik", bm_h, f)
-    det = a_plus[:, 0, 0] * a_plus[:, 1, 1] - a_plus[:, 0, 1] * a_plus[:, 1, 0]
-    inv = np.empty_like(a_plus)
-    inv[:, 0, 0], inv[:, 1, 1] = a_plus[:, 1, 1], a_plus[:, 0, 0]
-    inv[:, 0, 1], inv[:, 1, 0] = -a_plus[:, 0, 1], -a_plus[:, 1, 0]
-    inv /= det[:, None, None]
-    w = np.einsum("gij,gjk,kl->gil", a_minus, inv, bc_phi_h)
-    tr = w[:, 0, 0] + w[:, 1, 1]
-    dt = w[:, 0, 0] * w[:, 1, 1] - w[:, 0, 1] * w[:, 1, 0]
+    c, s, e = _transfer_terms(lams, block.mu, ell)
+    coef = np.stack([e, c, -block.mu * s, lams * s], axis=1)
+    zero = np.zeros((2, 2))
+    units = (np.eye(2), np.eye(2), np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    frames = np.array([np.vstack([u, zero] if (i == 0) == (side == "+") else [zero, u])
+                       for i, u in enumerate(units)])
+    b_plus, b_minus = block.space.basis_plus.conj().T, bc_phi_h @ block.space.basis_minus.conj().T
+    ap, bm = ((coef @ (b @ frames).reshape(4, 4)).reshape(-1, 2, 2) for b in (b_plus, b_minus))
+    det = ap[:, 0, 0] * ap[:, 1, 1] - ap[:, 0, 1] * ap[:, 1, 0]
+    tr = (ap[:, 1, 1] * bm[:, 0, 0] - ap[:, 0, 1] * bm[:, 1, 0]
+          - ap[:, 1, 0] * bm[:, 0, 1] + ap[:, 0, 0] * bm[:, 1, 1]) / det
+    dt = (bm[:, 0, 0] * bm[:, 1, 1] - bm[:, 0, 1] * bm[:, 1, 0]) / det
     disc = np.sqrt(tr * tr - 4.0 * dt)
-    return np.angle(np.stack([(tr + disc) / 2.0, (tr - disc) / 2.0], axis=1))
+    return np.sort(np.angle(np.stack([(tr + disc) / 2.0, (tr - disc) / 2.0], axis=1)), axis=1)
 
 
 def _tracked_block_roots(block: DoubledBlock, ell: float, bc_phi_h: np.ndarray,
                          side: str, window: float, tol: float) -> np.ndarray:
-    """Eigenvalues from one doubled 2-D block by eigenphase tracking.
+    """Eigenvalues from one doubled 2-D block: the lambda where an eigenphase of
+    phi(graph) phi(B)* crosses zero, all crossings of one sign (the crossing
+    form is definite, else BracketingFailure).
 
-    The eigenvalues are the lambda where an eigenphase of phi(graph) phi(B)*
-    crosses zero, one per crossing, and the crossing form is definite, so
-    all crossings of a scan have one sign (else BracketingFailure).  The
-    sorted eigenphase pairs of the scan grid are matched step by step with
-    ``least_arc_matching``, the matcher of ``wind``; every (step, branch)
-    with a nonzero crossing sign is bisected in lambda, matching the pair at
-    each midpoint to the tracked pair at the lower end.  A double root is
-    two branches crossing and comes out twice.
-    """
-    def phases(lams):
-        return np.sort(_phases_grid(block, ell, bc_phi_h, lams, side), axis=1)
-
-    grid = _scan_grid(window, _scan_step(block.mu, ell))
-    ph = phases(grid)
-    for _ in range(6):
+    The scan matches its sorted pairs by ``least_arc_matching`` and resolves
+    when no phase moves over 0.45 pi a step; each (step, branch) with a
+    crossing is a bracket, so a double root comes out twice.  The count is
+    ``wind``'s det-phase one.  In the polish a branch keeps its sorted slot
+    unless the other wraps past pi, moving the phase sum by over pi (least
+    arc is ambiguous over a long falsi step when both phases move one way)."""
+    def scan(grid):
+        ph = _phases_grid(block, ell, bc_phi_h, grid, side)
         _, arcs = least_arc_matching(ph[:-1], ph[1:])
-        if float(np.max(np.abs(arcs))) <= 0.45 * np.pi:
-            break
-        # densify globally; the transfer terms are cheap and this is rare
-        fine = np.empty(2 * grid.size - 1)
-        fine[0::2] = grid
-        fine[1::2] = 0.5 * (grid[:-1] + grid[1:])
-        grid = fine
-        ph = phases(grid)
-    else:
-        raise BracketingFailure("eigenphase tracking lost after densifying the scan")
+        if not float(np.max(np.abs(arcs))) <= 0.45 * np.pi:
+            return None
+        signs = crossing_signs(ph[:-1], ph[:-1] + arcs)
+        if np.any(signs > 0) and np.any(signs < 0):
+            raise BracketingFailure(
+                f"eigenphase crossings of both signs in the root scan of block "
+                f"mu={block.mu:.6g}: the crossing form is not definite")
+        idx, branch = np.nonzero(signs)
+        pair = np.where(branch[:, None] == 0, ph[idx], ph[idx, ::-1])  # tracked branch first
+        turns = (np.sum(wrap_phase(np.diff(np.sum(ph, axis=1))))
+                 - np.sum(np.mod(ph[-1], 2.0 * np.pi)) + np.sum(np.mod(ph[0], 2.0 * np.pi)))
+        return idx, pair[:, 0], pair[:, 0] + arcs[idx, branch], pair, abs(round(turns / 2 / np.pi))
 
-    signs = crossing_signs(ph[:-1], ph[:-1] + arcs)
-    if np.any(signs > 0) and np.any(signs < 0):
-        raise BracketingFailure(
-            f"eigenphase crossings of both signs in the root scan of block mu={block.mu:.6g}: "
-            "the crossing form is not definite"
-        )
-    lo_idx, branch = np.nonzero(signs)
-    lo = grid[lo_idx]
-    hi = grid[lo_idx + 1]
-    pair = ph[lo_idx]
-    rows = np.arange(lo.size)
-    flo = pair[rows, branch]
-    for _ in range(64):
-        if lo.size == 0 or float(np.max(hi - lo)) < tol:
-            break
-        mid = 0.5 * (lo + hi)
-        matched, arcs = least_arc_matching(pair, phases(mid))
-        fm = flo + arcs[rows, branch]
-        left = crossing_signs(flo, fm) == 0
-        lo = np.where(left, mid, lo)
-        flo = np.where(left, fm, flo)
-        pair = np.where(left[:, None], matched, pair)
-        hi = np.where(left, hi, mid)
-    roots = np.sort(0.5 * (lo + hi))
-    return roots[np.abs(roots) <= window + 1e-9]
+    def at(x, pair):
+        ph = _phases_grid(block, ell, bc_phi_h, x, side)
+        slot = (pair[:, 0] > pair[:, 1]) ^ (np.abs(np.sum(ph - pair, axis=1)) > np.pi)
+        pair = np.where(slot[:, None], ph[:, ::-1], ph)
+        return pair[:, 0], pair
+
+    return _certified_roots(scan, at, block.mu, ell, window, tol)
 
 
 def _kernel_offsets(block: DoubledBlock, ell: float, bc_phi_h: np.ndarray,
@@ -690,17 +693,15 @@ def _kernel_offsets(block: DoubledBlock, ell: float, bc_phi_h: np.ndarray,
 
 def _block_roots(block: DoubledBlock, bc: Lagrangian, ell: float, side: str,
                  window: float, tol: float) -> np.ndarray:
-    """Eigenvalues in [-window, window] from one doubled 2-D mode block.
-
-    A constraint that splits into a line at each end reduces to sign changes
-    of the real transfer function; a coupled one goes through eigenphase
-    tracking.
-    """
+    """Eigenvalues in [-window, window] from one doubled 2-D mode block: a
+    constraint that splits into a line at each end scans the real F
+    (``_bracketed_roots``), a coupled one the eigenphases
+    (``_tracked_block_roots``); either count is certified, so a root is never
+    lost silently (BracketingFailure instead)."""
     lines = _split_lines(bc, side)
     if lines is None:
         return _tracked_block_roots(block, ell, bc.phi.conj().T, side, window, tol)
-    f = _block_root_function(block.mu, ell, *lines)
-    return _bracketed_roots(f, window, _scan_step(block.mu, ell), tol)
+    return _bracketed_roots(block.mu, ell, *lines, window, tol)
 
 
 def _block_eta(block: DoubledBlock, bc: Lagrangian, ell: float, side: str,
@@ -742,8 +743,9 @@ def boundary_spectrum(op: ModelOperator, constraint: Lagrangian, window: float,
     """Eigenvalues of the interval operator whose boundary data is constrained
     to the Lagrangian ``constraint`` of the double space H ⊕ H.
 
-    Split constraints per block reduce to the real transfer calculus; coupled
-    ones go through eigenphase tracking; kernel blocks are exact lattices.
+    Mode blocks take ``_block_roots``, whose root count is checked against the
+    Sturm count (split) or the det-phase count (coupled), else
+    BracketingFailure; kernel blocks are exact lattices.
     """
     if dbs is None:
         dbs = double_boundary(op)
@@ -800,8 +802,8 @@ def eta_lattice(offset: float) -> tuple[float, int]:
     return 1.0 - 2.0 * a, 0
 
 
-def eta_truncated(eigenvalues, n_max: Optional[int] = None, zero_tol: float = ZERO_ROOT,
-                  require_bound: Optional[float] = None) -> EtaEstimate:
+def eta_truncated(eigenvalues, n_max: Optional[int] = None,
+                  zero_tol: float = ZERO_ROOT) -> EtaEstimate:
     """Estimate eta = "sum" of sign(lambda) from a window-complete spectrum.
 
     Prefix sums over the |lambda|-sorted spectrum are pair-averaged; the
@@ -848,11 +850,6 @@ def eta_truncated(eigenvalues, n_max: Optional[int] = None, zero_tol: float = ZE
     spacing = float(np.median(levels)) if levels.size else float(mags[-1])
     edge = 4.0 * spacing / max(mags[-1] - 0.75 * mags[-1], 1e-300)
     bound = 2.0 * abs(a_half - a_quarter) + edge + 1e-12
-    if require_bound is not None and bound > require_bound:
-        raise ConvergenceTooSlow(
-            f"eta bound {bound:.3e} exceeds requested {require_bound:.3e} "
-            f"at {signs.size} eigenvalues"
-        )
     return EtaEstimate(est, bound, int(signs.size))
 
 

@@ -44,21 +44,25 @@ def test_traced_items_keep_the_tracer_contract(bench, tmp_path):
     refine = workloads.build("refine", 1, tmp_path / "refine", None, None)
     model = workloads.build("model", 1, tmp_path / "model",
                             lambda doc, frames: _parse(doc, map(workloads.mat, frames)),
-                            md.nicolaescu_verify)
+                            # looked up at call time, so the traced wrapper runs
+                            lambda op, family, window: md.nicolaescu_verify(op, family, window))
     items = ([next(it for it in refine if it.group == g)
               for g in ("spectral_flow.k2", "wind/rotation.k2")]
              + [next(it for it in model if it.group == g)
-                for g in ("glue/split", "glue/coupled")])
+                for g in ("glue/split", "glue/coupled", "spectrum/interval", "nicolaescu")])
     tracer = tracing.Tracer()
     tracer.install()
     try:
         for i, it in enumerate(items):
             tracer.begin(i)
             try:
-                code = symflow.cli.main(it.argv)
+                # a Nicolaescu item calls the library, as bench/run.py does
+                code, payload = (symflow.cli.main(it.argv), None) if it.call is None \
+                    else (0, it.call())
             finally:
                 tracer.end()
-            payload = [json.loads(line) for line in it.out.read_text().splitlines()]
+            if it.call is None:
+                payload = [json.loads(line) for line in it.out.read_text().splitlines()]
             assert it.check(code, payload) is None, it.name
     finally:
         tracer.uninstall()
@@ -71,3 +75,4 @@ def test_traced_items_keep_the_tracer_contract(bench, tmp_path):
     # split blocks sum no roots; coupled ones still go through eta_truncated
     assert metrics["model_dirac.us_per_root.split"] == 0.0
     assert metrics["model_dirac.roots"] > 0
+    assert metrics["model_dirac.spectrum_ms"] > 0 and metrics["model_dirac.nicolaescu_ms"] > 0

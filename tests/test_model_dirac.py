@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from symflow.model_dirac import (
     _block_trace,
     _bracketed_roots,
     _real_line_rep,
-    _scan_step,
 )
 from symflow.verification import (
     planted_anticommuting,
@@ -175,9 +176,8 @@ class TestIntervalSpectrum:
             gp = sf.gamma_conjugate(p)
             expected = []
             for b in op.blocks:
-                f = _block_root_function(b.mu, 1.3, _real_line_rep(trace(gp, b.frame)),
-                                         _real_line_rep(trace(q, b.frame)))
-                expected.append(_bracketed_roots(f, window, _scan_step(b.mu, 1.3), 1e-10))
+                expected.append(_bracketed_roots(b.mu, 1.3, _real_line_rep(trace(gp, b.frame)),
+                                                 _real_line_rep(trace(q, b.frame)), window, 1e-10))
             ksp = op.kernel.block_space
             lp = sf.lagrangian_from_frame(ksp, trace(gp, op.kernel.frame))
             lq = sf.lagrangian_from_frame(ksp, trace(q, op.kernel.frame))
@@ -294,11 +294,6 @@ class TestEtaTruncated:
         # offsets a and 1 - a are mirror lattices: their etas cancel exactly
         assert md.eta_lattice(0.25)[0] + md.eta_lattice(0.75)[0] == 0.0
         assert md.eta_lattice(0.25) == (0.5, 0) and md.eta_lattice(0.75) == (-0.5, 0)
-
-    def test_convergence_guard(self):
-        lams = (0.3 + np.arange(-40, 40)) * 1.0
-        with pytest.raises(sf.errors.ConvergenceTooSlow):
-            md.eta_truncated(lams, require_bound=1e-9)
 
     def test_interval_eta_against_swap_symmetry(self):
         # eta~(D_{P,Q}) + eta~(D_{Q,P}) = dim ker (spectral antisymmetry)
@@ -509,9 +504,7 @@ def _root_sum_reference(block, bc, ell, n_max=10_000):
     roots in a window holding about n_max of them, then ``eta_truncated``."""
     p, q = md._split_lines(bc, "+")
     window = (n_max / 2.0) * np.pi / ell + 5.0 * block.mu + 5.0
-    f = _block_root_function(block.mu, ell, p, q)
-    return md.eta_truncated(_bracketed_roots(f, window, _scan_step(block.mu, ell), 1e-10),
-                            n_max=n_max)
+    return md.eta_truncated(_bracketed_roots(block.mu, ell, p, q, window, 1e-10), n_max=n_max)
 
 
 class TestContourEta:
@@ -714,9 +707,9 @@ class TestCoupledBlockRoots:
 
         def minus_w(t):
             lam = window * (2.0 * t - 1.0)
-            c, s = md._transfer_terms(lam, block.mu, ell)
+            c, s, e = md._transfer_terms(lam, block.mu, ell)
             t_lam = np.array([[c - block.mu * s, s * lam], [-s * lam, c + block.mu * s]])
-            graph = sf.lagrangian_from_frame(block.space, np.vstack([np.eye(2), t_lam]))
+            graph = sf.lagrangian_from_frame(block.space, np.vstack([e * np.eye(2), t_lam]))
             return -graph.phi @ bc.phi.conj().T
 
         path = sf.UnitaryPath.from_generator(minus_w, initial_samples=int(16 * window) + 1)
@@ -724,6 +717,147 @@ class TestCoupledBlockRoots:
         # both branches cross 0 in the scan step [9.969, 10.328], at 9.9773
         # and at 10.1428: two roots, one per crossing
         assert np.min(np.abs(roots - 9.9773)) < 1e-3
+
+
+def _line_block(mu, ell, a, b):
+    """The doubled block of one planted mu on standard:1 with the split
+    constraint of frame columns (p, 0) and (0, q), p = (cos a, sin a) and
+    q = (cos b, sin b) in the block basis: (block, block constraint, p, q)."""
+    sp = sf.standard_space(1)
+    op = md.build_model(sp, planted_anticommuting(sp, [mu], rng_for(1, 1)), md.Interval(ell))
+    (block,) = md.double_boundary(op).blocks
+    p, q = np.array([np.cos(a), np.sin(a)]), np.array([np.cos(b), np.sin(b)])
+    frame = np.zeros((4, 2), dtype=complex)
+    frame[:2, 0], frame[2:, 1] = p, q
+    return block, sf.lagrangian_from_frame(block.space, frame), p, q
+
+
+def _scaled_sign_changes(mu, ell, p, q, window, points=200_001):
+    """Sign changes of e^{-max(Re kappa, 0) L} F on a uniform grid, with the
+    scaled terms written out apart from ``_transfer_terms``."""
+    dot, m_const, m_lin = md._block_coefficients(mu, p, q)
+    lam = np.linspace(-window, window, points)
+    omega = np.sqrt(np.abs(lam**2 - mu**2))
+    gap = np.abs(lam) < mu
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = np.where(gap, (1.0 + np.exp(-2.0 * omega * ell)) / 2.0, np.cos(omega * ell))
+        s = np.where(gap, (1.0 - np.exp(-2.0 * omega * ell)) / (2.0 * omega),
+                     np.sin(omega * ell) / omega)
+    vals = c * dot + s * (m_const + lam * m_lin)
+    return int(np.sum((vals[:-1] < 0) != (vals[1:] < 0)))
+
+
+# two gap eigenvalues (|lambda| < mu) in one scan step: (mu, L, a, b, roots in
+# the window 14, the close pair)
+CLOSE_PAIRS = [(2.89266, 2.73705, 0.11846, 1.45107, 24, (0.6782, 0.6868)),
+               (1.87014, 2.45753, 2.99472, 1.75280, 22, (-0.6808, -0.5290))]
+
+
+class TestCertifiedRoots:
+    """Every mode block's bracket count must equal an independent count: the
+    closed-form Sturm count for a split block, the det-phase count for a
+    coupled one; the scan densifies until they agree, else BracketingFailure."""
+
+    @pytest.mark.parametrize("mu, ell, a, b, count, pair", CLOSE_PAIRS, ids=["gap1", "gap2"])
+    def test_close_gap_pairs_are_not_lost(self, mu, ell, a, b, count, pair):
+        block, bc, p, q = _line_block(mu, ell, a, b)
+        roots = md._block_roots(block, bc, ell, "+", 14.0, 1e-10)
+        assert roots.size == count == _scaled_sign_changes(mu, ell, p, q, 14.0, 2_000_001)
+        tracked = md._tracked_block_roots(block, ell, bc.phi.conj().T, "+", 14.0, 1e-10)
+        assert np.max(np.abs(roots - tracked)) < 1e-9
+        assert all(np.min(np.abs(roots - r)) < 1e-3 for r in pair)
+
+    @pytest.mark.parametrize("mu, ell, a, b, count, pair", CLOSE_PAIRS, ids=["gap1", "gap2"])
+    def test_a_coarse_split_scan_densifies(self, mu, ell, a, b, count, pair):
+        # the first grid holds both roots of the pair in one step, so its sign
+        # changes fall short of the Sturm count, which sees them
+        p, q = np.array([np.cos(a), np.sin(a)]), np.array([np.cos(b), np.sin(b)])
+        grid = md._scan_grid(14.0, mu, ell)
+        vals = md._block_root_function(mu, ell, p, q)(grid)
+        coarse = int(np.sum((vals[:-1] < 0) != (vals[1:] < 0)))
+        assert coarse == count - 2
+        assert md._sturm_count(mu, ell, p, q, grid[0], grid[-1]) == count
+        assert md._bracketed_roots(mu, ell, p, q, 14.0, 1e-10).size == count
+
+    def test_sturm_count_against_a_dense_sign_count(self):
+        rng = rng_for(93, 1)
+        for _ in range(40):
+            mu, ell = rng.uniform(0.2, 3.0), rng.uniform(0.5, 3.0)
+            a, b = rng.uniform(0.0, np.pi, size=2)
+            p, q = np.array([np.cos(a), np.sin(a)]), np.array([np.cos(b), np.sin(b)])
+            assert md._sturm_count(mu, ell, p, q, -14.0, 14.0) == \
+                _scaled_sign_changes(mu, ell, p, q, 14.0)
+
+    def test_split_spectra_past_cosh_overflow(self):
+        # mu L in [560, 1080]: no numpy warning, and as many roots as the
+        # scaled F changes sign
+        for seed in range(1, 21):
+            rng = rng_for(seed, 91)
+            sp = sf.standard_space(1)
+            mu, ell = rng.uniform(40.0, 60.0), rng.uniform(14.0, 18.0)
+            op = md.build_model(sp, planted_anticommuting(sp, [mu], rng), md.Interval(ell))
+            p, q = random_boundary_on_h(op, rng), random_boundary_on_h(op, rng)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                lams = md.interval_spectrum(op, p, q, 30.0)
+            dbs = md.double_boundary(op)
+            bc = md._block_constraint(
+                dbs.blocks[0], md.direct_sum_lagrangian(dbs, sf.gamma_conjugate(p), q), 1e-9)
+            lines = md._split_lines(bc, "+")
+            assert lams.size == _scaled_sign_changes(op.blocks[0].mu, ell, *lines, 30.0), seed
+
+    @pytest.mark.parametrize("engine", ["split", "coupled"])
+    def test_a_lost_crossing_raises(self, monkeypatch, engine):
+        if engine == "split":
+            block, bc, _, _ = _line_block(1.3, 1.7, 0.4, 2.1)
+            ell = 1.7
+        else:
+            block, bc, ell = TestCoupledBlockRoots.foreign_cauchy_block(1)
+        assert md._block_roots(block, bc, ell, "+", 10.0, 1e-10).size > 0
+        crossing_signs = md.crossing_signs
+
+        def lossy(before, after):
+            signs = crossing_signs(before, after).copy()
+            hit = np.flatnonzero(signs)
+            signs.reshape(-1)[hit[:1]] = 0
+            return signs
+
+        monkeypatch.setattr(md, "crossing_signs", lossy)
+        with pytest.raises(sf.errors.BracketingFailure):
+            md._block_roots(block, bc, ell, "+", 10.0, 1e-10)
+
+    def test_polished_roots_agree_with_bisection(self):
+        tol = 1e-10
+
+        def bisect(g, lo, hi):
+            glo = g(lo)
+            while hi - lo >= tol:
+                mid = 0.5 * (lo + hi)
+                if (g(mid) < 0) == (glo < 0):
+                    lo = mid
+                else:
+                    hi = mid
+            return 0.5 * (lo + hi)
+
+        rng = rng_for(93, 2)
+        for _ in range(6):
+            mu, ell = rng.uniform(0.2, 3.0), rng.uniform(0.5, 3.0)
+            a, b = rng.uniform(0.0, np.pi, size=2)
+            p, q = np.array([np.cos(a), np.sin(a)]), np.array([np.cos(b), np.sin(b)])
+            f = md._block_root_function(mu, ell, p, q)
+            for r in md._bracketed_roots(mu, ell, p, q, 10.0, tol):
+                assert abs(bisect(lambda x: float(f(x)), r - 1e-6, r + 1e-6) - r) <= tol
+        for seed in range(1, 4):
+            block, bc, ell = TestCoupledBlockRoots.foreign_cauchy_block(seed)
+            roots = md._block_roots(block, bc, ell, "+", 10.0, tol)
+            assert roots.size and np.min(np.diff(roots)) > 1e-5
+
+            def phase(x):  # the eigenphase of W nearest 0 crosses it at a simple root
+                ph = md._phases_grid(block, ell, bc.phi.conj().T, x, "+")[0]
+                return float(ph[np.argmin(np.abs(ph))])
+
+            for r in roots:
+                assert abs(bisect(phase, r - 1e-6, r + 1e-6) - r) <= tol
 
 
 class TestNicolaescu:
