@@ -618,8 +618,11 @@ def _phases_grid(block: DoubledBlock, ell: float, bc_phi_h: np.ndarray,
 
     phi(graph) = A_minus A_plus^{-1}, A_pm = b_pm* F, for the frame F = e [I; T]
     (or e [T; I]), T = c I + s (lam J - mu Z): A_plus and phi(B)* A_minus are
-    linear in (e, c, -mu s, lam s) of ``_transfer_terms``, and W enters through
-    tr W = tr(adj(A_plus) phi(B)* A_minus) / det A_plus and det W."""
+    linear in (e, c, -mu s, lam s) of ``_transfer_terms``.  W is similar to
+    w = adj(A_plus) phi(B)* A_minus / det A_plus, and its eigenvalues come from
+    the entries of w: (w00 + w11 +- sqrt((w00 - w11)^2 + 4 w01 w10)) / 2, which
+    keeps full accuracy where the two eigenphases meet (tr^2 - 4 det would
+    cancel there)."""
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     c, s, e = _transfer_terms(lams, block.mu, ell)
     coef = np.stack([e, c, -block.mu * s, lams * s], axis=1)
@@ -629,12 +632,15 @@ def _phases_grid(block: DoubledBlock, ell: float, bc_phi_h: np.ndarray,
                        for i, u in enumerate(units)])
     b_plus, b_minus = block.space.basis_plus.conj().T, bc_phi_h @ block.space.basis_minus.conj().T
     ap, bm = ((coef @ (b @ frames).reshape(4, 4)).reshape(-1, 2, 2) for b in (b_plus, b_minus))
-    det = ap[:, 0, 0] * ap[:, 1, 1] - ap[:, 0, 1] * ap[:, 1, 0]
-    tr = (ap[:, 1, 1] * bm[:, 0, 0] - ap[:, 0, 1] * bm[:, 1, 0]
-          - ap[:, 1, 0] * bm[:, 0, 1] + ap[:, 0, 0] * bm[:, 1, 1]) / det
-    dt = (bm[:, 0, 0] * bm[:, 1, 1] - bm[:, 0, 1] * bm[:, 1, 0]) / det
-    disc = np.sqrt(tr * tr - 4.0 * dt)
-    return np.sort(np.angle(np.stack([(tr + disc) / 2.0, (tr - disc) / 2.0], axis=1)), axis=1)
+    (p00, p01), (p10, p11) = ap[:, 0].T, ap[:, 1].T
+    (m00, m01), (m10, m11) = bm[:, 0].T, bm[:, 1].T
+    # n = adj(A_plus) phi(B)* A_minus = det(A_plus) w
+    n00, n11 = p11 * m00 - p01 * m10, p00 * m11 - p10 * m01
+    n01, n10 = p11 * m01 - p01 * m11, p00 * m10 - p10 * m00
+    tr, disc = n00 + n11, np.sqrt((n00 - n11) ** 2 + 4.0 * n01 * n10)
+    half = 0.5 / (p00 * p11 - p01 * p10)
+    a, b = np.angle((tr + disc) * half), np.angle((tr - disc) * half)
+    return np.stack([np.minimum(a, b), np.maximum(a, b)], axis=1)
 
 
 def _tracked_block_roots(block: DoubledBlock, ell: float, bc_phi_h: np.ndarray,
@@ -648,8 +654,16 @@ def _tracked_block_roots(block: DoubledBlock, ell: float, bc_phi_h: np.ndarray,
     crossing is a bracket, so a double root comes out twice.  The count is
     ``wind``'s det-phase one.  In the polish a branch keeps its sorted slot
     unless the other wraps past pi, moving the phase sum by over pi (least
-    arc is ambiguous over a long falsi step when both phases move one way)."""
+    arc is ambiguous over a long falsi step when both phases move one way).
+    Past mu L ~ 708 the frame's identity rows e >= e^{-mu L} leave the normal
+    floating-point range and W comes from a rank-deficient frame, so the
+    roots cannot be certified: the scan raises BracketingFailure (after the
+    scan grid has passed its size cap)."""
     def scan(grid):
+        if np.exp(-block.mu * ell) < np.finfo(float).tiny:
+            raise BracketingFailure(
+                f"coupled block mu={block.mu:.6g} at mu L = {block.mu * ell:.6g}: the scaled "
+                f"frame's identity rows e^(-kappa L) underflow, so its roots cannot be certified")
         ph = _phases_grid(block, ell, bc_phi_h, grid, side)
         _, arcs = least_arc_matching(ph[:-1], ph[1:])
         if not float(np.max(np.abs(arcs))) <= 0.45 * np.pi:

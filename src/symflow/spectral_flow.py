@@ -59,27 +59,59 @@ class HermitianPath(SampledPath):
     def _info(hs: np.ndarray) -> np.ndarray:
         return np.linalg.eigvalsh(hs)
 
+    def _window(self, vals: np.ndarray) -> np.ndarray:
+        """A sample's crossing window max(4*tol, 1e-4) * max(1, ||H||): the
+        eigenvalues in it are treated as "currently crossing", so refinement
+        localizes a crossing to this resolution instead of chasing the
+        vanishing gap at the crossing itself."""
+        return np.maximum(4.0 * self.tol, 1e-4) * _scale(vals)
+
     def _steps_ok(self, ha, va, hb, vb) -> np.ndarray:
-        """Weyl: each eigenvalue moves at most ||hb - ha||, kept below half the gap.
+        """Chord Weyl: ||hb - ha||_2 < max(w, g), w the larger crossing window of
+        the two ends and g the least of
 
-        A sample's crossing window max(4*tol, 1e-4) * max(1, ||H||) holds
-        the eigenvalues treated as "currently crossing"; refinement localizes
-        them to this resolution instead of chasing the vanishing gap at the
-        crossing itself.  The gap is the smallest |eigenvalue| outside it.
+        * |va_j| + |vb_j| over the sorted curves j in the window at neither end;
+        * (gap_a + gap_b) / 2 over the gaps between neighbouring curves j, j + 1
+          of which one is in the window at an end, unless both are settled: in
+          the window at both ends, or in the zero class at an end.
+
+        On the chord H_s = (1 - s) ha + s hb, Weyl gives |lambda_j(H_s) - va_j|
+        <= s ||hb - ha|| and |lambda_j(H_s) - vb_j| <= (1 - s) ||hb - ha||, so
+        curve j can vanish on the chord only if |va_j| + |vb_j| <= ||hb - ha||,
+        and curves j and j + 1 can meet only if gap_a + gap_b <= 2 ||hb - ha||.
+        Below g no curve outside the windows changes sign, and none trades its
+        place with a curve in a window, which would hide a pair of opposite
+        crossings from the sorted-order log.  Below w no curve outside the
+        windows changes sign either, as |va_j| + |vb_j| exceeds both windows.
+        A curve in the window at an end is a crossing being logged and leaves
+        the first term, so a step ending near a crossing needs no shorter
+        steps toward it.
         """
-        def window_gap(vals):
-            scale = _scale(vals)
-            window = np.maximum(4.0 * self.tol * scale, 1e-4 * scale)
-            mags = np.abs(vals)
-            gap = np.min(np.where(mags > window[:, None], mags, np.inf), axis=-1, initial=np.inf)
-            return window, gap
+        wa, wb = self._window(va), self._window(vb)
+        ma, mb = np.abs(va), np.abs(vb)
+        in_a, in_b = ma <= wa[:, None], mb <= wb[:, None]
+        logged = in_a | in_b
+        settled = ((in_a & in_b) | (ma <= self.tol * _scale(va)[:, None])
+                   | (mb <= self.tol * _scale(vb)[:, None]))
+        g = np.min(np.where(logged, np.inf, ma + mb), axis=-1, initial=np.inf)
+        guarded = (logged[:, 1:] | logged[:, :-1]) & ~(settled[:, 1:] & settled[:, :-1])
+        gaps = 0.5 * (np.diff(va, axis=-1) + np.diff(vb, axis=-1))
+        g = np.minimum(g, np.min(np.where(guarded, gaps, np.inf), axis=-1, initial=np.inf))
+        return norms_below(ha, hb, np.maximum(np.maximum(wa, wb), g), hermitian=True)
 
-        wa, ga = window_gap(va)
-        wb, gb = window_gap(vb)
-        w = np.maximum(wa, wb)
-        g = np.minimum(ga, gb)
-        bound = np.where(np.isfinite(g), np.maximum(0.5 * g, w), np.inf)
-        return norms_below(ha, hb, bound, hermitian=True)
+    def _split(self, ta, tb, va, vb) -> np.ndarray:
+        """Regula falsi for a step where exactly one sorted curve changes sign,
+        from one side of the zero class to the other: where its chord meets
+        zero, kept within [1/16, 15/16] of the step.  Every other step splits
+        at its midpoint."""
+        flips = (sign_classes(va, self.tol * _scale(va)[:, None])
+                 * sign_classes(vb, self.tol * _scale(vb)[:, None])) < 0
+        one = np.sum(flips, axis=1) == 1
+        j = np.argmax(flips, axis=1)[:, None]
+        a, b = (np.take_along_axis(v, j, axis=1)[:, 0] for v in (va, vb))
+        frac = np.divide(a, a - b, out=np.full(len(ta), 0.5), where=one)
+        falsi = ta + np.clip(frac, 1.0 / 16.0, 15.0 / 16.0) * (tb - ta)
+        return np.where(one, falsi, 0.5 * (ta + tb))
 
 
 def spectral_flow(path: HermitianPath) -> IndexResult:

@@ -60,6 +60,10 @@ REFINE_BATCH = 256
 
 @dataclass(frozen=True)
 class Crossing:
+    """One logged crossing: its interpolated time ``t``, its direction, and
+    ``phase_before`` / ``phase_after``, the crossing curve's values at the
+    ends of its certified step (matched eigenphases for ``wind``;
+    eigenvalues for spectral flow, one of them inside the crossing window)."""
     t: float
     direction: int
     phase_before: float
@@ -131,7 +135,8 @@ class SampledPath:
     A path kind supplies ``_checked`` (validate one matrix at ``tol``), ``_info``
     (per-sample data of the step test, for a stack of samples), ``_steps_ok``
     (the step test for stacks of step endpoints) and ``NO_GENERATOR``, the
-    reason given when a step fails and there is no generator.  ``info`` holds
+    reason given when a step fails and there is no generator; it may override
+    ``_split`` (where a failing step gets its new sample).  ``info`` holds
     the per-sample data of a path returned by ``refined``, else None.
     """
 
@@ -172,15 +177,28 @@ class SampledPath:
             gen = lambda t: g(t0 + t1 - t)
         return self._with([t0 + t1 - t for t in self.times[::-1]], self.mats[::-1], gen)
 
+    def _split(self, ta: np.ndarray, tb: np.ndarray, info_a, info_b) -> np.ndarray:
+        """The new sample times of failing steps (ta[i], tb[i]), each strictly
+        inside its step; by default the midpoints.  ``info_a``, ``info_b`` are
+        the ``_info`` rows at the step ends."""
+        return 0.5 * (ta + tb)
+
     def refined(self):
-        """Insert generator midpoints until every step meets the step invariant.
+        """Split steps at generator samples until every step meets the step invariant.
 
         Refinement runs in rounds.  A round takes the leftmost REFINE_BATCH
-        failing steps, evaluates the generator at their midpoints and tests
-        all new half steps at once, so while no more than REFINE_BATCH steps
-        fail there is one round per bisection level.  A step's verdict
-        depends only on its two endpoints, so the samples are those of
-        bisecting each failing step in turn.
+        failing steps, evaluates the generator at their split points
+        (``_split``) and tests all new part steps at once, so while no more
+        than REFINE_BATCH steps fail there is one round per splitting level.
+        A step's verdict and split point depend only on its two endpoints and
+        its own history, so the samples are those of splitting each failing
+        step in turn.
+
+        A split not at the midpoint counts log2(step / part) halvings on each
+        part, and a part longer than half its step is next split at its
+        midpoint; so a failing part raises RefinementExhausted at the same
+        REFINE_LIMIT halvings as plain bisection, after at most twice as
+        many splits.
         """
         ts = list(self.times)
         mats = list(self.mats)
@@ -188,41 +206,50 @@ class SampledPath:
         info = self._info(stack)
         infos = list(info)
         fail = ~self._steps_ok(stack[:-1], info[:-1], stack[1:], info[1:])
-        # failing steps as (left sample, right sample, bisections so far),
-        # the leftmost last
-        pending = [(i, i + 1, 0) for i in np.flatnonzero(fail)[::-1]]
+        # failing steps as (left sample, right sample, halvings so far, whether
+        # _split may choose the point), the leftmost last
+        pending = [(i, i + 1, 0.0, True) for i in np.flatnonzero(fail)[::-1]]
         while pending:
             batch = pending[:-REFINE_BATCH - 1:-1]
             del pending[-REFINE_BATCH:]
-            a, b, _ = batch[0]
+            a, b, _, _ = batch[0]
             if self.generator is None:
                 raise RefinementExhausted(
                     f"samples at t={ts[a]:.6g}, {ts[b]:.6g} {self.NO_GENERATOR}")
             deep = [step for step in batch if step[2] >= REFINE_LIMIT]
             if deep:
-                a, _, depth = deep[0]
+                a, _, depth, _ = deep[0]
                 raise RefinementExhausted(
-                    f"step invariant unreachable after {depth} bisections near t={ts[a]:.6g}"
+                    f"step invariant unreachable after {depth:g} bisections near t={ts[a]:.6g}"
                 )
+            left, right, _, free = zip(*batch)
+            ta, tb = np.array([ts[a] for a in left]), np.array([ts[b] for b in right])
+            info_a = np.array([infos[a] for a in left])
+            info_b = np.array([infos[b] for b in right])
+            mid = 0.5 * (ta + tb)
+            t_new = np.where(free, self._split(ta, tb, info_a, info_b), mid)
             first = len(ts)
-            ts += [0.5 * (ts[a] + ts[b]) for a, b, _ in batch]
+            ts += t_new.tolist()
             mids = np.array([self._checked(self.generator(t), f"generator at t={t}")
                              for t in ts[first:]])
             mids_info = self._info(mids)
             mats += list(mids)
             infos += list(mids_info)
             ok = self._steps_ok(
-                np.concatenate([np.array([mats[a] for a, _, _ in batch]), mids]),
-                np.concatenate([np.array([infos[a] for a, _, _ in batch]), mids_info]),
-                np.concatenate([mids, np.array([mats[b] for _, b, _ in batch])]),
-                np.concatenate([mids_info, np.array([infos[b] for _, b, _ in batch])]))
+                np.concatenate([np.array([mats[a] for a in left]), mids]),
+                np.concatenate([info_a, mids_info]),
+                np.concatenate([mids, np.array([mats[b] for b in right])]),
+                np.concatenate([mids_info, info_b]))
+            parts = np.stack([t_new - ta, tb - t_new])
+            halvings = np.where(t_new == mid, 1.0, np.log2((tb - ta) / parts))
+            short = (t_new == mid) | (parts <= 0.5 * (tb - ta))
             n = len(batch)
             for r in range(n - 1, -1, -1):
-                a, b, depth = batch[r]
+                a, b, depth, _ = batch[r]
                 if not ok[n + r]:
-                    pending.append((first + r, b, depth + 1))
+                    pending.append((first + r, b, depth + halvings[1, r], bool(short[1, r])))
                 if not ok[r]:
-                    pending.append((a, first + r, depth + 1))
+                    pending.append((a, first + r, depth + halvings[0, r], bool(short[0, r])))
         order = np.argsort(ts, kind="stable")
         return self._with([ts[i] for i in order], [mats[i] for i in order], self.generator,
                           np.array(infos)[order])

@@ -7,6 +7,7 @@ import symflow as sf
 from symflow import model_dirac as md
 from symflow.errors import (
     AnticommutationFailure,
+    BracketingFailure,
     IncompatibleBoundary,
     NotLagrangian,
     ResonanceViolation,
@@ -717,6 +718,41 @@ class TestCoupledBlockRoots:
         # both branches cross 0 in the scan step [9.969, 10.328], at 9.9773
         # and at 10.1428: two roots, one per crossing
         assert np.min(np.abs(roots - 9.9773)) < 1e-3
+
+
+    def test_double_eigenphases_keep_full_accuracy(self):
+        # the transmission condition on one mode block is the circle, whose
+        # eigenvalues +-sqrt(mu^2 + (2 pi k / L)^2) are double: the two
+        # eigenphases of W meet at every root
+        rng = rng_for(15, 1)
+        for _ in range(60):
+            sp = sf.standard_space(2)
+            mu, ell = float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.5, 2.5))
+            a = planted_anticommuting(sp, [mu], rng)
+            interval = md.build_model(sp, a, md.Interval(ell))
+            dbs = md.double_boundary(interval)
+            got = md.boundary_spectrum(interval, md.transmission_lagrangian(dbs), 20.0, dbs=dbs)
+            want = md.circle_spectrum(md.build_model(sp, a, md.Circle(ell)), 20.0)
+            assert got.size == want.size
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+
+    def test_underflowing_frame_raises(self):
+        # mu L = 800: e^{-kappa L} of the scaled frame underflows near lambda = 0,
+        # so W would come from a rank-deficient frame
+        sp = sf.standard_space(2)
+        a = planted_anticommuting(sp, [50.0], rng_for(15, 2))
+        op = md.build_model(sp, a, md.Interval(16.0))
+        dbs = md.double_boundary(op)
+        block = next(b for b in dbs.blocks if not b.is_kernel)
+        p = md.cauchy_data(op, dbs, "+", length=0.7 * 16.0)
+        bc = md._block_constraint(block, sf.gamma_conjugate(p), 1e-9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BracketingFailure, match="underflow"):
+                md._tracked_block_roots(block, 16.0, bc.phi.conj().T, "+", 10.0, 1e-10)
+            # the transmission condition couples the two ends at every mu L
+            with pytest.raises(BracketingFailure, match="underflow"):
+                md.boundary_spectrum(op, md.transmission_lagrangian(dbs), 10.0, dbs=dbs)
 
 
 def _line_block(mu, ell, a, b):

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 import symflow as sf
 from symflow import model_dirac as md
 from symflow._linalg import norm_at_most, norms_below, require_unitary
-from symflow.errors import NotUnitary
+from symflow.unitary_invariants import REFINE_LIMIT
+from symflow.errors import NotUnitary, RefinementExhausted
 from symflow.verification import (
     planted_anticommuting,
     random_boundary_on_h,
@@ -204,9 +205,9 @@ def _unitary_path(initial_samples=3):
         initial_samples=initial_samples)
 
 
-# the sample sets of the recursive bisection this core replaced
-HERMITIAN_TIMES = [0.0, 0.125, 0.25, 0.375, 0.5, 0.5625, 0.625, 0.6875, 0.75, 0.8125,
-                   0.84375, 0.875, 0.90625, 0.9375, 0.96875, 0.984375, 1.0]
+# the sample sets of the recursive bisection this core replaced; the
+# Hermitian path has no crossing, so every split is a midpoint
+HERMITIAN_TIMES = [0.0, 0.5, 0.75, 0.875, 1.0]
 UNITARY_TIMES = [0.0, 0.25, 0.5, 0.75, 1.0]
 
 
@@ -278,3 +279,115 @@ def test_bisecting_wind_takes_no_svd(lapack_calls):
     lapack_calls.update(svd=0)
     assert sf.wind(path).value == 1
     assert lapack_calls["svd"] == 0
+
+
+# -- the chord-Weyl step rule and the falsi split -----------------------------
+
+def _herm(rng, k):
+    h = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+    return 0.5 * (h + h.conj().T)
+
+
+def test_accepted_steps_keep_the_sign_of_every_curve_outside_the_windows():
+    # steps from ha to ha + d with eigenvalues near zero and ||d|| spread over
+    # three decades, so that both verdicts occur; along the chord of every
+    # accepted step a sorted curve in the window at neither end keeps its sign
+    rng = rng_for(15, 1)
+    path = sf.HermitianPath([(0.0, np.eye(1)), (1.0, np.eye(1))])
+    accepted = rejected = 0
+    for _ in range(300):
+        k = int(rng.integers(1, 9))
+        v = random_unitary(rng, k)
+        ha = (v * rng.uniform(-1.0, 1.0, k) ** 3) @ v.conj().T
+        d = _herm(rng, k)
+        hb = ha + d * 10.0 ** rng.uniform(-3.0, 0.0) / np.linalg.norm(d, 2)
+        va, vb = np.linalg.eigvalsh(ha), np.linalg.eigvalsh(hb)
+        if not path._steps_ok(ha[None], va[None], hb[None], vb[None])[0]:
+            rejected += 1
+            continue
+        accepted += 1
+        away = (np.abs(va) > path._window(va)) & (np.abs(vb) > path._window(vb))
+        chord = np.linalg.eigvalsh([(1 - s) * ha + s * hb for s in np.linspace(0, 1, 257)])
+        assert np.all(np.sign(chord[:, away]) == np.sign(va[away]))
+    assert accepted > 50 and rejected > 50
+
+
+@pytest.mark.parametrize("curve", [lambda t: np.exp(12.0 * t) - 2.0,
+                                   lambda t: (t - 0.3) ** 3,
+                                   lambda t: np.tanh(200.0 * (t - 0.61))],
+                         ids=["exp", "cube", "tanh"])
+@pytest.mark.parametrize("initial_samples", [2, 3, 9])
+def test_falsi_lands_one_crossing(curve, initial_samples):
+    # a convex curve (falsi keeps one end), a triple root and a steep step:
+    # the split falls back to midpoints where falsi does not halve a step
+    path = sf.HermitianPath.from_generator(lambda t: np.array([[curve(t)]]),
+                                           initial_samples=initial_samples)
+    result = sf.spectral_flow(path)
+    assert result.value == 1 and len(result.log.crossings) == 1
+
+
+def test_falsi_splits_keep_the_refinement_limit():
+    # values -1 and 100 put every falsi point at the 1/16 clip; a jump is never
+    # certified, and refinement still gives up after REFINE_LIMIT halvings,
+    # having evaluated the generator at most twice per halving
+    calls = []
+
+    def jump(t):
+        calls.append(t)
+        return np.array([[-1.0 if t < 1 / 3 else 100.0]])
+
+    path = sf.HermitianPath.from_generator(jump, initial_samples=2)
+    calls.clear()
+    with pytest.raises(RefinementExhausted, match=r"after 2[4-9](\.\d+)? bisections"):
+        path.refined()
+    assert REFINE_LIMIT < len(calls) <= 2 * REFINE_LIMIT
+
+
+def test_bench7_family_at_k64_takes_few_samples():
+    # t -> (1 - t) A + t B with A, B from rng_for(11, 64), 5 initial samples:
+    # bisection to 2 ||dH|| < min |lambda| took 1362 samples
+    rng = rng_for(11, 64)
+    a, b = _herm(rng, 64), _herm(rng, 64)
+    path = sf.HermitianPath.from_generator(lambda t: (1 - t) * a + t * b, initial_samples=5)
+    refined = path.refined()
+    assert len(refined.times) <= 400
+    inertia = int(np.sum(np.linalg.eigvalsh(a) < 0) - np.sum(np.linalg.eigvalsh(b) < 0))
+    assert sf.spectral_flow(path).value == inertia
+
+
+def test_planted_commuting_crossings_are_timed_exactly():
+    # V diag(a0 + (a1 - a0) t) V*: a0, a1 in +-[0.2, 1], the first `crossings`
+    # curves change sign, one path in four starts with a kernel; each planted
+    # crossing is logged at a0 / (a0 - a1), in its direction
+    rng = rng_for(15, 2)
+    for i in range(60):
+        k, crossings = [(2, 1), (8, 2), (32, 4)][i % 3]
+        v = random_unitary(rng, k)
+        s0 = rng.choice([-1.0, 1.0], size=k)
+        s1 = s0.copy()
+        s1[:crossings] *= -1.0
+        a0 = s0 * rng.uniform(0.2, 1.0, size=k)
+        a1 = s1 * rng.uniform(0.2, 1.0, size=k)
+        if i % 4 == 0:
+            a0[-1] = 0.0
+        path = sf.HermitianPath.from_generator(lambda t: (v * (a0 + (a1 - a0) * t)) @ v.conj().T,
+                                               initial_samples=5)
+        signs = (a0 < 0).astype(int) - (a1 < 0)
+        order = np.argsort(a0 / (a0 - a1))
+        want = [(a0[j] / (a0[j] - a1[j]), signs[j]) for j in order if signs[j]]
+        got = [(c.t, c.direction) for c in sf.spectral_flow(path).log.crossings]
+        assert [d for _, d in got] == [d for _, d in want]
+        assert np.allclose([t for t, _ in got], [t for t, _ in want], rtol=0.0, atol=1e-9)
+
+
+def test_a_pair_hidden_behind_a_curve_in_the_window_is_logged():
+    # a curve leaves the kernel downward at t = 0 while another rises through
+    # 0 at t ~ 0.226: in the first step the sorted curve in the window only
+    # goes from 0 to +0.025.  The two curves meet at t ~ 0.15, which the gap
+    # term of the step rule sees; both crossings are logged
+    def gen(t):
+        return np.diag([-0.48 * t, -0.2348 + 1.04 * t, 0.9])
+
+    result = sf.spectral_flow(sf.HermitianPath.from_generator(gen, initial_samples=5))
+    got = [(round(c.t, 9), c.direction) for c in result.log.crossings]
+    assert got == [(0.0, -1), (round(0.2348 / 1.04, 9), 1)]
