@@ -41,6 +41,21 @@ def _scale(vals: np.ndarray) -> np.ndarray:
     return np.maximum(1.0, np.max(np.abs(vals), axis=-1, initial=0.0))
 
 
+def _root(r: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The root m > 0 of 2 m^2 + r m = r d, (sqrt(r^2 + 8 r d) - r) / 4, for
+    r > 0 without cancellation; infinite where d is."""
+    return 0.25 * r * np.expm1(0.5 * np.log1p(8.0 * d / r))
+
+
+def _cluster_gap(vals: np.ndarray, held: np.ndarray) -> np.ndarray:
+    """Per row, the distance from the ``held`` values, a run of consecutive
+    sorted eigenvalues, to the others; infinite when either set is empty."""
+    lo = np.min(np.where(held, vals, np.inf), axis=-1, keepdims=True)
+    hi = np.max(np.where(held, vals, -np.inf), axis=-1, keepdims=True)
+    return np.min(np.where(held, np.inf, np.maximum(lo - vals, vals - hi)),
+                  axis=-1, initial=np.inf, keepdims=True)
+
+
 class HermitianPath(SampledPath):
     """Sampled path of Hermitian matrices, optionally generator-backed.
 
@@ -67,37 +82,58 @@ class HermitianPath(SampledPath):
         return np.maximum(4.0 * self.tol, 1e-4) * _scale(vals)
 
     def _steps_ok(self, ha, va, hb, vb) -> np.ndarray:
-        """Chord Weyl: ||hb - ha||_2 < max(w, g), w the larger crossing window of
-        the two ends and g the least of
+        """Chord Weyl: D = ||hb - ha||_2 < max(w, g), w the larger crossing window
+        of the two ends and g the least over the sorted curves j of
 
-        * |va_j| + |vb_j| over the sorted curves j in the window at neither end;
-        * (gap_a + gap_b) / 2 over the gaps between neighbouring curves j, j + 1
-          of which one is in the window at an end, unless both are settled: in
-          the window at both ends, or in the zero class at an end.
+        * |va_j| + |vb_j| for a curve in the window at neither end, or 0 if
+          it changes sign between them, where |va_j| + |vb_j| = |vb_j - va_j|
+          <= D holds but for rounding;
+        * max(|va_j|, |vb_j|, m(r, d)) for a curve in the window at an end, r
+          the larger of |vb_j - va_j| and 8 w, d the smaller of its
+          end-averaged gaps to curves j - 1 and j + 1, and m(r, d) the root
+          m > 0 of 2 m^2 + r m = r d; and, if it is in the window at both
+          ends, m(2 w, c / 2), c the larger over the two ends of the gap
+          between the curves in the windows at both ends and the others.
 
         On the chord H_s = (1 - s) ha + s hb, Weyl gives |lambda_j(H_s) - va_j|
-        <= s ||hb - ha|| and |lambda_j(H_s) - vb_j| <= (1 - s) ||hb - ha||, so
-        curve j can vanish on the chord only if |va_j| + |vb_j| <= ||hb - ha||,
-        and curves j and j + 1 can meet only if gap_a + gap_b <= 2 ||hb - ha||.
-        Below g no curve outside the windows changes sign, and none trades its
-        place with a curve in a window, which would hide a pair of opposite
-        crossings from the sorted-order log.  Below w no curve outside the
-        windows changes sign either, as |va_j| + |vb_j| exceeds both windows.
-        A curve in the window at an end is a crossing being logged and leaves
-        the first term, so a step ending near a crossing needs no shorter
-        steps toward it.
+        <= s D and |lambda_j(H_s) - vb_j| <= (1 - s) D, so curve j can vanish
+        on the chord only if |va_j| + |vb_j| <= D, and below max(|va_j|,
+        |vb_j|) it keeps one strict sign.  The log counts the crossings of a
+        step from the sign classes at its ends, so a curve in a window may
+        cross zero on the chord once, but not twice outside the band of twice
+        the window around zero:
+
+        * below m(r, d) its gaps stay above d - D > 0, so by second-order
+          perturbation |lambda_j''| <= K = 2 D^2 / (d - D) < r: the curve is
+          monotone on the chord, or stays within K / 8 < w of the chord's
+          linear interpolant;
+        * below m(2 w, c / 2) the curves in the windows at both ends stay
+          within D^2 / (c - 2 D) of the eigenvalues of A_s, the compression
+          of H_s to their eigenspace at the end where c is taken (the
+          quadratic residual bound of Li and Li, LAA 395, 2005).  A_s is
+          linear in s, with eigenvalues within w of zero at that end and,
+          by the same bound, within w + D^2 / (c - 2 D) at the other; the
+          extreme eigenvalues of a linear family being convex and concave,
+          the curves stay within w + 2 D^2 / (c - 2 D) < 2 w of zero;
+        * below w a curve in a window moves less than w.
+
+        A step ending near a crossing thus needs no shorter steps toward it,
+        only short enough ones to keep the crossing curve monotone.
         """
         wa, wb = self._window(va), self._window(vb)
+        w = np.maximum(wa, wb)[:, None]
         ma, mb = np.abs(va), np.abs(vb)
         in_a, in_b = ma <= wa[:, None], mb <= wb[:, None]
-        logged = in_a | in_b
-        settled = ((in_a & in_b) | (ma <= self.tol * _scale(va)[:, None])
-                   | (mb <= self.tol * _scale(vb)[:, None]))
-        g = np.min(np.where(logged, np.inf, ma + mb), axis=-1, initial=np.inf)
-        guarded = (logged[:, 1:] | logged[:, :-1]) & ~(settled[:, 1:] & settled[:, :-1])
-        gaps = 0.5 * (np.diff(va, axis=-1) + np.diff(vb, axis=-1))
-        g = np.minimum(g, np.min(np.where(guarded, gaps, np.inf), axis=-1, initial=np.inf))
-        return norms_below(ha, hb, np.maximum(np.maximum(wa, wb), g), hermitian=True)
+        up = 0.5 * (np.diff(va, axis=-1) + np.diff(vb, axis=-1))
+        pad = np.full(up.shape[:-1] + (1,), np.inf)
+        d = np.minimum(np.concatenate([up, pad], axis=-1), np.concatenate([pad, up], axis=-1))
+        held = in_a & in_b
+        c = np.maximum(_cluster_gap(va, held), _cluster_gap(vb, held))
+        logged = np.maximum(np.maximum(ma, mb), _root(np.maximum(np.abs(vb - va), 8.0 * w), d))
+        logged = np.maximum(logged, np.where(held, _root(2.0 * w, 0.5 * c), 0.0))
+        bound = np.where(in_a | in_b, logged, np.where(va * vb > 0, ma + mb, 0.0))
+        return norms_below(ha, hb, np.maximum(w[:, 0], np.min(bound, axis=-1, initial=np.inf)),
+                           hermitian=True)
 
     def _split(self, ta, tb, va, vb) -> np.ndarray:
         """Regula falsi for a step where exactly one sorted curve changes sign,

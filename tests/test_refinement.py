@@ -205,8 +205,8 @@ def _unitary_path(initial_samples=3):
         initial_samples=initial_samples)
 
 
-# the sample sets of the recursive bisection this core replaced; the
-# Hermitian path has no crossing, so every split is a midpoint
+# the sample sets of recursive midpoint bisection under the current step
+# rules; the Hermitian path has no crossing, so every split is a midpoint
 HERMITIAN_TIMES = [0.0, 0.5, 0.75, 0.875, 1.0]
 UNITARY_TIMES = [0.0, 0.25, 0.5, 0.75, 1.0]
 
@@ -289,27 +289,53 @@ def _herm(rng, k):
 
 
 def test_accepted_steps_keep_the_sign_of_every_curve_outside_the_windows():
-    # steps from ha to ha + d with eigenvalues near zero and ||d|| spread over
-    # three decades, so that both verdicts occur; along the chord of every
-    # accepted step a sorted curve in the window at neither end keeps its sign
+    # steps between ha and ha + d with eigenvalues near zero and ||d|| spread
+    # over three decades, so that both verdicts occur.  A third of the steps
+    # has one eigenvalue of ha in the crossing window; another third has a
+    # kernel of dimension 1 or 2 that d moves only through its coupling to the
+    # other eigenvectors, so that it often stays in the windows at both ends
+    # while the chord bends it away.  Along the chord of every accepted step,
+    # at 257 points, a sorted curve in the window at neither end keeps its
+    # sign; a curve in the window at an end crosses zero at most once,
+    # counting the sign classes at the ends and the chord values more than
+    # twice the window from zero
     rng = rng_for(15, 1)
     path = sf.HermitianPath([(0.0, np.eye(1)), (1.0, np.eye(1))])
     accepted = rejected = 0
-    for _ in range(300):
-        k = int(rng.integers(1, 9))
+    planted = {"one end": 0, "both ends": 0}
+    for i in range(900):
+        k = int(rng.integers(2, 9))
         v = random_unitary(rng, k)
-        ha = (v * rng.uniform(-1.0, 1.0, k) ** 3) @ v.conj().T
+        lam = rng.uniform(-1.0, 1.0, k) ** 3
         d = _herm(rng, k)
-        hb = ha + d * 10.0 ** rng.uniform(-3.0, 0.0) / np.linalg.norm(d, 2)
+        if i % 3 == 1:
+            lam[rng.integers(k)] = rng.choice([0.0, 1.0, -1.0]) * rng.uniform(0.0, 1e-4)
+        elif i % 3 == 2:
+            kernel = int(rng.integers(1, min(k, 3)))
+            lam[:kernel] = 0.0
+            d[:kernel, :kernel] = 0.0
+        ha = (v * lam) @ v.conj().T
+        hb = ha + v @ d @ v.conj().T * 10.0 ** rng.uniform(-3.0, 0.0) / np.linalg.norm(d, 2)
+        if rng.uniform() < 0.5:
+            ha, hb = hb, ha
         va, vb = np.linalg.eigvalsh(ha), np.linalg.eigvalsh(hb)
         if not path._steps_ok(ha[None], va[None], hb[None], vb[None])[0]:
             rejected += 1
             continue
         accepted += 1
-        away = (np.abs(va) > path._window(va)) & (np.abs(vb) > path._window(vb))
+        wa, wb = path._window(va), path._window(vb)
+        in_a, in_b = np.abs(va) <= wa, np.abs(vb) <= wb
         chord = np.linalg.eigvalsh([(1 - s) * ha + s * hb for s in np.linspace(0, 1, 257)])
+        away = ~in_a & ~in_b
         assert np.all(np.sign(chord[:, away]) == np.sign(va[away]))
-    assert accepted > 50 and rejected > 50
+        for j in np.flatnonzero(~away):
+            planted["both ends" if in_a[j] and in_b[j] else "one end"] += 1
+            inner = chord[1:-1, j]
+            nonneg = np.concatenate([[va[j] >= -path.tol * max(1.0, np.max(np.abs(va)))],
+                                     inner[np.abs(inner) > 2 * max(wa, wb)] >= 0,
+                                     [vb[j] >= -path.tol * max(1.0, np.max(np.abs(vb)))]])
+            assert np.sum(nonneg[1:] != nonneg[:-1]) <= 1
+    assert accepted > 100 and rejected > 100 and min(planted.values()) > 30
 
 
 @pytest.mark.parametrize("curve", [lambda t: np.exp(12.0 * t) - 2.0,
@@ -380,14 +406,32 @@ def test_planted_commuting_crossings_are_timed_exactly():
         assert np.allclose([t for t, _ in got], [t for t, _ in want], rtol=0.0, atol=1e-9)
 
 
-def test_a_pair_hidden_behind_a_curve_in_the_window_is_logged():
-    # a curve leaves the kernel downward at t = 0 while another rises through
-    # 0 at t ~ 0.226: in the first step the sorted curve in the window only
-    # goes from 0 to +0.025.  The two curves meet at t ~ 0.15, which the gap
-    # term of the step rule sees; both crossings are logged
-    def gen(t):
-        return np.diag([-0.48 * t, -0.2348 + 1.04 * t, 0.9])
+def _bend(t, lift):
+    sz, sx = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+    return (lift - np.sqrt(200.0) + 5.0 * t) * np.eye(2) + 10.0 * sz + 10.0 * (1 - 2 * t) * sx
 
-    result = sf.spectral_flow(sf.HermitianPath.from_generator(gen, initial_samples=5))
-    got = [(round(c.t, 9), c.direction) for c in result.log.crossings]
-    assert got == [(0.0, -1), (round(0.2348 / 1.04, 9), 1)]
+
+BEND_UP = (400.0 - 10.0 * np.sqrt(200.0)) / 375.0
+
+
+# corner: a curve leaves the kernel downward at t = 0 while another rises
+# through 0 at t ~ 0.226; in the first step the sorted curve in the window
+# only goes from 0 to +0.025.  The two curves meet at t ~ 0.15, where the
+# sorted curve has a corner and the step rule cannot certify it monotone on
+# a step across it.  bend: (lift - sqrt(200) + 5t) I + 10 sz + 10 (1 - 2t) sx
+# on its one initial step, ||dH|| = 25: the upper curve runs from `lift`
+# down to -1.64 at t = 0.5 and back up through 0 at t ~ 0.6895, the lower
+# one from -28.3 to -23.3; the step is below the lower curve's gap but not
+# below what keeps the upper curve monotone.  From 0 or from +5e-5, inside
+# the window, the upper curve hides a pair of crossings unless refined
+@pytest.mark.parametrize("gen, initial_samples, want, atol", [
+    (lambda t: np.diag([-0.48 * t, -0.2348 + 1.04 * t, 0.9]), 5,
+     [(0.0, -1), (0.2348 / 1.04, 1)], 1e-9),
+    (lambda t: _bend(t, 0.0), 2, [(0.0, -1), (BEND_UP, 1)], 1e-5),
+    (lambda t: _bend(t, 5e-5), 2, [(5e-5 / (np.sqrt(200.0) - 5.0), -1), (BEND_UP, 1)], 1e-5),
+], ids=["corner", "bend-from-kernel", "bend-in-window"])
+def test_a_pair_hidden_behind_a_curve_in_the_window_is_logged(gen, initial_samples, want, atol):
+    result = sf.spectral_flow(sf.HermitianPath.from_generator(gen, initial_samples=initial_samples))
+    got = [(c.t, c.direction) for c in result.log.crossings]
+    assert result.value == 0 and [d for _, d in got] == [d for _, d in want]
+    assert np.allclose([t for t, _ in got], [t for t, _ in want], rtol=0.0, atol=atol)
