@@ -46,6 +46,7 @@ from .errors import (
     IncompatibleBoundary,
     ResonanceViolation,
     SchemaError,
+    SymflowError,
     WindowEscape,
 )
 from .lagrangian_indices import LagrangianPairPath, gamma_conjugate, maslov, tau_mu
@@ -372,20 +373,22 @@ def _block_coefficients(mu: float, p: np.ndarray, q: np.ndarray) -> tuple[float,
     return float(dot), float(m_const), float(m_lin)
 
 
+def _root_values(lam, coef: np.ndarray, mu: float, ell: float) -> np.ndarray:
+    """F(lambda) = c <q_perp, p> + s (m_const + lambda m_lin), with coef[..., 0:3]
+    the (<q_perp, p>, m_const, m_lin) of ``_block_coefficients``, broadcast
+    against lam."""
+    c, s, _ = _transfer_terms(lam, mu, ell)
+    return c * coef[..., 0] + s * (coef[..., 1] + lam * coef[..., 2])
+
+
 def _block_root_function(mu: float, ell: float, p: np.ndarray, q: np.ndarray) -> Callable:
     """F(lambda) = <q_perp, T_L(lambda) p> for one 2-D block, vectorized.
 
     p spans the in-block constraint line at x=0, q the constraint line at
     x=L; roots of F are the block's eigenvalues.
     """
-    dot, m_const, m_lin = _block_coefficients(mu, p, q)
-
-    def f(lam):
-        lam = np.asarray(lam, dtype=float)
-        c, s, _ = _transfer_terms(lam, mu, ell)
-        return c * dot + s * (m_const + lam * m_lin)
-
-    return f
+    coef = np.array(_block_coefficients(mu, p, q))
+    return lambda lam: _root_values(np.asarray(lam, dtype=float), coef, mu, ell)
 
 
 def _block_contour_eta(mu: float, ell: float, p: np.ndarray, q: np.ndarray) -> EtaEstimate:
@@ -431,13 +434,21 @@ def _polish(lo, hi, flo, fhi, carry, at: Callable, tol: float) -> np.ndarray:
     the carries at lo, and the carries at x.  A falsi point moves tol/4 toward
     the midpoint, so a close one lands across the root; a bracket that two
     rounds have not halved is bisected.  Illinois halves only the weights.
+    Each bracket stops once it is narrower than ``tol``, so its root does not
+    depend on the brackets polished with it.
     """
-    wlo, whi, bisect, before = flo, fhi, np.zeros(lo.size, dtype=bool), np.inf
+    out, live = np.empty(lo.size), np.arange(lo.size)
+    wlo, whi, bisect, before = flo, fhi, np.zeros(lo.size, dtype=bool), np.full(lo.size, np.inf)
     last = np.zeros(lo.size)  # +1 where the last falsi step moved lo, -1 hi
     for _ in range(128):
         width = hi - lo
-        if lo.size == 0 or float(np.max(width)) < tol:
-            break
+        done = width < tol
+        if np.any(done):
+            out[live[done]] = 0.5 * (lo[done] + hi[done])
+            live, lo, hi, flo, wlo, whi, carry, last, bisect, before, width = (
+                a[~done] for a in (live, lo, hi, flo, wlo, whi, carry, last, bisect, before, width))
+        if live.size == 0:
+            return out
         mid = 0.5 * (lo + hi)
         falsi = lo + width * wlo / (wlo - whi)
         x = np.where(bisect, mid, falsi + np.clip(mid - falsi, -0.25 * tol, 0.25 * tol))
@@ -450,36 +461,54 @@ def _polish(lo, hi, flo, fhi, carry, at: Callable, tol: float) -> np.ndarray:
         carry = np.where(left[:, None], cx, carry)
         last = np.where(bisect, last, np.where(left, 1.0, -1.0))
         bisect, before = hi - lo > 0.5 * before, width
-    return 0.5 * (lo + hi)
+    out[live] = 0.5 * (lo + hi)
+    return out
 
 
 def _certified_roots(scan: Callable, at: Callable, mu: float, ell: float, window: float,
-                     tol: float) -> np.ndarray:
-    """Roots on [-window, window] of one mode block, their number certified.
+                     tol: float, members: int = 1) -> list[np.ndarray]:
+    """Roots on [-window, window] of one mode block for each of ``members``
+    block constraints, each member's number certified.
 
-    ``scan(grid)`` is None where the grid does not resolve the scan variable,
-    else (the steps holding a crossing, the values at both ends, the carries
-    at lo, an independent root count over the grid).  The grid is doubled, at
-    most six times and within MAX_SCAN_POINTS, until the counts agree, else
-    BracketingFailure."""
-    grid = _scan_grid(window, mu, ell)
+    ``scan(grid, todo)`` is None where the grid does not resolve the scan
+    variable, else (per crossing: its member, an index into the members
+    ``todo``, and its step; the values at both ends, the carries at lo; per
+    member of ``todo``: an independent root count over the grid).  A member
+    whose crossings and count disagree is scanned again on the doubled grid,
+    at most six times and within MAX_SCAN_POINTS, else BracketingFailure.
+    One ``_polish`` narrows the brackets of every member."""
+    grid, todo, kept = _scan_grid(window, mu, ell), np.arange(members), []
     for doublings in range(7):
-        found = scan(grid)
-        if found is not None and found[0].size == found[-1]:
-            break
+        found = scan(grid, todo)
+        if found is None:
+            detail = "unresolved"
+        else:
+            owner, idx, flo, fhi, carry, count = found
+            brackets = np.bincount(owner, minlength=todo.size)
+            ok = brackets == count
+            hit = ok[owner]
+            kept.append((todo[owner[hit]], grid[idx[hit]], grid[idx[hit] + 1],
+                         flo[hit], fhi[hit], carry[hit]))
+            if ok.all():
+                break
+            first = int(np.argmin(ok))
+            detail, todo = f"{brackets[first]} vs {count[first]} roots", todo[~ok]
         if doublings == 6 or 2 * grid.size - 1 > MAX_SCAN_POINTS:
-            counts = "unresolved" if found is None else f"{found[0].size} vs {found[-1]} roots"
             raise BracketingFailure(f"root scan of block mu={mu:.6g} not certified at "
-                                    f"{grid.size} points: {counts}")
+                                    f"{grid.size} points: {detail}")
         grid = np.linspace(grid[0], grid[-1], 2 * grid.size - 1)
-    idx, flo, fhi, carry, _ = found
-    roots = np.sort(_polish(grid[idx], grid[idx + 1], flo, fhi, carry, at, tol))
-    return roots[np.abs(roots) <= window + 1e-9]
+    owner, lo, hi, flo, fhi, carry = (np.concatenate(part) for part in zip(*kept))
+    roots = _polish(lo, hi, flo, fhi, carry, at, tol)
+    per_member = np.split(roots[np.lexsort((roots, owner))],
+                          np.cumsum(np.bincount(owner, minlength=members))[:-1])
+    return [r[np.abs(r) <= window + 1e-9] for r in per_member]
 
 
 def _sturm_count(mu: float, ell: float, p: np.ndarray, q: np.ndarray,
-                 lo: float, hi: float) -> int:
-    """Number of roots of F (``_block_root_function``) in [lo, hi), in closed form.
+                 lo: float, hi: float) -> np.ndarray:
+    """Number of roots of F (``_block_root_function``) in [lo, hi), in closed
+    form, for real unit lines p and q, or one count per pair of stacked lines
+    (..., 2).
 
     u(x) = T_x p solves u' = M u, M = [[-mu, lambda], [-lambda, mu]]; its
     Pruefer angle obeys theta' = -lambda + mu sin 2 theta, so theta(L) is
@@ -489,7 +518,8 @@ def _sturm_count(mu: float, ell: float, p: np.ndarray, q: np.ndarray,
     u(x + pi/omega) = -u(x), omega^2 = lambda^2 - mu^2: it is k pi, k =
     floor(omega L/pi), plus the sweep of the rest, all of sign -sign(lambda).
     """
-    psi_p, psi_q = np.arctan2(p[1], p[0]), np.arctan2(q[1], q[0])
+    p, q = np.asarray(p), np.asarray(q)
+    psi_p, psi_q = np.arctan2(p[..., 1], p[..., 0]), np.arctan2(q[..., 1], q[..., 0])
     rate, tilt = mu * np.sin(2.0 * psi_p), mu * np.cos(2.0 * psi_p)  # theta'(0) + lambda, -<p, Mp>
 
     def level(lam):
@@ -503,22 +533,33 @@ def _sturm_count(mu: float, ell: float, p: np.ndarray, q: np.ndarray,
                 - np.sign(lam) * k * np.pi
         return np.floor((psi_p + sweep - psi_q) / np.pi)
 
-    return int(abs(level(lo) - level(hi)))
+    return np.abs(level(lo) - level(hi)).astype(int)
 
 
-def _bracketed_roots(mu: float, ell: float, p: np.ndarray, q: np.ndarray, window: float,
-                     tol: float) -> np.ndarray:
-    """Roots on [-window, window] of a split block: crossings of F
-    (``_block_root_function``) counted against ``_sturm_count``, polished on F."""
-    f = _block_root_function(mu, ell, p, q)
+def _bracketed_roots(mu: float, ell: float, lines: Sequence[tuple], window: float,
+                     tol: float) -> list[np.ndarray]:
+    """Roots on [-window, window] of a split block for each pair (p, q) of
+    ``lines``: crossings of F (``_block_root_function``) counted against the
+    pair's ``_sturm_count``, polished on F.  The pairs share each scan grid, a
+    chunk of at most MAX_SCAN_POINTS values at a time, and one polish, with
+    F's coefficients (``_block_coefficients``) as the carry."""
+    if not lines:
+        return []
+    coef = np.array([_block_coefficients(mu, p, q) for p, q in lines])
+    p, q = (np.array(end) for end in zip(*lines))
 
-    def scan(grid):
-        vals = f(grid)
-        idx = np.flatnonzero(crossing_signs(vals[:-1], vals[1:]))
-        return (idx, vals[idx], vals[idx + 1], np.empty((idx.size, 0)),
-                _sturm_count(mu, ell, p, q, grid[0], grid[-1]))
+    def scan(grid, todo):
+        found, chunk = [], max(1, MAX_SCAN_POINTS // grid.size)
+        for k in range(0, todo.size, chunk):
+            vals = _root_values(grid, coef[todo[k:k + chunk], None], mu, ell)
+            owner, idx = np.nonzero(crossing_signs(vals[:, :-1], vals[:, 1:]))
+            found.append((k + owner, idx, vals[owner, idx], vals[owner, idx + 1]))
+        owner, idx, flo, fhi = (np.concatenate(part) for part in zip(*found))
+        return (owner, idx, flo, fhi, coef[todo[owner]],
+                _sturm_count(mu, ell, p[todo], q[todo], grid[0], grid[-1]))
 
-    return _certified_roots(scan, lambda x, carry: (f(x), carry), mu, ell, window, tol)
+    return _certified_roots(scan, lambda x, cf: (_root_values(x, cf, mu, ell), cf),
+                            mu, ell, window, tol, len(lines))
 
 
 def _lattice_in_window(offsets: np.ndarray, spacing: float, window: float) -> np.ndarray:
@@ -659,7 +700,7 @@ def _tracked_block_roots(block: DoubledBlock, ell: float, bc_phi_h: np.ndarray,
     floating-point range and W comes from a rank-deficient frame, so the
     roots cannot be certified: the scan raises BracketingFailure (after the
     scan grid has passed its size cap)."""
-    def scan(grid):
+    def scan(grid, _):
         if np.exp(-block.mu * ell) < np.finfo(float).tiny:
             raise BracketingFailure(
                 f"coupled block mu={block.mu:.6g} at mu L = {block.mu * ell:.6g}: the scaled "
@@ -677,7 +718,8 @@ def _tracked_block_roots(block: DoubledBlock, ell: float, bc_phi_h: np.ndarray,
         pair = np.where(branch[:, None] == 0, ph[idx], ph[idx, ::-1])  # tracked branch first
         turns = (np.sum(wrap_phase(np.diff(np.sum(ph, axis=1))))
                  - np.sum(np.mod(ph[-1], 2.0 * np.pi)) + np.sum(np.mod(ph[0], 2.0 * np.pi)))
-        return idx, pair[:, 0], pair[:, 0] + arcs[idx, branch], pair, abs(round(turns / 2 / np.pi))
+        return (np.zeros(idx.size, dtype=int), idx, pair[:, 0], pair[:, 0] + arcs[idx, branch],
+                pair, np.array([abs(round(turns / 2 / np.pi))]))
 
     def at(x, pair):
         ph = _phases_grid(block, ell, bc_phi_h, x, side)
@@ -685,7 +727,7 @@ def _tracked_block_roots(block: DoubledBlock, ell: float, bc_phi_h: np.ndarray,
         pair = np.where(slot[:, None], ph[:, ::-1], ph)
         return pair[:, 0], pair
 
-    return _certified_roots(scan, at, block.mu, ell, window, tol)
+    return _certified_roots(scan, at, block.mu, ell, window, tol)[0]
 
 
 def _kernel_offsets(block: DoubledBlock, ell: float, bc_phi_h: np.ndarray,
@@ -705,17 +747,19 @@ def _kernel_offsets(block: DoubledBlock, ell: float, bc_phi_h: np.ndarray,
     return np.mod(theta0 / (-rate) / (2.0 * np.pi / ell), 1.0)
 
 
-def _block_roots(block: DoubledBlock, bc: Lagrangian, ell: float, side: str,
-                 window: float, tol: float) -> np.ndarray:
-    """Eigenvalues in [-window, window] from one doubled 2-D mode block: a
-    constraint that splits into a line at each end scans the real F
-    (``_bracketed_roots``), a coupled one the eigenphases
-    (``_tracked_block_roots``); either count is certified, so a root is never
-    lost silently (BracketingFailure instead)."""
-    lines = _split_lines(bc, side)
-    if lines is None:
-        return _tracked_block_roots(block, ell, bc.phi.conj().T, side, window, tol)
-    return _bracketed_roots(block.mu, ell, *lines, window, tol)
+def _block_roots(block: DoubledBlock, bcs: Sequence[Lagrangian], ell: float, side: str,
+                 window: float, tol: float) -> list[np.ndarray]:
+    """Eigenvalues in [-window, window] from one doubled 2-D mode block, one
+    array per block constraint of ``bcs``: the constraints that split into a
+    line at each end share one scan of the real F (``_bracketed_roots``), a
+    coupled one scans its eigenphases alone (``_tracked_block_roots``); every
+    count is certified, so a root is never lost silently (BracketingFailure
+    instead)."""
+    lines = [_split_lines(bc, side) for bc in bcs]
+    split = iter(_bracketed_roots(block.mu, ell, [ln for ln in lines if ln is not None],
+                                  window, tol))
+    return [_tracked_block_roots(block, ell, bc.phi.conj().T, side, window, tol)
+            if ln is None else next(split) for bc, ln in zip(bcs, lines)]
 
 
 def _block_eta(block: DoubledBlock, bc: Lagrangian, ell: float, side: str,
@@ -731,24 +775,47 @@ def _block_eta(block: DoubledBlock, bc: Lagrangian, ell: float, side: str,
     return eta_truncated(roots, n_max=n_max)
 
 
-def _block_spectra(op: ModelOperator, constraint: Lagrangian, side: str,
+def _block_spectra(op: ModelOperator, constraints: Sequence[Lagrangian], side: str,
                    dbs: DoubleBoundarySpace, mode: Callable):
-    """Per doubled block of ``dbs``: (block, the kernel block's lattice offsets
-    from ``_kernel_offsets``, or ``mode(block, bc)`` for a mode block with
-    block constraint bc).
+    """Per doubled block of ``dbs``: (block, per constraint the kernel block's
+    lattice offsets from ``_kernel_offsets``, or ``mode(block, bcs)`` for a
+    mode block with the block constraints bcs of ``constraints``).
 
-    Raises IncompatibleBoundary when ``constraint`` does not meet every
+    Raises IncompatibleBoundary when a constraint does not meet every
     doubled block in half its dimension.
     """
     if not isinstance(op.geometry, Interval):
         raise ValueError("interval spectra need an interval model")
     ell = op.geometry.length
     for block in dbs.blocks:
-        bc = _block_constraint(block, constraint, DEFAULT_TOL)
+        bcs = [_block_constraint(block, constraint, DEFAULT_TOL) for constraint in constraints]
         if block.is_kernel:
-            yield block, _kernel_offsets(block, ell, bc.phi.conj().T, side)
+            yield block, [_kernel_offsets(block, ell, bc.phi.conj().T, side) for bc in bcs]
         else:
-            yield block, mode(block, bc)
+            yield block, mode(block, bcs)
+
+
+def _boundary_spectra(op: ModelOperator, constraints: Sequence[Lagrangian], window: float,
+                      side: str, dbs: DoubleBoundarySpace, tol: float) -> list[np.ndarray]:
+    """``boundary_spectrum`` of each Lagrangian of ``constraints``, the whole
+    family solved block by block (``_block_roots``): the same arrays, bit for
+    bit, as one constraint at a time.  A family that raises is solved again
+    one constraint at a time, so it raises what its first failing constraint
+    raises alone."""
+    try:
+        parts = [[] for _ in constraints]
+        for block, found in _block_spectra(
+                op, constraints, side, dbs,
+                lambda b, bcs: _block_roots(b, bcs, op.length, side, window, tol)):
+            for part, roots in zip(parts, found):
+                part.append(_lattice_in_window(roots, 2.0 * np.pi / op.length, window)
+                            if block.is_kernel else roots)
+    except SymflowError:
+        if len(constraints) > 1:
+            for constraint in constraints:
+                _boundary_spectra(op, [constraint], window, side, dbs, tol)
+        raise
+    return [np.sort(np.concatenate(part)) if part else np.array([]) for part in parts]
 
 
 def boundary_spectrum(op: ModelOperator, constraint: Lagrangian, window: float,
@@ -759,16 +826,12 @@ def boundary_spectrum(op: ModelOperator, constraint: Lagrangian, window: float,
 
     Mode blocks take ``_block_roots``, whose root count is checked against the
     Sturm count (split) or the det-phase count (coupled), else
-    BracketingFailure; kernel blocks are exact lattices.
+    BracketingFailure; kernel blocks are exact lattices.  A family of one for
+    ``_boundary_spectra``.
     """
     if dbs is None:
         dbs = double_boundary(op)
-    out = [_lattice_in_window(found, 2.0 * np.pi / op.length, window) if block.is_kernel
-           else found
-           for block, found in _block_spectra(
-               op, constraint, side, dbs,
-               lambda b, bc: _block_roots(b, bc, op.length, side, window, tol))]
-    return np.sort(np.concatenate(out)) if out else np.array([])
+    return _boundary_spectra(op, [constraint], window, side, dbs, tol)[0]
 
 
 def interval_spectrum(op: ModelOperator, p: Lagrangian, q: Lagrangian,
@@ -884,9 +947,9 @@ def interval_eta_tilde(op: ModelOperator, constraint: Lagrangian, side: str = "+
         dbs = double_boundary(op)
     eta = 0.0
     bound = 0.0
-    for block, found in _block_spectra(
-            op, constraint, side, dbs,
-            lambda b, bc: _block_eta(b, bc, op.length, side, n_max, tol)):
+    for block, (found,) in _block_spectra(
+            op, [constraint], side, dbs,
+            lambda b, bcs: [_block_eta(b, bc, op.length, side, n_max, tol) for bc in bcs]):
         if block.is_kernel:
             for offset in found:
                 eta += eta_lattice(float(offset))[0]
@@ -1112,16 +1175,19 @@ def nicolaescu_verify(op: ModelOperator, family: Sequence[tuple[float, Lagrangia
     """Spectral flow along a boundary-condition path equals the Maslov index
     of (P(t), Cauchy data), both as exact integers.
 
-    ``family`` samples t -> boundary Lagrangian in the double space; the
-    interval spectra are tracked inside the window with the (-eps,-eps)
-    counting rule; eigenvalues entering the outer 20% margin raise
-    WindowEscape.
+    ``family`` samples t -> boundary Lagrangian in the double space.  The
+    interval spectra of all samples come from one ``_boundary_spectra`` call
+    (one scan and one polish per mode block for the whole family) and are
+    compared step by step with the (-eps,-eps) counting rule.  Each step
+    places a symmetric cut in the widest spectral gap of [0.5 window,
+    0.97 window] over both samples; WindowEscape when that gap is under 1e-6,
+    or when the two samples hold different numbers of eigenvalues inside it.
     """
     if dbs is None:
         dbs = double_boundary(op)
     l_x = cauchy_data(op, dbs, side="+")
-    spectra = [boundary_spectrum(op, _constraint_of(bnd), window, side="+", dbs=dbs, tol=tol)
-               for _, bnd in family]
+    spectra = _boundary_spectra(op, [_constraint_of(bnd) for _, bnd in family], window, "+",
+                                dbs, tol)
     sf = 0
     zero_thr = 1e-8
     for a, b in zip(spectra[:-1], spectra[1:]):

@@ -177,8 +177,9 @@ class TestIntervalSpectrum:
             gp = sf.gamma_conjugate(p)
             expected = []
             for b in op.blocks:
-                expected.append(_bracketed_roots(b.mu, 1.3, _real_line_rep(trace(gp, b.frame)),
-                                                 _real_line_rep(trace(q, b.frame)), window, 1e-10))
+                expected += _bracketed_roots(b.mu, 1.3, [(_real_line_rep(trace(gp, b.frame)),
+                                                          _real_line_rep(trace(q, b.frame)))],
+                                             window, 1e-10)
             ksp = op.kernel.block_space
             lp = sf.lagrangian_from_frame(ksp, trace(gp, op.kernel.frame))
             lq = sf.lagrangian_from_frame(ksp, trace(q, op.kernel.frame))
@@ -505,7 +506,7 @@ def _root_sum_reference(block, bc, ell, n_max=10_000):
     roots in a window holding about n_max of them, then ``eta_truncated``."""
     p, q = md._split_lines(bc, "+")
     window = (n_max / 2.0) * np.pi / ell + 5.0 * block.mu + 5.0
-    return md.eta_truncated(_bracketed_roots(block.mu, ell, p, q, window, 1e-10), n_max=n_max)
+    return md.eta_truncated(_bracketed_roots(block.mu, ell, [(p, q)], window, 1e-10)[0], n_max=n_max)
 
 
 class TestContourEta:
@@ -670,11 +671,16 @@ class TestSplitLines:
         op = md.build_model(sp, planted_anticommuting(sp, [0.6, 1.7], rng), md.Interval(1.1))
         dbs = md.double_boundary(op)
         constraint = random_split_boundary(op, dbs, rng)
+        family = [constraint] + [random_split_boundary(op, dbs, rng) for _ in range(4)]
         calls = []
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
         md.boundary_spectrum(op, constraint, 6.0, dbs=dbs)
         assert len(dbs.blocks) == 3 and len(calls) == 3
+        # a family of F constraints: F per block, and no more
+        calls.clear()
+        md._boundary_spectra(op, family, 6.0, "+", dbs, 1e-10)
+        assert len(calls) == 3 * len(family)
 
 
 class TestCoupledBlockRoots:
@@ -704,7 +710,7 @@ class TestCoupledBlockRoots:
     def test_one_root_per_eigenphase_crossing(self, window):
         block, bc, ell = self.foreign_cauchy_block(1)
         assert abs(block.mu - 0.250) < 1e-3 and abs(ell - 2.187) < 1e-3
-        roots = md._block_roots(block, bc, ell, "+", window, 1e-10)
+        (roots,) = md._block_roots(block, [bc], ell, "+", window, 1e-10)
 
         def minus_w(t):
             lam = window * (2.0 * t - 1.0)
@@ -797,7 +803,7 @@ class TestCertifiedRoots:
     @pytest.mark.parametrize("mu, ell, a, b, count, pair", CLOSE_PAIRS, ids=["gap1", "gap2"])
     def test_close_gap_pairs_are_not_lost(self, mu, ell, a, b, count, pair):
         block, bc, p, q = _line_block(mu, ell, a, b)
-        roots = md._block_roots(block, bc, ell, "+", 14.0, 1e-10)
+        (roots,) = md._block_roots(block, [bc], ell, "+", 14.0, 1e-10)
         assert roots.size == count == _scaled_sign_changes(mu, ell, p, q, 14.0, 2_000_001)
         tracked = md._tracked_block_roots(block, ell, bc.phi.conj().T, "+", 14.0, 1e-10)
         assert np.max(np.abs(roots - tracked)) < 1e-9
@@ -813,7 +819,7 @@ class TestCertifiedRoots:
         coarse = int(np.sum((vals[:-1] < 0) != (vals[1:] < 0)))
         assert coarse == count - 2
         assert md._sturm_count(mu, ell, p, q, grid[0], grid[-1]) == count
-        assert md._bracketed_roots(mu, ell, p, q, 14.0, 1e-10).size == count
+        assert md._bracketed_roots(mu, ell, [(p, q)], 14.0, 1e-10)[0].size == count
 
     def test_sturm_count_against_a_dense_sign_count(self):
         rng = rng_for(93, 1)
@@ -849,7 +855,7 @@ class TestCertifiedRoots:
             ell = 1.7
         else:
             block, bc, ell = TestCoupledBlockRoots.foreign_cauchy_block(1)
-        assert md._block_roots(block, bc, ell, "+", 10.0, 1e-10).size > 0
+        assert md._block_roots(block, [bc], ell, "+", 10.0, 1e-10)[0].size > 0
         crossing_signs = md.crossing_signs
 
         def lossy(before, after):
@@ -860,7 +866,7 @@ class TestCertifiedRoots:
 
         monkeypatch.setattr(md, "crossing_signs", lossy)
         with pytest.raises(sf.errors.BracketingFailure):
-            md._block_roots(block, bc, ell, "+", 10.0, 1e-10)
+            md._block_roots(block, [bc], ell, "+", 10.0, 1e-10)
 
     def test_polished_roots_agree_with_bisection(self):
         tol = 1e-10
@@ -881,11 +887,11 @@ class TestCertifiedRoots:
             a, b = rng.uniform(0.0, np.pi, size=2)
             p, q = np.array([np.cos(a), np.sin(a)]), np.array([np.cos(b), np.sin(b)])
             f = md._block_root_function(mu, ell, p, q)
-            for r in md._bracketed_roots(mu, ell, p, q, 10.0, tol):
+            for r in md._bracketed_roots(mu, ell, [(p, q)], 10.0, tol)[0]:
                 assert abs(bisect(lambda x: float(f(x)), r - 1e-6, r + 1e-6) - r) <= tol
         for seed in range(1, 4):
             block, bc, ell = TestCoupledBlockRoots.foreign_cauchy_block(seed)
-            roots = md._block_roots(block, bc, ell, "+", 10.0, tol)
+            (roots,) = md._block_roots(block, [bc], ell, "+", 10.0, tol)
             assert roots.size and np.min(np.diff(roots)) > 1e-5
 
             def phase(x):  # the eigenphase of W nearest 0 crosses it at a simple root
@@ -916,6 +922,149 @@ class TestNicolaescu:
         fam = [(t, bnd) for t in np.linspace(0, 1, 5)]
         rec = md.nicolaescu_verify(mu_one_model, fam, window=10.0)
         assert rec["sf"] == rec["maslov"] == 0
+
+
+def _rotation_constraints(op, dbs, rng, turns):
+    """The constraints of a ``suite_nicolaescu`` path: the x = 0 condition
+    gamma-rotated by turns * pi against a fixed condition at x = L."""
+    base, q_side = random_boundary_on_h(op, rng), random_boundary_on_h(op, rng)
+    return [sf.gamma_conjugate(md.direct_sum_lagrangian(
+                dbs, sf.gamma_rotate(base, float(t) * turns * np.pi), q_side))
+            for t in np.linspace(0, 1, 33 + 16 * int(abs(turns)))]
+
+
+def _planted(n, mus, seed, ell=1.3):
+    sp = sf.standard_space(n)
+    return md.build_model(sp, planted_anticommuting(sp, mus, rng_for(seed, 3)), md.Interval(ell))
+
+
+class TestFamilySpectra:
+    """``_boundary_spectra`` solves a family of constraints one mode block at
+    a time: one scan and one polish for all its split constraints, each
+    constraint's root count certified on its own."""
+
+    @staticmethod
+    def assert_as_alone(op, constraints, window):
+        dbs = md.double_boundary(op)
+        got = md._boundary_spectra(op, constraints, window, "+", dbs, 1e-10)
+        assert len(got) == len(constraints)
+        for spectrum, constraint in zip(got, constraints):
+            assert np.array_equal(spectrum, md.boundary_spectrum(op, constraint, window, dbs=dbs))
+
+    def test_rotation_flow_families_as_alone(self, zero_mode_model):
+        # the families of TestNicolaescu.test_rotation_flows
+        op = zero_mode_model
+        dbs = md.double_boundary(op)
+        qfix = line(op.space, 0.0)
+        for turns in (1.0, -1.0, 2.0):
+            self.assert_as_alone(op, [sf.gamma_conjugate(md.direct_sum_lagrangian(
+                dbs, line(op.space, 0.15 + t * np.pi * turns), qfix))
+                for t in np.linspace(0, 1, 33 + 16 * int(abs(turns)))], 12.0)
+
+    @pytest.mark.parametrize("n, mus", [(2, [0.7]), (3, [0.5, 1.9]), (2, [0.4, 2.2])],
+                             ids=["kernel2", "kernel2-two-blocks", "no-kernel"])
+    def test_seeded_rotation_families_as_alone(self, n, mus):
+        op = _planted(n, mus, 1)
+        dbs = md.double_boundary(op)
+        rng = rng_for(16, n + len(mus))
+        for turns in (-2.0, 0.5, 1.0):
+            self.assert_as_alone(op, _rotation_constraints(op, dbs, rng, turns), 14.0)
+
+    def test_split_and_coupled_family_as_alone(self):
+        op = _planted(2, [0.6], 2, ell=1.9)
+        dbs = md.double_boundary(op)
+        split = _rotation_constraints(op, dbs, rng_for(16, 4), 1.0)[:8]
+        coupled = [md.transmission_lagrangian(dbs),
+                   sf.gamma_conjugate(md.cauchy_data(op, dbs, "+", length=0.7))]
+        self.assert_as_alone(op, split[:3] + coupled[:1] + split[3:6] + coupled[1:] + split[6:],
+                             14.0)
+
+    def test_a_family_scan_stacks_at_most_max_scan_points(self, monkeypatch):
+        op = _planted(2, [0.6], 2, ell=1.9)
+        dbs = md.double_boundary(op)
+        family = _rotation_constraints(op, dbs, rng_for(16, 7), -1.0)
+        want = [md.boundary_spectrum(op, c, 10.0, dbs=dbs) for c in family]
+        cap = 5 * md._scan_grid(10.0, op.blocks[0].mu, 1.9).size
+        monkeypatch.setattr(md, "MAX_SCAN_POINTS", cap)
+        scans = []
+        root_values = md._root_values
+
+        def values(lam, coef, mu, ell):
+            out = root_values(lam, coef, mu, ell)
+            if out.ndim == 2:
+                scans.append(out.size)
+            return out
+
+        monkeypatch.setattr(md, "_root_values", values)
+        got = md._boundary_spectra(op, family, 10.0, "+", dbs, 1e-10)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert len(scans) >= len(family) // 5 and max(scans) <= cap
+
+    @pytest.mark.parametrize("engine", ["split", "coupled"])
+    def test_a_bracket_polishes_as_alone(self, monkeypatch, engine):
+        # each bracket stops once narrower than tol: polishing [A, B] gives A
+        # bit for bit as [A] does, with F's coefficients as the carries of
+        # split brackets (from several constraints) and eigenphase pairs as
+        # those of coupled ones
+        calls = []
+        polish = md._polish
+        monkeypatch.setattr(md, "_polish", lambda *args: calls.append(args) or polish(*args))
+        if engine == "split":
+            op = _planted(2, [0.6], 2, ell=1.9)
+            dbs = md.double_boundary(op)
+            md._boundary_spectra(op, _rotation_constraints(op, dbs, rng_for(16, 5), 1.0)[::8],
+                                 10.0, "+", dbs, 1e-10)
+        else:
+            block, bc, ell = TestCoupledBlockRoots.foreign_cauchy_block(1)
+            md._tracked_block_roots(block, ell, bc.phi.conj().T, "+", 10.0, 1e-10)
+        (lo, hi, flo, fhi, carry, at, tol), = calls
+        pick = np.linspace(0, lo.size - 1, 8).astype(int)
+        if engine == "split":
+            assert np.unique(carry[pick], axis=0).shape[0] > 1
+        alone = {a: polish(lo[[a]], hi[[a]], flo[[a]], fhi[[a]], carry[[a]], at, tol)[0]
+                 for a in pick}
+        for a in pick:
+            for b in pick:
+                both = polish(lo[[a, b]], hi[[a, b]], flo[[a, b]], fhi[[a, b]], carry[[a, b]],
+                              at, tol)
+                assert both[0].tobytes() == alone[a].tobytes()
+
+    def test_one_sample_counted_one_root_more_raises(self, monkeypatch):
+        op = _planted(3, [0.5, 1.9], 3)
+        dbs = md.double_boundary(op)
+        family = _rotation_constraints(op, dbs, rng_for(16, 6), 0.5)[::4]
+        md._boundary_spectra(op, family, 10.0, "+", dbs, 1e-10)
+        blocks = [b for b in dbs.blocks if not b.is_kernel]
+        sturm = md._sturm_count
+
+        def lines(j, block):
+            return md._split_lines(md._block_constraint(block, family[j], md.DEFAULT_TOL), "+")
+
+        def one_more_at(marks):
+            def count(mu, ell, p, q, lo, hi):
+                extra = sum((mu == block.mu) & np.all(p == lp, axis=-1) & np.all(q == lq, axis=-1)
+                            for block, (lp, lq) in marks)
+                return sturm(mu, ell, p, q, lo, hi) + extra
+            return count
+
+        # the extra root of sample 4 in the second block is never bracketed
+        monkeypatch.setattr(md, "_sturm_count", one_more_at([(blocks[1], lines(4, blocks[1]))]))
+        with pytest.raises(BracketingFailure, match=f"mu={blocks[1].mu:.6g} not certified"):
+            md._boundary_spectra(op, family, 10.0, "+", dbs, 1e-10)
+        rest = family[:4] + family[5:]
+        assert all(np.array_equal(a, b) for a, b in zip(
+            md._boundary_spectra(op, rest, 10.0, "+", dbs, 1e-10),
+            [md.boundary_spectrum(op, c, 10.0, dbs=dbs) for c in rest]))
+        # two failing samples: the error is the first sample's, as alone,
+        # though a later sample fails in an earlier block
+        monkeypatch.setattr(md, "_sturm_count", one_more_at(
+            [(blocks[1], lines(2, blocks[1])), (blocks[0], lines(5, blocks[0]))]))
+        with pytest.raises(BracketingFailure) as family_error:
+            md._boundary_spectra(op, family, 10.0, "+", dbs, 1e-10)
+        with pytest.raises(BracketingFailure) as alone_error:
+            md.boundary_spectrum(op, family[2], 10.0, dbs=dbs)
+        assert str(family_error.value) == str(alone_error.value)
+        assert f"mu={blocks[1].mu:.6g}" in str(family_error.value)
 
 
 class TestSwModZ:
