@@ -8,6 +8,7 @@ spectral window).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -354,7 +355,10 @@ def _model_report(what: str, parsed: dict) -> dict:
     raise SchemaError(f"unknown model action {what!r}")  # pragma: no cover
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command's parser, built once per process: parsing leaves it
+    unchanged, so every call of ``main`` shares it."""
     parser = argparse.ArgumentParser(
         prog="symflow",
         description="symplectic spectral invariants: batch scenarios, "

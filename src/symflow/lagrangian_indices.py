@@ -38,9 +38,10 @@ class LagrangianPairPath:
                  generator: Optional[Callable[[float], tuple[Lagrangian, Lagrangian]]] = None):
         ts = sample_times(samples)
         space = samples[0][1].space
-        for _, f, g in samples:
-            if not (f.space.same_space(space) and g.space.same_space(space)):
-                raise DimensionMismatch("all samples must live in one symplectic space")
+        # samples share a few space objects: compare each distinct one once
+        spaces = {id(lag.space): lag.space for _, f, g in samples for lag in (f, g)}
+        if not all(s.same_space(space) for s in spaces.values()):
+            raise DimensionMismatch("all samples must live in one symplectic space")
         self.samples = [(t, f, g) for t, (_, f, g) in zip(ts, samples)]
         self.generator = generator
         self.space = space

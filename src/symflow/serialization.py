@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from itertools import chain
 from typing import Any, Optional
 
 import numpy as np
@@ -93,10 +94,51 @@ def complex_from_json(obj) -> complex:
 
 def matrix_to_json(m) -> list:
     m = np.asarray(m, dtype=complex)
-    return [[complex_to_json(z) for z in row] for row in m]
+    return np.stack((m.real, m.imag), axis=-1).tolist()
+
+
+def _bulk_matrix(obj) -> Optional[np.ndarray]:
+    """The matrix of a well-formed document in one numpy conversion, or None.
+
+    Rows must be lists of one width, entries exact ints or floats or
+    two-item lists of them, all finite.  Anything else (a bool, a subclass,
+    a tuple, an int beyond the float range) gives None, for the per-entry
+    parser to judge.  An int converts as float() rounds it, as complex()
+    does in that parser.
+    """
+    if type(obj) is not list or not obj or set(map(type, obj)) != {list}:
+        return None
+    if len(set(map(len, obj))) != 1:
+        return None
+    entries = list(chain.from_iterable(obj))
+    kinds = set(map(type, entries))
+    if kinds != {list}:  # some plain numbers: each becomes [x, 0]
+        if not kinds <= {int, float, list}:
+            return None
+        entries = [e if type(e) is list else (e, 0) for e in entries]
+    if not set(map(len, entries)) <= {2}:
+        return None
+    numbers = list(chain.from_iterable(entries))
+    if not set(map(type, numbers)) <= {int, float}:  # bool is a subclass of int
+        return None
+    try:
+        values = np.array(numbers, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    if not np.isfinite(values).all():
+        return None
+    return values.view(complex).reshape(len(obj), len(obj[0]))
 
 
 def matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
+    """A complex matrix from nonempty rows of equal width, each entry a
+    finite number or [re, im].  Documents that pass the bulk checks convert
+    at once; the rest go entry by entry, which raises the SchemaError of the
+    first fault in document order (or accepts what the bulk checks do not
+    know, such as float subclasses)."""
+    values = _bulk_matrix(obj)
+    if values is not None:
+        return values
     if not isinstance(obj, list) or not obj:
         raise SchemaError(f"{what} must be a nonempty array of rows")
     rows = []

@@ -1,10 +1,14 @@
 import json
+import math
+import os
 import subprocess
 import sys
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import symflow as sf
 from symflow import serialization as ser
@@ -40,6 +44,151 @@ class TestMatrixJson:
         assert ser.complex_from_json([1, -1]) == 1 - 1j
         with pytest.raises(SchemaError):
             ser.complex_from_json("1+i")
+
+
+def _reference_finite(x) -> bool:
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
+def _reference_complex(z) -> complex:
+    if _reference_finite(z):
+        return complex(z)
+    if isinstance(z, (list, tuple)) and len(z) == 2 and all(map(_reference_finite, z)):
+        return complex(z[0], z[1])
+    raise SchemaError(f"complex scalar must be a finite number or [re, im], got {z!r}")
+
+
+def reference_matrix_from_json(obj, what: str = "matrix") -> np.ndarray:
+    """The per-entry matrix parser, two Python calls per entry: the reference
+    the bulk parser must match bit for bit and error for error."""
+    if not isinstance(obj, list) or not obj:
+        raise SchemaError(f"{what} must be a nonempty array of rows")
+    rows = []
+    width = None
+    for row in obj:
+        if not isinstance(row, list):
+            raise SchemaError(f"{what} rows must be arrays")
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise SchemaError(f"{what} has ragged rows ({len(row)} vs {width})")
+        rows.append([_reference_complex(z) for z in row])
+    return np.array(rows, dtype=complex)
+
+
+def _outcome(parse, doc, what):
+    """("ok", dtype, shape, bytes) of a parsed matrix, or ("error", message)."""
+    try:
+        m = parse(doc, what)
+    except SchemaError as exc:
+        return ("error", str(exc))
+    return ("ok", m.dtype.str, m.shape, m.tobytes())
+
+
+# ints at the edges of exact float and int64 conversion
+EDGE_INTS = [2**53 + 1, -(2**53) - 1, 2**63 - 1, 2**63, 2**63 + 1, -(2**63) - 1,
+             2**64 + 1, 3**40, 2**1023 + 2**970]
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1.7976931348623157e308]),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.sampled_from(EDGE_INTS),
+)
+ENTRIES = st.one_of(NUMBERS, st.lists(NUMBERS, min_size=2, max_size=2))
+# entries every parser must reject: bools, strings, null, the NaN and
+# Infinity tokens, ints beyond the float range, pairs holding those, and
+# entries of the wrong length
+BAD_ENTRIES = st.sampled_from([
+    True, False, [True, 0], [1.0, False], [0, True], "1", "1+2j", None, [None, 0],
+    float("nan"), float("inf"), -float("inf"), [float("nan"), 0.0], [0.0, -float("inf")],
+    10**400, -(10**400), 2**1024, [10**400, 0], [0, 2**1024],
+    [1, 2, 3], [1], [], [[1, 0], 0], {"re": 1, "im": 0},
+])
+
+
+@st.composite
+def matrices(draw):
+    n = draw(st.integers(1, 4))
+    width = draw(st.integers(0, 4))
+    return [[draw(ENTRIES) for _ in range(width)] for _ in range(n)]
+
+
+@st.composite
+def damaged_matrices(draw):
+    """A matrix with one to three faults: bad entries, ragged or non-list
+    rows, in any order (a bad entry may come before a ragged row)."""
+    doc = draw(matrices())
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(doc) - 1))
+        fault = draw(st.sampled_from(["entry", "longer", "shorter", "row"]))
+        if not isinstance(doc[i], list):
+            continue
+        if fault == "entry" and doc[i]:
+            doc[i][draw(st.integers(0, len(doc[i]) - 1))] = draw(BAD_ENTRIES)
+        elif fault == "longer":
+            doc[i].append(draw(ENTRIES))
+        elif fault == "shorter" and doc[i]:
+            doc[i].pop()
+        elif fault == "row":
+            doc[i] = draw(st.sampled_from([None, 1.0, "row", {"row": []}, (1, 2)]))
+    return doc
+
+
+def _wire(doc):
+    """The document as json.load gives it back (NaN and Infinity as tokens)."""
+    return json.loads(json.dumps(doc))
+
+
+class TestBulkMatrixParser:
+    @settings(max_examples=400, deadline=None)
+    @given(doc=matrices(), what=st.sampled_from(["matrix", "U", "frame"]))
+    def test_accepted_documents_parse_bit_for_bit(self, doc, what):
+        doc = _wire(doc)
+        expected = _outcome(reference_matrix_from_json, doc, what)
+        assert expected[0] == "ok"
+        assert _outcome(ser.matrix_from_json, doc, what) == expected
+
+    @settings(max_examples=400, deadline=None)
+    @given(doc=damaged_matrices(), what=st.sampled_from(["matrix", "H", "gamma"]))
+    def test_damaged_documents_fail_with_the_same_message(self, doc, what):
+        doc = _wire(doc)
+        assert (_outcome(ser.matrix_from_json, doc, what)
+                == _outcome(reference_matrix_from_json, doc, what))
+
+    @pytest.mark.parametrize("doc", [
+        [[[1, 0], [True, 0]], [[1, 0]]],       # bad entry in row 0, row 1 ragged
+        [[[1, 0], "x"], [[1, 0], [0, 0]], 3],  # bad entry, then a row not a list
+        [[[1.0, False]]], [[True, 0]], [[None]], [["1"]],
+        [[[1, 2, 3]]], [[10**400]], [[[0, 10**400]]],
+        [], {}, [[1], [1, 2]], [[1], 1],
+    ])
+    def test_first_fault_in_document_order(self, doc):
+        with pytest.raises(SchemaError) as bulk:
+            ser.matrix_from_json(doc, "M")
+        with pytest.raises(SchemaError) as ref:
+            reference_matrix_from_json(doc, "M")
+        assert str(bulk.value) == str(ref.value)
+
+    def test_json_non_finite_tokens_rejected(self):
+        for text in ("[[NaN]]", "[[[0, Infinity]]]", "[[-Infinity]]"):
+            with pytest.raises(SchemaError, match="finite number"):
+                ser.matrix_from_json(json.loads(text))
+
+    def test_float_subclasses_take_the_entry_loop(self):
+        m = ser.matrix_from_json([[np.float64(1.5), (np.float64(0.0), 2.0)]])
+        assert m.tobytes() == np.array([[1.5, 2j]]).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(doc=matrices())
+    def test_emit_matches_per_entry_emit(self, doc):
+        m = reference_matrix_from_json(_wire(doc))
+        per_entry = [[[complex(z).real, complex(z).imag] for z in row] for row in m]
+        assert json.dumps(ser.matrix_to_json(m)) == json.dumps(per_entry)
 
 
 class TestLagrangianJson:
@@ -582,3 +731,75 @@ class TestMainEntry:
         assert main(["run", str(f)]) == 0
         rec = json.loads(capsys.readouterr().out.strip())
         assert rec["value"] == {"eta": 0, "dim_ker": 1, "eta_tilde": 0.5}
+
+    def test_reused_main_matches_fresh_processes(self, tmp_path, capsys, monkeypatch):
+        """One process calls ``main`` back to back with and without each flag
+        and with SYMFLOW_TOL changing; every call prints what a fresh
+        ``python -m symflow.cli`` prints, so nothing leaks between calls."""
+        run_doc = tmp_path / "s.json"
+        run_doc.write_text(json.dumps({"scenarios": [
+            {"name": "eta", "op": "eta_finite",
+             "inputs": {"H": ser.matrix_to_json(np.diag([1.0, -2.0, 0.0]))}},
+            {"name": "tr", "op": "tr_log", "inputs": {"U": [[[0, 1]]]}}]}))
+        model_doc = tmp_path / "m.json"
+        model_doc.write_text(json.dumps({
+            "gamma": "standard:1", "A": ser.matrix_to_json(np.diag([1.0, -1.0])),
+            "geometry": {"interval": 1.0}, "window": 6.0,
+            "boundary": {"P": {"frame": [[[1, 0]], [[0, 0]]]},
+                         "Q": {"frame": [[[0, 0]], [[1, 0]]]}}}))
+        out = str(tmp_path / "out.jsonl")
+        calls = [
+            (None, ["run", str(run_doc)]),
+            (None, ["--tol", "1e-6", "run", str(run_doc), "--pretty"]),
+            (None, ["run", str(run_doc)]),
+            ("1e-7", ["run", str(run_doc), "--timing"]),
+            ("1e-7", ["run", str(run_doc), "--out", out]),
+            ("1e-7", ["run", str(run_doc)]),
+            ("1e-7", ["--tol", "1e-8", "model", "spectrum", str(model_doc), "--pretty"]),
+            (None, ["model", "spectrum", str(model_doc)]),
+            ("1e-7", ["--tol", "-1", "run", str(run_doc)]),
+            ("bad", ["run", str(run_doc)]),
+            (None, ["run", str(run_doc), "--timing", "--pretty"]),
+            (None, ["run", str(run_doc)]),
+        ]
+
+        for env_tol, argv in calls:
+            if env_tol is None:
+                monkeypatch.delenv("SYMFLOW_TOL", raising=False)
+            else:
+                monkeypatch.setenv("SYMFLOW_TOL", env_tol)
+            code = main(argv)
+            got = capsys.readouterr()
+            got_file = _take(out)
+            child = run_cli(*argv, env=dict(os.environ))
+            assert (code, got.err) == (child.returncode, child.stderr), argv
+            assert got_file == _take(out), argv
+            if "--timing" in argv:
+                # wall times differ between processes; all else must not
+                assert _timed_reports(got.out) == _timed_reports(child.stdout), argv
+            else:
+                assert got.out == child.stdout, argv
+
+
+def _take(path) -> str | None:
+    """The text of an --out file, removed so the next call writes it anew."""
+    if not os.path.exists(path):
+        return None
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    os.remove(path)
+    return text
+
+
+def _timed_reports(text: str) -> list:
+    """The JSON reports a --timing call printed (compact lines or pretty
+    blocks), each with its wall_ms taken out."""
+    decoder = json.JSONDecoder()
+    reports = []
+    rest = text.lstrip()
+    while rest:
+        rec, end = decoder.raw_decode(rest)
+        assert isinstance(rec.pop("wall_ms"), float)
+        reports.append(rec)
+        rest = rest[end:].lstrip()
+    return reports
