@@ -30,9 +30,12 @@ def _require_hermitian(h: np.ndarray, tol: float, what: str) -> np.ndarray:
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"{what} must be a square matrix")
+    if not np.isfinite(h).all():
+        raise ValueError(f"{what} has a non-finite entry")
     if not norm_at_most(h - h.conj().T, tol * 10, scale=h):
         raise ValueError(f"{what} is not Hermitian within tolerance")
-    return 0.5 * (h + h.conj().T)
+    # halved before the sum, which then cannot overflow
+    return 0.5 * h + 0.5 * h.conj().T
 
 
 def _scale(vals: np.ndarray) -> np.ndarray:

@@ -154,3 +154,26 @@ def test_mutated_model_document(tmp_path, capsys, what, doc):
     if isinstance(doc, dict):
         assert len(out.splitlines()) == 1
         assert isinstance(json.loads(out), dict)
+
+
+def _with_huge_entry(name, *path):
+    """The seed scenario ``name`` with the number at ``path`` set to 1e308,
+    finite, but twice it is not."""
+    sc = copy.deepcopy(next(s for s in RUN_SCENARIOS if s["name"] == name))
+    parent = sc["inputs"]
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = 1e308
+    return sc
+
+
+@pytest.mark.parametrize("scenario", [
+    _with_huge_entry("sf", "path", "parametric", "h0", 1, 1, 0),
+    _with_huge_entry("eta", "H", 1, 1, 0),
+    _with_huge_entry("sf-eta", "path", "samples", 1, 1, 0, 0, 0),
+], ids=["sf", "eta", "sf-eta"])
+def test_huge_hermitian_entry(tmp_path, capsys, scenario):
+    f = tmp_path / "run.json"
+    f.write_text(json.dumps([scenario]))
+    out = _call(["run", str(f)], capsys)
+    assert len(out.splitlines()) == 1
