@@ -89,16 +89,16 @@ __all__ = [
     "model_symmetry_check",
 ]
 
-# The eta truncation cap (glue n_max too), and the root-scan grid that a
-# window holding MAX_N_MAX roots per half-line needs at a quarter of the root
-# spacing: both bound an allocation that no amount of document text pays for.
+# The cap on the roots per block of a model window (and on eta N_max and glue
+# n_max, which change no result), and the root-scan grid that a window holding
+# MAX_N_MAX roots per half-line needs at a quarter of the root spacing.
 MAX_N_MAX = 100_000
 MAX_SCAN_POINTS = 8 * MAX_N_MAX
 # A root with |lambda| at most this is a kernel mode: eta leaves it out and
 # the reduced eta counts it through the Cauchy-data kernel dimension.
 ZERO_ROOT = 1e-9
-# Rounding bound on a contour eta: an arctan of a unit vector formed from two
-# rounded unit lines, a few ulps, times 2/pi.
+# Rounding bound on a contour eta: an arctan of rounded coefficients of order
+# 1, a few ulps, times 2/pi; a slope coefficient n1 below it is taken as 0.
 CONTOUR_ROUNDING = 8 * np.finfo(float).eps
 
 
@@ -374,46 +374,38 @@ def _block_coefficients(mu: float, p: np.ndarray, q: np.ndarray) -> tuple[float,
 
 
 def _root_values(lam, coef: np.ndarray, mu: float, ell: float) -> np.ndarray:
-    """F(lambda) = c <q_perp, p> + s (m_const + lambda m_lin), with coef[..., 0:3]
-    the (<q_perp, p>, m_const, m_lin) of ``_block_coefficients``, broadcast
-    against lam."""
+    """F(lambda) = c <q_perp, p> + s (m_const + lambda m_lin), coef[..., 0:3] of
+    ``_block_coefficients`` broadcast against lam: p the constraint line at
+    x=0, q the one at x=L, F's roots are the block's eigenvalues."""
     c, s, _ = _transfer_terms(lam, mu, ell)
     return c * coef[..., 0] + s * (coef[..., 1] + lam * coef[..., 2])
 
 
-def _block_root_function(mu: float, ell: float, p: np.ndarray, q: np.ndarray) -> Callable:
-    """F(lambda) = <q_perp, T_L(lambda) p> for one 2-D block, vectorized.
-
-    p spans the in-block constraint line at x=0, q the constraint line at
-    x=L; roots of F are the block's eigenvalues.
-    """
-    coef = np.array(_block_coefficients(mu, p, q))
-    return lambda lam: _root_values(np.asarray(lam, dtype=float), coef, mu, ell)
+def _contour_eta(mu: float, ell: float, k0: float, n0: float, m: float,
+                 n1: float) -> EtaEstimate:
+    """Eta of a 2-D block whose real characteristic function is G(lambda) =
+    k0 + n0 cosh(kappa L) + (sinh(kappa L)/kappa)(m + lambda n1): -(2/pi)
+    [arg G(i inf) - arg G(i0+)] (Kirsten and McKane, Ann. Phys. 308, 2003).
+    The scaled e^{-kappa L} G(iy) = e k0 + c n0 + s (m + i y n1), (c, s, e)
+    of ``_transfer_terms`` at kappa^2 = mu^2 + y^2, tends to (n0 + i n1)/2
+    and its Im has the sign of n1 for all y > 0: the argument is principal.
+    A root within ZERO_ROOT of 0 is a kernel mode, the contour starting at
+    i0+; |n1| <= CONTOUR_ROUNDING makes G even, so eta is 0."""
+    if abs(n1) <= CONTOUR_ROUNDING:
+        return EtaEstimate(0.0, CONTOUR_ROUNDING, 0)
+    c, s, e = _transfer_terms(0.0, mu, ell)
+    g0 = e * k0 + c * n0 + s * m
+    slope = s * abs(n1)  # |G'(0)|
+    orient = -1.0 if n1 < 0 else 1.0  # conjugate into the upper half-plane
+    start = 0.5 * np.pi if abs(g0) <= ZERO_ROOT * slope else (0.0 if g0 > 0 else np.pi)
+    end = float(np.arctan2(abs(n1), n0))
+    return EtaEstimate(-(2.0 / np.pi) * orient * (end - start), CONTOUR_ROUNDING, 0)
 
 
 def _block_contour_eta(mu: float, ell: float, p: np.ndarray, q: np.ndarray) -> EtaEstimate:
-    """Eta of one split 2-D block from the argument of F along the imaginary axis.
-
-    F (``_block_root_function``) is entire and real on the real axis, so
-    eta = -(2/pi) [arg F(i inf) - arg F(i0+)], arg followed continuously up
-    the imaginary axis (the contour method of Kirsten and McKane, Ann. Phys.
-    308, 2003).  With kappa = sqrt(mu^2 + y^2), the scaled G(y) = e^{-kappa L} F(iy)
-    is c <q_perp, p> + s (m_const + i y m_lin) with c, s the gap terms of
-    ``_transfer_terms`` at kappa, tending to (<q_perp, p> + i m_lin)/2.
-    Im G(y) has the sign of m_lin for every y > 0, so the continuous argument
-    is the principal one: the contour needs no samples and no tail.  A root
-    within ZERO_ROOT of 0, read off G(y) = G(0) + i y G'(0) + O(y^2), is a
-    kernel mode as in ``eta_truncated``, and the contour starts at i0+.  The
-    bound is rounding: no roots are summed (``n_used`` 0).
-    """
+    """Eta of a split 2-D block: ``_root_values`` is G with k0 = 0."""
     dot, m_const, m_lin = _block_coefficients(mu, p, q)
-    c, s, _ = _transfer_terms(0.0, mu, ell)
-    g0 = c * dot + s * m_const
-    slope = s * abs(m_lin)  # |G'(0)|
-    orient = -1.0 if m_lin < 0 else 1.0  # conjugate into the upper half-plane
-    start = 0.5 * np.pi if abs(g0) <= ZERO_ROOT * slope else (0.0 if g0 > 0 else np.pi)
-    end = float(np.arctan2(abs(m_lin), dot))
-    return EtaEstimate(-(2.0 / np.pi) * orient * (end - start), CONTOUR_ROUNDING, 0)
+    return _contour_eta(mu, ell, 0.0, dot, m_const, m_lin)
 
 
 def _scan_grid(window: float, mu: float, ell: float) -> np.ndarray:
@@ -506,7 +498,7 @@ def _certified_roots(scan: Callable, at: Callable, mu: float, ell: float, window
 
 def _sturm_count(mu: float, ell: float, p: np.ndarray, q: np.ndarray,
                  lo: float, hi: float) -> np.ndarray:
-    """Number of roots of F (``_block_root_function``) in [lo, hi), in closed
+    """Number of roots of F (``_root_values``) in [lo, hi), in closed
     form, for real unit lines p and q, or one count per pair of stacked lines
     (..., 2).
 
@@ -539,7 +531,7 @@ def _sturm_count(mu: float, ell: float, p: np.ndarray, q: np.ndarray,
 def _bracketed_roots(mu: float, ell: float, lines: Sequence[tuple], window: float,
                      tol: float) -> list[np.ndarray]:
     """Roots on [-window, window] of a split block for each pair (p, q) of
-    ``lines``: crossings of F (``_block_root_function``) counted against the
+    ``lines``: crossings of F (``_root_values``) counted against the
     pair's ``_sturm_count``, polished on F.  The pairs share each scan grid, a
     chunk of at most MAX_SCAN_POINTS values at a time, and one polish, with
     F's coefficients (``_block_coefficients``) as the carry."""
@@ -762,17 +754,23 @@ def _block_roots(block: DoubledBlock, bcs: Sequence[Lagrangian], ell: float, sid
             if ln is None else next(split) for bc, ln in zip(bcs, lines)]
 
 
-def _block_eta(block: DoubledBlock, bc: Lagrangian, ell: float, side: str,
-               n_max: int, tol: float) -> EtaEstimate:
-    """Eta of one doubled 2-D mode block: the contour for a split constraint;
-    for a coupled one, the roots in a window holding about n_max of them,
-    summed by ``eta_truncated``."""
+def _block_eta(block: DoubledBlock, bc: Lagrangian, ell: float, side: str) -> EtaEstimate:
+    """Eta of one doubled 2-D mode block in closed form: a split bc takes F
+    (``_block_contour_eta``).  Otherwise the roots are where det(M1 + M2 T) =
+    0, T the transfer matrix of ``_phases_grid`` and [M1 | M2] = phi(B)* b_-*
+    - b_+* (halves swapped on side '-'); as det T = 1 that is G of
+    ``_contour_eta`` with k0 = det M1 + det M2, n0 = tr N, n1 = tr NJ and
+    m = -mu tr NZ, N = adj(M1) M2, up to one phase, rotated away here."""
     lines = _split_lines(bc, side)
     if lines is not None:
         return _block_contour_eta(block.mu, ell, *lines)
-    window = (n_max / 2.0) * np.pi / ell + 5.0 * block.mu + 5.0
-    roots = _tracked_block_roots(block, ell, bc.phi.conj().T, side, window, tol)
-    return eta_truncated(roots, n_max=n_max)
+    mm = bc.phi.conj().T @ block.space.basis_minus.conj().T - block.space.basis_plus.conj().T
+    m1, m2 = (mm[:, :2], mm[:, 2:]) if side == "+" else (mm[:, 2:], mm[:, :2])
+    n = np.array([[m1[1, 1], -m1[0, 1]], [-m1[1, 0], m1[0, 0]]]) @ m2
+    coef = np.array([np.linalg.det(m1) + np.linalg.det(m2), n[0, 0] + n[1, 1],
+                     n[1, 0] - n[0, 1], n[0, 0] - n[1, 1]])
+    k0, n0, n1, n2 = (coef * np.exp(-1j * np.angle(coef[np.argmax(np.abs(coef))]))).real
+    return _contour_eta(block.mu, ell, k0, n0, -block.mu * n2, n1)
 
 
 def _block_spectra(op: ModelOperator, constraints: Sequence[Lagrangian], side: str,
@@ -857,7 +855,7 @@ def interval_kernel_dim(op: ModelOperator, constraint: Lagrangian,
 
 
 # ---------------------------------------------------------------------------
-# truncated eta
+# eta
 
 
 @dataclass(frozen=True)
@@ -890,6 +888,8 @@ def eta_truncated(eigenvalues, n_max: Optional[int] = None,
     one level.  On a coupled block they come in pairs (a root and its
     mirror, or a double root split by rounding), and the median of all gaps
     would be rounding.  Exact lattices take ``eta_lattice`` instead.
+
+    Tests check symflow's closed-form etas (``_block_eta``) against it.
     """
     lams = np.asarray(eigenvalues, dtype=float)
     lams = lams[np.abs(lams) > zero_tol]
@@ -932,16 +932,13 @@ def eta_truncated(eigenvalues, n_max: Optional[int] = None,
 
 def interval_eta_tilde(op: ModelOperator, constraint: Lagrangian, side: str = "+",
                        dbs: Optional[DoubleBoundarySpace] = None,
-                       n_max: int = 2000, tol: float = 1e-10) -> tuple[float, float]:
+                       n_max: int = 2000) -> tuple[float, float]:
     """(reduced eta, bound) of the constrained interval operator.
 
-    Kernel-block branches use the exact lattice form (bound 0).  A 2-D mode
-    block whose constraint splits into a line at each end takes the contour
-    (``_block_contour_eta``, no roots, bound at rounding level); a coupled
-    one is summed symmetrically over a window holding about ``n_max`` roots
-    (``eta_truncated``, bound of the truncation), so ``n_max`` bounds coupled
-    blocks only.  The kernel dimension entering reduced eta is exact (Cauchy
-    data).
+    Kernel-block branches use the exact lattice form (bound 0), every 2-D
+    mode block the closed form of ``_block_eta`` (bound at rounding level).
+    ``n_max`` is accepted and changes no result.  The kernel dimension
+    entering reduced eta is exact (Cauchy data).
     """
     if dbs is None:
         dbs = double_boundary(op)
@@ -949,7 +946,7 @@ def interval_eta_tilde(op: ModelOperator, constraint: Lagrangian, side: str = "+
     bound = 0.0
     for block, (found,) in _block_spectra(
             op, [constraint], side, dbs,
-            lambda b, bcs: [_block_eta(b, bc, op.length, side, n_max, tol) for bc in bcs]):
+            lambda b, bcs: [_block_eta(b, bc, op.length, side) for bc in bcs]):
         if block.is_kernel:
             for offset in found:
                 eta += eta_lattice(float(offset))[0]
@@ -1119,8 +1116,9 @@ def glue_verify(op_plus: ModelOperator, op_minus: ModelOperator, p: Lagrangian,
 
     eta~(circle) = eta~(D_P, M+) + eta~(D_{I-P}, M-) - tau_mu(I - P_-, P, P_+)
     with P a boundary Lagrangian of the double space, P_± the Cauchy data
-    projections.  The circle side is exact; interval mode blocks carry a
-    truncation bound, kernel blocks are exact.  The identity must close
+    projections.  The circle side and kernel blocks are exact; interval mode
+    blocks carry a rounding-level bound (``interval_eta_tilde``), and
+    ``n_max`` is accepted and changes no result.  The identity must close
     within the bound and the integer part must equal the triple index
     exactly, else GluingViolation.
     """
@@ -1137,10 +1135,9 @@ def glue_verify(op_plus: ModelOperator, op_minus: ModelOperator, p: Lagrangian,
     dim_ker_a = op_plus.kernel.frame.shape[1] if op_plus.kernel is not None else 0
     eta_circle = 0.5 * dim_ker_a
 
-    eta_p, bound_p = interval_eta_tilde(op_plus, _constraint_of(p), side="+",
-                                        dbs=dbs, n_max=n_max)
+    eta_p, bound_p = interval_eta_tilde(op_plus, _constraint_of(p), side="+", dbs=dbs)
     # the minus piece carries the condition I - proj(P): constraint is im P itself
-    eta_m, bound_m = interval_eta_tilde(op_minus, p, side="-", dbs=dbs, n_max=n_max)
+    eta_m, bound_m = interval_eta_tilde(op_minus, p, side="-", dbs=dbs)
     triple = tau_mu(gamma_conjugate(l_minus), p, l_plus)
     bound = bound_p + bound_m
     delta = eta_circle - eta_p - eta_m
@@ -1229,8 +1226,8 @@ def sw_modz_check(op: ModelOperator, p: Lagrangian, q: Optional[Lagrangian] = No
     Always checks the mod-Z form exp(2 pi i (eta~_P - eta~_Q)) =
     det(phi(P) phi(Q)*); with Q omitted the Calderon projector is used and
     the strengthened exact form eta~_P - eta~_X = tr log(phi(P) phi(X)*)/2 pi i
-    is required (exact on zero-mode models, within the truncation bound
-    otherwise).
+    is required (exact on zero-mode models, within the rounding-level eta
+    bound otherwise).  ``n_max`` is accepted and changes no result.
     """
     if dbs is None:
         dbs = double_boundary(op)
@@ -1238,8 +1235,8 @@ def sw_modz_check(op: ModelOperator, p: Lagrangian, q: Optional[Lagrangian] = No
     l_x = cauchy_data(op, dbs, side="+")
     strengthened = q is None
     q_eff = l_x if q is None else q
-    eta_p, bound_p = interval_eta_tilde(op, _constraint_of(p), side="+", dbs=dbs, n_max=n_max)
-    eta_q, bound_q = interval_eta_tilde(op, _constraint_of(q_eff), side="+", dbs=dbs, n_max=n_max)
+    eta_p, bound_p = interval_eta_tilde(op, _constraint_of(p), side="+", dbs=dbs)
+    eta_q, bound_q = interval_eta_tilde(op, _constraint_of(q_eff), side="+", dbs=dbs)
     delta = eta_p - eta_q
     det = complex(np.linalg.det(p.phi @ q_eff.phi.conj().T))
     modz_defect = abs(np.exp(2j * np.pi * delta) - det)

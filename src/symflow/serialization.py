@@ -9,6 +9,7 @@ through ``number_from_json``, which also enforces the caps below.
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import contextmanager
 from itertools import chain
@@ -16,6 +17,7 @@ from typing import Any, Optional
 
 import numpy as np
 
+from . import symplectic_core
 from ._linalg import DEFAULT_TOL, principal_power
 from .errors import SchemaError
 from .lagrangian_indices import LagrangianPairPath
@@ -27,7 +29,6 @@ from .symplectic_core import (
     lagrangian_from_frame,
     lagrangian_from_phi,
     space_from_gamma,
-    standard_space,
 )
 from .unitary_invariants import UnitaryPath
 
@@ -43,6 +44,11 @@ __all__ = [
 # glue n_max and the roots per block a model window may hold.
 MAX_STANDARD_N = 512
 MAX_SAMPLES = 100_000
+
+# A batch names a few "standard:n" over and over; a SymplecticSpace is frozen
+# with read-only arrays, so each n is built once and shared.  The bound keeps
+# at most 8 spaces (32 MB each at MAX_STANDARD_N) alive.
+standard_space = functools.lru_cache(maxsize=8)(symplectic_core.standard_space)
 
 
 def complex_to_json(z: complex) -> list[float]:

@@ -141,6 +141,14 @@ def random_split_boundary(op, dbs, rng) -> Lagrangian:
                                     random_boundary_on_h(op, rng))
 
 
+def random_coupled_boundary(dbs, rng) -> Lagrangian:
+    """Block-compatible boundary Lagrangian of the double space with a random
+    Lagrangian (a random unitary phi) in every doubled block: on a mode block
+    it couples the two ends."""
+    return lagrangian_from_frame(dbs.space, np.hstack(
+        [b.frame @ random_lagrangian(b.space, rng).frame for b in dbs.blocks]))
+
+
 def random_boundary_on_h(op, rng) -> Lagrangian:
     """Block-compatible Lagrangian on the single boundary space H."""
     cols = []
@@ -620,7 +628,7 @@ def suite_gluing(rep: SuiteReport, rng, count: int = 20) -> None:
     def mixed():
         op_p, op_m = _glue_pair(rng)
         p = random_split_boundary(op_p, md.double_boundary(op_p), rng)
-        r = md.glue_verify(op_p, op_m, p, n_max=10_000)
+        r = md.glue_verify(op_p, op_m, p)
         bounds.append(r["bound"])
         return r["defect"] <= r["bound"] + 1e-9 and r["bound"] <= 5e-3
     rep.run("mixed models close within the reported bound (and bound <= 5e-3)",
@@ -633,6 +641,26 @@ def suite_gluing(rep: SuiteReport, rng, count: int = 20) -> None:
         return True
     rep.run("glued-kernel dimension constant along the transmission family",
             [calderon] * max(4, count // 4))
+    coupled_bounds = []
+
+    def coupled():
+        # drawn after the cases above, so their draws stay as they were
+        op_p, op_m = _glue_pair(rng)
+        dbs = md.double_boundary(op_p)
+        kind = rng.random()
+        if kind < 0.25:
+            p = md.transmission_lagrangian(dbs)
+        elif kind < 0.5:
+            p = md.cauchy_data(op_p, dbs, length=float(rng.uniform(0.3, 3.0)))
+        else:
+            p = random_coupled_boundary(dbs, rng)
+        r = md.glue_verify(op_p, op_m, p)
+        coupled_bounds.append(r["bound"])
+        return r["defect"] <= r["bound"] + 1e-9 and r["bound"] <= 5e-3
+    rep.run("coupled boundary conditions close within the reported bound (and bound <= 5e-3)",
+            [coupled] * (count // 2))
+    if coupled_bounds:
+        rep.checks[-1].detail = f"max bound {max(coupled_bounds):.2e}"
 
 
 def suite_adiabatic(rep: SuiteReport, rng, count: int = 20) -> None:

@@ -72,7 +72,8 @@ def test_traced_items_keep_the_tracer_contract(bench, tmp_path):
     assert all(math.isfinite(v) for v in metrics.values())
     assert metrics["unitary_invariants.samples"] > 0 and metrics["spectral_flow.samples"] > 0
     assert metrics["model_dirac.eta_ms.split"] > 0 and metrics["model_dirac.eta_ms.coupled"] > 0
-    # split blocks sum no roots; coupled ones still go through eta_truncated
+    # eta takes a closed form on split and coupled blocks alike: no block
+    # sums roots through eta_truncated any more
     assert metrics["model_dirac.us_per_root.split"] == 0.0
-    assert metrics["model_dirac.roots"] > 0
+    assert metrics["model_dirac.roots"] == 0
     assert metrics["model_dirac.spectrum_ms"] > 0 and metrics["model_dirac.nicolaescu_ms"] > 0

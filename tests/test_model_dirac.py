@@ -13,7 +13,6 @@ from symflow.errors import (
     ResonanceViolation,
 )
 from symflow.model_dirac import (
-    _block_root_function,
     _block_trace,
     _bracketed_roots,
     _real_line_rep,
@@ -21,9 +20,11 @@ from symflow.model_dirac import (
 from symflow.verification import (
     planted_anticommuting,
     random_boundary_on_h,
+    random_coupled_boundary,
     random_lagrangian,
     random_model,
     random_split_boundary,
+    random_unitary,
     rng_for,
 )
 
@@ -32,6 +33,13 @@ def trace(lag, block_frame):
     """What a boundary Lagrangian on H cuts out of one block, in block
     coordinates: a line of a mode block, a Lagrangian of the kernel block."""
     return _block_trace(lag.frame, block_frame, 1e-9)
+
+
+def _block_root_function(mu, ell, p, q):
+    """F(lambda) = <q_perp, T_L(lambda) p> of one 2-D block, scaled and
+    vectorized: its roots are the block's eigenvalues."""
+    coef = np.array(md._block_coefficients(mu, p, q))
+    return lambda lam: md._root_values(np.asarray(lam, dtype=float), coef, mu, ell)
 
 
 def line(sp, angle):
@@ -314,9 +322,9 @@ class TestEtaTruncated:
 
 
     def test_coupled_bound_covers_the_transmission_block(self):
-        # on a coupled block the |lambda| come in equal pairs (here every
-        # eigenvalue is double, the circle's), so the edge term must take
-        # the gap between levels, not the rounding within a pair
+        # the transmission condition gives the circle's spectrum, symmetric
+        # with every eigenvalue double: the coupled closed form must give
+        # eta 0 within its bound, and the two-block glue must close
         sp = sf.standard_space(2)
         a = np.diag([0.5, 1.0, -0.5, -1.0])
         op_p = md.build_model(sp, a, md.Interval(1.0))
@@ -629,6 +637,169 @@ class TestContourEta:
             assert abs(got.eta - want) <= got.bound + 1e-15
 
 
+def _coupled_block(rng, mu, ell, n=1):
+    """A doubled mode block of one planted mu on standard:n and a random
+    block constraint (a random unitary phi): (model, block, constraint)."""
+    sp = sf.standard_space(n)
+    op = md.build_model(sp, planted_anticommuting(sp, [mu], rng), md.Interval(ell))
+    block = next(b for b in md.double_boundary(op).blocks if not b.is_kernel)
+    return op, block, random_lagrangian(block.space, rng)
+
+
+class TestCoupledContourEta:
+    """The eta of a coupled mode block from the characteristic function
+    det(M1 + M2 T) in closed form (``_block_eta``), against mpmath, against
+    root sums, and on the conditions whose eta is known exactly."""
+
+    @pytest.mark.parametrize("side", ["+", "-"])
+    def test_against_mpmath(self, side):
+        # the continuous argument of the unscaled det [F(iy) | B] at 40 digits,
+        # F the graph frame: a route through neither phi(B) nor M1, M2 and N;
+        # the tail is one principal difference from within 1/4 of the limit
+        mp = pytest.importorskip("mpmath")
+        rng = rng_for(101, 1 if side == "+" else 2)
+        for _ in range(4):
+            mu, ell = float(rng.uniform(0.2, 3.0)), float(rng.uniform(0.5, 2.0))
+            _, block, bc = _coupled_block(rng, mu, ell)
+            assert md._split_lines(bc, side) is None
+            b_frame = mp.matrix(bc.frame.tolist())
+            j, z = mp.matrix([[0, 1], [-1, 0]]), mp.matrix([[1, 0], [0, -1]])
+
+            def det_with(t):
+                top, bot = (mp.eye(2), t) if side == "+" else (t, mp.eye(2))
+                full = mp.matrix(4, 4)
+                for r in range(2):
+                    for c in range(2):
+                        full[r, c], full[r + 2, c] = top[r, c], bot[r, c]
+                        full[r, c + 2], full[r + 2, c + 2] = b_frame[r, c], b_frame[r + 2, c]
+                return mp.det(full)
+
+            def big_g(y):
+                kappa = mp.sqrt(mp.mpf(mu) ** 2 + mp.mpf(y) ** 2)
+                t = mp.cosh(kappa * ell) * mp.eye(2) + mp.sinh(kappa * ell) / kappa * (
+                    1j * mp.mpf(y) * j - mu * z)
+                return det_with(t)
+
+            # det T = 1 cancels terms of e^{2 kappa L} in det [F | B]: kappa L stays
+            # under 40, and 40 digits keep what is left to 1e-22 of e^{kappa L}
+            ys = np.concatenate([[0.0], np.logspace(-8, np.log10(40.0 / ell), 400)])
+            with mp.workdps(40):
+                args = [float(mp.arg(big_g(y))) for y in ys]
+                # T ~ (e^{kappa L}/2)(I + iJ) and det(I + iJ) = 0, so G e^{-kappa L}
+                # tends to half the part of det [F | B] linear in T
+                limit = complex(det_with(mp.eye(2) + 1j * j) - det_with(mp.zeros(2, 2))) / 2
+                kappa = mp.sqrt(mp.mpf(mu) ** 2 + mp.mpf(ys[-1]) ** 2)
+                scaled_end = complex(big_g(ys[-1]) * mp.exp(-kappa * ell))
+            steps = np.angle(np.exp(1j * np.diff(args)))
+            assert np.max(np.abs(steps)) < np.pi / 4
+            assert abs(scaled_end - limit) < 0.25 * abs(limit)
+            change = np.sum(steps) + np.angle(limit * np.exp(-1j * args[-1]))
+            turns = round((change - (np.angle(limit) - args[0])) / (2.0 * np.pi))
+            want = -(2.0 / np.pi) * (np.angle(limit) - args[0] + 2.0 * np.pi * turns)
+            got = md._block_eta(block, bc, ell, side)
+            assert abs(got.eta - want) <= got.bound + 1e-15
+            assert got.bound == md.CONTOUR_ROUNDING and got.n_used == 0
+
+    def test_agrees_with_root_sums_within_their_bounds(self):
+        # the roots of the eigenphase tracker in a window holding about 2e4
+        # of them, summed by eta_truncated
+        rng = rng_for(101, 3)
+        n_max = 20_000
+        for _ in range(4):
+            mu, ell = float(rng.uniform(0.2, 2.5)), float(rng.uniform(0.5, 2.0))
+            _, block, bc = _coupled_block(rng, mu, ell)
+            window = (n_max / 2.0) * np.pi / ell + 5.0 * mu + 5.0
+            for side in "+-":
+                roots = md._tracked_block_roots(block, ell, bc.phi.conj().T, side, window, 1e-10)
+                ref = md.eta_truncated(roots, n_max=n_max)
+                got = md._block_eta(block, bc, ell, side)
+                assert abs(got.eta - ref.eta) <= ref.bound < 5e-3
+
+    def test_coupled_blocks_sum_no_roots(self, monkeypatch):
+        rng = rng_for(101, 4)
+        op, _, _ = _coupled_block(rng, 0.9, 1.2, n=2)
+        dbs = md.double_boundary(op)
+        constraint = sf.gamma_conjugate(md.cauchy_data(op, dbs, length=0.4))
+        want = md.interval_eta_tilde(op, constraint, dbs=dbs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a coupled block summed roots for eta")
+
+        monkeypatch.setattr(md, "_tracked_block_roots", forbidden)
+        monkeypatch.setattr(md, "eta_truncated", forbidden)
+        assert md.interval_eta_tilde(op, constraint, dbs=dbs) == want
+
+    @pytest.mark.parametrize("side", ["+", "-"])
+    def test_transmission_block_is_exactly_zero(self, side):
+        op = md.build_model(sf.standard_space(1), np.diag([1.0, -1.0]), md.Interval(1.0))
+        dbs = md.double_boundary(op)
+        (block,) = dbs.blocks
+        for lag in (md.transmission_lagrangian(dbs),
+                    sf.gamma_conjugate(md.transmission_lagrangian(dbs))):
+            bc = md._block_constraint(block, lag, 1e-9)
+            assert md._split_lines(bc, side) is None
+            assert md._block_eta(block, bc, 1.0, side).eta == 0.0
+
+    def test_foreign_cauchy_data_land_in_the_symmetric_band(self, monkeypatch):
+        # Cauchy data of another length make the spectrum symmetric: n1 is
+        # rounding, and the closed form gives eta 0 exactly
+        seen = []
+        contour = md._contour_eta
+        monkeypatch.setattr(md, "_contour_eta", lambda *a: seen.append(a[-1]) or contour(*a))
+        for seed in range(1, 9):
+            block, bc, ell = TestCoupledBlockRoots.foreign_cauchy_block(seed)
+            for side in "+-":
+                assert md._block_eta(block, bc, ell, side).eta == 0.0
+            roots = md._block_roots(block, [bc], ell, "+", 10.0, 1e-10)[0]
+            np.testing.assert_allclose(roots, -roots[::-1], atol=1e-8)
+        assert len(seen) == 16 and max(map(abs, seen)) <= md.CONTOUR_ROUNDING
+
+    @pytest.mark.parametrize("side", ["+", "-"])
+    def test_a_kernel_mode_starts_at_half_pi(self, side):
+        # B = V graph(0) with V = Q diag(e^{i alpha}, e^{i theta}) Q*: W(0) has
+        # the eigenvalue e^{-i alpha}, so alpha = 0 puts a root at 0 and alpha =
+        # +-1e-6 moves it off 0 to either side; the kernel mode must count as
+        # neither, the mean of the two
+        rng = rng_for(101, 5 if side == "+" else 6)
+        for _ in range(4):
+            mu, ell = float(rng.uniform(0.2, 2.5)), float(rng.uniform(0.5, 2.0))
+            _, block, _ = _coupled_block(rng, mu, ell)
+            c, s, e = md._transfer_terms(0.0, mu, ell)
+            t0 = np.diag([c - mu * s, c + mu * s])
+            frame = np.vstack([e * np.eye(2), t0]) if side == "+" else np.vstack([t0, e * np.eye(2)])
+            graph = sf.lagrangian_from_frame(block.space, frame)
+            q, theta = random_unitary(rng, 2), float(rng.uniform(0.5, 5.5))
+
+            def eta_at(alpha):
+                v = q @ np.diag(np.exp(1j * np.array([alpha, theta]))) @ q.conj().T
+                bc = sf.lagrangian_from_phi(block.space, v @ graph.phi)
+                assert md._split_lines(bc, side) is None
+                return md._block_eta(block, bc, ell, side).eta
+
+            kernel, above, below = eta_at(0.0), eta_at(1e-6), eta_at(-1e-6)
+            assert abs(abs(above - below) - 2.0) < 1e-4
+            assert abs(kernel - 0.5 * (above + below)) < 1e-4
+
+    def test_coupled_glue_past_cosh_overflow(self):
+        # mu L in [620, 960], where the eigenphase tracker's frame underflows:
+        # random coupled conditions must close to 1e-9 with integer part -tau_mu
+        taus = set()
+        for k in range(8):
+            rng = rng_for(102, k)
+            sp = sf.standard_space(2)
+            mus = sorted(rng.uniform(40.0, 60.0, size=1 + k % 2))
+            a = planted_anticommuting(sp, mus, rng)
+            ell, ell_minus = rng.uniform(14.0, 18.0, size=2)
+            op_p = md.build_model(sp, a, md.Interval(float(ell)))
+            op_m = md.build_model(sp, a, md.Interval(float(ell_minus)))
+            dbs = md.double_boundary(op_p)
+            rec = md.glue_verify(op_p, op_m, random_coupled_boundary(dbs, rng), dbs=dbs)
+            assert rec["defect"] <= 1e-9 and rec["bound"] <= 1e-12
+            assert round(rec["delta"]) == -rec["tau_mu"]
+            taus.add(rec["tau_mu"])
+        assert len(taus) > 1
+
+
 class TestSplitLines:
     @staticmethod
     def svd_lines(bc):
@@ -815,7 +986,7 @@ class TestCertifiedRoots:
         # changes fall short of the Sturm count, which sees them
         p, q = np.array([np.cos(a), np.sin(a)]), np.array([np.cos(b), np.sin(b)])
         grid = md._scan_grid(14.0, mu, ell)
-        vals = md._block_root_function(mu, ell, p, q)(grid)
+        vals = _block_root_function(mu, ell, p, q)(grid)
         coarse = int(np.sum((vals[:-1] < 0) != (vals[1:] < 0)))
         assert coarse == count - 2
         assert md._sturm_count(mu, ell, p, q, grid[0], grid[-1]) == count
@@ -886,7 +1057,7 @@ class TestCertifiedRoots:
             mu, ell = rng.uniform(0.2, 3.0), rng.uniform(0.5, 3.0)
             a, b = rng.uniform(0.0, np.pi, size=2)
             p, q = np.array([np.cos(a), np.sin(a)]), np.array([np.cos(b), np.sin(b)])
-            f = md._block_root_function(mu, ell, p, q)
+            f = _block_root_function(mu, ell, p, q)
             for r in md._bracketed_roots(mu, ell, [(p, q)], 10.0, tol)[0]:
                 assert abs(bisect(lambda x: float(f(x)), r - 1e-6, r + 1e-6) - r) <= tol
         for seed in range(1, 4):

@@ -692,7 +692,8 @@ class TestCaps:
 class TestWindowAndScanCaps:
     """A model window holds at most MAX_N_MAX roots per block, and a root scan
     at most MAX_SCAN_POINTS grid points: a large window, a large ||A|| (which
-    shrinks the scan step 0.45/mu) or a tiny length exits 2 at once."""
+    shrinks the scan step 0.45/mu) or a tiny length exits 2 at once.  Glue
+    scans no roots, so it takes any ||A||."""
 
     GLUE_P = {"frame": [[[-0.938507899795, 0], [0, 0]], [[0, 0], [-0.345257761712, 0]],
                         [[-0.345257761712, 0], [0, 0]], [[0, 0], [-0.938507899795, 0]]]}
@@ -702,9 +703,7 @@ class TestWindowAndScanCaps:
         ("spectrum", {"window": 1e12}),
         ("spectrum", {"window": 1e6, "geometry": {"interval": 1e-9}}),
         ("spectrum", {"A": ser.matrix_to_json(np.diag([1e7, -1e7]))}),
-        ("glue", {"A": ser.matrix_to_json(np.diag([1e7, -1e7])),
-                  "glue": {"length_minus": 0.7, "P": GLUE_P, "n_max": 200}}),
-    ], ids=["circle-window", "interval-window", "tiny-length", "large-A", "large-A-glue"])
+    ], ids=["circle-window", "interval-window", "tiny-length", "large-A"])
     def test_exits_2_within_a_second(self, tmp_path, capsys, what, change):
         doc = {"gamma": "standard:1", "A": ser.matrix_to_json(np.diag([1.0, -1.0])),
                "geometry": {"interval": 1.0},
@@ -720,6 +719,24 @@ class TestWindowAndScanCaps:
         rec = json.loads(capsys.readouterr().out)
         assert rec["error"] == "SchemaError"
         assert rec["pass"] is False
+
+    @pytest.mark.parametrize("mu, length", [(1e7, 1.0), (50.0, 16.0)],
+                             ids=["large-A-glue", "past-708"])
+    def test_coupled_glue_closes_within_a_second(self, tmp_path, capsys, mu, length):
+        # GLUE_P couples the two ends of the one mode block; its eta is a
+        # closed form at every mu L (1e7 and 800 here), so no root scan, no
+        # scan cap and no underflowing frame
+        doc = {"gamma": "standard:1", "A": ser.matrix_to_json(np.diag([mu, -mu])),
+               "geometry": {"interval": length},
+               "glue": {"length_minus": 0.7, "P": self.GLUE_P, "n_max": 200}}
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps(doc))
+        t0 = time.perf_counter()
+        assert main(["model", "glue", str(f)]) == 0
+        assert time.perf_counter() - t0 < 1.0
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["pass"] is True
+        assert rec["defect"] <= rec["bound"] <= 1e-12
 
 
 class TestMainEntry:
