@@ -51,6 +51,7 @@ from .symplectic_core import (
     Reduction,
     SymplecticSpace,
     gamma_rotate,
+    graph_unitaries,
     intersection_dim,
     lagrangian_from_frame,
     lagrangian_from_phi,

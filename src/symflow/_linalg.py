@@ -13,10 +13,12 @@ Everything here operates on plain ndarrays.  Tolerance policy:
   spectral flow and winding: zero counts as nonnegative;
 * ``least_arc_matching`` is the one eigenphase matcher, shared by ``wind``
   and the coupled model roots;
-* ``norm_at_most`` (one matrix) and ``norms_below`` (stacks) decide a 2-norm
-  bound from the Frobenius bounds and take the exact 2-norm only when those
-  leave it open; ``conditioned_inverse`` decides the rank cut of a square
-  matrix the same way, so no Lagrangian constructor takes an SVD.
+* ``norm_at_most`` and ``norms_below`` decide a 2-norm bound from the
+  Frobenius bounds and take the exact 2-norm only when those leave it open;
+  ``conditioned_inverse`` decides the rank cut of a square matrix the same
+  way, so no Lagrangian constructor takes an SVD;
+* the checks and kernels take stacks (..., n, n) and decide each matrix on
+  its own, bit for bit as they decide it alone: one matrix is a stack of one.
 """
 
 from __future__ import annotations
@@ -67,71 +69,131 @@ def orthonormal_columns(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     return u[:, :int(np.sum(s > tol * s[0]))] if s.size else m[:, :0]
 
 
+def _gram(u: np.ndarray) -> np.ndarray:
+    """u* u for each matrix of a stack (..., a, b)."""
+    return u.conj().swapaxes(-1, -2) @ u
+
+
+def _all(mask) -> bool:
+    """mask.all() of a bool or of a boolean array, at a third of its cost on
+    the small masks of this module."""
+    return mask if type(mask) is bool else np.count_nonzero(mask) == mask.size
+
+
 def require_unitary(u: np.ndarray, tol: float = 1e-9, what: str = "matrix") -> np.ndarray:
     u = as_complex_matrix(u)
     if u.shape[0] != u.shape[1]:
         raise NotUnitary(f"{what} is not square: {u.shape}")
-    if not _frobenius(u) <= UNITARY_FROBENIUS_CAP:
-        raise NotUnitary(f"{what} fails unitarity: it has an entry of modulus "
-                         f"{float(np.max(np.abs(u))):.3e}, a unitary has none above 1")
-    gram_defect = u.conj().T @ u - np.eye(u.shape[0])
-    if not norm_at_most(gram_defect, tol * 10 * max(1, u.shape[0])):
-        raise NotUnitary(f"{what} fails unitarity by {np.linalg.norm(gram_defect, 2):.3e}")
+    if not unitary_mask(u, tol):
+        if not _frobenius(u) <= UNITARY_FROBENIUS_CAP:
+            raise NotUnitary(f"{what} fails unitarity: it has an entry of modulus "
+                             f"{float(np.max(np.abs(u))):.3e}, a unitary has none above 1")
+        raise NotUnitary(f"{what} fails unitarity by "
+                         f"{_two_norm(_gram(u) - np.eye(u.shape[0])):.3e}")
     return u
 
 
-def _frobenius(x: np.ndarray) -> float:
-    """||x||_F from one BLAS dot (inf if the sum of squares overflows)."""
-    return math.sqrt(np.vdot(x, x).real)
+def unitary_mask(u: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """The verdict of ``require_unitary`` on each square matrix of a stack
+    (..., n, n): ||u*u - I||_2 <= 10 tol max(1, n), by ``norm_at_most``.  A
+    matrix past UNITARY_FROBENIUS_CAP fails before its Gram product, which
+    could overflow, is formed."""
+    n = u.shape[-1]
+    limit = tol * 10 * max(1, n)
+    capped = _frobenius(u) <= UNITARY_FROBENIUS_CAP
+    if _all(capped):
+        return norm_at_most(_gram(u) - np.eye(n), limit)
+    ok = np.zeros(np.shape(capped), dtype=bool)
+    ok[capped] = norm_at_most(_gram(u[capped]) - np.eye(n), limit)
+    return ok
 
 
-def _two_norm_bracket(x: np.ndarray) -> tuple[float, float]:
-    """(||x||_F / sqrt(smaller side), ||x||_F), bounds of ||x||_2; if the sum
-    of squares overflows (silently), the exact 2-norm."""
-    fro = _frobenius(x)
-    if math.isfinite(fro):
-        return fro / math.sqrt(max(1, min(x.shape))), fro
-    exact = float(np.linalg.norm(x, 2))
-    return exact, exact
+def _frobenius(x: np.ndarray) -> np.ndarray:
+    """||x||_F of each matrix of a stack (..., a, b), from one BLAS dot each
+    (a float for one matrix); inf, without a warning, where the sum of
+    squares overflows.  One matrix, or a stack of one, takes np.vdot, which
+    checks no floating-point state, and more take np.vecdot, the same sum,
+    with overflow silenced."""
+    if x.ndim == 2:
+        return math.sqrt(np.vdot(x, x).real)
+    if len(x) == 1:
+        return np.array([math.sqrt(np.vdot(x, x).real)])
+    flat = x.reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.sqrt(np.vecdot(flat, flat).real)
 
 
-def norm_at_most(x: np.ndarray, limit: float, scale: np.ndarray | None = None) -> bool:
-    """Exact verdict of ``||x||_2 <= limit``, or of ``<= limit * max(1, ||scale||_2)``.
+def _two_norm(x: np.ndarray) -> np.ndarray:
+    """The exact ||x||_2 of each matrix of a stack (..., a, b): an SVD each."""
+    return np.linalg.norm(x, 2, axis=(-2, -1))
+
+
+def norm_at_most(x: np.ndarray, limit: float, scale: np.ndarray | None = None) -> np.ndarray:
+    """Exact verdict of ``||x||_2 <= limit``, or of ``<= limit * max(1, ||scale||_2)``,
+    for each matrix of a stack (..., a, b) and its scale (..., c, c); a bool,
+    or a 0-d array, for one matrix.
 
     The rule of ``norms_below``: a Frobenius norm at or below the limit
     passes, one above sqrt(rank) times the limit fails, and only the case in
     between takes the exact 2-norm (an SVD).  The scale is bracketed by its
     Frobenius norm the same way and taken exactly only when that decides.
+    An overflowing sum of squares (silent) takes the exact 2-norm.
     """
-    x_lo, x_hi = _two_norm_bracket(x)
-    if x_hi <= limit:
-        return True
-    lo = hi = limit
+    x_hi = _frobenius(x)
+    ok = x_hi <= limit
+    if _all(ok):
+        return ok
+    shape = np.shape(ok)
+    x = x.reshape((-1,) + x.shape[-2:])
+    x_hi = np.reshape(x_hi, -1)
+    x_lo = x_hi / math.sqrt(max(1, min(x.shape[-2:])))
+    overflow = ~np.isfinite(x_hi)
+    if np.count_nonzero(overflow):
+        x_lo[overflow] = x_hi[overflow] = _two_norm(x[overflow])
+    lo = hi = np.full(x_hi.shape, float(limit))
     if scale is not None:
-        s_lo, s_hi = _two_norm_bracket(scale)
-        lo, hi = limit * max(1.0, s_lo), limit * max(1.0, s_hi)
-    if lo < x_hi and x_lo <= hi:
-        x_lo = x_hi = float(np.linalg.norm(x, 2))
-        if scale is not None and lo < x_hi <= hi:
-            lo = limit * max(1.0, float(np.linalg.norm(scale, 2)))
-    return x_hi <= lo
+        scale = scale.reshape((-1,) + scale.shape[-2:])
+        s_hi = _frobenius(scale)
+        s_lo = s_hi / math.sqrt(max(1, min(scale.shape[-2:])))
+        wide = ~np.isfinite(s_hi)
+        if np.count_nonzero(wide):
+            s_lo[wide] = s_hi[wide] = _two_norm(scale[wide])
+        lo, hi = limit * np.maximum(1.0, s_lo), limit * np.maximum(1.0, s_hi)
+    open_ = (lo < x_hi) & (x_lo <= hi)
+    if np.count_nonzero(open_):
+        x_hi[open_] = _two_norm(x[open_])
+        if scale is not None:
+            rescale = open_ & (lo < x_hi) & (x_hi <= hi)
+            if np.count_nonzero(rescale):
+                lo[rescale] = limit * np.maximum(1.0, _two_norm(scale[rescale]))
+    return (x_hi <= lo).reshape(shape)
 
 
-def conditioned_inverse(a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray | None:
-    """a^{-1} if s_min(a) > tol * s_max(a), the rank cut of ``orthonormal_columns``,
-    else None.  As cond(a) <= ||a||_F ||a^{-1}||_F <= n cond(a), only a product
-    in [1/tol, n/tol) (or an overflow) takes the singular values."""
+@np.errstate(over="ignore", invalid="ignore")
+def conditioned_inverse(a: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """(a^{-1}, ok) for a stack (m, n, n): ok where s_min(a) > tol * s_max(a),
+    the rank cut of ``orthonormal_columns``; the inverse of a singular
+    member is zero.  As cond(a) <= ||a||_F ||a^{-1}||_F <= n cond(a), only a
+    product in [1/tol, n/tol) (or an overflow) takes the singular values."""
     try:
         inv = np.linalg.inv(a)
+        regular = True
     except np.linalg.LinAlgError:
-        return None
+        inv, regular = np.zeros_like(a), np.ones(len(a), dtype=bool)
+        for i, member in enumerate(a):
+            try:
+                inv[i] = np.linalg.inv(member)
+            except np.linalg.LinAlgError:
+                regular[i] = False
     product = _frobenius(a) * _frobenius(inv)
-    if product < 1.0 / tol:
-        return inv
-    if math.isfinite(product) and product >= a.shape[0] / tol:
-        return None
-    s = np.linalg.svd(a, compute_uv=False)
-    return inv if s[-1] > tol * s[0] else None
+    ok = (product < 1.0 / tol) & regular
+    if _all(ok):
+        return inv, ok
+    open_ = ~ok & regular & ~(np.isfinite(product) & (product >= a.shape[-1] / tol))
+    if np.count_nonzero(open_):
+        s = np.linalg.svd(a[open_], compute_uv=False)
+        ok[open_] = s[:, -1] > tol * s[:, 0]
+    return inv, ok
 
 
 def norms_below(a: np.ndarray, b: np.ndarray, bounds, hermitian: bool = False) -> np.ndarray:
@@ -165,19 +227,42 @@ def random_unitary(rng, n: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def nearest_unitary(u: np.ndarray) -> np.ndarray:
-    """The polar factor of u, by Newton-Schulz steps u <- u(3I - u*u)/2 until
-    ||u*u - I||_F <= 8 n eps (rounding level).  They converge quadratically from
-    every u whose singular values lie in (0, sqrt 3), as after a unitarity check;
-    a u with ||u*u - I||_F >= 1 is first scaled to ||u||_F = 1 to put them there."""
-    eye = np.eye(u.shape[0])
-    if _frobenius(u.conj().T @ u - eye) >= 1.0:
-        u = u / _frobenius(u)
-    for _ in range(64):
-        defect = u.conj().T @ u - eye
-        if _frobenius(defect) <= 8 * np.finfo(float).eps * u.shape[0]:
-            return u
-        u = u - 0.5 * (u @ defect)
+def nearest_unitary(u: np.ndarray, defect: np.ndarray | None = None) -> np.ndarray:
+    """The polar factor of u, or of each matrix of a stack (..., n, n), by
+    Newton-Schulz steps u <- u(3I - u*u)/2 until ||u*u - I||_F <= 8 n eps
+    (rounding level), each matrix stopping on its own.  They converge
+    quadratically from every u whose singular values lie in (0, sqrt 3), as
+    after a unitarity check; a u with ||u*u - I||_F >= 1 is first scaled to
+    ||u||_F = 1 to put them there.  A u already at rounding level is returned
+    as it is.  ``defect`` is u*u - I, when the caller has it."""
+    n = u.shape[-1]
+    eye = np.eye(n)
+    stack = u.reshape((-1, n, n))
+    defect = _gram(stack) - eye if defect is None else defect.reshape(stack.shape)
+    size = _frobenius(defect)
+    far = size >= 1.0
+    scaled = bool(np.count_nonzero(far))
+    if scaled:
+        stack, defect = stack.copy(), defect.copy()
+        stack[far] = stack[far] / _frobenius(stack[far])[:, None, None]
+        defect[far] = _gram(stack[far]) - eye
+        size[far] = _frobenius(defect[far])
+    out = live = None
+    for step in range(64):
+        done = size <= 8 * np.finfo(float).eps * n
+        finished = np.count_nonzero(done)
+        if finished == done.size and out is None:
+            return u if step == 0 and not scaled else stack.reshape(u.shape)
+        if finished:
+            if out is None:
+                out, live = np.empty_like(stack), np.arange(len(stack))
+            out[live[done]] = stack[done]
+            if finished == done.size:
+                return out.reshape(u.shape)
+            live, stack, defect = live[~done], stack[~done], defect[~done]
+        stack = stack - 0.5 * (stack @ defect)
+        defect = _gram(stack) - eye
+        size = _frobenius(defect)
     raise NotUnitary("Newton-Schulz steps do not reach the unitary group")
 
 

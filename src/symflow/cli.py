@@ -350,7 +350,7 @@ def _model_report(what: str, parsed: dict) -> dict:
         op_minus = md.build_model(op.space, op.a_matrix, md.Interval(glue["length_minus"]))
         dbs = md.double_boundary(op)
         p = lagrangian_from_json(glue["P"], dbs.space)
-        rec = md.glue_verify(op, op_minus, p, eta_tol=parsed["eta_tol"])
+        rec = md.glue_verify(op, op_minus, p, eta_tol=parsed["eta_tol"], dbs=dbs)
         return {"kind": "glue", **rec, "pass": True}
     raise SchemaError(f"unknown model action {what!r}")  # pragma: no cover
 

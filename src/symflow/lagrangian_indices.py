@@ -62,7 +62,9 @@ class LagrangianPairPath:
                 lf, lg = g(t)
                 return lf.phi @ lg.phi.conj().T
 
-        return UnitaryPath([(t, f.phi @ g.phi.conj().T) for t, f, g in self.samples], gen)
+        ts, fs, gs = zip(*self.samples)
+        phi_f, phi_g = (np.array([lag.phi for lag in lags]) for lags in (fs, gs))
+        return UnitaryPath(list(zip(ts, phi_f @ phi_g.conj().swapaxes(-1, -2))), gen)
 
     def endpoints(self):
         t0, f0, g0 = self.samples[0]

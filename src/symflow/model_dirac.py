@@ -19,6 +19,7 @@ Boundary-condition conventions, fixed here and used by every verifier:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -53,6 +54,8 @@ from .lagrangian_indices import LagrangianPairPath, gamma_conjugate, maslov, tau
 from .symplectic_core import (
     Lagrangian,
     SymplecticSpace,
+    graph_frames,
+    graph_unitaries,
     intersection_dim,
     lagrangian_from_frame,
     space_from_gamma,
@@ -215,6 +218,13 @@ class DoubledBlock:
     def __post_init__(self):
         object.__setattr__(self, "frame", readonly(self.frame))
 
+    @cached_property
+    def zero_graph(self) -> np.ndarray:
+        """phi of the kernel block's solutions at lambda = 0: its transfer
+        matrix is I on either side, so they are the diagonal {(x, x)}."""
+        eye = np.eye(self.frame.shape[1] // 2)
+        return lagrangian_from_frame(self.space, np.vstack([eye, eye])).phi
+
 
 @dataclass(frozen=True)
 class DoubleBoundarySpace:
@@ -326,21 +336,59 @@ def cauchy_data(op: ModelOperator, dbs: Optional[DoubleBoundarySpace] = None,
 # boundary traces along mode blocks
 
 
-def _block_trace(frame: np.ndarray, block_frame: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal coordinates, in the block basis, of span(frame) ∩ span(block_frame),
-    both orthonormal frames."""
-    return block_frame.conj().T @ intersect_subspaces([frame, block_frame], tol)
+def _frames_of(lags: Sequence[Lagrangian]) -> np.ndarray:
+    """The frames of Lagrangians of one dimension, stacked (K, 2n, n), as
+    ``Lagrangian.frame`` gives each: one ``graph_frames`` when they share a
+    space, as a family does."""
+    space = lags[0].space
+    if all(lag.space is space for lag in lags):
+        return graph_frames(space, np.array([lag.phi for lag in lags]))
+    return np.array([lag.frame for lag in lags])
 
 
-def _real_line_rep(vec: np.ndarray, tol: float = 1e-7) -> np.ndarray:
-    """Real unit representative of a Lagrangian line in a 2-D mode block."""
-    v = vec.ravel()
-    i = int(np.argmax(np.abs(v)))
-    v = v * (v[i].conjugate() / abs(v[i]))
-    if np.max(np.abs(v.imag)) > tol:
+def _block_family(block: DoubledBlock, frames: np.ndarray, tol: float) -> np.ndarray:
+    """Graph unitaries (K, k, k), in the doubled block's own space, of what the
+    constraints with orthonormal frames (K, 2 dim H, dim H) cut out of the
+    block (the traces): one stacked SVD for the intersections with the
+    block, as ``intersect_subspaces`` takes it, and one ``graph_unitaries``.
+
+    A constraint must meet the block in half its dimension k, else
+    IncompatibleBoundary.  A family that fails is taken again one member at
+    a time, so it raises what its first failing member raises alone.
+    """
+    k = block.frame.shape[1] // 2
+    block_h = block.frame.conj().T
+    # combinations of each frame that projection onto the block's complement kills
+    _, s, vh = np.linalg.svd(frames - block.frame @ (block_h @ frames), full_matrices=False)
+    dims = (s <= tol * np.maximum(1.0, s[:, :1])).sum(axis=1)
+    try:
+        if np.count_nonzero(dims != k):
+            first = int(np.argmax(dims != k))
+            raise IncompatibleBoundary(
+                f"constraint meets doubled block mu={block.mu:.6g} in dimension "
+                f"{dims[first]}, expected {k}")
+        # the singular values descend, so the intersection takes the last k
+        return graph_unitaries(block.space,
+                               block_h @ (frames @ vh[:, -k:].conj().swapaxes(-1, -2)), tol)
+    except SymflowError:
+        if len(frames) > 1:
+            for member in range(len(frames)):
+                _block_family(block, frames[member:member + 1], tol)
+        raise
+
+
+def _real_line_rep(vecs: np.ndarray, tol: float = 1e-7) -> np.ndarray:
+    """Real unit representatives of Lagrangian lines in a 2-D mode block, one
+    per row of vecs (..., 2); IncompatibleBoundary if one is not realifiable.
+    Each row is rotated by the phase of its entry of largest modulus (the
+    first of two equal ones)."""
+    size = np.abs(vecs)
+    pivot = np.where(size[..., 1] > size[..., 0], vecs[..., 1], vecs[..., 0])[..., None]
+    v = vecs * (pivot.conj() / np.hypot(pivot.real, pivot.imag))
+    if np.count_nonzero(np.abs(v.imag) > tol):
         raise IncompatibleBoundary("block line is not realifiable; not a Lagrangian trace")
-    v = v.real
-    return v / np.linalg.norm(v)
+    v = v.real.copy()
+    return v / np.sqrt(np.vecdot(v, v))[..., None]
 
 
 # ---------------------------------------------------------------------------
@@ -362,15 +410,15 @@ def _transfer_terms(lam, mu: float, ell: float):
     return c, s, np.where(gap, 1.0 + em, 1.0)
 
 
-def _block_coefficients(mu: float, p: np.ndarray, q: np.ndarray) -> tuple[float, float, float]:
+def _block_coefficients(mu: float, p: np.ndarray, q: np.ndarray) -> tuple:
     """(<q_perp, p>, m_const, m_lin) of F(lambda) = <q_perp, T_L(lambda) p>, with
-    q_perp = (-q_1, q_0) and p, q real unit lines of one 2-D block; note
-    <q_perp, p>^2 + m_lin^2 = 1."""
-    qp = np.array([-q[1], q[0]])
-    m_const = -mu * qp[0] * p[0] + mu * qp[1] * p[1]
-    m_lin = qp[0] * p[1] - qp[1] * p[0]
-    dot = qp[0] * p[0] + qp[1] * p[1]
-    return float(dot), float(m_const), float(m_lin)
+    q_perp = (-q_1, q_0) and p, q real unit lines of one 2-D block, or each
+    of stacked pairs (..., 2); note <q_perp, p>^2 + m_lin^2 = 1."""
+    qp0, qp1 = -q[..., 1], q[..., 0]
+    m_const = -mu * qp0 * p[..., 0] + mu * qp1 * p[..., 1]
+    m_lin = qp0 * p[..., 1] - qp1 * p[..., 0]
+    dot = qp0 * p[..., 0] + qp1 * p[..., 1]
+    return dot, m_const, m_lin
 
 
 def _root_values(lam, coef: np.ndarray, mu: float, ell: float) -> np.ndarray:
@@ -528,17 +576,19 @@ def _sturm_count(mu: float, ell: float, p: np.ndarray, q: np.ndarray,
     return np.abs(level(lo) - level(hi)).astype(int)
 
 
-def _bracketed_roots(mu: float, ell: float, lines: Sequence[tuple], window: float,
+def _bracketed_roots(mu: float, ell: float, lines, window: float,
                      tol: float) -> list[np.ndarray]:
     """Roots on [-window, window] of a split block for each pair (p, q) of
-    ``lines``: crossings of F (``_root_values``) counted against the
-    pair's ``_sturm_count``, polished on F.  The pairs share each scan grid, a
-    chunk of at most MAX_SCAN_POINTS values at a time, and one polish, with
-    F's coefficients (``_block_coefficients``) as the carry."""
-    if not lines:
+    ``lines`` (pairs of real unit lines, or their stack (K, 2, 2)): crossings
+    of F (``_root_values``) counted against the pair's ``_sturm_count``,
+    polished on F.  The pairs share each scan grid, a chunk of at most
+    MAX_SCAN_POINTS values at a time, and one polish, with F's coefficients
+    (``_block_coefficients``) as the carry."""
+    lines = np.asarray(lines, dtype=float).reshape(-1, 2, 2)
+    if not len(lines):
         return []
-    coef = np.array([_block_coefficients(mu, p, q) for p, q in lines])
-    p, q = (np.array(end) for end in zip(*lines))
+    p, q = lines[:, 0], lines[:, 1]
+    coef = np.stack(_block_coefficients(mu, p, q), axis=-1)
 
     def scan(grid, todo):
         found, chunk = [], max(1, MAX_SCAN_POINTS // grid.size)
@@ -595,54 +645,62 @@ def circle_spectrum(op: ModelOperator, window: float) -> np.ndarray:
 
 
 def _block_constraint(block: DoubledBlock, lag: Lagrangian, tol: float) -> Lagrangian:
-    tr = _block_trace(lag.frame, block.frame, tol)
-    k = block.frame.shape[1] // 2
-    if tr.shape[1] != k:
-        raise IncompatibleBoundary(
-            f"constraint meets doubled block mu={block.mu:.6g} in dimension "
-            f"{tr.shape[1]}, expected {k}"
-        )
-    return lagrangian_from_frame(block.space, tr, tol)
+    """The trace of ``lag`` on ``block``: ``_block_family`` of one."""
+    return Lagrangian(block.space, _block_family(block, lag.frame[None], tol)[0])
 
 
-def _null_line(m: np.ndarray) -> Optional[np.ndarray]:
-    """Unit null vector of a 2x2 matrix with exactly one singular value at
-    most 1e-9, else None.
+@np.errstate(divide="ignore", invalid="ignore")
+def _null_line(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit null vectors (K, 2) of 2x2 matrices (K, 2, 2), and the mask of
+    those with exactly one singular value at most 1e-9 (the vectors of the
+    others mean nothing).
 
     The SVD in closed form: s_max^2 is the larger eigenvalue of m*m,
     s_min = |det m| / s_max, and the null vector is the eigenvector of m*m
     for s_min^2, read off whichever row of m*m - s_min^2 I is longer.
     """
-    h = m.conj().T @ m
-    a, c, b = h[0, 0].real, h[1, 1].real, h[0, 1]
-    s_max = np.sqrt(0.5 * (a + c) + np.hypot(0.5 * (a - c), abs(b)))
-    if not s_max > 1e-9:
-        return None
-    s_min = abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]) / s_max
-    if s_min > 1e-9:
-        return None
+    h = m.conj().swapaxes(-1, -2) @ m
+    a, c, b = h[:, 0, 0].real, h[:, 1, 1].real, h[:, 0, 1]
+    s_max = np.sqrt(0.5 * (a + c) + np.hypot(0.5 * (a - c), np.abs(b)))
+    s_min = np.abs(m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]) / s_max
     lam = s_min * s_min
-    v = np.array([-b, a - lam]) if a >= c else np.array([c - lam, -b.conjugate()])
-    return v / np.linalg.norm(v)
+    upper = a >= c
+    v = np.empty((len(m), 2), dtype=complex)
+    v[:, 0], v[:, 1] = np.where(upper, -b, c - lam), np.where(upper, a - lam, -b.conj())
+    norm = np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+    return v / norm[:, None], (s_max > 1e-9) & ~(s_min > 1e-9)
+
+
+def _block_lines(space: SymplecticSpace, phis: np.ndarray, side: str) -> tuple:
+    """(lines, split) for 2-line block constraints with graph unitaries phis
+    (K, 2, 2) in the block's space: split marks those that split into a line
+    at each end, and lines[j] = (p, q) are its real unit lines, p at the end
+    the transfer matrix starts from (slot 0 for side '+', slot 1 for '-'), q
+    at the other; the lines of a coupled constraint mean nothing.
+
+    A line at slot 0 is what the frame gives on the null vector of its slot-1
+    half, and the other way round: one ``_null_line`` and one
+    ``_real_line_rep`` for both ends of every constraint.  A slot-0 line is
+    checked for realifiability wherever it is found, a slot-1 line where the
+    constraint splits, else IncompatibleBoundary.
+    """
+    halves = graph_frames(space, phis).reshape(-1, 2, 2)  # slot 0, slot 1, per constraint
+    ns, found = _null_line(halves.reshape(-1, 2, 2, 2)[:, ::-1].reshape(-1, 2, 2))
+    checked = found.reshape(-1, 2)
+    split = checked[:, 0] & checked[:, 1]
+    checked[:, 1] = split
+    checked = checked.reshape(-1)
+    lines = np.zeros((len(halves), 2))
+    lines[checked] = _real_line_rep((halves[checked] @ ns[checked][:, :, None])[:, :, 0])
+    lines = lines.reshape(-1, 2, 2)
+    return (lines if side == "+" else lines[:, ::-1]), split
 
 
 def _split_lines(bc: Lagrangian, side: str) -> Optional[tuple]:
-    """Real unit lines (p, q) of a 2-line block constraint that splits into a
-    line at each end, p at the end the transfer matrix starts from (slot 0
-    for side '+', slot 1 for '-'), q at the other; None when it couples them.
-
-    A line at slot 0 is what the frame gives on the null vector of its slot-1
-    half, and the other way round.
-    """
-    top, bot = bc.frame[:2, :], bc.frame[2:, :]
-    lines = []
-    for part, other in ((top, bot), (bot, top)):
-        ns = _null_line(other)
-        if ns is None:
-            return None
-        lines.append(_real_line_rep(part @ ns))
-    p, q = lines if side == "+" else lines[::-1]
-    return p, q
+    """Real unit lines (p, q) of a 2-line block constraint that splits, None
+    when it couples its ends: ``_block_lines`` of one."""
+    lines, split = _block_lines(bc.space, bc.phi[None], side)
+    return (lines[0, 0], lines[0, 1]) if split[0] else None
 
 
 def _phases_grid(block: DoubledBlock, ell: float, bc_phi_h: np.ndarray,
@@ -722,36 +780,33 @@ def _tracked_block_roots(block: DoubledBlock, ell: float, bc_phi_h: np.ndarray,
     return _certified_roots(scan, at, block.mu, ell, window, tol)[0]
 
 
-def _kernel_offsets(block: DoubledBlock, ell: float, bc_phi_h: np.ndarray,
+def _kernel_offsets(block: DoubledBlock, ell: float, phis: np.ndarray,
                     side: str) -> np.ndarray:
-    """Lattice offsets in [0, 1), in units of 2 pi / L, of the kernel doubled block.
+    """Lattice offsets in [0, 1), in units of 2 pi / L, of the kernel doubled
+    block, one row per block constraint of graph unitaries phis (K, k, k).
 
     The graph unitary is e^{-+ i lam L} times a constant, so each eigenphase
     branch is exactly linear with slope -L (side '+') or +L (side '-');
     eigenvalues form one lattice of spacing 2 pi / L per branch.
     """
     rate = -ell if side == "+" else ell
-    # at lambda = 0 the transfer matrix of the kernel block is I on either
-    # side, so the solution graph is the diagonal {(x, x)}
-    eye = np.eye(block.frame.shape[1] // 2)
-    theta0 = np.angle(np.linalg.eigvals(
-        lagrangian_from_frame(block.space, np.vstack([eye, eye])).phi @ bc_phi_h))
+    theta0 = np.angle(np.linalg.eigvals(block.zero_graph @ phis.conj().swapaxes(-1, -2)))
     return np.mod(theta0 / (-rate) / (2.0 * np.pi / ell), 1.0)
 
 
-def _block_roots(block: DoubledBlock, bcs: Sequence[Lagrangian], ell: float, side: str,
+def _block_roots(block: DoubledBlock, phis: np.ndarray, ell: float, side: str,
                  window: float, tol: float) -> list[np.ndarray]:
     """Eigenvalues in [-window, window] from one doubled 2-D mode block, one
-    array per block constraint of ``bcs``: the constraints that split into a
-    line at each end share one scan of the real F (``_bracketed_roots``), a
-    coupled one scans its eigenphases alone (``_tracked_block_roots``); every
-    count is certified, so a root is never lost silently (BracketingFailure
-    instead)."""
-    lines = [_split_lines(bc, side) for bc in bcs]
-    split = iter(_bracketed_roots(block.mu, ell, [ln for ln in lines if ln is not None],
-                                  window, tol))
-    return [_tracked_block_roots(block, ell, bc.phi.conj().T, side, window, tol)
-            if ln is None else next(split) for bc, ln in zip(bcs, lines)]
+    array per block constraint, given by their graph unitaries phis (K, 2, 2):
+    the constraints that split into a line at each end (``_block_lines``)
+    share one scan of the real F (``_bracketed_roots``), a coupled one scans
+    its eigenphases alone (``_tracked_block_roots``); every count is
+    certified, so a root is never lost silently (BracketingFailure instead)."""
+    lines, split = _block_lines(block.space, phis, side)
+    found = iter(_bracketed_roots(block.mu, ell, lines[split], window, tol))
+    return [next(found) if is_split else
+            _tracked_block_roots(block, ell, phi.conj().T, side, window, tol)
+            for phi, is_split in zip(phis, split)]
 
 
 def _block_eta(block: DoubledBlock, bc: Lagrangian, ell: float, side: str) -> EtaEstimate:
@@ -776,8 +831,9 @@ def _block_eta(block: DoubledBlock, bc: Lagrangian, ell: float, side: str) -> Et
 def _block_spectra(op: ModelOperator, constraints: Sequence[Lagrangian], side: str,
                    dbs: DoubleBoundarySpace, mode: Callable):
     """Per doubled block of ``dbs``: (block, per constraint the kernel block's
-    lattice offsets from ``_kernel_offsets``, or ``mode(block, bcs)`` for a
-    mode block with the block constraints bcs of ``constraints``).
+    lattice offsets from ``_kernel_offsets``, or ``mode(block, phis)`` for a
+    mode block, phis the graph unitaries of the block constraints of
+    ``constraints``).  The whole family takes one ``_block_family`` per block.
 
     Raises IncompatibleBoundary when a constraint does not meet every
     doubled block in half its dimension.
@@ -785,12 +841,13 @@ def _block_spectra(op: ModelOperator, constraints: Sequence[Lagrangian], side: s
     if not isinstance(op.geometry, Interval):
         raise ValueError("interval spectra need an interval model")
     ell = op.geometry.length
+    frames = _frames_of(constraints)
     for block in dbs.blocks:
-        bcs = [_block_constraint(block, constraint, DEFAULT_TOL) for constraint in constraints]
+        phis = _block_family(block, frames, DEFAULT_TOL)
         if block.is_kernel:
-            yield block, [_kernel_offsets(block, ell, bc.phi.conj().T, side) for bc in bcs]
+            yield block, _kernel_offsets(block, ell, phis, side)
         else:
-            yield block, mode(block, bcs)
+            yield block, mode(block, phis)
 
 
 def _boundary_spectra(op: ModelOperator, constraints: Sequence[Lagrangian], window: float,
@@ -804,7 +861,7 @@ def _boundary_spectra(op: ModelOperator, constraints: Sequence[Lagrangian], wind
         parts = [[] for _ in constraints]
         for block, found in _block_spectra(
                 op, constraints, side, dbs,
-                lambda b, bcs: _block_roots(b, bcs, op.length, side, window, tol)):
+                lambda b, phis: _block_roots(b, phis, op.length, side, window, tol)):
             for part, roots in zip(parts, found):
                 part.append(_lattice_in_window(roots, 2.0 * np.pi / op.length, window)
                             if block.is_kernel else roots)
@@ -946,7 +1003,8 @@ def interval_eta_tilde(op: ModelOperator, constraint: Lagrangian, side: str = "+
     bound = 0.0
     for block, (found,) in _block_spectra(
             op, [constraint], side, dbs,
-            lambda b, bcs: [_block_eta(b, bc, op.length, side) for bc in bcs]):
+            lambda b, phis: [_block_eta(b, Lagrangian(b.space, phi), op.length, side)
+                             for phi in phis]):
         if block.is_kernel:
             for offset in found:
                 eta += eta_lattice(float(offset))[0]

@@ -19,13 +19,14 @@ import numpy as np
 
 from . import symplectic_core
 from ._linalg import DEFAULT_TOL, principal_power
-from .errors import SchemaError
+from .errors import SchemaError, SymflowError
 from .lagrangian_indices import LagrangianPairPath
 from .model_dirac import MAX_N_MAX, Circle, Interval, build_model
 from .spectral_flow import ZERO_TOL, HermitianPath
 from .symplectic_core import (
     Lagrangian,
     SymplecticSpace,
+    graph_unitaries,
     lagrangian_from_frame,
     lagrangian_from_phi,
     space_from_gamma,
@@ -279,12 +280,25 @@ def unitary_path_from_json(obj, tol: float = DEFAULT_TOL) -> UnitaryPath:
 
 
 def pair_path_from_json(obj, tol: float = 1e-9) -> LagrangianPairPath:
-    """{"space": ..., "samples": [[t, frame_f, frame_g], ...]}, the maslov inputs."""
+    """{"space": ..., "samples": [[t, frame_f, frame_g], ...]}, the maslov inputs.
+
+    Every frame_f and frame_g goes through one ``graph_unitaries``.  A path
+    with a bad frame is read again one frame at a time, in document order,
+    so it raises what its first bad frame raises alone."""
     require_fields(obj, ("space", "samples"), (), "maslov inputs")
     space = space_from_json(obj["space"], tol)
     items = _sample_items(obj["samples"], "maslov path", ("t", "frame_f", "frame_g"))
-    samples = [(float(t), lagrangian_from_json({"frame": ff}, space, tol),
-                lagrangian_from_json({"frame": fg}, space, tol)) for t, ff, fg in items]
+    try:
+        phis = graph_unitaries(space, np.array([matrix_from_json(frame, "frame")
+                                                for _, ff, fg in items for frame in (ff, fg)]),
+                               tol)
+    except (SymflowError, ValueError):
+        for _, ff, fg in items:
+            lagrangian_from_json({"frame": ff}, space, tol)
+            lagrangian_from_json({"frame": fg}, space, tol)
+        raise
+    samples = [(float(t), Lagrangian(space, phi_f), Lagrangian(space, phi_g))
+               for (t, _, _), phi_f, phi_g in zip(items, phis[0::2], phis[1::2])]
     with _path_errors("maslov path"):
         return LagrangianPairPath(samples)
 

@@ -24,6 +24,9 @@ __all__ = [
 ]
 
 ZERO_TOL = 1e-9
+# A step whose spectra reach this norm is tested scaled by an exact power of
+# two to a norm near 2^256: squares and sums of such norms would overflow.
+HUGE_NORM = 2.0 ** 500
 
 
 def _require_hermitian(h: np.ndarray, tol: float, what: str) -> np.ndarray:
@@ -32,10 +35,24 @@ def _require_hermitian(h: np.ndarray, tol: float, what: str) -> np.ndarray:
         raise ValueError(f"{what} must be a square matrix")
     if not np.isfinite(h).all():
         raise ValueError(f"{what} has a non-finite entry")
-    if not norm_at_most(h - h.conj().T, tol * 10, scale=h):
+    ok, part = _hermitian_parts(h, tol)
+    if not ok:
         raise ValueError(f"{what} is not Hermitian within tolerance")
-    # halved before the sum, which then cannot overflow
-    return 0.5 * h + 0.5 * h.conj().T
+    return part
+
+
+def _hermitian_parts(h: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """For each square matrix of a stack (..., k, k): the verdict of
+    ``_require_hermitian``, finite and ||h - h*||_2 <= 10 tol max(1,
+    ||h||_2) (``norm_at_most``), and (h + h*)/2, meaningful where it holds.
+    That sum is halved before it is formed, so it cannot overflow."""
+    ht = h.conj().swapaxes(-1, -2)
+    finite = np.isfinite(h).all(axis=(-2, -1))
+    if finite.all():
+        return norm_at_most(h - ht, tol * 10, scale=h), 0.5 * h + 0.5 * ht
+    ok = np.zeros(finite.shape, dtype=bool)
+    ok[finite] = norm_at_most(h[finite] - ht[finite], tol * 10, scale=h[finite])
+    return ok, h
 
 
 def _scale(vals: np.ndarray) -> np.ndarray:
@@ -72,6 +89,9 @@ class HermitianPath(SampledPath):
 
     def _checked(self, h, what: str) -> np.ndarray:
         return _require_hermitian(h, self.tol, what)
+
+    def _stack_checked(self, hs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return _hermitian_parts(hs, self.tol)
 
     @staticmethod
     def _info(hs: np.ndarray) -> np.ndarray:
@@ -122,8 +142,19 @@ class HermitianPath(SampledPath):
 
         A step ending near a crossing thus needs no shorter steps toward it,
         only short enough ones to keep the crossing curve monotone.
+
+        Every term of the rule, the windows included, scales with the step,
+        so a step past HUGE_NORM is tested on its ends scaled by an exact
+        power of two, where no sum or square overflows; the others keep
+        their bits.
         """
         wa, wb = self._window(va), self._window(vb)
+        size = np.maximum(_scale(va), _scale(vb))
+        huge = size >= HUGE_NORM
+        if np.count_nonzero(huge):
+            f = np.where(huge, np.ldexp(1.0, 256 - np.frexp(size)[1]), 1.0)
+            ha, hb = ha * f[:, None, None], hb * f[:, None, None]
+            va, vb, wa, wb = va * f[:, None], vb * f[:, None], wa * f, wb * f
         w = np.maximum(wa, wb)[:, None]
         ma, mb = np.abs(va), np.abs(vb)
         in_a, in_b = ma <= wa[:, None], mb <= wb[:, None]

@@ -48,6 +48,8 @@ __all__ = [
     "standard_space",
     "space_from_gamma",
     "lagrangian_from_frame",
+    "graph_unitaries",
+    "graph_frames",
     "lagrangian_from_phi",
     "projection_of",
     "intersection_dim",
@@ -79,6 +81,16 @@ class SymplecticSpace:
     def dim(self) -> int:
         return 2 * self.dim_half
 
+    @cached_property
+    def adjoint_plus(self) -> np.ndarray:
+        """b_+*, which maps a vector to its E_i coordinates."""
+        return readonly(self.basis_plus.conj().T)
+
+    @cached_property
+    def adjoint_minus(self) -> np.ndarray:
+        """b_-*, which maps a vector to its E_{-i} coordinates."""
+        return readonly(self.basis_minus.conj().T)
+
     def same_space(self, other: "SymplecticSpace", tol: float = 1e-12) -> bool:
         """Same eigenbases (so gamma) within ``tol``: phi is written in them."""
         return self is other or (
@@ -100,8 +112,13 @@ class Lagrangian:
     @cached_property
     def frame(self) -> np.ndarray:
         """The orthonormal graph frame (b_+ + b_- phi)/sqrt2."""
-        return readonly((self.space.basis_plus + self.space.basis_minus @ self.phi)
-                        / np.sqrt(2.0))
+        return readonly(graph_frames(self.space, self.phi))
+
+
+def graph_frames(space: SymplecticSpace, phi: np.ndarray) -> np.ndarray:
+    """The orthonormal graph frames (b_+ + b_- phi)/sqrt2 of graph unitaries
+    phi, one n x n matrix or a stack (..., n, n)."""
+    return (space.basis_plus + space.basis_minus @ phi) / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -187,30 +204,50 @@ def rebased_space(space: SymplecticSpace, rng) -> SymplecticSpace:
 
 
 def lagrangian_from_frame(space: SymplecticSpace, frame, tol: float = DEFAULT_TOL) -> Lagrangian:
-    """The Lagrangian spanned by n columns F, with gamma L = L^perp verified.
+    """The Lagrangian spanned by n columns F, with gamma L = L^perp verified:
+    ``graph_unitaries`` of a stack of one."""
+    frame = as_complex_matrix(frame)
+    return Lagrangian(space, graph_unitaries(space, frame[None], tol)[0])
+
+
+def graph_unitaries(space: SymplecticSpace, frames, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Graph unitaries (m, n, n) of the Lagrangians spanned by a stack of
+    frames (m, 2n, n), each as it is alone, bit for bit.
 
     With a_pm = b_pm* F, F spans a Lagrangian iff a_+ is invertible and
     phi = a_- a_+^{-1} is unitary.  For a Lagrangian span s(a_+) = s(F)/sqrt2,
     so a_+ carries the relative rank cut ``tol`` of F.  An orthonormal frame G
     of the span has G* gamma G = i A*(I - phi*phi)A with A*(I + phi*phi)A = I
     (A = b_+* G), so its isotropy defect is ||(I - phi*phi)(I + phi*phi)^{-1}||_2.
+    One stacked inverse, one stacked isotropy solve and Newton-Schulz steps
+    on the stack; the rank cut, the isotropy verdict and the Newton-Schulz
+    stop are decided per frame.  A stack raises what its first failing frame
+    raises alone.
     """
-    frame = as_complex_matrix(frame)
-    if frame.shape[0] != space.dim:
-        raise DimensionMismatch(f"frame has {frame.shape[0]} rows, space has dim {space.dim}")
+    frames = np.asarray(frames, dtype=complex)
+    if frames.shape[1] != space.dim:
+        raise DimensionMismatch(f"frame has {frames.shape[1]} rows, space has dim {space.dim}")
     n = space.dim_half
-    if frame.shape[1] != n:
-        raise NotLagrangian(f"frame has {frame.shape[1]} columns, a Lagrangian has {n}")
-    inv = conditioned_inverse(space.basis_plus.conj().T @ frame, tol)
-    if inv is None:
+    if frames.shape[2] != n:
+        raise NotLagrangian(f"frame has {frames.shape[2]} columns, a Lagrangian has {n}")
+    inv, ok = conditioned_inverse(space.adjoint_plus @ frames, tol)
+    every = np.count_nonzero(ok) == ok.size
+    # a rank-deficient frame's inverse is never used: it may overflow
+    phi = space.adjoint_minus @ (frames if every else frames[ok]) @ (inv if every else inv[ok])
+    gram = phi.conj().swapaxes(-1, -2) @ phi
+    eye = np.eye(n)
+    defect = gram - eye
+    iso = np.linalg.solve(eye + gram, -defect)
+    isotropic = norm_at_most(iso, tol * 100 * max(1, n))
+    if every and np.count_nonzero(isotropic) == isotropic.size:
+        return nearest_unitary(phi, defect)
+    bad = ~ok
+    bad[ok] = ~isotropic
+    first = int(np.argmax(bad))
+    if not ok[first]:
         raise NotLagrangian("frame columns are linearly dependent or meet ker(gamma + i)")
-    phi = space.basis_minus.conj().T @ frame @ inv
-    gram = phi.conj().T @ phi
-    iso = np.linalg.solve(np.eye(n) + gram, np.eye(n) - gram)
-    if not norm_at_most(iso, tol * 100 * max(1, n)):
-        raise NotLagrangian(
-            f"gamma L is not orthogonal to L (defect {np.linalg.norm(iso, 2):.3e})")
-    return Lagrangian(space, nearest_unitary(phi))
+    size = np.linalg.norm(iso[np.count_nonzero(ok[:first])], 2)
+    raise NotLagrangian(f"gamma L is not orthogonal to L (defect {size:.3e})")
 
 
 def lagrangian_from_phi(space: SymplecticSpace, phi, tol: float = DEFAULT_TOL) -> Lagrangian:

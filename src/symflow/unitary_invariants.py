@@ -31,6 +31,7 @@ from ._linalg import (
     norms_below,
     principal_power,
     require_unitary,
+    unitary_mask,
     wrap_phase,
 )
 from .errors import MethodDisagreement, NonIntegerResult, RefinementExhausted
@@ -132,12 +133,14 @@ class SampledPath:
     path's tolerance: every sample is checked at it, and a path kind may use
     it for more (the zero threshold of a Hermitian path).
 
-    A path kind supplies ``_checked`` (validate one matrix at ``tol``), ``_info``
-    (per-sample data of the step test, for a stack of samples), ``_steps_ok``
-    (the step test for stacks of step endpoints) and ``NO_GENERATOR``, the
-    reason given when a step fails and there is no generator; it may override
-    ``_split`` (where a failing step gets its new sample).  ``info`` holds
-    the per-sample data of a path returned by ``refined``, else None.
+    A path kind supplies ``_checked`` (validate one matrix at ``tol``),
+    ``_stack_checked`` (the same verdict on a stack, and the checked stack),
+    ``_info`` (per-sample data of the step test, for a stack of samples),
+    ``_steps_ok`` (the step test for stacks of step endpoints) and
+    ``NO_GENERATOR``, the reason given when a step fails and there is no
+    generator; it may override ``_split`` (where a failing step gets its new
+    sample).  ``info`` holds the per-sample data of a path returned by
+    ``refined``, else None.
     """
 
     def __init__(self, samples: Sequence[tuple[float, np.ndarray]],
@@ -145,7 +148,8 @@ class SampledPath:
                  tol: float = DEFAULT_TOL):
         self.tol = tol
         ts = sample_times(samples)
-        mats = [self._checked(m, f"sample at t={t}") for t, m in samples]
+        mats = self._checked_all([m for _, m in samples],
+                                 lambda i: f"sample at t={samples[i][0]}")
         k = mats[0].shape[0]
         if any(m.shape[0] != k for m in mats):
             raise ValueError("all samples must have the same size")
@@ -162,6 +166,21 @@ class SampledPath:
         """Sample ``generator`` at evenly spaced times; ``kwargs`` go to the constructor."""
         ts = np.linspace(t0, t1, initial_samples)
         return cls([(float(t), generator(float(t))) for t in ts], generator, **kwargs)
+
+    def _checked_all(self, mats: list, what: Callable[[int], str]) -> list:
+        """The matrices checked as ``_checked`` checks each, ``what(i)``
+        naming matrix i: one stacked verdict (``_stack_checked``).  When it
+        fails, or the matrices are not square of one size, they are checked
+        one at a time, so the first that fails raises what it raises alone."""
+        try:
+            stack = np.asarray(mats, dtype=complex)
+        except (TypeError, ValueError):
+            stack = None
+        if stack is not None and stack.ndim == 3 and stack.shape[1] == stack.shape[2]:
+            ok, checked = self._stack_checked(stack)
+            if ok.all():
+                return list(checked)
+        return [self._checked(m, what(i)) for i, m in enumerate(mats)]
 
     def _with(self, times, mats, generator, info=None):
         """A path of the same kind and settings through already checked samples."""
@@ -230,8 +249,8 @@ class SampledPath:
             t_new = np.where(free, self._split(ta, tb, info_a, info_b), mid)
             first = len(ts)
             ts += t_new.tolist()
-            mids = np.array([self._checked(self.generator(t), f"generator at t={t}")
-                             for t in ts[first:]])
+            mids = np.array(self._checked_all([self.generator(t) for t in ts[first:]],
+                                              lambda i: f"generator at t={ts[first + i]}"))
             mids_info = self._info(mids)
             mats += list(mids)
             infos += list(mids_info)
@@ -263,6 +282,9 @@ class UnitaryPath(SampledPath):
 
     def _checked(self, u, what: str) -> np.ndarray:
         return require_unitary(u, self.tol, what)
+
+    def _stack_checked(self, us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return unitary_mask(us, self.tol), us
 
     @staticmethod
     def _info(us: np.ndarray) -> np.ndarray:

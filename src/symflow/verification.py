@@ -571,7 +571,8 @@ def suite_model_symmetry(rep: SuiteReport, rng, count: int = 50) -> None:
                 bc = md._block_constraint(block, constraint, DEFAULT_TOL)
                 tracked = md._tracked_block_roots(block, op.geometry.length, bc.phi.conj().T,
                                                   "+", 8.0, 1e-10)
-                split_block = md._block_roots(block, [bc], op.geometry.length, "+", 8.0, 1e-10)[0]
+                split_block = md._block_roots(block, bc.phi[None], op.geometry.length, "+",
+                                              8.0, 1e-10)[0]
                 agree = agree and _same_roots(tracked, split_block)
         return symmetric, near_zero == md.interval_kernel_dim(op, constraint, dbs), agree
     rep.run(("spec D_{P,Q} = -spec D_{Q,P} elementwise",

@@ -5,6 +5,7 @@ import pytest
 
 import symflow as sf
 from symflow import model_dirac as md
+from symflow._linalg import intersect_subspaces
 from symflow.errors import (
     AnticommutationFailure,
     BracketingFailure,
@@ -13,7 +14,6 @@ from symflow.errors import (
     ResonanceViolation,
 )
 from symflow.model_dirac import (
-    _block_trace,
     _bracketed_roots,
     _real_line_rep,
 )
@@ -32,7 +32,7 @@ from symflow.verification import (
 def trace(lag, block_frame):
     """What a boundary Lagrangian on H cuts out of one block, in block
     coordinates: a line of a mode block, a Lagrangian of the kernel block."""
-    return _block_trace(lag.frame, block_frame, 1e-9)
+    return block_frame.conj().T @ intersect_subspaces([lag.frame, block_frame], 1e-9)
 
 
 def _block_root_function(mu, ell, p, q):
@@ -158,8 +158,9 @@ class TestIntervalSpectrum:
             q = random_boundary_on_h(op, rng)
             lams = md.interval_spectrum(op, p, q, 12.0)
             frame = op.blocks[0].frame
-            f = _block_root_function(1.0, 1.0, _real_line_rep(trace(sf.gamma_conjugate(p), frame)),
-                                     _real_line_rep(trace(q, frame)))
+            f = _block_root_function(
+                1.0, 1.0, _real_line_rep(trace(sf.gamma_conjugate(p), frame).ravel()),
+                _real_line_rep(trace(q, frame).ravel()))
             grid = np.arange(-12.0, 12.0, 1e-4)
             vals = f(grid)
             brute = grid[:-1][np.sign(vals[:-1]) * np.sign(vals[1:]) < 0] + 5e-5
@@ -185,9 +186,9 @@ class TestIntervalSpectrum:
             gp = sf.gamma_conjugate(p)
             expected = []
             for b in op.blocks:
-                expected += _bracketed_roots(b.mu, 1.3, [(_real_line_rep(trace(gp, b.frame)),
-                                                          _real_line_rep(trace(q, b.frame)))],
-                                             window, 1e-10)
+                expected += _bracketed_roots(
+                    b.mu, 1.3, [(_real_line_rep(trace(gp, b.frame).ravel()),
+                                 _real_line_rep(trace(q, b.frame).ravel()))], window, 1e-10)
             ksp = op.kernel.block_space
             lp = sf.lagrangian_from_frame(ksp, trace(gp, op.kernel.frame))
             lq = sf.lagrangian_from_frame(ksp, trace(q, op.kernel.frame))
@@ -750,7 +751,7 @@ class TestCoupledContourEta:
             block, bc, ell = TestCoupledBlockRoots.foreign_cauchy_block(seed)
             for side in "+-":
                 assert md._block_eta(block, bc, ell, side).eta == 0.0
-            roots = md._block_roots(block, [bc], ell, "+", 10.0, 1e-10)[0]
+            roots = md._block_roots(block, bc.phi[None], ell, "+", 10.0, 1e-10)[0]
             np.testing.assert_allclose(roots, -roots[::-1], atol=1e-8)
         assert len(seen) == 16 and max(map(abs, seen)) <= md.CONTOUR_ROUNDING
 
@@ -811,7 +812,7 @@ class TestSplitLines:
             ns = vh.conj().T[:, np.sum(s > 1e-9):]
             if ns.shape[1] != 1:
                 return None
-            out.append(_real_line_rep(part @ ns))
+            out.append(_real_line_rep((part @ ns).ravel()))
         return out
 
     def test_match_the_svd_route_up_to_sign(self):
@@ -835,8 +836,8 @@ class TestSplitLines:
                                    zip(md._split_lines(bc, "-"), got[::-1]))
 
     def test_boundary_spectrum_takes_one_svd_per_block(self, monkeypatch):
-        # the one SVD of intersect_subspaces in _block_trace; finding the
-        # lines of a split block takes none
+        # the one stacked SVD of the block traces in _block_family; finding
+        # the lines of a split block takes none
         rng = rng_for(92, 9)
         sp = sf.standard_space(3)
         op = md.build_model(sp, planted_anticommuting(sp, [0.6, 1.7], rng), md.Interval(1.1))
@@ -848,10 +849,10 @@ class TestSplitLines:
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
         md.boundary_spectrum(op, constraint, 6.0, dbs=dbs)
         assert len(dbs.blocks) == 3 and len(calls) == 3
-        # a family of F constraints: F per block, and no more
+        # a family of F constraints: one stacked SVD per block as well
         calls.clear()
         md._boundary_spectra(op, family, 6.0, "+", dbs, 1e-10)
-        assert len(calls) == 3 * len(family)
+        assert len(calls) == 3
 
 
 class TestCoupledBlockRoots:
@@ -881,7 +882,7 @@ class TestCoupledBlockRoots:
     def test_one_root_per_eigenphase_crossing(self, window):
         block, bc, ell = self.foreign_cauchy_block(1)
         assert abs(block.mu - 0.250) < 1e-3 and abs(ell - 2.187) < 1e-3
-        (roots,) = md._block_roots(block, [bc], ell, "+", window, 1e-10)
+        (roots,) = md._block_roots(block, bc.phi[None], ell, "+", window, 1e-10)
 
         def minus_w(t):
             lam = window * (2.0 * t - 1.0)
@@ -974,7 +975,7 @@ class TestCertifiedRoots:
     @pytest.mark.parametrize("mu, ell, a, b, count, pair", CLOSE_PAIRS, ids=["gap1", "gap2"])
     def test_close_gap_pairs_are_not_lost(self, mu, ell, a, b, count, pair):
         block, bc, p, q = _line_block(mu, ell, a, b)
-        (roots,) = md._block_roots(block, [bc], ell, "+", 14.0, 1e-10)
+        (roots,) = md._block_roots(block, bc.phi[None], ell, "+", 14.0, 1e-10)
         assert roots.size == count == _scaled_sign_changes(mu, ell, p, q, 14.0, 2_000_001)
         tracked = md._tracked_block_roots(block, ell, bc.phi.conj().T, "+", 14.0, 1e-10)
         assert np.max(np.abs(roots - tracked)) < 1e-9
@@ -1026,7 +1027,7 @@ class TestCertifiedRoots:
             ell = 1.7
         else:
             block, bc, ell = TestCoupledBlockRoots.foreign_cauchy_block(1)
-        assert md._block_roots(block, [bc], ell, "+", 10.0, 1e-10)[0].size > 0
+        assert md._block_roots(block, bc.phi[None], ell, "+", 10.0, 1e-10)[0].size > 0
         crossing_signs = md.crossing_signs
 
         def lossy(before, after):
@@ -1037,7 +1038,7 @@ class TestCertifiedRoots:
 
         monkeypatch.setattr(md, "crossing_signs", lossy)
         with pytest.raises(sf.errors.BracketingFailure):
-            md._block_roots(block, [bc], ell, "+", 10.0, 1e-10)
+            md._block_roots(block, bc.phi[None], ell, "+", 10.0, 1e-10)
 
     def test_polished_roots_agree_with_bisection(self):
         tol = 1e-10
@@ -1062,7 +1063,7 @@ class TestCertifiedRoots:
                 assert abs(bisect(lambda x: float(f(x)), r - 1e-6, r + 1e-6) - r) <= tol
         for seed in range(1, 4):
             block, bc, ell = TestCoupledBlockRoots.foreign_cauchy_block(seed)
-            (roots,) = md._block_roots(block, [bc], ell, "+", 10.0, tol)
+            (roots,) = md._block_roots(block, bc.phi[None], ell, "+", 10.0, tol)
             assert roots.size and np.min(np.diff(roots)) > 1e-5
 
             def phase(x):  # the eigenphase of W nearest 0 crosses it at a simple root
@@ -1276,3 +1277,41 @@ class TestSwModZ:
         p = random_split_boundary(mu_one_model, dbs, rng)
         rec = md.sw_modz_check(mu_one_model, p, n_max=4000)
         assert rec["modz_defect"] <= 2 * np.pi * rec["bound"] + 1e-9
+
+
+class TestFamilyErrors:
+    """A family with a failing member raises exactly what that member raises
+    alone, wherever it stands."""
+
+    def test_incompatible_member_in_the_middle(self):
+        op = _planted(3, [0.5, 1.9], 4)
+        dbs = md.double_boundary(op)
+        family = _rotation_constraints(op, dbs, rng_for(16, 8), 1.0)[::6]
+        bad = random_lagrangian(dbs.space, rng_for(16, 9))
+        with pytest.raises(IncompatibleBoundary) as alone:
+            md.boundary_spectrum(op, bad, 10.0, dbs=dbs)
+        with pytest.raises(IncompatibleBoundary) as family_error:
+            md._boundary_spectra(op, family[:4] + [bad] + family[4:], 10.0, "+", dbs, 1e-10)
+        assert str(family_error.value) == str(alone.value)
+
+    def test_non_lagrangian_block_trace_in_the_middle(self):
+        # a member whose trace on the first mode block is that block's
+        # slot-0 plane: half the block's dimension, but not Lagrangian
+        op = _planted(2, [0.6], 5, ell=1.9)
+        dbs = md.double_boundary(op)
+        rng = rng_for(16, 10)
+        good = [random_coupled_boundary(dbs, rng) for _ in range(7)]
+        block = next(b for b in dbs.blocks if not b.is_kernel)
+        pieces = [b.frame[:, :2] if b is block else b.frame @ random_lagrangian(b.space, rng).frame
+                  for b in dbs.blocks]
+        frames = np.array([lag.frame for lag in good[:3]] + [np.hstack(pieces)]
+                          + [lag.frame for lag in good[3:]])
+        with pytest.raises(NotLagrangian) as alone:
+            md._block_family(block, frames[3:4], md.DEFAULT_TOL)
+        with pytest.raises(NotLagrangian) as family_error:
+            md._block_family(block, frames, md.DEFAULT_TOL)
+        assert str(family_error.value) == str(alone.value)
+        kept = np.delete(frames, 3, axis=0)
+        for frame, phi in zip(kept, md._block_family(block, kept, md.DEFAULT_TOL)):
+            alone = md._block_family(block, frame[None], md.DEFAULT_TOL)[0]
+            assert phi.tobytes() == alone.tobytes()

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import symflow as sf
-from symflow.errors import RefinementExhausted
+from symflow._linalg import require_unitary
+from symflow.errors import NotUnitary, RefinementExhausted
+from symflow.spectral_flow import _require_hermitian
 from symflow.unitary_invariants import REFINE_LIMIT
 from symflow.verification import random_unitary, rng_for
 
@@ -40,3 +42,25 @@ def test_reversed_unitary_path_negates_winding():
     w = sf.wind(path).value
     assert w == 1
     assert sf.wind(path.reversed()).value == -w
+
+
+@pytest.mark.parametrize("kind", ["unitary", "hermitian"])
+def test_stacked_sample_check_names_the_failing_sample(kind):
+    # all samples are checked as one stack; the 7th fails, and the message
+    # is the one its own check gives, naming its t
+    rng = rng_for(3, 1)
+    ts = np.linspace(0.0, 1.0, 11)
+    if kind == "unitary":
+        mats = [random_unitary(rng, 3) for _ in ts]
+        mats[6] = 1.001 * mats[6]
+        cls, check = sf.UnitaryPath, lambda m, what: require_unitary(m, 1e-9, what)
+    else:
+        mats = [np.diag(rng.normal(size=3)).astype(complex) for _ in ts]
+        mats[6][0, 1] = 1e-3
+        cls, check = sf.HermitianPath, lambda m, what: _require_hermitian(m, 1e-9, what)
+    with pytest.raises((NotUnitary, ValueError)) as alone:
+        check(mats[6], f"sample at t={ts[6]}")
+    with pytest.raises(type(alone.value)) as stacked:
+        cls(list(zip(ts, mats)))
+    assert str(stacked.value) == str(alone.value)
+    assert f"t={ts[6]}" in str(stacked.value)

@@ -820,3 +820,50 @@ def _timed_reports(text: str) -> list:
         reports.append(rec)
         rest = rest[end:].lstrip()
     return reports
+
+
+class TestPairPathFrames:
+    """``pair_path_from_json`` builds every frame through one stacked
+    ``graph_unitaries``; a bad frame raises what it raises alone, the first
+    in document order."""
+
+    @staticmethod
+    def doc(rng, count=9):
+        sp = sf.standard_space(2)
+        samples = []
+        for t in np.linspace(0.0, 1.0, count):
+            ff, fg = (sf.lagrangian_from_phi(sp, random_unitary(rng, 2)).frame
+                      @ random_unitary(rng, 2) for _ in range(2))
+            samples.append([float(t), ser.matrix_to_json(ff), ser.matrix_to_json(fg)])
+        return {"space": "standard:2", "samples": samples}
+
+    def test_frames_as_alone(self):
+        doc = self.doc(rng_for(30, 1))
+        pp = ser.pair_path_from_json(doc)
+        for (t, f, g), (t_doc, ff, fg) in zip(pp.samples, doc["samples"]):
+            assert t == t_doc
+            for lag, frame in ((f, ff), (g, fg)):
+                alone = ser.lagrangian_from_json({"frame": frame}, lag.space)
+                assert lag.phi.tobytes() == alone.phi.tobytes()
+
+    @pytest.mark.parametrize("faults, first", [
+        ({(3, 2): "rank", (5, 1): "string"}, (3, 2)),
+        ({(2, 1): "string", (4, 2): "rank"}, (2, 1)),
+        ({(4, 1): "isotropy", (4, 2): "string"}, (4, 1)),
+        ({(6, 2): "rows"}, (6, 2)),
+    ], ids=["rank-first", "schema-first", "isotropy-before-schema", "wrong-rows"])
+    def test_first_bad_frame_in_document_order(self, faults, first):
+        doc = self.doc(rng_for(30, 2))
+        bad = {"rank": [[[1, 0], [2, 0]], [[0, 1], [0, 2]], [[1, 0], [2, 0]], [[0, 0], [0, 0]]],
+               "isotropy": ser.matrix_to_json(np.vstack([np.eye(2), 3j * np.eye(2)])),
+               "string": [[[1, 0], "x"], [[0, 0], [1, 0]], [[0, 0], [0, 0]], [[1, 0], [0, 0]]],
+               "rows": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}
+        for (i, slot), kind in faults.items():
+            doc["samples"][i][slot] = bad[kind]
+        space = ser.space_from_json("standard:2")
+        with pytest.raises(sf.errors.SymflowError) as alone:
+            ser.lagrangian_from_json({"frame": doc["samples"][first[0]][first[1]]}, space)
+        with pytest.raises(sf.errors.SymflowError) as whole:
+            ser.pair_path_from_json(doc)
+        assert type(whole.value) is type(alone.value)
+        assert str(whole.value) == str(alone.value)

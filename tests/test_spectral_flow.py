@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -146,3 +148,35 @@ class TestSfEta:
                                  (1.0, np.diag([-1.0, 1.0]))])
         with pytest.raises(RefinementExhausted):
             sf.spectral_flow(path)
+
+
+class TestNearTheFloatMaximum:
+    """The step rule's sums and squares of norms near 1e308 would overflow;
+    those steps are tested scaled by an exact power of two."""
+
+    @staticmethod
+    def linear(h0, h1):
+        return sf.HermitianPath.from_generator(lambda t: (1 - t) * h0 + t * h1,
+                                               initial_samples=5)
+
+    def test_flow_without_a_runtime_warning(self):
+        # at the unscaled rule, |va| + |vb| and the Frobenius norm of the
+        # step overflow (RuntimeWarnings, errors here)
+        path = self.linear(np.diag([-1e300, 1e308]), np.diag([1e300, 1e308]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = sf.spectral_flow(path)
+            assert sf.sf_eta_consistency(path)["sf"] == 1
+        assert res.value == 1
+        assert [(c.t, c.direction) for c in res.log.crossings] == [(0.5, 1)]
+
+    def test_collapsing_norm_exhausts_without_a_runtime_warning(self):
+        # ||H|| falls from 1e308 to 1 over the last step; the crossing
+        # windows are relative to ||H||, so that step fails at every depth,
+        # as it does for 1e20, where nothing overflows
+        for big in (1e20, 1e308):
+            path = self.linear(np.diag([-1.0, big]), np.diag([1.0, 1.0]))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                with pytest.raises(RefinementExhausted, match="near t=0.99"):
+                    sf.spectral_flow(path)

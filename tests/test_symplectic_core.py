@@ -424,3 +424,84 @@ class TestBasisIndependence:
             assert sf.intersection_dim(*moved) == d0
             # phi itself is allowed to change
             assert moved[0].phi.shape == base[0].phi.shape
+
+
+class TestGraphUnitaries:
+    """``graph_unitaries`` decides each frame of a stack as it decides it
+    alone (``lagrangian_from_frame`` is its stack of one), bit for bit."""
+
+    @staticmethod
+    def band_frames(rng, sp, count, tol):
+        """Lagrangian frames F = G C, G orthonormal: a_+ = b_+* F = C / sqrt 2,
+        with cond C from 10 up to just under the rank cut 1/tol, so that the
+        Frobenius product of ``conditioned_inverse`` falls below, and for
+        the larger ones inside, its band [1/tol, n/tol)."""
+        frames, products = [], []
+        for kappa in np.geomspace(10.0, 0.99 / tol, count):
+            g = random_lagrangian(sp, rng).frame
+            c = (random_unitary(rng, sp.dim_half)
+                 @ np.diag(np.r_[np.ones(sp.dim_half - 1), 1.0 / kappa])
+                 @ random_unitary(rng, sp.dim_half))
+            frames.append(g @ c)
+            products.append(np.linalg.norm(c) * np.linalg.norm(np.linalg.inv(c)))
+        return np.array(frames), np.array(products)
+
+    @staticmethod
+    def rescale_frames(rng, sp, count):
+        """Frames (b_+ + b_- phi)/sqrt2 of non-unitary phi with ||phi*phi - I||_F
+        on both sides of 1, the Newton-Schulz rescale, each isotropic within
+        tol = 1e-3 (defect at most 1/3 <= 100 n tol)."""
+        frames, defects = [], []
+        for sq in np.linspace(1.25, 2.0, count):
+            phi = (random_unitary(rng, sp.dim_half)
+                   @ np.diag(np.sqrt(np.r_[sq, np.ones(sp.dim_half - 1)] if sq < 1.6 else
+                                     np.full(sp.dim_half, sq)))
+                   @ random_unitary(rng, sp.dim_half))
+            frames.append((sp.basis_plus + sp.basis_minus @ phi) / np.sqrt(2.0))
+            defects.append(np.linalg.norm(phi.conj().T @ phi - np.eye(sp.dim_half)))
+        return np.array(frames), np.array(defects)
+
+    @pytest.mark.parametrize("m", [1, 49])
+    def test_stack_is_bit_identical_to_each_frame_alone(self, m):
+        rng = rng_for(19, m)
+        sp = sf.standard_space(4)
+        tol = 1e-6
+        frames, products = self.band_frames(rng, sp, m, tol)
+        if m > 1:
+            assert np.any(products < 1.0 / tol) and np.any(products >= 1.0 / tol)
+        phis = sf.graph_unitaries(sp, frames, tol)
+        assert phis.shape == (m, 4, 4)
+        for frame, phi in zip(frames, phis):
+            assert phi.tobytes() == sf.lagrangian_from_frame(sp, frame, tol).phi.tobytes()
+        frames, defects = self.rescale_frames(rng, sp, m)
+        if m > 1:
+            assert np.any(defects < 1.0) and np.any(defects >= 1.0)
+        phis = sf.graph_unitaries(sp, frames, 1e-3)
+        for frame, phi in zip(frames, phis):
+            assert phi.tobytes() == sf.lagrangian_from_frame(sp, frame, 1e-3).phi.tobytes()
+            np.testing.assert_allclose(phi.conj().T @ phi, np.eye(4), atol=1e-14)
+
+    def test_newton_schulz_stack_stops_per_matrix(self):
+        rng = rng_for(19, 50)
+        us = np.array([random_unitary(rng, 3) @ np.diag([s, 1.0, 1.0]) @ random_unitary(rng, 3)
+                       for s in (1.0 + 1e-17, 1.001, 1.2, 1.7, 3.0, 1e-3)])
+        stacked = nearest_unitary(us)
+        for u, w in zip(us, stacked):
+            assert w.tobytes() == nearest_unitary(u).tobytes()
+
+    @pytest.mark.parametrize("first", ["rank", "isotropy"])
+    def test_stack_raises_what_its_first_failing_frame_raises(self, first):
+        rng = rng_for(19, 51)
+        sp = sf.standard_space(3)
+        frames = np.array([random_lagrangian(sp, rng).frame for _ in range(9)])
+        v = frames[0][:, :1]
+        rank_deficient = np.hstack([v, 2.0 * v, frames[0][:, 2:]])
+        non_isotropic = (sp.basis_plus + 1.5 * sp.basis_minus) / np.sqrt(2.0)
+        frames[4], frames[6] = ((rank_deficient, non_isotropic) if first == "rank"
+                                else (non_isotropic, rank_deficient))
+        with pytest.raises(NotLagrangian) as alone:
+            sf.lagrangian_from_frame(sp, frames[4])
+        with pytest.raises(NotLagrangian) as stacked:
+            sf.graph_unitaries(sp, frames)
+        assert str(stacked.value) == str(alone.value)
+        assert ("linearly dependent" in str(alone.value)) == (first == "rank")

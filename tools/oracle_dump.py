@@ -15,7 +15,13 @@ this directory.  It writes
   line of any escaped traceback of ``symflow run DOC`` (workloads ``refine``
   and ``batch``) or ``symflow model WHAT DOC`` (workload ``model``; ``WHAT``
   is the document name up to its first ``-``), for every document in
-  ``.bench_out/<workload>-s1-t0/in/``.
+  ``.bench_out/<workload>-s1-t0/in/``;
+* ``OUTDIR/model/nicolaescu-NN.out``: for each Nicolaescu family of the
+  seed-1 ``model`` workload (built again in a temporary directory with
+  ``bench/workloads.py``, which has no documents for them), one JSON line
+  with the ``nicolaescu_verify`` record, or its error, and the interval
+  spectrum of every sample, then its exit code (0, or 1 on an error), so
+  that ``oracle_diff.py`` tells rounding drift of the spectra from a change.
 
 Generate those documents first with
 ``python3 bench/run.py --workload W --seed 1 --seconds 1`` for each
@@ -28,7 +34,9 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +99,38 @@ def _draw_digests(seed: int) -> str:
     return "".join(lines)
 
 
+def _nicolaescu_outputs() -> dict[str, str]:
+    """Per seed-1 ``model`` Nicolaescu family, its ``.out`` text: the
+    families are parsed as ``bench/run.py`` parses them, and each sample's
+    spectrum is ``_boundary_spectra`` of its constraint, as
+    ``nicolaescu_verify`` takes it."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    import workloads
+    from symflow import model_dirac as md, serialization as ser
+    from symflow.errors import SymflowError
+
+    def parse(doc, frames):
+        op = ser.model_from_json(doc)["op"]
+        space = md.double_boundary(op).space
+        return op, [ser.lagrangian_from_json({"frame": workloads.mat(f)}, space)
+                    for f in frames]
+
+    def nicolaescu(op, family, window):
+        try:
+            rec, code = md.nicolaescu_verify(op, family, window=window), 0
+        except SymflowError as exc:
+            rec, code = {"error": type(exc).__name__, "detail": str(exc)}, 1
+        constraints = [md._constraint_of(bnd) for _, bnd in family]
+        spectra = md._boundary_spectra(op, constraints, window, "+", md.double_boundary(op),
+                                       1e-10)
+        rec["spectra"] = [s.tolist() for s in spectra]
+        return f"{json.dumps(rec, sort_keys=True)}\nexit: {code}\n"
+
+    with tempfile.TemporaryDirectory() as tmp:
+        items = workloads.build("model", 1, Path(tmp), parse, nicolaescu)
+        return {it.name: it.call() for it in items if it.group == "nicolaescu"}
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -114,6 +154,8 @@ def main(argv: list[str]) -> int:
             cmd = ["model", doc.stem.split("-", 1)[0]] if w == "model" else ["run"]
             (outdir / w / f"{doc.stem}.out").write_text(
                 _call(cli_main, cmd + [str(doc)]), encoding="utf-8")
+    for name, text in _nicolaescu_outputs().items():
+        (outdir / "model" / f"{name}.out").write_text(text, encoding="utf-8")
     return 0
 
 
