@@ -40,6 +40,11 @@ ARC_TIE_TOL = 1e-12
 # defect is at least ||u||_F^2 / n - 1 ~ 1e300, which no tolerance admits;
 # below it the Gram product of ``require_unitary`` cannot overflow.
 UNITARY_FROBENIUS_CAP = 1e150
+# Checks of outside matrices run under this: a Frobenius norm or product of
+# norms that overflows is inf and decides the check, without a warning.
+QUIET = dict(over="ignore", invalid="ignore")
+# Newton-Schulz stops once ||u*u - I||_F is at most this times n (rounding level).
+UNITARY_ROUNDING = 8 * np.finfo(float).eps
 
 
 def as_complex_matrix(a) -> np.ndarray:
@@ -58,8 +63,9 @@ def readonly(a: np.ndarray) -> np.ndarray:
 def phase_fix_columns(m: np.ndarray) -> np.ndarray:
     """Rotate each column so its first entry of largest modulus is real positive."""
     m = np.asarray(m, dtype=complex)
-    piv = m[np.argmax(np.abs(m), axis=0), np.arange(m.shape[1])]
-    return m * np.divide(piv.conjugate(), np.abs(piv), out=np.ones_like(piv), where=piv != 0)
+    piv = m[np.abs(m).argmax(axis=0), np.arange(m.shape[1])]
+    return m * np.divide(piv.conjugate(), np.abs(piv), out=np.ones(piv.shape, dtype=complex),
+                         where=piv != 0)
 
 
 def orthonormal_columns(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -85,7 +91,9 @@ def require_unitary(u: np.ndarray, tol: float = 1e-9, what: str = "matrix") -> n
     if u.shape[0] != u.shape[1]:
         raise NotUnitary(f"{what} is not square: {u.shape}")
     if not unitary_mask(u, tol):
-        if not _frobenius(u) <= UNITARY_FROBENIUS_CAP:
+        with np.errstate(**QUIET):
+            huge = not _frobenius(u) <= UNITARY_FROBENIUS_CAP
+        if huge:
             raise NotUnitary(f"{what} fails unitarity: it has an entry of modulus "
                              f"{float(np.max(np.abs(u))):.3e}, a unitary has none above 1")
         raise NotUnitary(f"{what} fails unitarity by "
@@ -93,6 +101,7 @@ def require_unitary(u: np.ndarray, tol: float = 1e-9, what: str = "matrix") -> n
     return u
 
 
+@np.errstate(**QUIET)
 def unitary_mask(u: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """The verdict of ``require_unitary`` on each square matrix of a stack
     (..., n, n): ||u*u - I||_2 <= 10 tol max(1, n), by ``norm_at_most``.  A
@@ -110,17 +119,11 @@ def unitary_mask(u: np.ndarray, tol: float = 1e-9) -> np.ndarray:
 
 def _frobenius(x: np.ndarray) -> np.ndarray:
     """||x||_F of each matrix of a stack (..., a, b), from one BLAS dot each
-    (a float for one matrix); inf, without a warning, where the sum of
-    squares overflows.  One matrix, or a stack of one, takes np.vdot, which
-    checks no floating-point state, and more take np.vecdot, the same sum,
-    with overflow silenced."""
-    if x.ndim == 2:
-        return math.sqrt(np.vdot(x, x).real)
-    if len(x) == 1:
-        return np.array([math.sqrt(np.vdot(x, x).real)])
+    (a 0-d array for one matrix).  A sum of squares that overflows is inf,
+    with numpy's overflow warning unless the caller silences it, as the
+    checks here that take outside matrices do (``QUIET``)."""
     flat = x.reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],))
-    with np.errstate(over="ignore", invalid="ignore"):
-        return np.sqrt(np.vecdot(flat, flat).real)
+    return np.sqrt(np.vecdot(flat, flat).real)
 
 
 def _two_norm(x: np.ndarray) -> np.ndarray:
@@ -128,6 +131,7 @@ def _two_norm(x: np.ndarray) -> np.ndarray:
     return np.linalg.norm(x, 2, axis=(-2, -1))
 
 
+@np.errstate(**QUIET)
 def norm_at_most(x: np.ndarray, limit: float, scale: np.ndarray | None = None) -> np.ndarray:
     """Exact verdict of ``||x||_2 <= limit``, or of ``<= limit * max(1, ||scale||_2)``,
     for each matrix of a stack (..., a, b) and its scale (..., c, c); a bool,
@@ -169,15 +173,14 @@ def norm_at_most(x: np.ndarray, limit: float, scale: np.ndarray | None = None) -
     return (x_hi <= lo).reshape(shape)
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(**QUIET)
 def conditioned_inverse(a: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """(a^{-1}, ok) for a stack (m, n, n): ok where s_min(a) > tol * s_max(a),
     the rank cut of ``orthonormal_columns``; the inverse of a singular
     member is zero.  As cond(a) <= ||a||_F ||a^{-1}||_F <= n cond(a), only a
     product in [1/tol, n/tol) (or an overflow) takes the singular values."""
     try:
-        inv = np.linalg.inv(a)
-        regular = True
+        inv, regular = np.linalg.inv(a), None
     except np.linalg.LinAlgError:
         inv, regular = np.zeros_like(a), np.ones(len(a), dtype=bool)
         for i, member in enumerate(a):
@@ -186,10 +189,14 @@ def conditioned_inverse(a: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.nda
             except np.linalg.LinAlgError:
                 regular[i] = False
     product = _frobenius(a) * _frobenius(inv)
-    ok = (product < 1.0 / tol) & regular
+    ok = product < 1.0 / tol
+    if regular is not None:
+        ok &= regular
     if _all(ok):
         return inv, ok
-    open_ = ~ok & regular & ~(np.isfinite(product) & (product >= a.shape[-1] / tol))
+    open_ = ~ok & ~(np.isfinite(product) & (product >= a.shape[-1] / tol))
+    if regular is not None:
+        open_ &= regular
     if np.count_nonzero(open_):
         s = np.linalg.svd(a[open_], compute_uv=False)
         ok[open_] = s[:, -1] > tol * s[:, 0]
@@ -236,23 +243,25 @@ def nearest_unitary(u: np.ndarray, defect: np.ndarray | None = None) -> np.ndarr
     ||u||_F = 1 to put them there.  A u already at rounding level is returned
     as it is.  ``defect`` is u*u - I, when the caller has it."""
     n = u.shape[-1]
-    eye = np.eye(n)
+    stop = UNITARY_ROUNDING * n
     stack = u.reshape((-1, n, n))
-    defect = _gram(stack) - eye if defect is None else defect.reshape(stack.shape)
+    defect = _gram(stack) - np.eye(n) if defect is None else defect.reshape(stack.shape)
     size = _frobenius(defect)
+    if np.count_nonzero(size <= stop) == size.size:
+        return u
+    eye = np.eye(n)
     far = size >= 1.0
-    scaled = bool(np.count_nonzero(far))
-    if scaled:
+    if np.count_nonzero(far):
         stack, defect = stack.copy(), defect.copy()
         stack[far] = stack[far] / _frobenius(stack[far])[:, None, None]
         defect[far] = _gram(stack[far]) - eye
         size[far] = _frobenius(defect[far])
     out = live = None
-    for step in range(64):
-        done = size <= 8 * np.finfo(float).eps * n
+    for _ in range(64):
+        done = size <= stop
         finished = np.count_nonzero(done)
         if finished == done.size and out is None:
-            return u if step == 0 and not scaled else stack.reshape(u.shape)
+            return stack.reshape(u.shape)
         if finished:
             if out is None:
                 out, live = np.empty_like(stack), np.arange(len(stack))

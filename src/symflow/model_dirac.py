@@ -175,13 +175,13 @@ def build_model(space: SymplecticSpace, a_matrix, geometry,
             f"gamma A + A gamma has norm {np.linalg.norm(anti, 2):.3e}"
         )
     vals, vecs = np.linalg.eigh(a)
-    zero_thr = tol * 100 * max(1.0, float(np.max(np.abs(vals))))
+    zero_thr = tol * 100 * max(1.0, float(np.abs(vals).max()))
     pos = vals > zero_thr
     neg = vals < -zero_thr
     pos_vals = np.sort(vals[pos])
     neg_vals = np.sort(-vals[neg])
     if pos_vals.size != neg_vals.size or (
-        pos_vals.size and np.max(np.abs(pos_vals - neg_vals)) > zero_thr * 10
+        pos_vals.size and np.abs(pos_vals - neg_vals).max() > zero_thr * 10
     ):
         raise AsymmetricSpectrum("spectrum of A is not symmetric about 0")
 
@@ -189,12 +189,12 @@ def build_model(space: SymplecticSpace, a_matrix, geometry,
     pos_vecs = phase_fix_columns(vecs[:, pos])
     for j, mu in enumerate(vals[pos]):
         psi = pos_vecs[:, [j]]
-        frame = np.hstack([psi, space.gamma @ psi])
+        frame = np.concatenate([psi, space.gamma @ psi], axis=1)
         blocks.append(ModeBlock(float(mu), frame))
     blocks.sort(key=lambda b: b.mu)
     kernel = None
     ker_mask = ~(pos | neg)
-    if np.any(ker_mask):
+    if np.count_nonzero(ker_mask):
         kframe = phase_fix_columns(orthonormal_columns(vecs[:, ker_mask], tol))
         gamma_k = kframe.conj().T @ space.gamma @ kframe
         kernel = ModeBlock(0.0, kframe, space_from_gamma(gamma_k, tol))
@@ -336,16 +336,6 @@ def cauchy_data(op: ModelOperator, dbs: Optional[DoubleBoundarySpace] = None,
 # boundary traces along mode blocks
 
 
-def _frames_of(lags: Sequence[Lagrangian]) -> np.ndarray:
-    """The frames of Lagrangians of one dimension, stacked (K, 2n, n), as
-    ``Lagrangian.frame`` gives each: one ``graph_frames`` when they share a
-    space, as a family does."""
-    space = lags[0].space
-    if all(lag.space is space for lag in lags):
-        return graph_frames(space, np.array([lag.phi for lag in lags]))
-    return np.array([lag.frame for lag in lags])
-
-
 def _block_family(block: DoubledBlock, frames: np.ndarray, tol: float) -> np.ndarray:
     """Graph unitaries (K, k, k), in the doubled block's own space, of what the
     constraints with orthonormal frames (K, 2 dim H, dim H) cut out of the
@@ -405,8 +395,8 @@ def _transfer_terms(lam, mu: float, ell: float):
     em = np.expm1(-x)  # e - 1 in the gap
     shrink = -em * (2.0 + em)  # 1 - e^{-2 kappa L}
     c = np.where(gap, 1.0 - 0.5 * shrink, np.cos(x))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.where(kappa > 0, np.where(gap, 0.5 * shrink, np.sin(x)) / kappa, ell)
+    s = np.divide(np.where(gap, 0.5 * shrink, np.sin(x)), kappa, out=np.full(kappa.shape, ell),
+                  where=kappa > 0)
     return c, s, np.where(gap, 1.0 + em, 1.0)
 
 
@@ -483,7 +473,7 @@ def _polish(lo, hi, flo, fhi, carry, at: Callable, tol: float) -> np.ndarray:
     for _ in range(128):
         width = hi - lo
         done = width < tol
-        if np.any(done):
+        if np.count_nonzero(done):
             out[live[done]] = 0.5 * (lo[done] + hi[done])
             live, lo, hi, flo, wlo, whi, carry, last, bisect, before, width = (
                 a[~done] for a in (live, lo, hi, flo, wlo, whi, carry, last, bisect, before, width))
@@ -491,7 +481,8 @@ def _polish(lo, hi, flo, fhi, carry, at: Callable, tol: float) -> np.ndarray:
             return out
         mid = 0.5 * (lo + hi)
         falsi = lo + width * wlo / (wlo - whi)
-        x = np.where(bisect, mid, falsi + np.clip(mid - falsi, -0.25 * tol, 0.25 * tol))
+        nudge = np.minimum(np.maximum(mid - falsi, -0.25 * tol), 0.25 * tol)
+        x = np.where(bisect, mid, falsi + nudge)
         fx, cx = at(x, carry)
         left = (fx < 0) == (flo < 0)
         # an end that two falsi steps in a row kept has its weight halved
@@ -667,7 +658,7 @@ def _null_line(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     upper = a >= c
     v = np.empty((len(m), 2), dtype=complex)
     v[:, 0], v[:, 1] = np.where(upper, -b, c - lam), np.where(upper, a - lam, -b.conj())
-    norm = np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+    norm = np.sqrt(np.vecdot(v, v).real)
     return v / norm[:, None], (s_max > 1e-9) & ~(s_min > 1e-9)
 
 
@@ -841,7 +832,7 @@ def _block_spectra(op: ModelOperator, constraints: Sequence[Lagrangian], side: s
     if not isinstance(op.geometry, Interval):
         raise ValueError("interval spectra need an interval model")
     ell = op.geometry.length
-    frames = _frames_of(constraints)
+    frames = np.array([constraint.frame for constraint in constraints])
     for block in dbs.blocks:
         phis = _block_family(block, frames, DEFAULT_TOL)
         if block.is_kernel:

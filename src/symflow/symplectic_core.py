@@ -18,6 +18,8 @@ import numpy as np
 
 from ._linalg import (
     DEFAULT_TOL,
+    QUIET,
+    _frobenius,
     as_complex_matrix,
     at_phase,
     complement_within,
@@ -184,9 +186,9 @@ def space_from_gamma(gamma, tol: float = DEFAULT_TOL, *, _rng=None) -> Symplecti
         raise InvalidGamma("gamma^2 != -I within tolerance")
     # -i*gamma is Hermitian with eigenvalues +1 on E_i and -1 on E_{-i}
     vals, vecs = np.linalg.eigh(-1j * gamma)
-    if np.any(np.abs(np.abs(vals) - 1.0) > max(tol * 100, 1e-7)):
+    if np.count_nonzero(np.abs(np.abs(vals) - 1.0) > max(tol * 100, 1e-7)):
         raise InvalidGamma("gamma has eigenvalues away from +/-i beyond tolerance")
-    n = int(np.sum(vals > 0))
+    n = np.count_nonzero(vals > 0)
     if 2 * n != d:
         raise UnbalancedEigenspaces(f"dim ker(gamma - i) = {n} != {d - n} = dim ker(gamma + i)")
     basis_minus, basis_plus = vecs[:, :n], vecs[:, n:]
@@ -210,6 +212,7 @@ def lagrangian_from_frame(space: SymplecticSpace, frame, tol: float = DEFAULT_TO
     return Lagrangian(space, graph_unitaries(space, frame[None], tol)[0])
 
 
+@np.errstate(**QUIET)
 def graph_unitaries(space: SymplecticSpace, frames, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Graph unitaries (m, n, n) of the Lagrangians spanned by a stack of
     frames (m, 2n, n), each as it is alone, bit for bit.
@@ -219,10 +222,11 @@ def graph_unitaries(space: SymplecticSpace, frames, tol: float = DEFAULT_TOL) ->
     so a_+ carries the relative rank cut ``tol`` of F.  An orthonormal frame G
     of the span has G* gamma G = i A*(I - phi*phi)A with A*(I + phi*phi)A = I
     (A = b_+* G), so its isotropy defect is ||(I - phi*phi)(I + phi*phi)^{-1}||_2.
-    One stacked inverse, one stacked isotropy solve and Newton-Schulz steps
-    on the stack; the rank cut, the isotropy verdict and the Newton-Schulz
-    stop are decided per frame.  A stack raises what its first failing frame
-    raises alone.
+    As phi*phi >= 0, that defect is at most ||I - phi*phi||_F, so only the
+    frames above the limit by that bound take the isotropy solve.  One
+    stacked inverse, one stacked solve and Newton-Schulz steps on the stack;
+    the rank cut, the isotropy verdict and the Newton-Schulz stop are decided
+    per frame.  A stack raises what its first failing frame raises alone.
     """
     frames = np.asarray(frames, dtype=complex)
     if frames.shape[1] != space.dim:
@@ -237,8 +241,11 @@ def graph_unitaries(space: SymplecticSpace, frames, tol: float = DEFAULT_TOL) ->
     gram = phi.conj().swapaxes(-1, -2) @ phi
     eye = np.eye(n)
     defect = gram - eye
-    iso = np.linalg.solve(eye + gram, -defect)
-    isotropic = norm_at_most(iso, tol * 100 * max(1, n))
+    limit = tol * 100 * max(1, n)
+    isotropic = _frobenius(defect) <= limit
+    if np.count_nonzero(isotropic) != isotropic.size:
+        loose = ~isotropic
+        isotropic[loose] = norm_at_most(np.linalg.solve(eye + gram[loose], -defect[loose]), limit)
     if every and np.count_nonzero(isotropic) == isotropic.size:
         return nearest_unitary(phi, defect)
     bad = ~ok
@@ -246,7 +253,8 @@ def graph_unitaries(space: SymplecticSpace, frames, tol: float = DEFAULT_TOL) ->
     first = int(np.argmax(bad))
     if not ok[first]:
         raise NotLagrangian("frame columns are linearly dependent or meet ker(gamma + i)")
-    size = np.linalg.norm(iso[np.count_nonzero(ok[:first])], 2)
+    at = np.count_nonzero(ok[:first])
+    size = np.linalg.norm(np.linalg.solve(eye + gram[at], -defect[at]), 2)
     raise NotLagrangian(f"gamma L is not orthogonal to L (defect {size:.3e})")
 
 

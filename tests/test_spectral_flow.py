@@ -170,13 +170,25 @@ class TestNearTheFloatMaximum:
         assert res.value == 1
         assert [(c.t, c.direction) for c in res.log.crossings] == [(0.5, 1)]
 
-    def test_collapsing_norm_exhausts_without_a_runtime_warning(self):
-        # ||H|| falls from 1e308 to 1 over the last step; the crossing
-        # windows are relative to ||H||, so that step fails at every depth,
-        # as it does for 1e20, where nothing overflows
-        for big in (1e20, 1e308):
-            path = self.linear(np.diag([-1.0, big]), np.diag([1.0, 1.0]))
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", RuntimeWarning)
-                with pytest.raises(RefinementExhausted, match="near t=0.99"):
-                    sf.spectral_flow(path)
+    @pytest.mark.parametrize("big", [1e20, 1e308])
+    def test_collapsing_norm_runs_without_a_runtime_warning(self, big):
+        # ||H|| falls from big to 1 over the last step: whatever the step
+        # rule decides there, no sum or square of the norms may overflow
+        path = self.linear(np.diag([-1.0, big]), np.diag([1.0, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                sf.spectral_flow(path)
+            except RefinementExhausted:
+                pass    # the open defect of the next test
+
+    @pytest.mark.xfail(strict=True, raises=RefinementExhausted,
+                       reason="the crossing windows are relative to max(1, ||H||) of the "
+                              "larger end, so the last step fails at every depth once the "
+                              "norm collapses by much more than 1e8 (FOUND in CHANGES.md)")
+    @pytest.mark.parametrize("big", [1e20, 1e308])
+    def test_collapsing_norm_gets_its_flow(self, big):
+        path = self.linear(np.diag([-1.0, big]), np.diag([1.0, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert sf.spectral_flow(path).value == 1

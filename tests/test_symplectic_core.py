@@ -1,10 +1,21 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symflow as sf
-from symflow._linalg import nearest_unitary, random_unitary
+from symflow._linalg import (
+    QUIET,
+    _frobenius,
+    conditioned_inverse,
+    nearest_unitary,
+    norm_at_most,
+    random_unitary,
+    require_unitary,
+    unitary_mask,
+)
 from symflow.errors import (
     DimensionMismatch,
     InvalidGamma,
@@ -250,6 +261,37 @@ class TestNearestUnitary:
     def test_singular_input_has_no_polar_factor(self):
         with pytest.raises(NotUnitary):
             nearest_unitary(np.diag([1.0, 0.0]))
+
+
+class TestFrobenius:
+    @pytest.mark.parametrize("shape", [(3, 2), (1, 3, 3), (7, 2, 3), (1, 5, 2, 2), (2, 3, 4, 4)])
+    def test_each_matrix_as_one_blas_dot(self, shape):
+        rng = rng_for(19, 52)
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        norms = _frobenius(x)
+        assert np.shape(norms) == shape[:-2]
+        flat = x.reshape((-1,) + shape[-2:])
+        want = np.array([np.sqrt(np.vdot(m, m).real) for m in flat]).reshape(shape[:-2])
+        assert np.asarray(norms).tobytes() == want.tobytes()
+
+    def test_overflow_is_infinite(self):
+        x = np.array([[[1e200, 0.0]], [[3.0, 4.0]]], dtype=complex)
+        with np.errstate(**QUIET):
+            assert list(_frobenius(x)) == [np.inf, 5.0]
+
+    def test_checks_of_outside_matrices_overflow_silently(self):
+        huge = np.diag([1e200, 1.0]).astype(complex)
+        sp = sf.space_from_gamma(np.diag([1j, 1j, -1j, -1j]))  # b_+ = (e_1, e_2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert not norm_at_most(huge, 1.0)
+            assert not unitary_mask(huge[None])[0]
+            with pytest.raises(NotUnitary, match="entry of modulus"):
+                require_unitary(huge)
+            assert not conditioned_inverse(np.diag([1e200, 1e-200]).astype(complex)[None])[1][0]
+            # phi = 1e150 I: its Gram defect 1e300 I has no finite Frobenius norm
+            with pytest.raises(NotLagrangian, match="not orthogonal"):
+                sf.graph_unitaries(sp, [np.vstack([1e-150 * np.eye(2), np.eye(2)])])
 
 
 class TestProjection:
