@@ -13,8 +13,12 @@ Everything here operates on plain ndarrays.  Tolerance policy:
   spectral flow and winding: zero counts as nonnegative;
 * ``least_arc_matching`` is the one eigenphase matcher, shared by ``wind``
   and the coupled model roots;
+* ``unitary_phases`` is the one eigenphase solver of paths: a Cayley
+  transform about a pole, one ``inv`` and one ``eigvalsh`` per stack, the
+  pole moved for any matrix with an eigenphase too close to it;
 * ``norm_at_most`` and ``norms_below`` decide a 2-norm bound from the
-  Frobenius bounds and take the exact 2-norm only when those leave it open;
+  Frobenius bounds and take the exact 2-norm only when those leave it open
+  (for a unitary step ``b a*``, from its Cayley transform about -1);
   ``conditioned_inverse`` decides the rank cut of a square matrix the same
   way, so no Lagrangian constructor takes an SVD;
 * the checks and kernels take stacks (..., n, n) and decide each matrix on
@@ -45,6 +49,15 @@ UNITARY_FROBENIUS_CAP = 1e150
 QUIET = dict(over="ignore", invalid="ignore")
 # Newton-Schulz stops once ||u*u - I||_F is at most this times n (rounding level).
 UNITARY_ROUNDING = 8 * np.finfo(float).eps
+# A Cayley transform whose largest |lambda| passes max(CAYLEY_BOUND, k) has
+# an eigenphase within about 2/|lambda| of its pole and moves the pole: the
+# phases carry an error of a few eps times |lambda|max.  The middle of the
+# largest eigenphase gap of a k x k unitary is at least pi/k from its
+# spectrum, where |lambda| < 2k/pi, so that pole always passes.
+CAYLEY_BOUND = 1e3
+# A singular inverse moves its pole by this irrational angle, which no
+# floating-point rotation of a matrix with an exact eigenvalue lands on again.
+GOLDEN_ANGLE = np.pi * (3.0 - math.sqrt(5.0))
 
 
 def as_complex_matrix(a) -> np.ndarray:
@@ -209,8 +222,12 @@ def norms_below(a: np.ndarray, b: np.ndarray, bounds, hermitian: bool = False) -
     With ||X||_2 <= ||X||_F <= sqrt(k) ||X||_2, a Frobenius norm below the
     bound passes and one at or above sqrt(k) times the bound fails; only the
     steps in between get an exact 2-norm: the largest |eigenvalue| of the
-    difference when the matrices are Hermitian (``hermitian``), else, for
-    unitaries, max |lambda(b a*) - 1|, exact because b a* - I is normal.
+    difference when the matrices are Hermitian (``hermitian``).  For
+    unitaries ||b - a||_2 = max |e^{i theta} - 1| = 2 sin(theta_max / 2) over
+    the eigenphases of b a* (b a* - I is normal), and at the pole -1 the
+    Cayley eigenvalues are tan(theta / 2): the step passes when its largest
+    |lambda| is below tan(arcsin(bound / 2)).  A singular inverse is an
+    eigenvalue -1, a step of length 2, and fails; a bound above 2 passes.
     """
     diffs = b - a
     bounds = np.broadcast_to(np.asarray(bounds, dtype=float), diffs.shape[:1])
@@ -220,11 +237,78 @@ def norms_below(a: np.ndarray, b: np.ndarray, bounds, hermitian: bool = False) -
     if np.any(open_):
         if hermitian:
             exact = np.max(np.abs(np.linalg.eigvalsh(diffs[open_])), axis=1)
+            ok[open_] = exact < bounds[open_]
         else:
-            rel = b[open_] @ a[open_].conj().transpose(0, 2, 1)
-            exact = np.max(np.abs(np.linalg.eigvals(rel) - 1.0), axis=1)
-        ok[open_] = exact < bounds[open_]
+            lam = _cayley(-(b[open_] @ a[open_].conj().transpose(0, 2, 1)))
+            half = 0.5 * bounds[open_]
+            ok[open_] = (half > 1.0) | (_largest(lam) < np.tan(np.arcsin(np.minimum(half, 1.0))))
     return ok
+
+
+def _cayley(v: np.ndarray) -> np.ndarray:
+    """Eigenvalues, ascending, of the Cayley transforms H = i (I - V)^{-1} (I + V)
+    of a stack of unitaries (m, k, k), each symmetrised to (H + H*)/2: an
+    eigenvalue e^{i phi} of V gives lambda = -cot(phi / 2).  With
+    Y = (I - V)^{-1}, H = i (2Y - I) and (H + H*)/2 = i (Y - Y*), so one
+    inverse serves.  A member whose inverse is singular (an eigenvalue 1)
+    gets a row of inf."""
+    eye = np.eye(v.shape[-1])
+    try:
+        y = np.linalg.inv(eye - v)
+        singular = None
+    except np.linalg.LinAlgError:
+        y, singular = np.zeros_like(v), np.zeros(len(v), dtype=bool)
+        for i, member in enumerate(v):
+            try:
+                y[i] = np.linalg.inv(eye - member)
+            except np.linalg.LinAlgError:
+                singular[i] = True
+    y -= y.conj().swapaxes(-1, -2)
+    lam = np.linalg.eigvalsh(1j * y)
+    if singular is not None:
+        lam[singular] = np.inf
+    return lam
+
+
+def _largest(lam: np.ndarray) -> np.ndarray:
+    """max |lambda| of each row."""
+    return np.abs(lam).max(axis=-1, initial=0.0)
+
+
+def unitary_phases(u: np.ndarray) -> np.ndarray:
+    """Eigenphases of each unitary of a stack (m, k, k), in circular order
+    from just after its pole e^{ip}: p + pi + 2 arctan(lambda), ascending in
+    (p, p + 2 pi), with lambda the eigenvalues of the Cayley transform of
+    V = e^{-ip} U (``_cayley``).  The pole is +1 (p = 0); -U puts it at -1.
+
+    As ||(I - V)^{-1}||_2 = sqrt(1 + lambda_max^2) / 2, the largest |lambda|
+    certifies how far the spectrum is from the pole, and the phase error is
+    a few eps times it, smallest opposite the pole.  A member past
+    max(CAYLEY_BOUND, k) is solved again with p in the middle of its largest
+    eigenphase gap, a singular one with p moved by GOLDEN_ANGLE; each member
+    is decided as it is alone, and one that no pole admits raises NotUnitary.
+    """
+    bound = max(CAYLEY_BOUND, u.shape[-1])
+    lam = _cayley(u)
+    phases = np.pi + 2.0 * np.arctan(lam)
+    poor = ~(_largest(lam) <= bound)
+    if not np.count_nonzero(poor):
+        return phases
+    live = np.flatnonzero(poor)
+    lam, poles = lam[live], np.zeros(len(live))
+    for _ in range(2):
+        rows = phases[live]
+        gaps = np.diff(rows, axis=1, append=rows[:, :1] + 2.0 * np.pi)
+        mid = rows[np.arange(len(live)), np.argmax(gaps, axis=1)] + 0.5 * np.max(gaps, axis=1)
+        poles = np.where(np.isinf(lam[:, 0]), poles + GOLDEN_ANGLE, mid)
+        lam = _cayley(u[live] * np.exp(-1j * poles)[:, None, None])
+        phases[live] = poles[:, None] + np.pi + 2.0 * np.arctan(lam)
+        poor = ~(_largest(lam) <= bound)
+        if not np.count_nonzero(poor):
+            return phases
+        live, lam, poles = live[poor], lam[poor], poles[poor]
+    raise NotUnitary(f"no pole of the Cayley transform admits matrix {int(live[0])} of the stack: "
+                     f"its eigenvalues are not on the unit circle")
 
 
 def random_unitary(rng, n: int) -> np.ndarray:

@@ -32,6 +32,7 @@ from ._linalg import (
     principal_power,
     require_unitary,
     unitary_mask,
+    unitary_phases,
     wrap_phase,
 )
 from .errors import MethodDisagreement, NonIntegerResult, RefinementExhausted
@@ -310,9 +311,9 @@ def tr_log(u, tol: float = 1e-9) -> complex:
     return branch_log_unitary(u, tol)
 
 
-def _endpoint_shift(u0: np.ndarray, u1: np.ndarray, tol: float) -> float:
-    """eps for the endpoint convention wind(f) := wind(f e^{-i eps})."""
-    phases = np.angle(np.linalg.eigvals(np.array([u0, u1]))).ravel()
+def _endpoint_shift(phases: np.ndarray, tol: float) -> float:
+    """eps for the endpoint convention wind(f) := wind(f e^{-i eps}), from
+    the endpoint eigenphases."""
     dist = np.abs(wrap_phase(phases - np.pi))
     away = dist[~at_phase(phases, np.pi, tol)]
     if away.size == 0:
@@ -327,11 +328,17 @@ def wind(path: UnitaryPath, tol: float = 1e-9) -> IndexResult:
         endpoint branch logs; (b) per-step matched-eigenphase crossings of -1.
     The integer from (b) is returned with its crossing log; a disagreement
     raises MethodDisagreement (numerical breakdown, never silently resolved).
+    The samples and the step products are solved in one ``unitary_phases``
+    stack: the samples about the pole +1, so that their phases are most
+    accurate at -1, and the step products, negated, about -1.  The shift
+    e^{-i eps} is a subtraction on the phases, on (-pi, pi] as np.angle
+    gives them; it leaves the step products as they are.
     """
     p = path.refined()
-    eps = _endpoint_shift(p.mats[0], p.mats[-1], tol)
-    mats = np.array(p.mats) * np.exp(-1j * eps)
-    phases = np.angle(np.linalg.eigvals(mats))
+    mats = np.array(p.mats)
+    theta = unitary_phases(np.concatenate([mats, -(mats[1:] @ mats[:-1].conj().transpose(0, 2, 1))]))
+    eps = _endpoint_shift(wrap_phase(theta[[0, len(mats) - 1]]), tol)
+    phases = -wrap_phase(eps - theta[:len(mats)])
 
     # method (b): eigenphase transport, in coordinates u = phase - pi around -1
     ordered = np.sort(phases, axis=1)
@@ -352,10 +359,11 @@ def wind(path: UnitaryPath, tol: float = 1e-9) -> IndexResult:
     by_counting = log.total
 
     # method (a): continuous arg det minus endpoint branch corrections; after
-    # the shift no endpoint eigenphase is within 4*tol of -1, so np.angle is
-    # already on the branch and no classification is needed
-    rel = mats[1:] @ mats[:-1].conj().transpose(0, 2, 1)
-    arg_det = float(np.sum(np.angle(np.linalg.eigvals(rel))))
+    # the shift no endpoint eigenphase is within 4*tol of -1, so the phases
+    # are already on the branch and no classification is needed.  A refined
+    # step has ||U_b - U_a|| < STEP_NORM_BOUND, so about -1 its Cayley
+    # eigenvalues satisfy |lambda| < 0.91
+    arg_det = float(np.sum(wrap_phase(theta[len(mats):] - np.pi)))
     by_det = (arg_det - np.sum(phases[-1]) + np.sum(phases[0])) / (2.0 * np.pi)
     try:
         by_det_int = as_integer(by_det, 1e-6, what="winding (det method)")
@@ -407,11 +415,8 @@ def wind_plus_inverse_check(path: UnitaryPath, tol: float = 1e-9):
     wf = wind(path, tol).value
     wi = wind(path.pointwise_inverse(), tol).value
 
-    def ker_dim(u):
-        return int(np.sum(at_phase(np.angle(np.linalg.eigvals(u)), np.pi, tol)))
-
-    d0 = ker_dim(path.mats[0])
-    d1 = ker_dim(path.mats[-1])
+    ends = wrap_phase(unitary_phases(np.array([path.mats[0], path.mats[-1]])))
+    d0, d1 = (int(np.count_nonzero(at_phase(row, np.pi, tol))) for row in ends)
     if wf + wi != d0 - d1:
         raise IdentityViolation(
             f"wind(f) + wind(f^-1) = {wf + wi} != {d0 - d1} = dim ker(f(0)+I) - dim ker(f(1)+I)"

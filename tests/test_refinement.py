@@ -218,9 +218,9 @@ def test_refined_samples_are_those_of_recursive_bisection():
 
 @pytest.fixture()
 def lapack_calls(monkeypatch):
-    """Calls of the eigen-solvers and SVDs numpy offers; norm(., 2) of a
-    matrix counts as an SVD, which numpy runs through an internal binding."""
-    calls = {"svd": 0, "eigvalsh": 0, "eigvals": 0}
+    """Calls of the eigen-solvers, SVDs and inverses numpy offers; norm(., 2)
+    of a matrix counts as an SVD, which numpy runs through an internal binding."""
+    calls = {"svd": 0, "eigvalsh": 0, "eigvals": 0, "inv": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -228,7 +228,7 @@ def lapack_calls(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("eigvalsh", "eigvals", "svd"):
+    for name in ("eigvalsh", "eigvals", "svd", "inv"):
         monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     norm = np.linalg.norm
 
@@ -259,17 +259,32 @@ def test_hermitian_hot_path_counts(lapack_calls, run):
     assert (result.value if run is sf.spectral_flow else result["sf"]) == 0
 
 
+def _wind_calls(lapack_calls, samples):
+    path = _unitary_path(initial_samples=samples)
+    lapack_calls.update(svd=0, eigvals=0, eigvalsh=0, inv=0)
+    assert sf.wind(path).value == 1
+    assert lapack_calls["svd"] == 0
+    assert lapack_calls["eigvals"] == 0
+    assert lapack_calls["eigvalsh"] == lapack_calls["inv"]
+    return lapack_calls["eigvalsh"]
+
+
 def test_wind_hot_path_counts(lapack_calls):
-    # steps of at most 5/32 rad pass on their Frobenius norm.  Bisecting a
+    # steps of at most 5/16 rad pass on their Frobenius norm.  Bisecting a
     # unitary path always takes an exact 2-norm somewhere: the Frobenius norms
     # of two half steps add up to at least that of the step, so a chain of
     # failing halves ends in one that the Frobenius bounds cannot decide.
-    path = _unitary_path(initial_samples=33)
-    lapack_calls.update(svd=0, eigvals=0)
-    assert sf.wind(path).value == 1
-    assert lapack_calls["svd"] == 0
-    # the endpoint shift, the shifted samples and the step products
-    assert lapack_calls["eigvals"] == 3
+    # No sample has an eigenphase near +1: one stacked Cayley inverse and
+    # eigvalsh of the samples (pole +1) and the negated step products (pole
+    # -1 of the products)
+    assert _wind_calls(lapack_calls, 17) == 1
+
+
+def test_wind_pole_move_counts(lapack_calls):
+    # at 33 samples the phase 3 + 5t is 1.9e-3 from +1 at t = 21/32, where
+    # |lambda| = 1035 passes CAYLEY_BOUND: that sample alone is solved again
+    # about the middle of its largest eigenphase gap
+    assert _wind_calls(lapack_calls, 33) == 2
 
 
 def test_bisecting_wind_takes_no_svd(lapack_calls):

@@ -119,6 +119,21 @@ class TestWind:
         w2 = sf.wind(sf.UnitaryPath.from_generator(gen, initial_samples=65)).value
         assert w1 == w2
 
+    @pytest.mark.parametrize("k", [64, 96])
+    def test_large_rotation_family_against_its_closed_form(self, k):
+        # rotation paths on a Haar frame: each eigenphase theta + rate t
+        # crosses -1 once for every odd multiple of pi it passes
+        rng = rng_for(11, k)
+        q = random_unitary(rng, k)
+        theta = rng.uniform(-np.pi, np.pi, k)
+        rate = rng.uniform(-3.0, 3.0, k)
+        closed = int(np.sum(np.floor((theta + rate - np.pi) / (2 * np.pi))
+                            - np.floor((theta - np.pi) / (2 * np.pi))))
+        path = sf.UnitaryPath.from_generator(
+            lambda t: (q * np.exp(1j * (theta + rate * t))) @ q.conj().T, initial_samples=33)
+        assert closed != 0
+        assert sf.wind(path).value == closed
+
 
 class TestTauW:
     def test_identity_slots_vanish(self):
@@ -142,6 +157,12 @@ class TestTauW:
         for _ in range(10):
             k = int(rng.integers(1, 4))
             sf.tau_w(random_unitary(rng, k), random_unitary(rng, k), cross_check=True)
+
+    def test_path_definition_cross_check_at_k32(self):
+        # the principal_power paths start at U = I, on the pole of the samples
+        rng = rng_for(24, 32)
+        u, v = random_unitary(rng, 32), random_unitary(rng, 32)
+        assert sf.tau_w(u, v, cross_check=True) == sf.tau_w(u, v)
 
 
 class TestWindPlusInverse:

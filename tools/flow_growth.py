@@ -1,15 +1,26 @@
-"""How the cost of spectral flow grows with the matrix size k.
+"""How the cost of spectral flow and of the winding number grows with the
+matrix size k.
 
     python3 tools/flow_growth.py
 
 Run it from the root of a checkout; symflow is imported from ``src/`` beside
-this directory.  For each k in 2 4 8 16 32 64 96 it takes the family
-of ``BENCH_7.json``: t -> (1 - t) A + t B, with A and B random complex
-Hermitian k x k matrices drawn from ``rng_for(11, k)``, sampled at 5 initial
-points.  It prints one line per k: the wall seconds of one ``spectral_flow``
-call (one BLAS thread), the samples of the refined path, the flow, the
-inertia flow n_-(A) - n_-(B) (equal to the flow by the telescoping identity)
-and the logged crossings; then the whole table as one JSON object.
+this directory.  For each k in 2 4 8 16 32 64 96 it prints two lines (one
+BLAS thread):
+
+* ``flow``: the family of ``BENCH_7.json``, t -> (1 - t) A + t B, with A and
+  B random complex Hermitian k x k matrices drawn from ``rng_for(11, k)``,
+  sampled at 5 initial points: the wall seconds of one ``spectral_flow``
+  call, the samples of the refined path, the flow, the inertia flow
+  n_-(A) - n_-(B) (equal to the flow by the telescoping identity) and the
+  logged crossings;
+* ``wind``: rotation paths t -> Q diag(e^{i(theta + rate t)}) Q* on a Haar
+  frame Q, with theta uniform in [-pi, pi] and rate in [-3, 3], drawn from
+  ``rng_for(11, k)``, sampled at 33 initial points: the wall seconds of the
+  fastest of three ``wind`` calls, the samples of the refined path, the
+  winding number and its closed form, the signed count of the odd
+  multiples of pi that each theta + rate t passes;
+
+then the whole table as one JSON object, ``{"flow": {k: row}, "wind": {k: row}}``.
 """
 
 from __future__ import annotations
@@ -51,13 +62,34 @@ def growth_row(k: int) -> dict:
             "crossings": len(result.log.crossings)}
 
 
+def wind_row(k: int) -> dict:
+    from symflow import UnitaryPath, wind
+    from symflow.verification import random_unitary, rng_for
+
+    rng = rng_for(11, k)
+    q = random_unitary(rng, k)
+    theta = rng.uniform(-np.pi, np.pi, k)
+    rate = rng.uniform(-3.0, 3.0, k)
+    path = UnitaryPath.from_generator(
+        lambda t: (q * np.exp(1j * (theta + rate * t))) @ q.conj().T, initial_samples=33)
+    seconds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        result = wind(path)
+        seconds.append(time.perf_counter() - start)
+    closed = np.floor((theta + rate - np.pi) / (2 * np.pi)) - np.floor((theta - np.pi) / (2 * np.pi))
+    return {"seconds": round(min(seconds), 4), "samples": len(path.refined().times),
+            "wind": result.value, "closed_form": int(np.sum(closed))}
+
+
 def main() -> int:
     sys.path.insert(0, str(ROOT / "src"))
-    table = {}
+    table = {"flow": {}, "wind": {}}
     for k in SIZES:
-        row = table[str(k)] = growth_row(k)
-        print(f"k={k:3d}  " + "  ".join(f"{name} {value}" for name, value in row.items()),
-              flush=True)
+        for kind, row_of in (("flow", growth_row), ("wind", wind_row)):
+            row = table[kind][str(k)] = row_of(k)
+            print(f"k={k:3d}  {kind}  " + "  ".join(f"{name} {value}" for name, value in row.items()),
+                  flush=True)
     print(json.dumps(table))
     return 0
 
