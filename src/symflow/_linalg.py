@@ -11,8 +11,8 @@ Everything here operates on plain ndarrays.  Tolerance policy:
   use it;
 * ``sign_classes`` and ``crossing_signs`` are the (-eps,-eps) rule of
   spectral flow and winding: zero counts as nonnegative;
-* ``least_arc_matching`` is the one eigenphase matcher, shared by ``wind``
-  and the coupled model roots;
+* ``least_arc_matching`` is the one eigenphase matcher; ``wind`` alone
+  uses it (the model's coupled roots are counted by the triple index);
 * ``unitary_phases`` is the one eigenphase solver of paths: a Cayley
   transform about a pole, one ``inv`` and one ``eigvalsh`` per stack, the
   pole moved for any matrix with an eigenphase too close to it;

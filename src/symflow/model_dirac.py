@@ -26,15 +26,16 @@ import numpy as np
 
 from ._linalg import (
     DEFAULT_TOL,
+    INT_RESIDUE_TOL,
     as_complex_matrix,
     crossing_signs,
     intersect_subspaces,
-    least_arc_matching,
     norm_at_most,
     orthonormal_columns,
     phase_fix_columns,
     readonly,
     sign_classes,
+    unitary_phases,
     wrap_phase,
 )
 from .errors import (
@@ -45,6 +46,7 @@ from .errors import (
     GluingViolation,
     IdentityViolation,
     IncompatibleBoundary,
+    NonIntegerResult,
     ResonanceViolation,
     SchemaError,
     SymflowError,
@@ -382,7 +384,7 @@ def _real_line_rep(vecs: np.ndarray, tol: float = 1e-7) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# interval spectra: real 2x2 transfer calculus plus eigenphase tracking
+# interval spectra: real 2x2 transfer calculus
 
 
 def _transfer_terms(lam, mu: float, ell: float):
@@ -412,11 +414,21 @@ def _block_coefficients(mu: float, p: np.ndarray, q: np.ndarray) -> tuple:
 
 
 def _root_values(lam, coef: np.ndarray, mu: float, ell: float) -> np.ndarray:
-    """F(lambda) = c <q_perp, p> + s (m_const + lambda m_lin), coef[..., 0:3] of
-    ``_block_coefficients`` broadcast against lam: p the constraint line at
-    x=0, q the one at x=L, F's roots are the block's eigenvalues."""
+    """The scaled characteristic function G(lambda) = e k0 + c n0 + s (m +
+    lambda n1), coef[..., 0:4] = (k0, n0, m, n1) broadcast against lam: its
+    roots are the block's eigenvalues."""
+    c, s, e = _transfer_terms(lam, mu, ell)
+    return e * coef[..., 0] + c * coef[..., 1] + s * (coef[..., 2] + lam * coef[..., 3])
+
+
+def _root_slopes(lam, coef: np.ndarray, mu: float, ell: float) -> np.ndarray:
+    """e G'(lambda), G of ``_root_values``: a double root of G is a simple
+    zero of it.  For C = cosh(kappa L), S = sinh(kappa L)/kappa, C' = -lambda
+    L S and S' = lambda (L C - S)/omega^2 -> -lambda L^3/3 at omega = 0."""
     c, s, _ = _transfer_terms(lam, mu, ell)
-    return c * coef[..., 0] + s * (coef[..., 1] + lam * coef[..., 2])
+    w2 = (lam - mu) * (lam + mu)
+    ds = lam * np.divide(ell * c - s, w2, out=np.full(np.shape(w2), -ell**3 / 3.0), where=w2 != 0)
+    return s * (coef[..., 3] - lam * ell * coef[..., 1]) + ds * (coef[..., 2] + lam * coef[..., 3])
 
 
 def _contour_eta(mu: float, ell: float, k0: float, n0: float, m: float,
@@ -438,12 +450,6 @@ def _contour_eta(mu: float, ell: float, k0: float, n0: float, m: float,
     start = 0.5 * np.pi if abs(g0) <= ZERO_ROOT * slope else (0.0 if g0 > 0 else np.pi)
     end = float(np.arctan2(abs(n1), n0))
     return EtaEstimate(-(2.0 / np.pi) * orient * (end - start), CONTOUR_ROUNDING, 0)
-
-
-def _block_contour_eta(mu: float, ell: float, p: np.ndarray, q: np.ndarray) -> EtaEstimate:
-    """Eta of a split 2-D block: ``_root_values`` is G with k0 = 0."""
-    dot, m_const, m_lin = _block_coefficients(mu, p, q)
-    return _contour_eta(mu, ell, 0.0, dot, m_const, m_lin)
 
 
 def _scan_grid(window: float, mu: float, ell: float) -> np.ndarray:
@@ -501,29 +507,24 @@ def _certified_roots(scan: Callable, at: Callable, mu: float, ell: float, window
     """Roots on [-window, window] of one mode block for each of ``members``
     block constraints, each member's number certified.
 
-    ``scan(grid, todo)`` is None where the grid does not resolve the scan
-    variable, else (per crossing: its member, an index into the members
-    ``todo``, and its step; the values at both ends, the carries at lo; per
-    member of ``todo``: an independent root count over the grid).  A member
-    whose crossings and count disagree is scanned again on the doubled grid,
-    at most six times and within MAX_SCAN_POINTS, else BracketingFailure.
-    One ``_polish`` narrows the brackets of every member."""
+    ``scan(grid, todo)`` gives, per bracket, its member (an index into the
+    members ``todo``), its ends, the values there and the carries at lo, and
+    per member of ``todo`` an independent root count over the grid.  A
+    member whose brackets and count disagree is scanned again on the doubled
+    grid, at most six times and within MAX_SCAN_POINTS, else
+    BracketingFailure.  One ``_polish`` narrows the brackets of every member
+    (a bracket of width 0 is a root already)."""
     grid, todo, kept = _scan_grid(window, mu, ell), np.arange(members), []
     for doublings in range(7):
-        found = scan(grid, todo)
-        if found is None:
-            detail = "unresolved"
-        else:
-            owner, idx, flo, fhi, carry, count = found
-            brackets = np.bincount(owner, minlength=todo.size)
-            ok = brackets == count
-            hit = ok[owner]
-            kept.append((todo[owner[hit]], grid[idx[hit]], grid[idx[hit] + 1],
-                         flo[hit], fhi[hit], carry[hit]))
-            if ok.all():
-                break
-            first = int(np.argmin(ok))
-            detail, todo = f"{brackets[first]} vs {count[first]} roots", todo[~ok]
+        owner, lo, hi, flo, fhi, carry, count = scan(grid, todo)
+        brackets = np.bincount(owner, minlength=todo.size)
+        ok = brackets == count
+        hit = ok[owner]
+        kept.append((todo[owner[hit]], lo[hit], hi[hit], flo[hit], fhi[hit], carry[hit]))
+        if ok.all():
+            break
+        first = int(np.argmin(ok))
+        detail, todo = f"{brackets[first]} vs {count[first]} roots", todo[~ok]
         if doublings == 6 or 2 * grid.size - 1 > MAX_SCAN_POINTS:
             raise BracketingFailure(f"root scan of block mu={mu:.6g} not certified at "
                                     f"{grid.size} points: {detail}")
@@ -535,15 +536,14 @@ def _certified_roots(scan: Callable, at: Callable, mu: float, ell: float, window
     return [r[np.abs(r) <= window + 1e-9] for r in per_member]
 
 
-def _sturm_count(mu: float, ell: float, p: np.ndarray, q: np.ndarray,
-                 lo: float, hi: float) -> np.ndarray:
-    """Number of roots of F (``_root_values``) in [lo, hi), in closed
-    form, for real unit lines p and q, or one count per pair of stacked lines
-    (..., 2).
+def _sturm_level(mu: float, ell: float, p: np.ndarray, q: np.ndarray, lam) -> np.ndarray:
+    """Sturm level of the split constraint of real unit lines p, q (or stacked
+    pairs (..., 2)) at lam, broadcast: G's roots in [lo, hi) number
+    level(lo) - level(hi).
 
     u(x) = T_x p solves u' = M u, M = [[-mu, lambda], [-lambda, mu]]; its
     Pruefer angle obeys theta' = -lambda + mu sin 2 theta, so theta(L) is
-    strictly decreasing in lambda, and F = 0 where theta(L) = psi_q mod pi.
+    strictly decreasing in lambda, and G = 0 where theta(L) = psi_q mod pi.
     For |lambda| <= mu the orbit stays between the lines where theta' = 0:
     the sweep is the principal angle from p to T_L p.  For |lambda| > mu,
     u(x + pi/omega) = -u(x), omega^2 = lambda^2 - mu^2: it is k pi, k =
@@ -552,47 +552,21 @@ def _sturm_count(mu: float, ell: float, p: np.ndarray, q: np.ndarray,
     p, q = np.asarray(p), np.asarray(q)
     psi_p, psi_q = np.arctan2(p[..., 1], p[..., 0]), np.arctan2(q[..., 1], q[..., 0])
     rate, tilt = mu * np.sin(2.0 * psi_p), mu * np.cos(2.0 * psi_p)  # theta'(0) + lambda, -<p, Mp>
-
-    def level(lam):
-        if abs(lam) <= mu:
-            c, s, _ = _transfer_terms(lam, mu, ell)
-            sweep = np.arctan2(s * (rate - lam), c - s * tilt)
-        else:
-            omega = np.sqrt((abs(lam) - mu) * (abs(lam) + mu))
-            k, r = divmod(omega * ell, np.pi)
-            sweep = np.arctan2(np.sin(r) * (rate - lam), omega * np.cos(r) - np.sin(r) * tilt) \
-                - np.sign(lam) * k * np.pi
-        return np.floor((psi_p + sweep - psi_q) / np.pi)
-
-    return np.abs(level(lo) - level(hi)).astype(int)
+    a = np.abs(lam)
+    gap, omega = a <= mu, np.sqrt(np.abs((a - mu) * (a + mu)))
+    k, r = np.divmod(omega * ell, np.pi)
+    # in the gap the arguments over cosh(kappa L): tanh(kappa L)/kappa for s
+    along = np.where(gap, np.divide(np.tanh(omega * ell), omega, out=np.full(np.shape(a), ell),
+                                    where=omega > 0), np.sin(r))
+    sweep = np.arctan2(along * (rate - lam), np.where(gap, 1.0, omega * np.cos(r)) - along * tilt)
+    return np.floor((psi_p + sweep - np.where(gap, 0.0, np.sign(lam) * k * np.pi) - psi_q) / np.pi)
 
 
-def _bracketed_roots(mu: float, ell: float, lines, window: float,
-                     tol: float) -> list[np.ndarray]:
-    """Roots on [-window, window] of a split block for each pair (p, q) of
-    ``lines`` (pairs of real unit lines, or their stack (K, 2, 2)): crossings
-    of F (``_root_values``) counted against the pair's ``_sturm_count``,
-    polished on F.  The pairs share each scan grid, a chunk of at most
-    MAX_SCAN_POINTS values at a time, and one polish, with F's coefficients
-    (``_block_coefficients``) as the carry."""
-    lines = np.asarray(lines, dtype=float).reshape(-1, 2, 2)
-    if not len(lines):
-        return []
-    p, q = lines[:, 0], lines[:, 1]
-    coef = np.stack(_block_coefficients(mu, p, q), axis=-1)
-
-    def scan(grid, todo):
-        found, chunk = [], max(1, MAX_SCAN_POINTS // grid.size)
-        for k in range(0, todo.size, chunk):
-            vals = _root_values(grid, coef[todo[k:k + chunk], None], mu, ell)
-            owner, idx = np.nonzero(crossing_signs(vals[:, :-1], vals[:, 1:]))
-            found.append((k + owner, idx, vals[owner, idx], vals[owner, idx + 1]))
-        owner, idx, flo, fhi = (np.concatenate(part) for part in zip(*found))
-        return (owner, idx, flo, fhi, coef[todo[owner]],
-                _sturm_count(mu, ell, p[todo], q[todo], grid[0], grid[-1]))
-
-    return _certified_roots(scan, lambda x, cf: (_root_values(x, cf, mu, ell), cf),
-                            mu, ell, window, tol, len(lines))
+def _sturm_count(mu: float, ell: float, p: np.ndarray, q: np.ndarray,
+                 lo: float, hi: float) -> np.ndarray:
+    """Roots in [lo, hi) of the split constraint(s) p, q: ``_sturm_level``."""
+    level = _sturm_level(mu, ell, p, q, np.reshape([lo, hi], (2,) + (1,) * (np.ndim(p) - 1)))
+    return np.abs(level[0] - level[1]).astype(int)
 
 
 def _lattice_in_window(offsets: np.ndarray, spacing: float, window: float) -> np.ndarray:
@@ -687,90 +661,6 @@ def _block_lines(space: SymplecticSpace, phis: np.ndarray, side: str) -> tuple:
     return (lines if side == "+" else lines[:, ::-1]), split
 
 
-def _split_lines(bc: Lagrangian, side: str) -> Optional[tuple]:
-    """Real unit lines (p, q) of a 2-line block constraint that splits, None
-    when it couples its ends: ``_block_lines`` of one."""
-    lines, split = _block_lines(bc.space, bc.phi[None], side)
-    return (lines[0, 0], lines[0, 1]) if split[0] else None
-
-
-def _phases_grid(block: DoubledBlock, ell: float, bc_phi_h: np.ndarray,
-                 lams: np.ndarray, side: str) -> np.ndarray:
-    """Sorted eigenphases of W = phi(graph(lam)) phi(B)* for a batch of lam, (G, 2).
-
-    phi(graph) = A_minus A_plus^{-1}, A_pm = b_pm* F, for the frame F = e [I; T]
-    (or e [T; I]), T = c I + s (lam J - mu Z): A_plus and phi(B)* A_minus are
-    linear in (e, c, -mu s, lam s) of ``_transfer_terms``.  W is similar to
-    w = adj(A_plus) phi(B)* A_minus / det A_plus, and its eigenvalues come from
-    the entries of w: (w00 + w11 +- sqrt((w00 - w11)^2 + 4 w01 w10)) / 2, which
-    keeps full accuracy where the two eigenphases meet (tr^2 - 4 det would
-    cancel there)."""
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    c, s, e = _transfer_terms(lams, block.mu, ell)
-    coef = np.stack([e, c, -block.mu * s, lams * s], axis=1)
-    zero = np.zeros((2, 2))
-    units = (np.eye(2), np.eye(2), np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [-1.0, 0.0]]))
-    frames = np.array([np.vstack([u, zero] if (i == 0) == (side == "+") else [zero, u])
-                       for i, u in enumerate(units)])
-    b_plus, b_minus = block.space.basis_plus.conj().T, bc_phi_h @ block.space.basis_minus.conj().T
-    ap, bm = ((coef @ (b @ frames).reshape(4, 4)).reshape(-1, 2, 2) for b in (b_plus, b_minus))
-    (p00, p01), (p10, p11) = ap[:, 0].T, ap[:, 1].T
-    (m00, m01), (m10, m11) = bm[:, 0].T, bm[:, 1].T
-    # n = adj(A_plus) phi(B)* A_minus = det(A_plus) w
-    n00, n11 = p11 * m00 - p01 * m10, p00 * m11 - p10 * m01
-    n01, n10 = p11 * m01 - p01 * m11, p00 * m10 - p10 * m00
-    tr, disc = n00 + n11, np.sqrt((n00 - n11) ** 2 + 4.0 * n01 * n10)
-    half = 0.5 / (p00 * p11 - p01 * p10)
-    a, b = np.angle((tr + disc) * half), np.angle((tr - disc) * half)
-    return np.stack([np.minimum(a, b), np.maximum(a, b)], axis=1)
-
-
-def _tracked_block_roots(block: DoubledBlock, ell: float, bc_phi_h: np.ndarray,
-                         side: str, window: float, tol: float) -> np.ndarray:
-    """Eigenvalues from one doubled 2-D block: the lambda where an eigenphase of
-    phi(graph) phi(B)* crosses zero, all crossings of one sign (the crossing
-    form is definite, else BracketingFailure).
-
-    The scan matches its sorted pairs by ``least_arc_matching`` and resolves
-    when no phase moves over 0.45 pi a step; each (step, branch) with a
-    crossing is a bracket, so a double root comes out twice.  The count is
-    ``wind``'s det-phase one.  In the polish a branch keeps its sorted slot
-    unless the other wraps past pi, moving the phase sum by over pi (least
-    arc is ambiguous over a long falsi step when both phases move one way).
-    Past mu L ~ 708 the frame's identity rows e >= e^{-mu L} leave the normal
-    floating-point range and W comes from a rank-deficient frame, so the
-    roots cannot be certified: the scan raises BracketingFailure (after the
-    scan grid has passed its size cap)."""
-    def scan(grid, _):
-        if np.exp(-block.mu * ell) < np.finfo(float).tiny:
-            raise BracketingFailure(
-                f"coupled block mu={block.mu:.6g} at mu L = {block.mu * ell:.6g}: the scaled "
-                f"frame's identity rows e^(-kappa L) underflow, so its roots cannot be certified")
-        ph = _phases_grid(block, ell, bc_phi_h, grid, side)
-        _, arcs = least_arc_matching(ph[:-1], ph[1:])
-        if not float(np.max(np.abs(arcs))) <= 0.45 * np.pi:
-            return None
-        signs = crossing_signs(ph[:-1], ph[:-1] + arcs)
-        if np.any(signs > 0) and np.any(signs < 0):
-            raise BracketingFailure(
-                f"eigenphase crossings of both signs in the root scan of block "
-                f"mu={block.mu:.6g}: the crossing form is not definite")
-        idx, branch = np.nonzero(signs)
-        pair = np.where(branch[:, None] == 0, ph[idx], ph[idx, ::-1])  # tracked branch first
-        turns = (np.sum(wrap_phase(np.diff(np.sum(ph, axis=1))))
-                 - np.sum(np.mod(ph[-1], 2.0 * np.pi)) + np.sum(np.mod(ph[0], 2.0 * np.pi)))
-        return (np.zeros(idx.size, dtype=int), idx, pair[:, 0], pair[:, 0] + arcs[idx, branch],
-                pair, np.array([abs(round(turns / 2 / np.pi))]))
-
-    def at(x, pair):
-        ph = _phases_grid(block, ell, bc_phi_h, x, side)
-        slot = (pair[:, 0] > pair[:, 1]) ^ (np.abs(np.sum(ph - pair, axis=1)) > np.pi)
-        pair = np.where(slot[:, None], ph[:, ::-1], ph)
-        return pair[:, 0], pair
-
-    return _certified_roots(scan, at, block.mu, ell, window, tol)[0]
-
-
 def _kernel_offsets(block: DoubledBlock, ell: float, phis: np.ndarray,
                     side: str) -> np.ndarray:
     """Lattice offsets in [0, 1), in units of 2 pi / L, of the kernel doubled
@@ -785,38 +675,146 @@ def _kernel_offsets(block: DoubledBlock, ell: float, phis: np.ndarray,
     return np.mod(theta0 / (-rate) / (2.0 * np.pi / ell), 1.0)
 
 
-def _block_roots(block: DoubledBlock, phis: np.ndarray, ell: float, side: str,
-                 window: float, tol: float) -> list[np.ndarray]:
-    """Eigenvalues in [-window, window] from one doubled 2-D mode block, one
-    array per block constraint, given by their graph unitaries phis (K, 2, 2):
-    the constraints that split into a line at each end (``_block_lines``)
-    share one scan of the real F (``_bracketed_roots``), a coupled one scans
-    its eigenphases alone (``_tracked_block_roots``); every count is
-    certified, so a root is never lost silently (BracketingFailure instead)."""
+def _characteristic(block: DoubledBlock, phis: np.ndarray, side: str) -> np.ndarray:
+    """(k0, n0, m, n1) (K, 4) of G for constraints phis (K, 2, 2): roots are
+    where det(M1 + M2 T) = 0, [M1 | M2] = phi(B)* b_-* - b_+* (halves swapped
+    on side '-'); as det T = 1 that is G with k0 = det M1 + det M2, n0 = tr
+    N, n1 = tr NJ, m = -mu tr NZ, N = adj(M1) M2, up to a phase, rotated
+    away here."""
+    mm = phis.conj().swapaxes(-1, -2) @ block.space.adjoint_minus - block.space.adjoint_plus
+    m1, m2 = (mm[..., :2], mm[..., 2:]) if side == "+" else (mm[..., 2:], mm[..., :2])
+    n = m1[:, ::-1, ::-1].swapaxes(-1, -2) * np.array([[1, -1], [-1, 1]]) @ m2  # adj(M1) M2
+    coef = np.stack([np.linalg.det(m1) + np.linalg.det(m2), n[:, 0, 0] + n[:, 1, 1],
+                     n[:, 1, 0] - n[:, 0, 1], n[:, 0, 0] - n[:, 1, 1]], axis=-1)
+    top = np.take_along_axis(coef, np.argmax(np.abs(coef), axis=-1)[:, None], axis=-1)
+    k0, n0, n1, n2 = (coef * np.exp(-1j * np.angle(top))).real.T
+    return np.stack([k0, n0, -block.mu * n2, n1], axis=-1)
+
+
+def _solution_graphs(block: DoubledBlock, lam: np.ndarray, ell: float, side: str) -> np.ndarray:
+    """Graph unitaries (..., 2, 2) of the block's solutions {(v, T v)} (side
+    '+') or {(T v, v)} at each lam: the span of [T_h^{-1}; T_h], T = T_h^2
+    over L/2, whose Gram eigenvalues 2 (c^2 + s^2 (|lam| -+ mu)^2) keep the
+    decaying solution at every mu L, which [I; T] loses."""
+    c, s, _ = (t[..., None, None] for t in _transfer_terms(lam, block.mu, 0.5 * ell))
+    k = lam[..., None, None] * np.array([[0.0, 1.0], [-1.0, 0.0]]) - np.diag([block.mu, -block.mu])
+    halves = (c * np.eye(2) - s * k, c * np.eye(2) + s * k)  # T_h^{-1}, T_h
+    frames = np.concatenate(halves if side == "+" else halves[::-1], axis=-2)
+    phis = graph_unitaries(block.space, frames.reshape(-1, 4, 2))
+    return phis.reshape(frames.shape[:-2] + (2, 2))
+
+
+def _branch_sums(u: np.ndarray) -> np.ndarray:
+    """Eigenphase sums on the branch (-pi, pi] of ``branch_log_unitary`` for
+    a stack (..., 2, 2), with no ambiguity band: it would raise at x -+ tol/2
+    of a double root."""
+    return -wrap_phase(-unitary_phases(u.reshape(-1, 2, 2))).sum(axis=-1).reshape(u.shape[:-2])
+
+
+def _triple_levels(block: DoubledBlock, phis: np.ndarray, ell: float, side: str) -> Callable:
+    """lam, owner -> level Lambda(lam) of constraint phis[owner] (graph
+    unitaries (K, 2, 2)): its roots in [lo, hi), with multiplicity, number
+    Lambda(lo) - Lambda(hi).  With f(lam) the solutions' graph and B' the
+    split constraint of the line (1, 0) at both ends, Mas(f, g) + Mas(g, h)
+    - Mas(f, h) = tau_mu(f1, g1, h1) - tau_mu(f0, g0, h0) (Kirk and Lesch)
+    at g = gamma B', h = gamma B carries the Sturm level of B' over: Lambda
+    = level(B') + sigma tau_mu(f, gamma B', gamma B), sigma = +1 on side
+    '+', -1 on '-', tau_mu by the trace-log formula of ``tau_mu``."""
+    mu, line = block.mu, np.array([1.0, 0.0])
+    ref = lagrangian_from_frame(block.space, np.eye(4)[:, [0, 2]]).phi
+    inverse = phis.conj().swapaxes(-1, -2)
+    middle = _branch_sums(ref @ inverse)  # tau_mu's term phi(gamma B') phi(gamma B)*
+    sigma = 1 if side == "+" else -1
+
+    def level(lam, owner):
+        graphs = _solution_graphs(block, lam, ell, side)
+        raw = (_branch_sums(-graphs @ ref.conj().T) + middle[owner]
+               - _branch_sums(-graphs @ inverse[owner])) / (2.0 * np.pi)
+        tau = np.rint(raw)
+        if not np.all(np.abs(raw - tau) <= INT_RESIDUE_TOL):
+            raise NonIntegerResult(f"tau_mu is off the integers in the level of block mu={mu:.6g}")
+        return _sturm_level(mu, ell, line, line, lam).astype(int) + sigma * tau.astype(int)
+
+    return level
+
+
+def _block_characteristics(block: DoubledBlock, phis: np.ndarray, side: str,
+                           coupled: bool = False) -> tuple:
+    """(coef, lines, split) for graph unitaries phis (K, 2, 2): G's
+    coefficients (K, 4), shared by roots and eta, ``_block_coefficients``
+    (k0 = 0) where ``_block_lines`` splits a constraint, else (or with
+    ``coupled``) ``_characteristic``."""
     lines, split = _block_lines(block.space, phis, side)
-    found = iter(_bracketed_roots(block.mu, ell, lines[split], window, tol))
-    return [next(found) if is_split else
-            _tracked_block_roots(block, ell, phi.conj().T, side, window, tol)
-            for phi, is_split in zip(phis, split)]
+    if coupled:
+        split = np.zeros_like(split)
+    coef = np.zeros((len(phis), 4))
+    if split.any():
+        coef[split, 1:] = np.stack(_block_coefficients(block.mu, lines[split, 0],
+                                                       lines[split, 1]), axis=-1)
+    if not split.all():
+        coef[~split] = _characteristic(block, phis[~split], side)
+    return coef, lines, split
 
 
-def _block_eta(block: DoubledBlock, bc: Lagrangian, ell: float, side: str) -> EtaEstimate:
-    """Eta of one doubled 2-D mode block in closed form: a split bc takes F
-    (``_block_contour_eta``).  Otherwise the roots are where det(M1 + M2 T) =
-    0, T the transfer matrix of ``_phases_grid`` and [M1 | M2] = phi(B)* b_-*
-    - b_+* (halves swapped on side '-'); as det T = 1 that is G of
-    ``_contour_eta`` with k0 = det M1 + det M2, n0 = tr N, n1 = tr NJ and
-    m = -mu tr NZ, N = adj(M1) M2, up to one phase, rotated away here."""
-    lines = _split_lines(bc, side)
-    if lines is not None:
-        return _block_contour_eta(block.mu, ell, *lines)
-    mm = bc.phi.conj().T @ block.space.basis_minus.conj().T - block.space.basis_plus.conj().T
-    m1, m2 = (mm[:, :2], mm[:, 2:]) if side == "+" else (mm[:, 2:], mm[:, :2])
-    n = np.array([[m1[1, 1], -m1[0, 1]], [-m1[1, 0], m1[0, 0]]]) @ m2
-    coef = np.array([np.linalg.det(m1) + np.linalg.det(m2), n[0, 0] + n[1, 1],
-                     n[1, 0] - n[0, 1], n[0, 0] - n[1, 1]])
-    k0, n0, n1, n2 = (coef * np.exp(-1j * np.angle(coef[np.argmax(np.abs(coef))]))).real
-    return _contour_eta(block.mu, ell, k0, n0, -block.mu * n2, n1)
+def _block_roots(block: DoubledBlock, phis: np.ndarray, ell: float, side: str,
+                 window: float, tol: float, coupled: bool = False) -> list[np.ndarray]:
+    """Eigenvalues in [-window, window] from one doubled 2-D mode block, per
+    block constraint (graph unitaries phis (K, 2, 2)): G's roots from one
+    scan and polish (``_certified_roots``), counted by ``_sturm_count`` or,
+    where a constraint couples (everywhere with ``coupled``, the second
+    route of ``verify model-symmetry``), ``_triple_levels``.  A double root,
+    where G only touches 0, is a zero x of G' in a step where G keeps its
+    sign, over which the level drops by 2 within tol/2 of x.  Every count is
+    certified: a root is never lost silently.
+    """
+    mu = block.mu
+    coef, lines, split = _block_characteristics(block, phis, side, coupled)
+    level = _triple_levels(block, phis, ell, side) if not split.all() else None
+
+    def doubles(grid, members):
+        vals, slopes = (f(grid, coef[members, None], mu, ell) for f in (_root_values, _root_slopes))
+        row, idx = np.nonzero((crossing_signs(vals[:, :-1], vals[:, 1:]) == 0)
+                              & (crossing_signs(slopes[:, :-1], slopes[:, 1:]) != 0))
+        cf = coef[members[row]]
+        x = _polish(grid[idx], grid[idx + 1], slopes[row, idx], slopes[row, idx + 1], cf,
+                    lambda x, c: (_root_slopes(x, c, mu, ell), c), tol)
+        edges = level(np.stack([x - 0.5 * tol, x + 0.5 * tol], axis=1), members[row, None])
+        double = np.repeat(edges[:, 0] - edges[:, 1] == 2, 2)
+        row, x, cf = np.repeat(row, 2)[double], np.repeat(x, 2)[double], np.repeat(cf, 2, 0)[double]
+        gx = _root_values(x, cf, mu, ell)
+        return row, x, x, gx, gx, cf  # each double root twice, a bracket of width 0
+
+    def scan(grid, todo):
+        found, chunk = [], max(1, MAX_SCAN_POINTS // grid.size)
+        for k in range(0, todo.size, chunk):
+            vals = _root_values(grid, coef[todo[k:k + chunk], None], mu, ell)
+            owner, idx = np.nonzero(crossing_signs(vals[:, :-1], vals[:, 1:]))
+            found.append((k + owner, grid[idx], grid[idx + 1], vals[owner, idx],
+                          vals[owner, idx + 1], coef[todo[k + owner]]))
+        count = np.empty(todo.size, dtype=int)
+        sturm, triple = split[todo], np.flatnonzero(~split[todo])
+        count[sturm] = _sturm_count(mu, ell, lines[todo[sturm], 0], lines[todo[sturm], 1],
+                                    grid[0], grid[-1])
+        if triple.size:
+            ends = level(grid[[0, -1]], todo[triple, None])
+            count[triple] = ends[:, 0] - ends[:, 1]
+            brackets = np.bincount(np.concatenate([part[0] for part in found]),
+                                   minlength=todo.size)
+            short = triple[brackets[triple] < count[triple]]
+            if short.size:
+                row, *rest = doubles(grid, todo[short])
+                found.append((short[row], *rest))
+        return (*(np.concatenate(part) for part in zip(*found)), count)
+
+    return _certified_roots(scan, lambda x, cf: (_root_values(x, cf, mu, ell), cf),
+                            mu, ell, window, tol, len(phis))
+
+
+def _block_etas(block: DoubledBlock, phis: np.ndarray, ell: float, side: str) -> list[EtaEstimate]:
+    """Eta of one doubled 2-D mode block in closed form, one per block
+    constraint of graph unitaries phis (K, 2, 2): ``_contour_eta`` of G with
+    the coefficients of its roots (``_block_characteristics``)."""
+    return [_contour_eta(block.mu, ell, *c) for c in _block_characteristics(block, phis, side)[0]]
 
 
 def _block_spectra(op: ModelOperator, constraints: Sequence[Lagrangian], side: str,
@@ -871,7 +869,7 @@ def boundary_spectrum(op: ModelOperator, constraint: Lagrangian, window: float,
     to the Lagrangian ``constraint`` of the double space H ⊕ H.
 
     Mode blocks take ``_block_roots``, whose root count is checked against the
-    Sturm count (split) or the det-phase count (coupled), else
+    Sturm count (split) or the triple-index count (coupled), else
     BracketingFailure; kernel blocks are exact lattices.  A family of one for
     ``_boundary_spectra``.
     """
@@ -937,7 +935,7 @@ def eta_truncated(eigenvalues, n_max: Optional[int] = None,
     mirror, or a double root split by rounding), and the median of all gaps
     would be rounding.  Exact lattices take ``eta_lattice`` instead.
 
-    Tests check symflow's closed-form etas (``_block_eta``) against it.
+    Tests check symflow's closed-form etas (``_block_etas``) against it.
     """
     lams = np.asarray(eigenvalues, dtype=float)
     lams = lams[np.abs(lams) > zero_tol]
@@ -980,13 +978,14 @@ def eta_truncated(eigenvalues, n_max: Optional[int] = None,
 
 def interval_eta_tilde(op: ModelOperator, constraint: Lagrangian, side: str = "+",
                        dbs: Optional[DoubleBoundarySpace] = None,
-                       n_max: int = 2000) -> tuple[float, float]:
+                       cauchy: Optional[Lagrangian] = None) -> tuple[float, float]:
     """(reduced eta, bound) of the constrained interval operator.
 
     Kernel-block branches use the exact lattice form (bound 0), every 2-D
-    mode block the closed form of ``_block_eta`` (bound at rounding level).
-    ``n_max`` is accepted and changes no result.  The kernel dimension
-    entering reduced eta is exact (Cauchy data).
+    mode block the closed form of ``_block_etas`` (bound at rounding level).
+    The kernel dimension entering reduced eta is exact: the intersection of
+    the constraint with the Cauchy data of ``side``, ``cauchy`` when the
+    caller holds it (``cauchy_data(op, dbs, side)``).
     """
     if dbs is None:
         dbs = double_boundary(op)
@@ -994,16 +993,16 @@ def interval_eta_tilde(op: ModelOperator, constraint: Lagrangian, side: str = "+
     bound = 0.0
     for block, (found,) in _block_spectra(
             op, [constraint], side, dbs,
-            lambda b, phis: [_block_eta(b, Lagrangian(b.space, phi), op.length, side)
-                             for phi in phis]):
+            lambda b, phis: _block_etas(b, phis, op.length, side)):
         if block.is_kernel:
             for offset in found:
                 eta += eta_lattice(float(offset))[0]
         else:
             eta += found.eta
             bound += found.bound
-    dim_ker = interval_kernel_dim(op, constraint, dbs, side)
-    return 0.5 * (eta + dim_ker), 0.5 * bound
+    if cauchy is None:
+        cauchy = cauchy_data(op, dbs, side=side)
+    return 0.5 * (eta + intersection_dim(cauchy, constraint, DEFAULT_TOL)), 0.5 * bound
 
 
 # ---------------------------------------------------------------------------
@@ -1159,17 +1158,15 @@ def _constraint_of(boundary: Lagrangian) -> Lagrangian:
 
 
 def glue_verify(op_plus: ModelOperator, op_minus: ModelOperator, p: Lagrangian,
-                n_max: int = 10_000,
                 eta_tol: float = 1e-9, dbs: Optional[DoubleBoundarySpace] = None) -> dict:
     """Verify the eta gluing identity on the circle glued from two intervals.
 
     eta~(circle) = eta~(D_P, M+) + eta~(D_{I-P}, M-) - tau_mu(I - P_-, P, P_+)
     with P a boundary Lagrangian of the double space, P_± the Cauchy data
     projections.  The circle side and kernel blocks are exact; interval mode
-    blocks carry a rounding-level bound (``interval_eta_tilde``), and
-    ``n_max`` is accepted and changes no result.  The identity must close
-    within the bound and the integer part must equal the triple index
-    exactly, else GluingViolation.
+    blocks carry a rounding-level bound (``interval_eta_tilde``).  The
+    identity must close within the bound and the integer part must equal the
+    triple index exactly, else GluingViolation.
     """
     if not op_plus.space.same_space(op_minus.space):
         raise DimensionMismatch("models must share the boundary space")
@@ -1184,9 +1181,9 @@ def glue_verify(op_plus: ModelOperator, op_minus: ModelOperator, p: Lagrangian,
     dim_ker_a = op_plus.kernel.frame.shape[1] if op_plus.kernel is not None else 0
     eta_circle = 0.5 * dim_ker_a
 
-    eta_p, bound_p = interval_eta_tilde(op_plus, _constraint_of(p), side="+", dbs=dbs)
+    eta_p, bound_p = interval_eta_tilde(op_plus, _constraint_of(p), "+", dbs, l_plus)
     # the minus piece carries the condition I - proj(P): constraint is im P itself
-    eta_m, bound_m = interval_eta_tilde(op_minus, p, side="-", dbs=dbs)
+    eta_m, bound_m = interval_eta_tilde(op_minus, p, "-", dbs, l_minus)
     triple = tau_mu(gamma_conjugate(l_minus), p, l_plus)
     bound = bound_p + bound_m
     delta = eta_circle - eta_p - eta_m
@@ -1268,15 +1265,14 @@ def nicolaescu_verify(op: ModelOperator, family: Sequence[tuple[float, Lagrangia
 
 
 def sw_modz_check(op: ModelOperator, p: Lagrangian, q: Optional[Lagrangian] = None,
-                  n_max: int = 2000, dbs: Optional[DoubleBoundarySpace] = None,
-                  tol: float = 1e-9) -> dict:
+                  dbs: Optional[DoubleBoundarySpace] = None, tol: float = 1e-9) -> dict:
     """Boundary dependence of reduced eta against the boundary trace-log.
 
     Always checks the mod-Z form exp(2 pi i (eta~_P - eta~_Q)) =
     det(phi(P) phi(Q)*); with Q omitted the Calderon projector is used and
     the strengthened exact form eta~_P - eta~_X = tr log(phi(P) phi(X)*)/2 pi i
     is required (exact on zero-mode models, within the rounding-level eta
-    bound otherwise).  ``n_max`` is accepted and changes no result.
+    bound otherwise).
     """
     if dbs is None:
         dbs = double_boundary(op)
@@ -1284,8 +1280,8 @@ def sw_modz_check(op: ModelOperator, p: Lagrangian, q: Optional[Lagrangian] = No
     l_x = cauchy_data(op, dbs, side="+")
     strengthened = q is None
     q_eff = l_x if q is None else q
-    eta_p, bound_p = interval_eta_tilde(op, _constraint_of(p), side="+", dbs=dbs)
-    eta_q, bound_q = interval_eta_tilde(op, _constraint_of(q_eff), side="+", dbs=dbs)
+    eta_p, bound_p = interval_eta_tilde(op, _constraint_of(p), "+", dbs, l_x)
+    eta_q, bound_q = interval_eta_tilde(op, _constraint_of(q_eff), "+", dbs, l_x)
     delta = eta_p - eta_q
     det = complex(np.linalg.det(p.phi @ q_eff.phi.conj().T))
     modz_defect = abs(np.exp(2j * np.pi * delta) - det)

@@ -335,9 +335,10 @@ def model_from_json(obj, tol: float = 1e-9) -> dict:
       "eta": {"N_max": ..., "tol": ...}?, "stretch": {"nu", "lengths"}?,
       "glue": {"length_minus", "P", "n_max"?}? }
 
-    Every number is checked before the operator is built.  ``glue`` is None
-    when the document has none; its "P" stays JSON, since it lives on the
-    double boundary of the operator.
+    Every number is checked before the operator is built.  ``eta.N_max`` and
+    ``glue.n_max`` change no result: they are range-checked and not kept.
+    ``glue`` is None when the document has none; its "P" stays JSON, since
+    it lives on the double boundary of the operator.
     """
     require_fields(obj, ("gamma", "A", "geometry"),
                    ("boundary", "window", "eta", "stretch", "glue"), "model")
@@ -350,11 +351,10 @@ def model_from_json(obj, tol: float = 1e-9) -> dict:
     eta = obj.get("eta", {})
     require_fields(eta, (), ("N_max", "tol"), "eta")
     out: dict[str, Any] = {
-        "window": number_from_json(obj.get("window", 10.0), "window", positive=True),
-        "n_max": number_from_json(eta.get("N_max", 2000), "eta.N_max",
-                                  integer_in=(1, MAX_N_MAX)),
-        "eta_tol": number_from_json(eta.get("tol", 1e-9), "eta.tol", positive=True),
-    }
+        "window": number_from_json(obj.get("window", 10.0), "window", positive=True)}
+    if "N_max" in eta:
+        number_from_json(eta["N_max"], "eta.N_max", integer_in=(1, MAX_N_MAX))
+    out["eta_tol"] = number_from_json(eta.get("tol", 1e-9), "eta.tol", positive=True)
     # the roots of a mode block lie about pi / length apart
     if out["window"] * length / np.pi > MAX_N_MAX:
         raise SchemaError(f"window {out['window']!r} holds more than {MAX_N_MAX} roots per "
@@ -373,13 +373,10 @@ def model_from_json(obj, tol: float = 1e-9) -> dict:
     if "glue" in obj:
         glue = obj["glue"]
         require_fields(glue, ("length_minus", "P"), ("n_max",), "glue")
-        out["glue"] = {
-            "length_minus": number_from_json(glue["length_minus"], "glue.length_minus",
-                                             positive=True),
-            "n_max": number_from_json(glue.get("n_max", out["n_max"]), "glue.n_max",
-                                      integer_in=(1, MAX_N_MAX)),
-            "P": glue["P"],
-        }
+        length_minus = number_from_json(glue["length_minus"], "glue.length_minus", positive=True)
+        if "n_max" in glue:
+            number_from_json(glue["n_max"], "glue.n_max", integer_in=(1, MAX_N_MAX))
+        out["glue"] = {"length_minus": length_minus, "P": glue["P"]}
     space = space_from_json(obj["gamma"], tol)
     a = matrix_from_json(obj["A"], "A")
     geometry = Interval(length) if kind == "interval" else Circle(length)

@@ -296,14 +296,6 @@ class UnitaryPath(SampledPath):
     def _steps_ok(ua, _ia, ub, _ib) -> np.ndarray:
         return norms_below(ua, ub, STEP_NORM_BOUND)
 
-    def pointwise_inverse(self) -> "UnitaryPath":
-        gen = None
-        if self.generator is not None:
-            g = self.generator
-            gen = lambda t: g(t).conj().T
-        return UnitaryPath([(t, u.conj().T) for t, u in zip(self.times, self.mats)], gen,
-                           self.tol)
-
 
 def tr_log(u, tol: float = 1e-9) -> complex:
     """Trace of log(U) with the branch cut just below -1."""
@@ -408,12 +400,15 @@ def tau_w(u, v, tol: float = 1e-9, cross_check: bool = False) -> int:
 def wind_plus_inverse_check(path: UnitaryPath, tol: float = 1e-9):
     """wind(f) + wind(f^{-1}) = dim ker(f(0)+I) - dim ker(f(1)+I), asserted.
 
-    Returns (wind(f), wind(f^{-1}), kernel dim at start, kernel dim at end).
+    f^{-1} is f's refined samples conjugate-transposed: ||U_b* - U_a*|| =
+    ||U_b - U_a||, so no sample is checked or generated again.  Returns
+    (wind(f), wind(f^{-1}), kernel dim at start, kernel dim at end).
     """
     from .errors import IdentityViolation
 
-    wf = wind(path, tol).value
-    wi = wind(path.pointwise_inverse(), tol).value
+    refined = path.refined()
+    inverse = refined._with(refined.times, [u.conj().T for u in refined.mats], None)
+    wf, wi = wind(refined, tol).value, wind(inverse, tol).value
 
     ends = wrap_phase(unitary_phases(np.array([path.mats[0], path.mats[-1]])))
     d0, d1 = (int(np.count_nonzero(at_phase(row, np.pi, tol))) for row in ends)

@@ -563,17 +563,17 @@ def suite_model_symmetry(rep: SuiteReport, rng, count: int = 50) -> None:
         dbs = md.double_boundary(op)
         constraint = md.direct_sum_lagrangian(dbs, gamma_conjugate(p), q)
         near_zero = int(np.sum(np.abs(md.interval_spectrum(op, p, q, 20.0)) <= 1e-7))
-        # a direct-sum constraint takes the split engine; the coupled
-        # (eigenphase-tracking) engine on each mode block is the second route
+        # a direct-sum constraint is counted by the Sturm count; the coupled
+        # branch on each mode block (G from M1 and M2, counted by the triple
+        # index) is the second route
         agree = True
         for block in dbs.blocks:
             if not block.is_kernel:
                 bc = md._block_constraint(block, constraint, DEFAULT_TOL)
-                tracked = md._tracked_block_roots(block, op.geometry.length, bc.phi.conj().T,
-                                                  "+", 8.0, 1e-10)
-                split_block = md._block_roots(block, bc.phi[None], op.geometry.length, "+",
-                                              8.0, 1e-10)[0]
-                agree = agree and _same_roots(tracked, split_block)
+                split_block, coupled = (
+                    md._block_roots(block, bc.phi[None], op.geometry.length, "+", 8.0, 1e-10,
+                                    coupled=forced)[0] for forced in (False, True))
+                agree = agree and _same_roots(coupled, split_block)
         return symmetric, near_zero == md.interval_kernel_dim(op, constraint, dbs), agree
     rep.run(("spec D_{P,Q} = -spec D_{Q,P} elementwise",
              "root count at zero equals Cauchy-data intersection",
@@ -754,7 +754,7 @@ SUITES: dict[str, tuple[int, str, Callable[..., None]]] = {
     "nicolaescu": (8, "spectral flow equals the Maslov index against the Cauchy "
                       "data space", suite_nicolaescu),
     "gluing": (9, "eta gluing across a circle: exact zero-mode closure, "
-                  "truncation-bounded mixed closure, integer triple-index part",
+                  "rounding-bounded mixed closure, integer triple-index part",
                suite_gluing),
     "adiabatic": (10, "stretched Cauchy data converges monotonically to the "
                       "filtered-projection limit", suite_adiabatic),

@@ -273,7 +273,7 @@ def test_criterion_13_eta_gluing():
                               md.Interval(float(rng.uniform(0.5, 1.5))))
         dbs = md.double_boundary(op_p)
         p = random_split_boundary(op_p, dbs, rng)
-        rec = md.glue_verify(op_p, op_m, p, n_max=10_000)
+        rec = md.glue_verify(op_p, op_m, p)
         assert rec["defect"] <= rec["bound"] + 1e-9
         assert rec["bound"] <= 5e-3
         max_bound = max(max_bound, rec["bound"])

@@ -13,10 +13,7 @@ from symflow.errors import (
     NotLagrangian,
     ResonanceViolation,
 )
-from symflow.model_dirac import (
-    _bracketed_roots,
-    _real_line_rep,
-)
+from symflow.model_dirac import _real_line_rep
 from symflow.verification import (
     planted_anticommuting,
     random_boundary_on_h,
@@ -38,8 +35,15 @@ def trace(lag, block_frame):
 def _block_root_function(mu, ell, p, q):
     """F(lambda) = <q_perp, T_L(lambda) p> of one 2-D block, scaled and
     vectorized: its roots are the block's eigenvalues."""
-    coef = np.array(md._block_coefficients(mu, p, q))
+    coef = np.array((0.0, *md._block_coefficients(mu, p, q)))
     return lambda lam: md._root_values(np.asarray(lam, dtype=float), coef, mu, ell)
+
+
+def split_lines(bc, side):
+    """The real unit lines (p, q) of a split block constraint, p at the end
+    the transfer matrix starts from; None for a coupled one."""
+    lines, split = md._block_lines(bc.space, bc.phi[None], side)
+    return (lines[0, 0], lines[0, 1]) if split[0] else None
 
 
 def line(sp, angle):
@@ -186,9 +190,10 @@ class TestIntervalSpectrum:
             gp = sf.gamma_conjugate(p)
             expected = []
             for b in op.blocks:
-                expected += _bracketed_roots(
-                    b.mu, 1.3, [(_real_line_rep(trace(gp, b.frame).ravel()),
-                                 _real_line_rep(trace(q, b.frame).ravel()))], window, 1e-10)
+                lp, lq = (_real_line_rep(trace(lag, b.frame).ravel()) for lag in (gp, q))
+                block, bc, _, _ = _line_block(b.mu, 1.3, np.arctan2(lp[1], lp[0]),
+                                              np.arctan2(lq[1], lq[0]))
+                expected.append(md._block_roots(block, bc.phi[None], 1.3, "+", window, 1e-10)[0])
             ksp = op.kernel.block_space
             lp = sf.lagrangian_from_frame(ksp, trace(gp, op.kernel.frame))
             lq = sf.lagrangian_from_frame(ksp, trace(q, op.kernel.frame))
@@ -316,8 +321,8 @@ class TestEtaTruncated:
             q = random_boundary_on_h(op, rng)
             c1 = md.direct_sum_lagrangian(dbs, sf.gamma_conjugate(p), q)
             c2 = md.direct_sum_lagrangian(dbs, sf.gamma_conjugate(q), p)
-            e1, b1 = md.interval_eta_tilde(op, c1, dbs=dbs, n_max=4000)
-            e2, b2 = md.interval_eta_tilde(op, c2, dbs=dbs, n_max=4000)
+            e1, b1 = md.interval_eta_tilde(op, c1, dbs=dbs)
+            e2, b2 = md.interval_eta_tilde(op, c2, dbs=dbs)
             ker = md.interval_kernel_dim(op, c1, dbs)
             assert abs((e1 + e2) - ker) <= b1 + b2 + 1e-9
 
@@ -330,12 +335,11 @@ class TestEtaTruncated:
         a = np.diag([0.5, 1.0, -0.5, -1.0])
         op_p = md.build_model(sp, a, md.Interval(1.0))
         op_m = md.build_model(sp, a, md.Interval(0.7))
-        md.glue_verify(op_p, op_m, md.transmission_lagrangian(md.double_boundary(op_p)),
-                       n_max=1000)
+        md.glue_verify(op_p, op_m, md.transmission_lagrangian(md.double_boundary(op_p)))
         op = md.build_model(sf.standard_space(1), np.diag([1.0, -1.0]), md.Interval(1.0))
         dbs = md.double_boundary(op)
         transmission = md.transmission_lagrangian(dbs)
-        eta, bound = md.interval_eta_tilde(op, transmission, dbs=dbs, n_max=1000)
+        eta, bound = md.interval_eta_tilde(op, transmission, dbs=dbs)
         # a symmetric spectrum: the exact eta is 0
         assert abs(eta - 0.5 * md.interval_kernel_dim(op, transmission, dbs)) <= bound
 
@@ -494,7 +498,7 @@ class TestGlueVerify:
         dbs = md.double_boundary(op_p)
         for _ in range(5):
             p = random_split_boundary(op_p, dbs, rng)
-            rec = md.glue_verify(op_p, op_m, p, n_max=10_000)
+            rec = md.glue_verify(op_p, op_m, p)
             assert rec["defect"] <= rec["bound"] + 1e-9
             assert rec["bound"] <= 5e-3
 
@@ -513,14 +517,15 @@ def _split_block(rng, mu, ell):
 def _root_sum_reference(block, bc, ell, n_max=10_000):
     """The eta of a split block by the route the contour replaces: bracket the
     roots in a window holding about n_max of them, then ``eta_truncated``."""
-    p, q = md._split_lines(bc, "+")
+    assert split_lines(bc, "+") is not None
     window = (n_max / 2.0) * np.pi / ell + 5.0 * block.mu + 5.0
-    return md.eta_truncated(_bracketed_roots(block.mu, ell, [(p, q)], window, 1e-10)[0], n_max=n_max)
+    (roots,) = md._block_roots(block, bc.phi[None], ell, "+", window, 1e-10)
+    return md.eta_truncated(roots, n_max=n_max)
 
 
 class TestContourEta:
     """The eta of a split mode block from the argument of F on the imaginary
-    axis (``_block_contour_eta``), against the root sum it replaces, against
+    axis (``_block_etas``), against the root sum it replaces, against
     mpmath, and in the gluing identity at mu L where cosh overflows."""
 
     def test_agrees_with_the_root_sum_within_its_bound(self):
@@ -528,7 +533,7 @@ class TestContourEta:
         for _ in range(12):
             ell = float(rng.uniform(0.5, 2.0))
             _, block, bc = _split_block(rng, float(rng.uniform(0.1, 3.0)), ell)
-            got = md._block_contour_eta(block.mu, ell, *md._split_lines(bc, "+"))
+            got = md._block_etas(block, bc.phi[None], ell, "+")[0]
             ref = _root_sum_reference(block, bc, ell)
             assert abs(got.eta - ref.eta) <= ref.bound
             assert 0.0 < got.bound < 1e-14 and got.n_used == 0
@@ -543,7 +548,7 @@ class TestContourEta:
         def forbidden(*args, **kwargs):
             raise AssertionError("a split block summed roots for eta")
 
-        monkeypatch.setattr(md, "_bracketed_roots", forbidden)
+        monkeypatch.setattr(md, "_certified_roots", forbidden)
         monkeypatch.setattr(md, "eta_truncated", forbidden)
         assert md.interval_eta_tilde(op, constraint, dbs=dbs) == want
 
@@ -559,7 +564,7 @@ class TestContourEta:
         constraint = md.direct_sum_lagrangian(dbs, line(op.space, ang), line(op.space, far))
         (block,) = dbs.blocks
         bc = md._block_constraint(block, constraint, 1e-9)
-        p, q = md._split_lines(bc, "+")
+        p, q = split_lines(bc, "+")
         f = _block_root_function(block.mu, 1.0, p, q)
         root = -f(0.0) / ((f(1e-6) - f(-1e-6)) / 2e-6)
         assert abs(root) < 1e-11 and (shift == 0.0 or root * shift < 0 and abs(root) > 1e-12)
@@ -585,8 +590,7 @@ class TestContourEta:
             op_p = md.build_model(sp, a, md.Interval(float(ell)))
             op_m = md.build_model(sp, a, md.Interval(float(ell_minus)))
             dbs = md.double_boundary(op_p)
-            rec = md.glue_verify(op_p, op_m, random_split_boundary(op_p, dbs, rng),
-                                 n_max=10_000, dbs=dbs)
+            rec = md.glue_verify(op_p, op_m, random_split_boundary(op_p, dbs, rng), dbs=dbs)
             assert rec["defect"] <= 1e-9
             assert round(rec["delta"]) == -rec["tau_mu"]
             taus.add(rec["tau_mu"])
@@ -600,7 +604,7 @@ class TestContourEta:
             op_m = md.build_model(op_p.space, op_p.a_matrix,
                                   md.Interval(float(rng.uniform(0.5, 1.5))))
             p = random_split_boundary(op_p, md.double_boundary(op_p), rng)
-            rec = md.glue_verify(op_p, op_m, p, n_max=10_000)
+            rec = md.glue_verify(op_p, op_m, p)
             assert rec["defect"] <= 1e-9
             assert rec["bound"] < 1e-13
 
@@ -634,7 +638,7 @@ class TestContourEta:
             # the samples fix the number of turns; the endpoints fix the rest
             turns = round((change - (np.angle(limit) - args[0])) / (2.0 * np.pi))
             want = -(2.0 / np.pi) * (np.angle(limit) - args[0] + 2.0 * np.pi * turns)
-            got = md._block_contour_eta(mu, ell, p, q)
+            got = md._contour_eta(mu, ell, 0.0, *md._block_coefficients(mu, p, q))
             assert abs(got.eta - want) <= got.bound + 1e-15
 
 
@@ -649,7 +653,7 @@ def _coupled_block(rng, mu, ell, n=1):
 
 class TestCoupledContourEta:
     """The eta of a coupled mode block from the characteristic function
-    det(M1 + M2 T) in closed form (``_block_eta``), against mpmath, against
+    det(M1 + M2 T) in closed form (``_block_etas``), against mpmath, against
     root sums, and on the conditions whose eta is known exactly."""
 
     @pytest.mark.parametrize("side", ["+", "-"])
@@ -662,7 +666,7 @@ class TestCoupledContourEta:
         for _ in range(4):
             mu, ell = float(rng.uniform(0.2, 3.0)), float(rng.uniform(0.5, 2.0))
             _, block, bc = _coupled_block(rng, mu, ell)
-            assert md._split_lines(bc, side) is None
+            assert split_lines(bc, side) is None
             b_frame = mp.matrix(bc.frame.tolist())
             j, z = mp.matrix([[0, 1], [-1, 0]]), mp.matrix([[1, 0], [0, -1]])
 
@@ -697,12 +701,12 @@ class TestCoupledContourEta:
             change = np.sum(steps) + np.angle(limit * np.exp(-1j * args[-1]))
             turns = round((change - (np.angle(limit) - args[0])) / (2.0 * np.pi))
             want = -(2.0 / np.pi) * (np.angle(limit) - args[0] + 2.0 * np.pi * turns)
-            got = md._block_eta(block, bc, ell, side)
+            got = md._block_etas(block, bc.phi[None], ell, side)[0]
             assert abs(got.eta - want) <= got.bound + 1e-15
             assert got.bound == md.CONTOUR_ROUNDING and got.n_used == 0
 
     def test_agrees_with_root_sums_within_their_bounds(self):
-        # the roots of the eigenphase tracker in a window holding about 2e4
+        # the roots of the triple-index scan in a window holding about 2e4
         # of them, summed by eta_truncated
         rng = rng_for(101, 3)
         n_max = 20_000
@@ -711,9 +715,9 @@ class TestCoupledContourEta:
             _, block, bc = _coupled_block(rng, mu, ell)
             window = (n_max / 2.0) * np.pi / ell + 5.0 * mu + 5.0
             for side in "+-":
-                roots = md._tracked_block_roots(block, ell, bc.phi.conj().T, side, window, 1e-10)
+                (roots,) = md._block_roots(block, bc.phi[None], ell, side, window, 1e-10)
                 ref = md.eta_truncated(roots, n_max=n_max)
-                got = md._block_eta(block, bc, ell, side)
+                got = md._block_etas(block, bc.phi[None], ell, side)[0]
                 assert abs(got.eta - ref.eta) <= ref.bound < 5e-3
 
     def test_coupled_blocks_sum_no_roots(self, monkeypatch):
@@ -726,7 +730,7 @@ class TestCoupledContourEta:
         def forbidden(*args, **kwargs):
             raise AssertionError("a coupled block summed roots for eta")
 
-        monkeypatch.setattr(md, "_tracked_block_roots", forbidden)
+        monkeypatch.setattr(md, "_certified_roots", forbidden)
         monkeypatch.setattr(md, "eta_truncated", forbidden)
         assert md.interval_eta_tilde(op, constraint, dbs=dbs) == want
 
@@ -738,8 +742,8 @@ class TestCoupledContourEta:
         for lag in (md.transmission_lagrangian(dbs),
                     sf.gamma_conjugate(md.transmission_lagrangian(dbs))):
             bc = md._block_constraint(block, lag, 1e-9)
-            assert md._split_lines(bc, side) is None
-            assert md._block_eta(block, bc, 1.0, side).eta == 0.0
+            assert split_lines(bc, side) is None
+            assert md._block_etas(block, bc.phi[None], 1.0, side)[0].eta == 0.0
 
     def test_foreign_cauchy_data_land_in_the_symmetric_band(self, monkeypatch):
         # Cauchy data of another length make the spectrum symmetric: n1 is
@@ -750,7 +754,7 @@ class TestCoupledContourEta:
         for seed in range(1, 9):
             block, bc, ell = TestCoupledBlockRoots.foreign_cauchy_block(seed)
             for side in "+-":
-                assert md._block_eta(block, bc, ell, side).eta == 0.0
+                assert md._block_etas(block, bc.phi[None], ell, side)[0].eta == 0.0
             roots = md._block_roots(block, bc.phi[None], ell, "+", 10.0, 1e-10)[0]
             np.testing.assert_allclose(roots, -roots[::-1], atol=1e-8)
         assert len(seen) == 16 and max(map(abs, seen)) <= md.CONTOUR_ROUNDING
@@ -774,16 +778,17 @@ class TestCoupledContourEta:
             def eta_at(alpha):
                 v = q @ np.diag(np.exp(1j * np.array([alpha, theta]))) @ q.conj().T
                 bc = sf.lagrangian_from_phi(block.space, v @ graph.phi)
-                assert md._split_lines(bc, side) is None
-                return md._block_eta(block, bc, ell, side).eta
+                assert split_lines(bc, side) is None
+                return md._block_etas(block, bc.phi[None], ell, side)[0].eta
 
             kernel, above, below = eta_at(0.0), eta_at(1e-6), eta_at(-1e-6)
             assert abs(abs(above - below) - 2.0) < 1e-4
             assert abs(kernel - 0.5 * (above + below)) < 1e-4
 
     def test_coupled_glue_past_cosh_overflow(self):
-        # mu L in [620, 960], where the eigenphase tracker's frame underflows:
-        # random coupled conditions must close to 1e-9 with integer part -tau_mu
+        # mu L in [620, 960], where a frame [e^{-kappa L} I; e^{-kappa L} T]
+        # underflows: random coupled conditions must close to 1e-9 with
+        # integer part -tau_mu
         taus = set()
         for k in range(8):
             rng = rng_for(102, k)
@@ -827,13 +832,13 @@ class TestSplitLines:
                         continue
                     bc = md._block_constraint(block, constraint, 1e-9)
                     want = self.svd_lines(bc)
-                    got = md._split_lines(bc, "+")
+                    got = split_lines(bc, "+")
                     assert (want is not None) == (got is not None) == split
                     for g, w in zip(got or (), want or ()):
                         assert min(np.linalg.norm(g - w), np.linalg.norm(g + w)) < 1e-12
                     if split:
                         assert all(np.array_equal(a, b) for a, b in
-                                   zip(md._split_lines(bc, "-"), got[::-1]))
+                                   zip(split_lines(bc, "-"), got[::-1]))
 
     def test_boundary_spectrum_takes_one_svd_per_block(self, monkeypatch):
         # the one stacked SVD of the block traces in _block_family; finding
@@ -914,9 +919,12 @@ class TestCoupledBlockRoots:
             assert got.size == want.size
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
 
-    def test_underflowing_frame_raises(self):
-        # mu L = 800: e^{-kappa L} of the scaled frame underflows near lambda = 0,
-        # so W would come from a rank-deficient frame
+    def test_transmission_past_the_frame_underflow(self):
+        # mu L = 800, where e^{-kappa L} underflows near lambda = 0: the graphs
+        # of the solutions come from the frame [T_h^{-1}; T_h], which does not
+        # lose the decaying solution, so the transmission condition gives the
+        # circle's spectrum, double roots included, and Cauchy data of
+        # another length a symmetric one, with no numpy warning
         sp = sf.standard_space(2)
         a = planted_anticommuting(sp, [50.0], rng_for(15, 2))
         op = md.build_model(sp, a, md.Interval(16.0))
@@ -926,11 +934,12 @@ class TestCoupledBlockRoots:
         bc = md._block_constraint(block, sf.gamma_conjugate(p), 1e-9)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(BracketingFailure, match="underflow"):
-                md._tracked_block_roots(block, 16.0, bc.phi.conj().T, "+", 10.0, 1e-10)
-            # the transmission condition couples the two ends at every mu L
-            with pytest.raises(BracketingFailure, match="underflow"):
-                md.boundary_spectrum(op, md.transmission_lagrangian(dbs), 10.0, dbs=dbs)
+            (roots,) = md._block_roots(block, bc.phi[None], 16.0, "+", 60.0, 1e-10)
+            got = md.boundary_spectrum(op, md.transmission_lagrangian(dbs), 60.0, dbs=dbs)
+        assert roots.size > 100 and np.max(np.abs(roots + roots[::-1])) < 1e-9
+        want = md.circle_spectrum(md.build_model(sp, a, md.Circle(16.0)), 60.0)
+        assert got.size == want.size
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
 
 
 def _line_block(mu, ell, a, b):
@@ -969,7 +978,7 @@ CLOSE_PAIRS = [(2.89266, 2.73705, 0.11846, 1.45107, 24, (0.6782, 0.6868)),
 
 class TestCertifiedRoots:
     """Every mode block's bracket count must equal an independent count: the
-    closed-form Sturm count for a split block, the det-phase count for a
+    closed-form Sturm count for a split block, the triple-index count for a
     coupled one; the scan densifies until they agree, else BracketingFailure."""
 
     @pytest.mark.parametrize("mu, ell, a, b, count, pair", CLOSE_PAIRS, ids=["gap1", "gap2"])
@@ -977,8 +986,10 @@ class TestCertifiedRoots:
         block, bc, p, q = _line_block(mu, ell, a, b)
         (roots,) = md._block_roots(block, bc.phi[None], ell, "+", 14.0, 1e-10)
         assert roots.size == count == _scaled_sign_changes(mu, ell, p, q, 14.0, 2_000_001)
-        tracked = md._tracked_block_roots(block, ell, bc.phi.conj().T, "+", 14.0, 1e-10)
-        assert np.max(np.abs(roots - tracked)) < 1e-9
+        # the coupled branch on the same constraint: G from M1 and M2, counted
+        # by the triple index
+        (coupled,) = md._block_roots(block, bc.phi[None], ell, "+", 14.0, 1e-10, coupled=True)
+        assert np.max(np.abs(roots - coupled)) < 1e-9
         assert all(np.min(np.abs(roots - r)) < 1e-3 for r in pair)
 
     @pytest.mark.parametrize("mu, ell, a, b, count, pair", CLOSE_PAIRS, ids=["gap1", "gap2"])
@@ -991,7 +1002,8 @@ class TestCertifiedRoots:
         coarse = int(np.sum((vals[:-1] < 0) != (vals[1:] < 0)))
         assert coarse == count - 2
         assert md._sturm_count(mu, ell, p, q, grid[0], grid[-1]) == count
-        assert md._bracketed_roots(mu, ell, [(p, q)], 14.0, 1e-10)[0].size == count
+        block, bc, _, _ = _line_block(mu, ell, a, b)
+        assert md._block_roots(block, bc.phi[None], ell, "+", 14.0, 1e-10)[0].size == count
 
     def test_sturm_count_against_a_dense_sign_count(self):
         rng = rng_for(93, 1)
@@ -1017,7 +1029,7 @@ class TestCertifiedRoots:
             dbs = md.double_boundary(op)
             bc = md._block_constraint(
                 dbs.blocks[0], md.direct_sum_lagrangian(dbs, sf.gamma_conjugate(p), q), 1e-9)
-            lines = md._split_lines(bc, "+")
+            lines = split_lines(bc, "+")
             assert lams.size == _scaled_sign_changes(op.blocks[0].mu, ell, *lines, 30.0), seed
 
     @pytest.mark.parametrize("engine", ["split", "coupled"])
@@ -1040,6 +1052,39 @@ class TestCertifiedRoots:
         with pytest.raises(sf.errors.BracketingFailure):
             md._block_roots(block, bc.phi[None], ell, "+", 10.0, 1e-10)
 
+    def test_a_lost_double_root_raises(self, monkeypatch):
+        # the transmission condition's roots past mu are double, where G only
+        # touches 0: a G' that never changes sign finds none of them
+        op = md.build_model(sf.standard_space(1), np.diag([1.0, -1.0]), md.Interval(1.0))
+        dbs = md.double_boundary(op)
+        (block,) = dbs.blocks
+        bc = md._block_constraint(block, md.transmission_lagrangian(dbs), 1e-9)
+        (roots,) = md._block_roots(block, bc.phi[None], 1.0, "+", 10.0, 1e-10)
+        double = np.hypot(1.0, 2.0 * np.pi)
+        np.testing.assert_allclose(roots, [-double, -double, -1.0, 1.0, double, double],
+                                   rtol=0.0, atol=1e-10)
+        slopes = md._root_slopes
+        monkeypatch.setattr(md, "_root_slopes", lambda *args: np.abs(slopes(*args)))
+        with pytest.raises(BracketingFailure, match="not certified"):
+            md._block_roots(block, bc.phi[None], 1.0, "+", 10.0, 1e-10)
+
+    @pytest.mark.parametrize("side", ["+", "-"])
+    def test_triple_level_drops_as_the_sturm_level(self, side):
+        # split constraints other than B' (the line (1, 0) at both ends): over
+        # every grid step the triple-index level drops as the closed-form
+        # Sturm level does, which pins the sign sigma of each side
+        rng = rng_for(93, 3 if side == "+" else 4)
+        for _ in range(10):
+            mu, ell = rng.uniform(0.2, 3.0), rng.uniform(0.5, 3.0)
+            block, bc, _, _ = _line_block(mu, ell, *rng.uniform(0.0, np.pi, size=2))
+            p, q = split_lines(bc, side)
+            grid = md._scan_grid(14.0, block.mu, ell)
+            level = md._triple_levels(block, bc.phi[None], ell, side)(grid, 0)
+            np.testing.assert_array_equal(np.diff(level),
+                                          np.diff(md._sturm_level(block.mu, ell, p, q, grid)))
+            count = md._sturm_count(block.mu, ell, p, q, grid[0], grid[-1])
+            assert level[0] - level[-1] == count > 0
+
     def test_polished_roots_agree_with_bisection(self):
         tol = 1e-10
 
@@ -1057,9 +1102,9 @@ class TestCertifiedRoots:
         for _ in range(6):
             mu, ell = rng.uniform(0.2, 3.0), rng.uniform(0.5, 3.0)
             a, b = rng.uniform(0.0, np.pi, size=2)
-            p, q = np.array([np.cos(a), np.sin(a)]), np.array([np.cos(b), np.sin(b)])
+            block, bc, p, q = _line_block(mu, ell, a, b)
             f = _block_root_function(mu, ell, p, q)
-            for r in md._bracketed_roots(mu, ell, [(p, q)], 10.0, tol)[0]:
+            for r in md._block_roots(block, bc.phi[None], ell, "+", 10.0, tol)[0]:
                 assert abs(bisect(lambda x: float(f(x)), r - 1e-6, r + 1e-6) - r) <= tol
         for seed in range(1, 4):
             block, bc, ell = TestCoupledBlockRoots.foreign_cauchy_block(seed)
@@ -1067,7 +1112,10 @@ class TestCertifiedRoots:
             assert roots.size and np.min(np.diff(roots)) > 1e-5
 
             def phase(x):  # the eigenphase of W nearest 0 crosses it at a simple root
-                ph = md._phases_grid(block, ell, bc.phi.conj().T, x, "+")[0]
+                c, s, e = md._transfer_terms(x, block.mu, ell)
+                t = np.array([[c - block.mu * s, s * x], [-s * x, c + block.mu * s]])
+                graph = sf.lagrangian_from_frame(block.space, np.vstack([e * np.eye(2), t]))
+                ph = np.angle(np.linalg.eigvals(graph.phi @ bc.phi.conj().T))
                 return float(ph[np.argmin(np.abs(ph))])
 
             for r in roots:
@@ -1175,9 +1223,8 @@ class TestFamilySpectra:
     @pytest.mark.parametrize("engine", ["split", "coupled"])
     def test_a_bracket_polishes_as_alone(self, monkeypatch, engine):
         # each bracket stops once narrower than tol: polishing [A, B] gives A
-        # bit for bit as [A] does, with F's coefficients as the carries of
-        # split brackets (from several constraints) and eigenphase pairs as
-        # those of coupled ones
+        # bit for bit as [A] does, with G's coefficients as the carries, of
+        # split brackets (from several constraints) and of coupled ones
         calls = []
         polish = md._polish
         monkeypatch.setattr(md, "_polish", lambda *args: calls.append(args) or polish(*args))
@@ -1188,8 +1235,8 @@ class TestFamilySpectra:
                                  10.0, "+", dbs, 1e-10)
         else:
             block, bc, ell = TestCoupledBlockRoots.foreign_cauchy_block(1)
-            md._tracked_block_roots(block, ell, bc.phi.conj().T, "+", 10.0, 1e-10)
-        (lo, hi, flo, fhi, carry, at, tol), = calls
+            md._block_roots(block, bc.phi[None], ell, "+", 10.0, 1e-10)
+        lo, hi, flo, fhi, carry, at, tol = calls[-1]  # the polish of every bracket comes last
         pick = np.linspace(0, lo.size - 1, 8).astype(int)
         if engine == "split":
             assert np.unique(carry[pick], axis=0).shape[0] > 1
@@ -1210,7 +1257,7 @@ class TestFamilySpectra:
         sturm = md._sturm_count
 
         def lines(j, block):
-            return md._split_lines(md._block_constraint(block, family[j], md.DEFAULT_TOL), "+")
+            return split_lines(md._block_constraint(block, family[j], md.DEFAULT_TOL), "+")
 
         def one_more_at(marks):
             def count(mu, ell, p, q, lo, hi):
@@ -1275,7 +1322,7 @@ class TestSwModZ:
         rng = rng_for(69, 12)
         dbs = md.double_boundary(mu_one_model)
         p = random_split_boundary(mu_one_model, dbs, rng)
-        rec = md.sw_modz_check(mu_one_model, p, n_max=4000)
+        rec = md.sw_modz_check(mu_one_model, p)
         assert rec["modz_defect"] <= 2 * np.pi * rec["bound"] + 1e-9
 
 

@@ -192,6 +192,25 @@ class TestWindPlusInverse:
             sf.wind_plus_inverse_check(
                 sf.UnitaryPath.from_generator(gen, initial_samples=17))
 
+    def test_no_more_generator_calls_than_wind(self):
+        # f^{-1} takes f's refined samples, conjugate-transposed: a k = 4
+        # rotation path from 3 samples refines once, not once per direction
+        v = random_unitary(rng_for(25, 47), 4)
+        phases, rates = np.array([0.3, 1.9, -2.2, 3.0]), np.array([3.0, -2.5, 2.0, -1.0])
+        calls = []
+
+        def gen(t):
+            calls.append(t)
+            return (v * np.exp(1j * (phases + rates * t))) @ v.conj().T
+
+        path = sf.UnitaryPath.from_generator(gen, initial_samples=3)
+        calls.clear()
+        wf = sf.wind(path).value
+        by_wind = len(calls)
+        calls.clear()
+        assert sf.wind_plus_inverse_check(path)[0] == wf
+        assert by_wind > 0 and len(calls) <= by_wind
+
 
 class TestPathAdditivity:
     def test_concatenations(self):
