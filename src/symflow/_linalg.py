@@ -231,7 +231,7 @@ def norms_below(a: np.ndarray, b: np.ndarray, bounds, hermitian: bool = False) -
     """
     diffs = b - a
     bounds = np.broadcast_to(np.asarray(bounds, dtype=float), diffs.shape[:1])
-    fro = np.linalg.norm(diffs, axis=(1, 2))
+    fro = _frobenius(diffs)
     ok = fro < bounds
     open_ = ~ok & ~(fro >= np.sqrt(diffs.shape[-1]) * bounds)
     if np.any(open_):
@@ -397,11 +397,12 @@ def branch_log_unitary(u: np.ndarray, tol: float = DEFAULT_TOL) -> complex:
 
 def principal_power(u: np.ndarray, tol: float = DEFAULT_TOL):
     """s -> U^s on the branch of ``branch_phases``: V diag(e^{i s phi}) V^{-1}
-    from one eigendecomposition U = V diag(e^{i phi}) V^{-1}."""
+    from one eigendecomposition U = V diag(e^{i phi}) V^{-1}; for an array
+    of s, the stack of them."""
     vals, vecs = np.linalg.eig(u)
     phases = branch_phases(vals, tol)
     inv = np.linalg.inv(vecs)
-    return lambda s: (vecs * np.exp(1j * s * phases)) @ inv
+    return lambda s: (vecs * np.exp(1j * np.asarray(s)[..., None, None] * phases)) @ inv
 
 
 def sign_classes(vals, threshold: float) -> np.ndarray:
@@ -418,17 +419,21 @@ def least_arc_matching(prev: np.ndarray, nxt: np.ndarray) -> tuple[np.ndarray, n
     rotation of that).  On the circle some order-preserving matching, i.e. a
     cyclic shift of the next row, reaches the least total |arc| over all
     matchings, so the shift of least total |arc| is a minimum-cost
-    assignment.  It is chosen for all rows at once, one pass per shift;
-    shifts within ``ARC_TIE_TOL`` of the least cost are tied and the smallest
-    wins, so rounding does not pick the curve.  Returns the matched next rows
-    and their arcs from ``prev``, both (n, k).
+    assignment.  It is chosen for all rows and shifts at once; shifts within
+    ``ARC_TIE_TOL`` of the least cost are tied and the smallest wins, so
+    rounding does not pick the curve.  Returns the matched next rows and
+    their arcs from ``prev``, both (n, k).
     """
     k = prev.shape[1]
     best = np.zeros(len(prev), dtype=int)
     if k:
-        costs = np.array([np.sum(np.abs(wrap_phase(np.roll(nxt, -shift, axis=1) - prev)), axis=1)
-                          for shift in range(k)])
-        best = np.argmax(costs <= np.min(costs, axis=0) + ARC_TIE_TOL, axis=0)
+        arcs = nxt[:, (np.arange(k)[:, None] + np.arange(k)) % k]  # (n, shift, k)
+        arcs -= prev[:, None]  # wrap_phase, in place: the stack is n k^2 large
+        arcs += np.pi
+        np.mod(arcs, 2.0 * np.pi, out=arcs)
+        arcs -= np.pi
+        costs = np.sum(np.abs(arcs, out=arcs), axis=2)
+        best = np.argmax(costs <= np.min(costs, axis=1, keepdims=True) + ARC_TIE_TOL, axis=1)
     matched = np.take_along_axis(nxt, (np.arange(k) + best[:, None]) % k, axis=1)
     return matched, wrap_phase(matched - prev)
 

@@ -413,12 +413,13 @@ def _block_coefficients(mu: float, p: np.ndarray, q: np.ndarray) -> tuple:
     return dot, m_const, m_lin
 
 
-def _root_values(lam, coef: np.ndarray, mu: float, ell: float) -> np.ndarray:
+def _root_values(lam, coef: np.ndarray, mu: float, ell: float, split: bool = False) -> np.ndarray:
     """The scaled characteristic function G(lambda) = e k0 + c n0 + s (m +
     lambda n1), coef[..., 0:4] = (k0, n0, m, n1) broadcast against lam: its
-    roots are the block's eigenvalues."""
+    roots are the block's eigenvalues.  ``split`` (k0 = 0) drops e k0."""
     c, s, e = _transfer_terms(lam, mu, ell)
-    return e * coef[..., 0] + c * coef[..., 1] + s * (coef[..., 2] + lam * coef[..., 3])
+    head = c * coef[..., 1] if split else e * coef[..., 0] + c * coef[..., 1]
+    return head + s * (coef[..., 2] + lam * coef[..., 3])
 
 
 def _root_slopes(lam, coef: np.ndarray, mu: float, ell: float) -> np.ndarray:
@@ -770,6 +771,7 @@ def _block_roots(block: DoubledBlock, phis: np.ndarray, ell: float, side: str,
     mu = block.mu
     coef, lines, split = _block_characteristics(block, phis, side, coupled)
     level = _triple_levels(block, phis, ell, side) if not split.all() else None
+    plain = level is None  # every constraint splits: G has no term e k0
 
     def doubles(grid, members):
         vals, slopes = (f(grid, coef[members, None], mu, ell) for f in (_root_values, _root_slopes))
@@ -787,7 +789,7 @@ def _block_roots(block: DoubledBlock, phis: np.ndarray, ell: float, side: str,
     def scan(grid, todo):
         found, chunk = [], max(1, MAX_SCAN_POINTS // grid.size)
         for k in range(0, todo.size, chunk):
-            vals = _root_values(grid, coef[todo[k:k + chunk], None], mu, ell)
+            vals = _root_values(grid, coef[todo[k:k + chunk], None], mu, ell, plain)
             owner, idx = np.nonzero(crossing_signs(vals[:, :-1], vals[:, 1:]))
             found.append((k + owner, grid[idx], grid[idx + 1], vals[owner, idx],
                           vals[owner, idx + 1], coef[todo[k + owner]]))
@@ -806,7 +808,7 @@ def _block_roots(block: DoubledBlock, phis: np.ndarray, ell: float, side: str,
                 found.append((short[row], *rest))
         return (*(np.concatenate(part) for part in zip(*found)), count)
 
-    return _certified_roots(scan, lambda x, cf: (_root_values(x, cf, mu, ell), cf),
+    return _certified_roots(scan, lambda x, cf: (_root_values(x, cf, mu, ell, plain), cf),
                             mu, ell, window, tol, len(phis))
 
 

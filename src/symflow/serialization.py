@@ -257,9 +257,8 @@ def unitary_path_from_json(obj, tol: float = DEFAULT_TOL) -> UnitaryPath:
             u0 = matrix_from_json(par["u0"], "u0")
             u1 = matrix_from_json(par["u1"], "u1")
             power = principal_power(u1 @ u0.conj().T, tol)
-            n = _initial_samples(par, 17)
-            return UnitaryPath.from_generator(lambda t: power(t) @ u0, initial_samples=n,
-                                              tol=tol)
+            return UnitaryPath.from_generator(lambda t: power(t) @ u0, broadcasts=True,
+                                              initial_samples=_initial_samples(par, 17), tol=tol)
         if kind == "rotation":
             require_fields(par, ("kind", "phases", "rates"), ("frame", "samples"),
                            "rotation path")
@@ -269,13 +268,14 @@ def unitary_path_from_json(obj, tol: float = DEFAULT_TOL) -> UnitaryPath:
                 raise SchemaError("rotation path needs equal-length phases and rates")
             v = (matrix_from_json(par["frame"], "frame") if "frame" in par
                  else np.eye(len(phases), dtype=complex))
-            n = _initial_samples(par, 33)
+            eye = np.eye(len(phases))
 
             def gen(t):
-                d = np.exp(1j * (phases + rates * t))
-                return v @ np.diag(d) @ v.conj().T
+                d = np.exp(1j * (phases + rates * np.asarray(t)[..., None]))
+                return v @ (d[..., :, None] * eye) @ v.conj().T
 
-            return UnitaryPath.from_generator(gen, initial_samples=n, tol=tol)
+            return UnitaryPath.from_generator(gen, initial_samples=_initial_samples(par, 33),
+                                              broadcasts=True, tol=tol)
         raise SchemaError(f"unknown parametric kind {kind!r}")
 
 
@@ -322,9 +322,13 @@ def hermitian_path_from_json(obj, tol: float = ZERO_TOL) -> HermitianPath:
         require_fields(par, ("kind", "h0", "h1"), ("samples",), "linear path")
         h0 = matrix_from_json(par["h0"], "h0")
         h1 = matrix_from_json(par["h1"], "h1")
-        n = _initial_samples(par, 17)
-        return HermitianPath.from_generator(lambda t: (1 - t) * h0 + t * h1,
-                                            initial_samples=n, tol=tol)
+
+        def gen(t):
+            t = np.asarray(t)[..., None, None]
+            return (1 - t) * h0 + t * h1
+
+        return HermitianPath.from_generator(gen, initial_samples=_initial_samples(par, 17),
+                                            broadcasts=True, tol=tol)
 
 
 def model_from_json(obj, tol: float = 1e-9) -> dict:

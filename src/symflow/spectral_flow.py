@@ -97,12 +97,12 @@ class HermitianPath(SampledPath):
     def _info(hs: np.ndarray) -> np.ndarray:
         return np.linalg.eigvalsh(hs)
 
-    def _window(self, vals: np.ndarray) -> np.ndarray:
-        """A sample's crossing window max(4*tol, 1e-4) * max(1, ||H||): the
-        eigenvalues in it are treated as "currently crossing", so refinement
-        localizes a crossing to this resolution instead of chasing the
-        vanishing gap at the crossing itself."""
-        return np.maximum(4.0 * self.tol, 1e-4) * _scale(vals)
+    def _window(self, scale: np.ndarray) -> np.ndarray:
+        """A sample's crossing window max(4*tol, 1e-4) * max(1, ||H||) from its
+        ``_scale``: the eigenvalues in it are treated as "currently crossing",
+        so refinement localizes a crossing to this resolution instead of
+        chasing the vanishing gap at the crossing itself."""
+        return np.maximum(4.0 * self.tol, 1e-4) * scale
 
     def _steps_ok(self, ha, va, hb, vb) -> np.ndarray:
         """Chord Weyl: D = ||hb - ha||_2 < max(w, g), w the larger crossing window
@@ -148,8 +148,9 @@ class HermitianPath(SampledPath):
         power of two, where no sum or square overflows; the others keep
         their bits.
         """
-        wa, wb = self._window(va), self._window(vb)
-        size = np.maximum(_scale(va), _scale(vb))
+        sa, sb = _scale(va), _scale(vb)
+        wa, wb = self._window(sa), self._window(sb)
+        size = np.maximum(sa, sb)
         huge = size >= HUGE_NORM
         if np.count_nonzero(huge):
             f = np.where(huge, np.ldexp(1.0, 256 - np.frexp(size)[1]), 1.0)
@@ -162,9 +163,10 @@ class HermitianPath(SampledPath):
         pad = np.full(up.shape[:-1] + (1,), np.inf)
         d = np.minimum(np.concatenate([up, pad], axis=-1), np.concatenate([pad, up], axis=-1))
         held = in_a & in_b
-        c = np.maximum(_cluster_gap(va, held), _cluster_gap(vb, held))
         logged = np.maximum(np.maximum(ma, mb), _root(np.maximum(np.abs(vb - va), 8.0 * w), d))
-        logged = np.maximum(logged, np.where(held, _root(2.0 * w, 0.5 * c), 0.0))
+        if np.count_nonzero(held):  # else the held-cluster term is 0
+            c = np.maximum(_cluster_gap(va, held), _cluster_gap(vb, held))
+            logged = np.maximum(logged, np.where(held, _root(2.0 * w, 0.5 * c), 0.0))
         bound = np.where(in_a | in_b, logged, np.where(va * vb > 0, ma + mb, 0.0))
         return norms_below(ha, hb, np.maximum(w[:, 0], np.min(bound, axis=-1, initial=np.inf)),
                            hermitian=True)
@@ -177,8 +179,8 @@ class HermitianPath(SampledPath):
         flips = (sign_classes(va, self.tol * _scale(va)[:, None])
                  * sign_classes(vb, self.tol * _scale(vb)[:, None])) < 0
         one = np.sum(flips, axis=1) == 1
-        j = np.argmax(flips, axis=1)[:, None]
-        a, b = (np.take_along_axis(v, j, axis=1)[:, 0] for v in (va, vb))
+        j = np.arange(len(ta)), np.argmax(flips, axis=1)
+        a, b = va[j], vb[j]
         frac = np.divide(a, a - b, out=np.full(len(ta), 0.5), where=one)
         falsi = ta + np.clip(frac, 1.0 / 16.0, 15.0 / 16.0) * (tb - ta)
         return np.where(one, falsi, 0.5 * (ta + tb))

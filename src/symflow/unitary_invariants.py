@@ -163,10 +163,12 @@ class SampledPath:
     @classmethod
     def from_generator(cls, generator: Callable[[float], np.ndarray],
                        t0: float = 0.0, t1: float = 1.0, initial_samples: int = 9,
-                       **kwargs):
-        """Sample ``generator`` at evenly spaced times; ``kwargs`` go to the constructor."""
+                       broadcasts: bool = False, **kwargs):
+        """Sample ``generator`` at evenly spaced times, in one call if it ``broadcasts``
+        (each matrix of its stack bit for bit as alone); ``kwargs`` go to the constructor."""
         ts = np.linspace(t0, t1, initial_samples)
-        return cls([(float(t), generator(float(t))) for t in ts], generator, **kwargs)
+        mats = generator(ts) if broadcasts else [generator(t) for t in ts.tolist()]
+        return cls(list(zip(ts.tolist(), mats)), generator, **kwargs)
 
     def _checked_all(self, mats: list, what: Callable[[int], str]) -> list:
         """The matrices checked as ``_checked`` checks each, ``what(i)``

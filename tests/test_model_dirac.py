@@ -1209,8 +1209,8 @@ class TestFamilySpectra:
         scans = []
         root_values = md._root_values
 
-        def values(lam, coef, mu, ell):
-            out = root_values(lam, coef, mu, ell)
+        def values(lam, coef, mu, ell, *split):
+            out = root_values(lam, coef, mu, ell, *split)
             if out.ndim == 2:
                 scans.append(out.size)
             return out

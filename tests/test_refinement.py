@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import symflow as sf
 from symflow import model_dirac as md
 from symflow._linalg import norm_at_most, norms_below, require_unitary
+from symflow.spectral_flow import HUGE_NORM, _cluster_gap, _root, _scale
 from symflow.unitary_invariants import REFINE_LIMIT
 from symflow.errors import NotUnitary, RefinementExhausted
 from symflow.verification import (
@@ -338,7 +339,7 @@ def test_accepted_steps_keep_the_sign_of_every_curve_outside_the_windows():
             rejected += 1
             continue
         accepted += 1
-        wa, wb = path._window(va), path._window(vb)
+        wa, wb = path._window(_scale(va)), path._window(_scale(vb))
         in_a, in_b = np.abs(va) <= wa, np.abs(vb) <= wb
         chord = np.linalg.eigvalsh([(1 - s) * ha + s * hb for s in np.linspace(0, 1, 257)])
         away = ~in_a & ~in_b
@@ -351,6 +352,85 @@ def test_accepted_steps_keep_the_sign_of_every_curve_outside_the_windows():
                                      [vb[j] >= -path.tol * max(1.0, np.max(np.abs(vb)))]])
             assert np.sum(nonneg[1:] != nonneg[:-1]) <= 1
     assert accepted > 100 and rejected > 100 and min(planted.values()) > 30
+
+
+def reference_steps_ok(path, ha, va, hb, vb):
+    """``HermitianPath._steps_ok`` with every term evaluated on every step:
+    each end's window from its eigenvalues and the held-cluster term masked,
+    not skipped, where no curve is in the windows at both ends."""
+    wa, wb = (np.maximum(4.0 * path.tol, 1e-4) * _scale(v) for v in (va, vb))
+    size = np.maximum(_scale(va), _scale(vb))
+    huge = size >= HUGE_NORM
+    if np.count_nonzero(huge):
+        f = np.where(huge, np.ldexp(1.0, 256 - np.frexp(size)[1]), 1.0)
+        ha, hb = ha * f[:, None, None], hb * f[:, None, None]
+        va, vb, wa, wb = va * f[:, None], vb * f[:, None], wa * f, wb * f
+    w = np.maximum(wa, wb)[:, None]
+    ma, mb = np.abs(va), np.abs(vb)
+    in_a, in_b = ma <= wa[:, None], mb <= wb[:, None]
+    up = 0.5 * (np.diff(va, axis=-1) + np.diff(vb, axis=-1))
+    pad = np.full(up.shape[:-1] + (1,), np.inf)
+    d = np.minimum(np.concatenate([up, pad], axis=-1), np.concatenate([pad, up], axis=-1))
+    held = in_a & in_b
+    c = np.maximum(_cluster_gap(va, held), _cluster_gap(vb, held))
+    logged = np.maximum(np.maximum(ma, mb), _root(np.maximum(np.abs(vb - va), 8.0 * w), d))
+    logged = np.maximum(logged, np.where(held, _root(2.0 * w, 0.5 * c), 0.0))
+    bound = np.where(in_a | in_b, logged, np.where(va * vb > 0, ma + mb, 0.0))
+    return norms_below(ha, hb, np.maximum(w[:, 0], np.min(bound, axis=-1, initial=np.inf)),
+                       hermitian=True)
+
+
+def _step_stack(rng, k, steps, near_zero):
+    """Seeded steps (ha, hb), ||hb - ha||_2 spread over [1e-4, 2].
+    ``near_zero`` eigenvalues of ha lie within 1e-5 of zero and the step
+    barely moves them but through their coupling to the others, so that they
+    often stay in the windows at both ends; the other eigenvalues are at
+    least 0.05 from zero.  The windows grow with ||H||: half the steps are
+    scaled by up to 1e3, and a third moved by up to 600."""
+    ha, hb = [], []
+    for i in range(steps):
+        v = random_unitary(rng, k)
+        lam = rng.choice([-1.0, 1.0], k) * rng.uniform(0.05, 1.0, k)
+        d = _herm(rng, k)
+        d *= 10.0 ** rng.uniform(-4.0, 0.3) / np.linalg.norm(d, 2)
+        if i % 2:
+            lam[near_zero:] *= 10.0 ** rng.uniform(0.0, 3.0)
+        if i % 3 == 2:  # ||hb|| up to 300 ||ha||: the windows of the two ends differ
+            d *= 10.0 ** rng.uniform(0.0, 2.5)
+        lam[:near_zero] = rng.uniform(-1e-5, 1e-5, near_zero)
+        d[:near_zero, :near_zero] *= 1e-3
+        a = (v * lam) @ v.conj().T
+        ha.append(a)
+        hb.append(a + v @ d @ v.conj().T)
+    return np.array(ha), np.array(hb)
+
+
+@pytest.mark.parametrize("k", [1, 2, 8, 32])
+def test_step_rule_keeps_its_verdicts(k):
+    # the step rule takes the held-cluster term only where some curve is in
+    # the windows at both ends; its verdicts are those of the rule evaluated
+    # in full, on stacks with and without held curves, each with one step
+    # past HUGE_NORM, and each step decides alone as in its stack
+    rng = rng_for(23, k)
+    path = sf.HermitianPath([(0.0, np.eye(1)), (1.0, np.eye(1))])
+    window = np.maximum(4.0 * path.tol, 1e-4)
+    seen = {"held": 0, "passed": 0, "failed": 0}
+    for near_zero in (0, 1, min(2, k)):
+        ha, hb = _step_stack(rng, k, 60, near_zero)
+        ha[7], hb[7] = ha[7] * 2.0 ** 600, hb[7] * 2.0 ** 600
+        va, vb = np.linalg.eigvalsh(ha), np.linalg.eigvalsh(hb)
+        held = ((np.abs(va) <= window * _scale(va)[:, None])
+                & (np.abs(vb) <= window * _scale(vb)[:, None])).any(axis=1)
+        assert held.any() == (near_zero > 0)
+        got = path._steps_ok(ha, va, hb, vb)
+        assert np.array_equal(got, reference_steps_ok(path, ha, va, hb, vb))
+        for i in range(60):
+            one = slice(i, i + 1)
+            assert path._steps_ok(ha[one], va[one], hb[one], vb[one])[0] == got[i]
+        seen["held"] += int(np.count_nonzero(held))
+        seen["passed"] += int(np.count_nonzero(got))
+        seen["failed"] += int(np.count_nonzero(~got))
+    assert min(seen.values()) > 5, seen
 
 
 @pytest.mark.parametrize("curve", [lambda t: np.exp(12.0 * t) - 2.0,

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import symflow as sf
 from symflow import serialization as ser
+from symflow._linalg import branch_phases
 from symflow.cli import main
 from symflow.errors import SchemaError
 from symflow.verification import random_unitary, rng_for
@@ -250,6 +251,85 @@ class TestPathJson:
     def test_unknown_kind_rejected(self):
         with pytest.raises(SchemaError):
             ser.unitary_path_from_json({"parametric": {"kind": "spline"}})
+
+
+def _parametric_docs():
+    """(id, parse, kind, parametric document) for every parametric kind, at
+    k = 1 and larger; one rotation has an eigenphase at -1 for all t."""
+    rng = rng_for(23, 1)
+
+    def herm(k):
+        h = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+        return ser.matrix_to_json(0.5 * (h + h.conj().T))
+
+    def unit(k):
+        return ser.matrix_to_json(random_unitary(rng, k))
+
+    hermitian, unitary = ser.hermitian_path_from_json, ser.unitary_path_from_json
+    docs = [
+        ("linear-k1", hermitian, sf.HermitianPath,
+         {"kind": "linear", "h0": [[[-0.5, 0]]], "h1": [[[2.0, 0]]], "samples": 7}),
+        ("linear-k5", hermitian, sf.HermitianPath,
+         {"kind": "linear", "h0": herm(5), "h1": herm(5)}),
+        ("exp-interp-k1", unitary, sf.UnitaryPath,
+         {"kind": "exp-interp", "u0": [[[0.6, 0.8]]], "u1": [[[-1.0, 0]]], "samples": 5}),
+        ("exp-interp-k6", unitary, sf.UnitaryPath,
+         {"kind": "exp-interp", "u0": unit(6), "u1": unit(6), "samples": 9}),
+        ("rotation-k1", unitary, sf.UnitaryPath,
+         {"kind": "rotation", "phases": [0.3], "rates": [-7.0]}),
+        ("rotation-k4-at-minus-one", unitary, sf.UnitaryPath,
+         {"kind": "rotation", "phases": [np.pi, 0.5, -2.0, 1.0],
+          "rates": [0.0, 3.0, -1.5, 6.0], "frame": unit(4), "samples": 11}),
+        ("rotation-k3-no-frame", unitary, sf.UnitaryPath,
+         {"kind": "rotation", "phases": [1.0, -1.0, 2.5], "rates": [2.0, 0.25, -4.0]}),
+    ]
+    return [pytest.param(parse, kind, par, id=name) for name, parse, kind, par in docs]
+
+
+class TestParametricStacks:
+    """A parametric path samples its initial times in one call of its
+    generator on all of them; every sample has the bits of the generator
+    called at that time alone, as refinement calls it."""
+
+    @pytest.mark.parametrize("parse, kind, par", _parametric_docs())
+    def test_stacked_samples_are_those_of_one_time_at_a_time(self, parse, kind, par):
+        tol = 1e-9
+        path = parse({"parametric": par}, tol)
+        n = len(path.times)
+        alone = kind.from_generator(path.generator, initial_samples=n, tol=tol)
+        assert path.times == alone.times
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(path.mats, alone.mats))
+        ts = np.linspace(0.0, 1.0, n)
+        stacked = path.generator(ts)
+        assert stacked.shape == (n, path.size, path.size)
+        assert all(m.tobytes() == path.generator(t).tobytes()
+                   for m, t in zip(stacked, ts.tolist()))
+
+    def test_each_kind_stacks_its_formula(self):
+        # row j of the stacked generator has the bits of the kind's formula
+        # at time t_j alone: the rotation diagonal as v diag(d) v*, not (v * d) v*
+        rng = rng_for(23, 2)
+        v, u0, u1 = (random_unitary(rng, 5) for _ in range(3))
+        h0, h1 = (m + m.conj().T
+                  for m in rng.normal(size=(2, 5, 5)) + 1j * rng.normal(size=(2, 5, 5)))
+        phases, rates = rng.uniform(-np.pi, np.pi, 5), rng.uniform(-6.0, 6.0, 5)
+        vals, vecs = np.linalg.eig(u1 @ u0.conj().T)
+        log_phases = branch_phases(vals, 1e-9)
+        formulas = [
+            (ser.hermitian_path_from_json({"parametric": {
+                "kind": "linear", "h0": ser.matrix_to_json(h0), "h1": ser.matrix_to_json(h1)}}),
+             lambda t: (1 - t) * h0 + t * h1),
+            (ser.unitary_path_from_json({"parametric": {
+                "kind": "exp-interp", "u0": ser.matrix_to_json(u0), "u1": ser.matrix_to_json(u1)}}),
+             lambda t: (vecs * np.exp(1j * t * log_phases)) @ np.linalg.inv(vecs) @ u0),
+            (ser.unitary_path_from_json({"parametric": {
+                "kind": "rotation", "phases": phases.tolist(), "rates": rates.tolist(),
+                "frame": ser.matrix_to_json(v)}}),
+             lambda t: v @ np.diag(np.exp(1j * (phases + rates * t))) @ v.conj().T),
+        ]
+        for path, formula in formulas:
+            stacked = path.generator(np.array(path.times))
+            assert all(m.tobytes() == formula(t).tobytes() for m, t in zip(stacked, path.times))
 
 
 class TestRunCommand:

@@ -6,7 +6,7 @@ from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 
 import symflow as sf
-from symflow._linalg import least_arc_matching, wrap_phase
+from symflow._linalg import ARC_TIE_TOL, least_arc_matching, wrap_phase
 from symflow.errors import (
     IdentityViolation,
     MethodDisagreement,
@@ -234,9 +234,36 @@ class TestPathAdditivity:
             assert sf.wind(glue).value == sf.wind(f1).value + sf.wind(f2).value
 
 
+def reference_least_arc_matching(prev, nxt):
+    """``least_arc_matching`` with one pass per cyclic shift."""
+    k = prev.shape[1]
+    best = np.zeros(len(prev), dtype=int)
+    if k:
+        costs = np.array([np.sum(np.abs(wrap_phase(np.roll(nxt, -shift, axis=1) - prev)), axis=1)
+                          for shift in range(k)])
+        best = np.argmax(costs <= np.min(costs, axis=0) + ARC_TIE_TOL, axis=0)
+    matched = np.take_along_axis(nxt, (np.arange(k) + best[:, None]) % k, axis=1)
+    return matched, wrap_phase(matched - prev)
+
+
 class TestLeastArcMatching:
     """The eigenphase transport of ``wind`` matches consecutive samples by the
     cyclic shift of least total |arc|, which is a minimum-cost assignment."""
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 8, 33])
+    def test_all_shifts_at_once_as_one_pass_per_shift(self, k):
+        # the same matching as the loop over shifts, bit for bit, ties
+        # included: rows of equally spaced phases turned by half their
+        # spacing cost the same, up to rounding, under two shifts
+        rng = rng_for(23, k)
+        prev = np.sort(rng.uniform(-np.pi, np.pi, (40, k)), axis=1)
+        nxt = np.sort(wrap_phase(prev + rng.normal(0.0, 0.4, (40, k))), axis=1)
+        spaced = np.sort(wrap_phase(rng.uniform(-np.pi, np.pi, (8, 1))
+                                    + 2.0 * np.pi * np.arange(k) / max(k, 1)), axis=1)
+        turn = np.pi / max(k, 1) * rng.choice([-1.0, 1.0], (8, 1))
+        prev[:8], nxt[:8] = spaced, np.sort(wrap_phase(spaced + turn), axis=1)
+        got, want = least_arc_matching(prev, nxt), reference_least_arc_matching(prev, nxt)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
     @settings(max_examples=400, deadline=None)
     @given(k=st.integers(1, 12), data=st.data())
