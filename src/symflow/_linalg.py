@@ -11,14 +11,13 @@ Everything here operates on plain ndarrays.  Tolerance policy:
   use it;
 * ``sign_classes`` and ``crossing_signs`` are the (-eps,-eps) rule of
   spectral flow and winding: zero counts as nonnegative;
-* ``least_arc_matching`` is the one eigenphase matcher; ``wind`` alone
-  uses it (the model's coupled roots are counted by the triple index);
 * ``unitary_phases`` is the one eigenphase solver of paths: a Cayley
   transform about a pole, one ``inv`` and one ``eigvalsh`` per stack, the
-  pole moved for any matrix with an eigenphase too close to it;
-* ``norm_at_most`` and ``norms_below`` decide a 2-norm bound from the
-  Frobenius bounds and take the exact 2-norm only when those leave it open
-  (for a unitary step ``b a*``, from its Cayley transform about -1);
+  pole moved into the ``widest_gap`` of any matrix with an eigenphase too
+  close to it;
+* ``norm_at_most`` and ``norms_below`` (Hermitian steps) decide a 2-norm
+  bound from the Frobenius bounds and take the exact 2-norm only when those
+  leave it open;
   ``conditioned_inverse`` decides the rank cut of a square matrix the same
   way, so no Lagrangian constructor takes an SVD;
 * the checks and kernels take stacks (..., n, n) and decide each matrix on
@@ -38,8 +37,6 @@ INT_RESIDUE_TOL = 1e-8
 # Values in (tol, AMBIGUITY_FACTOR*tol] are neither clearly zero nor clearly
 # nonzero; classification there raises ToleranceAmbiguity instead of guessing.
 AMBIGUITY_FACTOR = 10.0
-# Matchings whose total |arc| differ by at most this are tied (rounding level).
-ARC_TIE_TOL = 1e-12
 # A unitary has ||u||_F = sqrt(n).  Past this Frobenius norm the unitarity
 # defect is at least ||u||_F^2 / n - 1 ~ 1e300, which no tolerance admits;
 # below it the Gram product of ``require_unitary`` cannot overflow.
@@ -216,18 +213,13 @@ def conditioned_inverse(a: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.nda
     return inv, ok
 
 
-def norms_below(a: np.ndarray, b: np.ndarray, bounds, hermitian: bool = False) -> np.ndarray:
-    """Mask of ``||b[i] - a[i]||_2 < bounds[i]`` over stacks of square matrices.
+def norms_below(a: np.ndarray, b: np.ndarray, bounds) -> np.ndarray:
+    """Mask of ``||b[i] - a[i]||_2 < bounds[i]`` over stacks of Hermitian matrices.
 
     With ||X||_2 <= ||X||_F <= sqrt(k) ||X||_2, a Frobenius norm below the
     bound passes and one at or above sqrt(k) times the bound fails; only the
-    steps in between get an exact 2-norm: the largest |eigenvalue| of the
-    difference when the matrices are Hermitian (``hermitian``).  For
-    unitaries ||b - a||_2 = max |e^{i theta} - 1| = 2 sin(theta_max / 2) over
-    the eigenphases of b a* (b a* - I is normal), and at the pole -1 the
-    Cayley eigenvalues are tan(theta / 2): the step passes when its largest
-    |lambda| is below tan(arcsin(bound / 2)).  A singular inverse is an
-    eigenvalue -1, a step of length 2, and fails; a bound above 2 passes.
+    steps in between get an exact 2-norm, the largest |eigenvalue| of the
+    difference.
     """
     diffs = b - a
     bounds = np.broadcast_to(np.asarray(bounds, dtype=float), diffs.shape[:1])
@@ -235,13 +227,8 @@ def norms_below(a: np.ndarray, b: np.ndarray, bounds, hermitian: bool = False) -
     ok = fro < bounds
     open_ = ~ok & ~(fro >= np.sqrt(diffs.shape[-1]) * bounds)
     if np.any(open_):
-        if hermitian:
-            exact = np.max(np.abs(np.linalg.eigvalsh(diffs[open_])), axis=1)
-            ok[open_] = exact < bounds[open_]
-        else:
-            lam = _cayley(-(b[open_] @ a[open_].conj().transpose(0, 2, 1)))
-            half = 0.5 * bounds[open_]
-            ok[open_] = (half > 1.0) | (_largest(lam) < np.tan(np.arcsin(np.minimum(half, 1.0))))
+        exact = np.max(np.abs(np.linalg.eigvalsh(diffs[open_])), axis=1)
+        ok[open_] = exact < bounds[open_]
     return ok
 
 
@@ -297,10 +284,7 @@ def unitary_phases(u: np.ndarray) -> np.ndarray:
     live = np.flatnonzero(poor)
     lam, poles = lam[live], np.zeros(len(live))
     for _ in range(2):
-        rows = phases[live]
-        gaps = np.diff(rows, axis=1, append=rows[:, :1] + 2.0 * np.pi)
-        mid = rows[np.arange(len(live)), np.argmax(gaps, axis=1)] + 0.5 * np.max(gaps, axis=1)
-        poles = np.where(np.isinf(lam[:, 0]), poles + GOLDEN_ANGLE, mid)
+        poles = np.where(np.isinf(lam[:, 0]), poles + GOLDEN_ANGLE, widest_gap(phases[live])[0])
         lam = _cayley(u[live] * np.exp(-1j * poles)[:, None, None])
         phases[live] = poles[:, None] + np.pi + 2.0 * np.arctan(lam)
         poor = ~(_largest(lam) <= bound)
@@ -309,6 +293,18 @@ def unitary_phases(u: np.ndarray) -> np.ndarray:
         live, lam, poles = live[poor], lam[poor], poles[poor]
     raise NotUnitary(f"no pole of the Cayley transform admits matrix {int(live[0])} of the stack: "
                      f"its eigenvalues are not on the unit circle")
+
+
+def widest_gap(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(middle, width) of the widest circular gap of each row of eigenphases
+    (..., k), listed in circular order as ``unitary_phases`` gives them; a
+    row without phases has the whole circle, 2 pi wide."""
+    if not rows.shape[-1]:
+        return np.full(rows.shape[:-1], np.pi), np.full(rows.shape[:-1], 2.0 * np.pi)
+    gaps = np.diff(rows, axis=-1, append=rows[..., :1] + 2.0 * np.pi)
+    j = np.argmax(gaps, axis=-1)[..., None]
+    width = np.take_along_axis(gaps, j, axis=-1)[..., 0]
+    return np.take_along_axis(rows, j, axis=-1)[..., 0] + 0.5 * width, width
 
 
 def random_unitary(rng, n: int) -> np.ndarray:
@@ -410,32 +406,6 @@ def sign_classes(vals, threshold: float) -> np.ndarray:
     cls = np.sign(vals).astype(int)
     cls[np.abs(vals) <= threshold] = 0
     return cls
-
-
-def least_arc_matching(prev: np.ndarray, nxt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Match each row of eigenphases ``nxt`` (n, k) to the same row of ``prev``.
-
-    Each row lists its phases in circular order (ascending, or a cyclic
-    rotation of that).  On the circle some order-preserving matching, i.e. a
-    cyclic shift of the next row, reaches the least total |arc| over all
-    matchings, so the shift of least total |arc| is a minimum-cost
-    assignment.  It is chosen for all rows and shifts at once; shifts within
-    ``ARC_TIE_TOL`` of the least cost are tied and the smallest wins, so
-    rounding does not pick the curve.  Returns the matched next rows and
-    their arcs from ``prev``, both (n, k).
-    """
-    k = prev.shape[1]
-    best = np.zeros(len(prev), dtype=int)
-    if k:
-        arcs = nxt[:, (np.arange(k)[:, None] + np.arange(k)) % k]  # (n, shift, k)
-        arcs -= prev[:, None]  # wrap_phase, in place: the stack is n k^2 large
-        arcs += np.pi
-        np.mod(arcs, 2.0 * np.pi, out=arcs)
-        arcs -= np.pi
-        costs = np.sum(np.abs(arcs, out=arcs), axis=2)
-        best = np.argmax(costs <= np.min(costs, axis=1, keepdims=True) + ARC_TIE_TOL, axis=1)
-    matched = np.take_along_axis(nxt, (np.arange(k) + best[:, None]) % k, axis=1)
-    return matched, wrap_phase(matched - prev)
 
 
 def crossing_signs(before, after) -> np.ndarray:

@@ -168,8 +168,7 @@ class HermitianPath(SampledPath):
             c = np.maximum(_cluster_gap(va, held), _cluster_gap(vb, held))
             logged = np.maximum(logged, np.where(held, _root(2.0 * w, 0.5 * c), 0.0))
         bound = np.where(in_a | in_b, logged, np.where(va * vb > 0, ma + mb, 0.0))
-        return norms_below(ha, hb, np.maximum(w[:, 0], np.min(bound, axis=-1, initial=np.inf)),
-                           hermitian=True)
+        return norms_below(ha, hb, np.maximum(w[:, 0], np.min(bound, axis=-1, initial=np.inf)))
 
     def _split(self, ta, tb, va, vb) -> np.ndarray:
         """Regula falsi for a step where exactly one sorted curve changes sign,

@@ -27,12 +27,11 @@ from ._linalg import (
     at_phase,
     branch_log_unitary,
     crossing_signs,
-    least_arc_matching,
-    norms_below,
     principal_power,
     require_unitary,
     unitary_mask,
     unitary_phases,
+    widest_gap,
     wrap_phase,
 )
 from .errors import MethodDisagreement, NonIntegerResult, RefinementExhausted
@@ -49,10 +48,9 @@ __all__ = [
     "wind_plus_inverse_check",
 ]
 
-# step invariant: consecutive samples closer than sqrt(2) in operator norm,
-# so no eigenphase can move by pi/2 or more within one step
-STEP_NORM_BOUND = np.sqrt(2.0) * 0.95
-MAX_ARC = 0.5 * np.pi * 0.98
+# cap on the eigenphase arc of a unitary step: ||U_b - U_a||_2 below
+# 0.95 sqrt(2), so no eigenphase moves by pi/2 or more within one step
+STEP_ARC_BOUND = 2.0 * np.arcsin(0.95 / np.sqrt(2.0))
 # bisections allowed per initial step before refinement gives up
 REFINE_LIMIT = 24
 # failing steps bisected together in one round of refinement; it also bounds
@@ -137,11 +135,12 @@ class SampledPath:
     A path kind supplies ``_checked`` (validate one matrix at ``tol``),
     ``_stack_checked`` (the same verdict on a stack, and the checked stack),
     ``_info`` (per-sample data of the step test, for a stack of samples),
-    ``_steps_ok`` (the step test for stacks of step endpoints) and
-    ``NO_GENERATOR``, the reason given when a step fails and there is no
-    generator; it may override ``_split`` (where a failing step gets its new
-    sample).  ``info`` holds the per-sample data of a path returned by
-    ``refined``, else None.
+    ``_steps_ok`` (the step test for stacks of step endpoints), or ``_steps``
+    when the test has per-step data to keep, and ``NO_GENERATOR``, the
+    reason given when a step fails and there is no generator; it may
+    override ``_split`` (where a failing step gets its new sample).  ``info``
+    and ``step_info`` hold the per-sample and per-step data of a path
+    returned by ``refined``, else None.
     """
 
     def __init__(self, samples: Sequence[tuple[float, np.ndarray]],
@@ -158,7 +157,7 @@ class SampledPath:
         self.mats = mats
         self.generator = generator
         self.size = k
-        self.info = None
+        self.info = self.step_info = None
 
     @classmethod
     def from_generator(cls, generator: Callable[[float], np.ndarray],
@@ -185,10 +184,11 @@ class SampledPath:
                 return list(checked)
         return [self._checked(m, what(i)) for i, m in enumerate(mats)]
 
-    def _with(self, times, mats, generator, info=None):
+    def _with(self, times, mats, generator, info=None, step_info=None):
         """A path of the same kind and settings through already checked samples."""
         new = copy.copy(self)
-        new.times, new.mats, new.generator, new.info = times, mats, generator, info
+        new.times, new.mats, new.generator = times, mats, generator
+        new.info, new.step_info = info, step_info
         return new
 
     def reversed(self):
@@ -205,6 +205,11 @@ class SampledPath:
         the ``_info`` rows at the step ends."""
         return 0.5 * (ta + tb)
 
+    def _steps(self, a, info_a, b, info_b) -> tuple[np.ndarray, np.ndarray]:
+        """``_steps_ok`` and the data kept of each step: by default none."""
+        ok = self._steps_ok(a, info_a, b, info_b)
+        return ok, np.empty((len(ok), 0))
+
     def refined(self):
         """Split steps at generator samples until every step meets the step invariant.
 
@@ -220,17 +225,21 @@ class SampledPath:
         part, and a part longer than half its step is next split at its
         midpoint; so a failing part raises RefinementExhausted at the same
         REFINE_LIMIT halvings as plain bisection, after at most twice as
-        many splits.
+        many splits.  A refined path is its own refinement.
         """
+        if self.info is not None:
+            return self
         ts = list(self.times)
         mats = list(self.mats)
         stack = np.array(mats)
         info = self._info(stack)
         infos = list(info)
-        fail = ~self._steps_ok(stack[:-1], info[:-1], stack[1:], info[1:])
+        ok, data = self._steps(stack[:-1], info[:-1], stack[1:], info[1:])
+        # the data of each accepted step, by its left sample
+        kept = dict(zip(np.flatnonzero(ok).tolist(), data[ok]))
         # failing steps as (left sample, right sample, halvings so far, whether
         # _split may choose the point), the leftmost last
-        pending = [(i, i + 1, 0.0, True) for i in np.flatnonzero(fail)[::-1]]
+        pending = [(i, i + 1, 0.0, True) for i in np.flatnonzero(~ok)[::-1]]
         while pending:
             batch = pending[:-REFINE_BATCH - 1:-1]
             del pending[-REFINE_BATCH:]
@@ -257,7 +266,7 @@ class SampledPath:
             mids_info = self._info(mids)
             mats += list(mids)
             infos += list(mids_info)
-            ok = self._steps_ok(
+            ok, data = self._steps(
                 np.concatenate([np.array([mats[a] for a in left]), mids]),
                 np.concatenate([info_a, mids_info]),
                 np.concatenate([mids, np.array([mats[b] for b in right])]),
@@ -266,6 +275,8 @@ class SampledPath:
             halvings = np.where(t_new == mid, 1.0, np.log2((tb - ta) / parts))
             short = (t_new == mid) | (parts <= 0.5 * (tb - ta))
             n = len(batch)
+            starts = np.concatenate([left, np.arange(first, first + n)])
+            kept.update(zip(starts[ok].tolist(), data[ok]))
             for r in range(n - 1, -1, -1):
                 a, b, depth, _ = batch[r]
                 if not ok[n + r]:
@@ -274,11 +285,13 @@ class SampledPath:
                     pending.append((a, first + r, depth + halvings[0, r], bool(short[0, r])))
         order = np.argsort(ts, kind="stable")
         return self._with([ts[i] for i in order], [mats[i] for i in order], self.generator,
-                          np.array(infos)[order])
+                          np.array(infos)[order], np.array([kept[i] for i in order[:-1]]))
 
 
 class UnitaryPath(SampledPath):
-    """Sampled path of unitary matrices, optionally generator-backed."""
+    """Sampled path of unitary matrices, optionally generator-backed.  A
+    refined path keeps the ``unitary_phases`` of its samples (``info``) and
+    of its negated step products -U_b U_a* (``step_info``)."""
 
     NO_GENERATOR = ("violate the step invariant and no generator is available "
                     "(interpolation would invent data)")
@@ -291,12 +304,19 @@ class UnitaryPath(SampledPath):
 
     @staticmethod
     def _info(us: np.ndarray) -> np.ndarray:
-        # the unitary step test needs no per-sample data
-        return np.empty((len(us), 0))
+        return unitary_phases(us)
 
     @staticmethod
-    def _steps_ok(ua, _ia, ub, _ib) -> np.ndarray:
-        return norms_below(ua, ub, STEP_NORM_BOUND)
+    def _steps(ua, pa, ub, pb) -> tuple[np.ndarray, np.ndarray]:
+        """Pass steps whose theta = max |arg lambda(U_b U_a*)| is below both
+        STEP_ARC_BOUND and half the widest eigenphase gap of an end: along
+        U_a exp(s log(U_b U_a*)) every spectrum stays within theta of either
+        end's (Bhatia and Davis, Linear Multilinear Algebra 15, 1984), so no
+        eigenphase reaches the middle of that gap, where ``wind`` cuts."""
+        steps = unitary_phases(-(ub @ ua.conj().transpose(0, 2, 1)))
+        theta = np.max(np.abs(wrap_phase(steps - np.pi)), axis=-1, initial=0.0)
+        half = 0.5 * np.maximum(widest_gap(pa)[1], widest_gap(pb)[1])
+        return theta < np.minimum(STEP_ARC_BOUND, half), steps
 
 
 def tr_log(u, tol: float = 1e-9) -> complex:
@@ -315,6 +335,20 @@ def _endpoint_shift(phases: np.ndarray, tol: float) -> float:
     return 0.5 * float(np.min(away))
 
 
+def _cut_matched(ordered: np.ndarray, info: np.ndarray, eps: float) -> np.ndarray:
+    """Each next row of ``ordered``, the ``info`` of a refined unitary path
+    turned by -eps and sorted, matched to the row before it in sorted order
+    from the step's cut: the middle of the wider widest eigenphase gap of its
+    ends, which its step test used.  The match is a cyclic shift by the
+    difference of the two rows' counts of phases below the cut."""
+    mid, width = widest_gap(info)
+    cut = -wrap_phase(eps - np.where(width[:-1] >= width[1:], mid[:-1], mid[1:]))[:, None]
+    shift = np.count_nonzero(ordered[1:] < cut, axis=1)
+    shift -= np.count_nonzero(ordered[:-1] < cut, axis=1)
+    k = ordered.shape[1]
+    return np.take_along_axis(ordered[1:], (np.arange(k) + shift[:, None]) % k, axis=1)
+
+
 def wind(path: UnitaryPath, tol: float = 1e-9) -> IndexResult:
     """Winding number of a unitary path, computed two ways that must agree.
 
@@ -322,31 +356,24 @@ def wind(path: UnitaryPath, tol: float = 1e-9) -> IndexResult:
         endpoint branch logs; (b) per-step matched-eigenphase crossings of -1.
     The integer from (b) is returned with its crossing log; a disagreement
     raises MethodDisagreement (numerical breakdown, never silently resolved).
-    The samples and the step products are solved in one ``unitary_phases``
-    stack: the samples about the pole +1, so that their phases are most
-    accurate at -1, and the step products, negated, about -1.  The shift
-    e^{-i eps} is a subtraction on the phases, on (-pi, pi] as np.angle
-    gives them; it leaves the step products as they are.
+    Both read the phases the refined path keeps: of the samples about the
+    pole +1, so that they are most accurate at -1, and of the negated step
+    products about -1.  The shift e^{-i eps} is a subtraction on the phases,
+    on (-pi, pi] as np.angle gives them; it leaves the step products as they
+    are.  Matched from a cut no eigenphase reaches (``_cut_matched``), every
+    arc is at most the step's theta and the count is the step's exact net
+    crossing of -1.
     """
     p = path.refined()
-    mats = np.array(p.mats)
-    theta = unitary_phases(np.concatenate([mats, -(mats[1:] @ mats[:-1].conj().transpose(0, 2, 1))]))
-    eps = _endpoint_shift(wrap_phase(theta[[0, len(mats) - 1]]), tol)
-    phases = -wrap_phase(eps - theta[:len(mats)])
+    eps = _endpoint_shift(wrap_phase(p.info[[0, -1]]), tol)
+    phases = -wrap_phase(eps - p.info)
 
     # method (b): eigenphase transport, in coordinates u = phase - pi around -1
     ordered = np.sort(phases, axis=1)
-    matched, arcs = least_arc_matching(ordered[:-1], ordered[1:])
-    far = np.abs(arcs) > MAX_ARC
-    if np.any(far):
-        j = int(np.flatnonzero(np.any(far, axis=1))[0])
-        raise RefinementExhausted(
-            f"eigenphase moved by {np.max(np.abs(arcs[j])):.3f} rad in one refined step "
-            f"near t={p.times[j]:.6g}; transport ambiguous"
-        )
+    matched = _cut_matched(ordered, p.info, eps)
     u_prev = wrap_phase(ordered[:-1] - np.pi)
     u_prev[np.abs(u_prev) <= 1e-9] = 0.0
-    u_cur = u_prev + arcs
+    u_cur = u_prev + wrap_phase(matched - ordered[:-1])
     u_cur[np.abs(u_cur) <= 1e-9] = 0.0
     log = CrossingLog.from_steps(p.times, crossing_signs(u_prev, u_cur), u_prev, u_cur,
                                  (ordered[:-1], matched))
@@ -355,9 +382,9 @@ def wind(path: UnitaryPath, tol: float = 1e-9) -> IndexResult:
     # method (a): continuous arg det minus endpoint branch corrections; after
     # the shift no endpoint eigenphase is within 4*tol of -1, so the phases
     # are already on the branch and no classification is needed.  A refined
-    # step has ||U_b - U_a|| < STEP_NORM_BOUND, so about -1 its Cayley
-    # eigenvalues satisfy |lambda| < 0.91
-    arg_det = float(np.sum(wrap_phase(theta[len(mats):] - np.pi)))
+    # step has theta < STEP_ARC_BOUND, so about -1 its Cayley eigenvalues
+    # satisfy |lambda| < 0.91
+    arg_det = float(np.sum(wrap_phase(p.step_info - np.pi)))
     by_det = (arg_det - np.sum(phases[-1]) + np.sum(phases[0])) / (2.0 * np.pi)
     try:
         by_det_int = as_integer(by_det, 1e-6, what="winding (det method)")
@@ -412,7 +439,7 @@ def wind_plus_inverse_check(path: UnitaryPath, tol: float = 1e-9):
     inverse = refined._with(refined.times, [u.conj().T for u in refined.mats], None)
     wf, wi = wind(refined, tol).value, wind(inverse, tol).value
 
-    ends = wrap_phase(unitary_phases(np.array([path.mats[0], path.mats[-1]])))
+    ends = wrap_phase(refined.info[[0, -1]])
     d0, d1 = (int(np.count_nonzero(at_phase(row, np.pi, tol))) for row in ends)
     if wf + wi != d0 - d1:
         raise IdentityViolation(

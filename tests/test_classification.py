@@ -11,13 +11,11 @@ from symflow._linalg import (
     DEFAULT_TOL,
     at_phase,
     crossing_signs,
-    norms_below,
     sign_classes,
     unitary_phases,
     wrap_phase,
 )
 from symflow.errors import ToleranceAmbiguity
-from symflow.unitary_invariants import STEP_NORM_BOUND
 from symflow.verification import random_unitary, rng_for
 
 POLICY_TOL = 5e-8
@@ -195,8 +193,9 @@ def test_each_member_is_decided_as_it_is_alone():
 
 
 def test_unitary_step_at_length_two_fails():
-    # an eigenvalue -1 of b a* makes the Cayley inverse about -1 singular; the
-    # Frobenius norm 2 leaves the step open at k = 8
-    a, b = np.eye(8), np.diag([-1.0] + [1.0] * 7)
-    assert not norms_below(a[None], b[None], STEP_NORM_BOUND)[0]
-    assert norms_below(a[None], b[None], 2.5)[0]
+    # an eigenvalue -1 of b a* makes the Cayley inverse about -1 singular:
+    # the pole moves, and the step moves an eigenphase by pi
+    a, b = np.eye(8)[None], np.diag([-1.0] + [1.0] * 7)[None]
+    ok, steps = sf.UnitaryPath._steps(a, unitary_phases(a), b, unitary_phases(b))
+    assert not ok[0]
+    assert np.max(np.abs(wrap_phase(steps[0] - np.pi))) == pytest.approx(np.pi, abs=1e-12)

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 import symflow as sf
 from symflow import model_dirac as md
-from symflow._linalg import norm_at_most, norms_below, require_unitary
+from symflow._linalg import norm_at_most, norms_below, require_unitary, unitary_phases
 from symflow.spectral_flow import HUGE_NORM, _cluster_gap, _root, _scale
-from symflow.unitary_invariants import REFINE_LIMIT
+from symflow.unitary_invariants import REFINE_LIMIT, STEP_ARC_BOUND
 from symflow.errors import NotUnitary, RefinementExhausted
 from symflow.verification import (
     planted_anticommuting,
@@ -33,10 +33,14 @@ K = 8
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 8), rank=st.integers(1, 8),
        hermitian=st.booleans(), ratio=st.floats(0.5, 2.0))
 def test_step_test_is_the_exact_two_norm_test(seed, k, rank, hermitian, ratio):
-    # ratio = ||d||_2 / bound in [0.5, 2]; the rank spreads the Frobenius norm
-    # over [||d||_2, sqrt(k) ||d||_2], so all three verdict paths are taken.
-    # Within rounding of the bound two ways of computing a norm may round
-    # apart, so the bound stays clear of it.
+    # A Hermitian step d: ratio = ||d||_2 / bound in [0.5, 2]; the rank
+    # spreads the Frobenius norm over [||d||_2, sqrt(k) ||d||_2], so all
+    # three verdict paths of norms_below are taken.  A unitary step u1 =
+    # exp(i H) u0, H of the given rank and ||H||_2 = ratio * STEP_ARC_BOUND:
+    # it passes when theta = ||H||_2 is below the cap and below half the
+    # widest eigenphase gap of an end, here from eigvals.  Within rounding
+    # of the bound two ways of computing a norm may round apart, so the
+    # bound stays clear of it.
     assume(abs(ratio - 1.0) > 1e-9)
     rng = np.random.default_rng(seed)
     rank = min(rank, k)
@@ -45,18 +49,24 @@ def test_step_test_is_the_exact_two_norm_test(seed, k, rank, hermitian, ratio):
     spectrum[:rank] = rng.uniform(-1.0, 1.0, rank)
     if hermitian:
         d = (v * spectrum) @ v.conj().T
-    else:
-        # a unitary step: u1 = u0 exp(i H) with H of the given rank
-        u0 = random_unitary(rng, k)
-        d = u0 @ ((v * np.exp(1j * np.pi * spectrum)) @ v.conj().T) - u0
-    norm = np.linalg.norm(d, 2)
-    if norm == 0.0:
+        norm = np.linalg.norm(d, 2)
+        if norm == 0.0:
+            return
+        bound = norm / ratio
+        assert norms_below(np.zeros_like(d)[None], d[None], bound)[0] == (norm < bound)
         return
-    bound = norm / ratio
-    # the step from a to a + d: a unitary step starts at u0
-    a = np.zeros_like(d) if hermitian else u0
-    got = norms_below(a[None], (a + d)[None], bound, hermitian=hermitian)[0]
-    assert got == (norm < bound)
+    u0 = random_unitary(rng, k)
+    theta = ratio * STEP_ARC_BOUND
+    u1 = ((v * np.exp(1j * theta * spectrum / np.max(np.abs(spectrum)))) @ v.conj().T) @ u0
+    half = 0.0
+    for u in (u0, u1):
+        phases = np.sort(np.angle(np.linalg.eigvals(u)))
+        half = max(half, 0.5 * np.max(np.diff(phases, append=phases[0] + 2.0 * np.pi)))
+    limit = min(STEP_ARC_BOUND, half)
+    assume(abs(theta / limit - 1.0) > 1e-9)
+    ends = np.array([u0, u1])
+    p = unitary_phases(ends)
+    assert sf.UnitaryPath._steps(ends[:1], p[:1], ends[1:], p[1:])[0][0] == (theta < limit)
 
 
 def _equal_singular_defect(size):
@@ -209,7 +219,7 @@ def _unitary_path(initial_samples=3):
 # the sample sets of recursive midpoint bisection under the current step
 # rules; the Hermitian path has no crossing, so every split is a midpoint
 HERMITIAN_TIMES = [0.0, 0.5, 0.75, 0.875, 1.0]
-UNITARY_TIMES = [0.0, 0.25, 0.5, 0.75, 1.0]
+UNITARY_TIMES = [0.0, 0.0625, 0.125, 0.1875, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0]
 
 
 def test_refined_samples_are_those_of_recursive_bisection():
@@ -271,26 +281,23 @@ def _wind_calls(lapack_calls, samples):
 
 
 def test_wind_hot_path_counts(lapack_calls):
-    # steps of at most 5/16 rad pass on their Frobenius norm.  Bisecting a
-    # unitary path always takes an exact 2-norm somewhere: the Frobenius norms
-    # of two half steps add up to at least that of the step, so a chain of
-    # failing halves ends in one that the Frobenius bounds cannot decide.
-    # No sample has an eigenphase near +1: one stacked Cayley inverse and
-    # eigvalsh of the samples (pole +1) and the negated step products (pole
-    # -1 of the products)
-    assert _wind_calls(lapack_calls, 17) == 1
+    # steps of at most 5/16 rad pass the step test.  No sample has an
+    # eigenphase near +1: one stacked Cayley inverse and eigvalsh of the
+    # samples (pole +1) and one of the negated step products (pole -1 of the
+    # products), which the refined path keeps for wind
+    assert _wind_calls(lapack_calls, 17) == 2
 
 
 def test_wind_pole_move_counts(lapack_calls):
     # at 33 samples the phase 3 + 5t is 1.9e-3 from +1 at t = 21/32, where
     # |lambda| = 1035 passes CAYLEY_BOUND: that sample alone is solved again
     # about the middle of its largest eigenphase gap
-    assert _wind_calls(lapack_calls, 33) == 2
+    assert _wind_calls(lapack_calls, 33) == 3
 
 
 def test_bisecting_wind_takes_no_svd(lapack_calls):
-    # every initial step of the 3-sample path fails and is bisected; a step
-    # the Frobenius bounds leave open takes max |lambda(U_b U_a*) - 1|
+    # every initial step of the 3-sample path fails and is bisected; each
+    # step is decided from the eigenphases of its step product
     path = _unitary_path()
     lapack_calls.update(svd=0)
     assert sf.wind(path).value == 1
@@ -376,8 +383,7 @@ def reference_steps_ok(path, ha, va, hb, vb):
     logged = np.maximum(np.maximum(ma, mb), _root(np.maximum(np.abs(vb - va), 8.0 * w), d))
     logged = np.maximum(logged, np.where(held, _root(2.0 * w, 0.5 * c), 0.0))
     bound = np.where(in_a | in_b, logged, np.where(va * vb > 0, ma + mb, 0.0))
-    return norms_below(ha, hb, np.maximum(w[:, 0], np.min(bound, axis=-1, initial=np.inf)),
-                       hermitian=True)
+    return norms_below(ha, hb, np.maximum(w[:, 0], np.min(bound, axis=-1, initial=np.inf)))
 
 
 def _step_stack(rng, k, steps, near_zero):

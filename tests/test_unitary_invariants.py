@@ -3,17 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
-from scipy.optimize import linear_sum_assignment
 
 import symflow as sf
-from symflow._linalg import ARC_TIE_TOL, least_arc_matching, wrap_phase
+from symflow._linalg import unitary_phases, wrap_phase
 from symflow.errors import (
     IdentityViolation,
     MethodDisagreement,
     NotUnitary,
     RefinementExhausted,
 )
-from symflow.unitary_invariants import MAX_ARC
+from symflow.unitary_invariants import _cut_matched
 from symflow.verification import random_unitary, rng_for, unitary_with_minus_ones
 
 EPS = 0.3
@@ -62,6 +61,11 @@ class TestWind:
     def test_constant_path(self):
         path = sf.UnitaryPath([(0.0, np.eye(2)), (1.0, np.eye(2))])
         assert sf.wind(path).value == 0
+
+    def test_empty_path(self):
+        # 0 x 0 samples have no eigenphase: the whole circle is their gap
+        empty = np.zeros((0, 0))
+        assert sf.wind(sf.UnitaryPath([(0.0, empty), (1.0, empty)])).value == 0
 
     def test_full_loop(self):
         path = sf.UnitaryPath.from_generator(one_by_one(lambda s: np.exp(2j * np.pi * s)))
@@ -123,16 +127,98 @@ class TestWind:
     def test_large_rotation_family_against_its_closed_form(self, k):
         # rotation paths on a Haar frame: each eigenphase theta + rate t
         # crosses -1 once for every odd multiple of pi it passes
-        rng = rng_for(11, k)
-        q = random_unitary(rng, k)
-        theta = rng.uniform(-np.pi, np.pi, k)
-        rate = rng.uniform(-3.0, 3.0, k)
-        closed = int(np.sum(np.floor((theta + rate - np.pi) / (2 * np.pi))
-                            - np.floor((theta - np.pi) / (2 * np.pi))))
-        path = sf.UnitaryPath.from_generator(
-            lambda t: (q * np.exp(1j * (theta + rate * t))) @ q.conj().T, initial_samples=33)
+        path, closed = _rotation_path(rng_for(11, k), k, 3.0, initial_samples=33)
         assert closed != 0
         assert sf.wind(path).value == closed
+
+    @pytest.mark.parametrize("k", [64, 96])
+    def test_large_rotation_family_from_five_samples(self, k):
+        # the same paths from 5 samples: each initial step moves eigenphases
+        # by up to 3/4 rad, against a spacing near 2 pi / k
+        path, closed = _rotation_path(rng_for(11, k), k, 3.0, initial_samples=5)
+        assert sf.wind(path).value == closed
+
+    def test_one_sign_rotation_family_at_k8(self):
+        # rates of one sign in [1.5 pi, 3 pi] from 5 samples: every eigenphase
+        # moves by 3 pi / 8 to 3 pi / 4 in each initial step, all one way
+        wrong = []
+        for seed in range(1, 31):
+            rng = np.random.default_rng(seed)
+            path, closed = _rotation_path(rng, 8, (1.5 * np.pi, 3.0 * np.pi), initial_samples=5)
+            got = sf.wind(path).value
+            if got != closed:
+                wrong.append((seed, got, closed))
+        assert not wrong
+
+
+def _rotation_path(rng, k, rates, initial_samples):
+    """t -> Q diag(e^{i(theta + rate t)}) Q* on a Haar frame Q, theta uniform
+    in [-pi, pi], and its winding in closed form.  ``rates`` is r for rates
+    uniform in [-r, r], or (lo, hi) for rates in [lo, hi] of one random sign."""
+    q = random_unitary(rng, k)
+    theta = rng.uniform(-np.pi, np.pi, k)
+    if np.ndim(rates):
+        rate = rng.choice([-1.0, 1.0]) * rng.uniform(*rates, k)
+    else:
+        rate = rng.uniform(-rates, rates, k)
+    closed = int(np.sum(np.floor((theta + rate - np.pi) / (2 * np.pi))
+                        - np.floor((theta - np.pi) / (2 * np.pi))))
+    path = sf.UnitaryPath.from_generator(
+        lambda t: (q * np.exp(1j * (theta + rate * t))) @ q.conj().T,
+        initial_samples=initial_samples)
+    return path, closed
+
+
+def _step_pairs(rng, k, count, i):
+    """Steps (U_a, U_b).  Even i: U_b = V e^{i s H} V* U_a, U_a Haar or, for
+    i = 2 mod 4, with half its eigenphases in [-0.3, 0.3], ||H||_2 = 1 and
+    s over two decades.  Odd i: U_a = Q diag(e^{i phi}) Q* with phi evenly
+    spread but for one gap of width w in [0.5, 3], and U_b = Q diag(e^{i(phi
+    + delta)}) Q*, every |delta| up to 1.5: curves that leave the edges of
+    the gap can make the other end's widest gap narrow and put it elsewhere."""
+    q = np.array([random_unitary(rng, k) for _ in range(count)])
+    if i % 2:
+        w = rng.uniform(0.5, 3.0, (count, 1))
+        phi = rng.uniform(-np.pi, np.pi, (count, 1)) + (2.0 * np.pi - w) * np.arange(k) / max(k - 1, 1)
+        delta = rng.uniform(-1.0, 1.0, (count, k)) * rng.uniform(0.3, 1.5, (count, 1))
+        return tuple((q * np.exp(1j * f)[:, None, :]) @ q.conj().transpose(0, 2, 1)
+                     for f in (phi, phi + delta))
+    if i % 4 == 2:
+        phi = rng.uniform(-np.pi, np.pi, (count, k))
+        phi[:, : k // 2] = rng.uniform(-0.3, 0.3, (count, k // 2))
+        q = (q * np.exp(1j * phi)[:, None, :]) @ q.conj().transpose(0, 2, 1)
+    h = rng.normal(size=(count, k, k)) + 1j * rng.normal(size=(count, k, k))
+    vals, vecs = np.linalg.eigh(h + h.conj().transpose(0, 2, 1))
+    s = 10.0 ** rng.uniform(-1.5, 0.5, (count, 1)) / np.max(np.abs(vals), axis=1, keepdims=True)
+    return q, ((vecs * np.exp(1j * s * vals)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)) @ q
+
+
+def test_cut_matched_arcs_stay_within_theta():
+    # on every step that the step test accepts, matched from its cut under a
+    # random turn of the circle, no arc exceeds theta, the largest
+    # |arg lambda(U_b U_a*)|, and the arcs add up to the step's det phase:
+    # the matched pairs are the step's own curves
+    rng = rng_for(24, 60)
+    seen = {"accepted": 0, "rejected": 0, "shifted": 0, "narrow end": 0}
+    for i, k in enumerate(np.repeat([1, 2, 3, 5, 8, 13, 32], 4)):
+        ua, ub = _step_pairs(rng, k, 40, i)
+        pa, pb = unitary_phases(ua), unitary_phases(ub)
+        ok, steps = sf.UnitaryPath._steps(ua, pa, ub, pb)
+        theta = np.max(np.abs(wrap_phase(steps - np.pi)), axis=1)
+        for j in np.flatnonzero(ok):
+            info = np.array([pa[j], pb[j]])
+            eps = rng.uniform(-np.pi, np.pi)
+            ordered = np.sort(-wrap_phase(eps - info), axis=1)
+            matched = _cut_matched(ordered, info, eps)
+            arcs = wrap_phase(matched - ordered[:1])
+            assert np.max(np.abs(arcs)) <= theta[j] + 1e-12
+            assert abs(np.sum(arcs) - np.sum(wrap_phase(steps[j] - np.pi))) <= 1e-9
+            seen["shifted"] += not np.array_equal(matched[0], ordered[1])
+            halves = [0.5 * np.max(np.diff(p, append=p[0] + 2.0 * np.pi)) for p in info]
+            seen["narrow end"] += int(min(halves) <= theta[j])
+        seen["accepted"] += int(np.count_nonzero(ok))
+        seen["rejected"] += int(np.count_nonzero(~ok))
+    assert min(seen.values()) > 20, seen
 
 
 class TestTauW:
@@ -234,63 +320,8 @@ class TestPathAdditivity:
             assert sf.wind(glue).value == sf.wind(f1).value + sf.wind(f2).value
 
 
-def reference_least_arc_matching(prev, nxt):
-    """``least_arc_matching`` with one pass per cyclic shift."""
-    k = prev.shape[1]
-    best = np.zeros(len(prev), dtype=int)
-    if k:
-        costs = np.array([np.sum(np.abs(wrap_phase(np.roll(nxt, -shift, axis=1) - prev)), axis=1)
-                          for shift in range(k)])
-        best = np.argmax(costs <= np.min(costs, axis=0) + ARC_TIE_TOL, axis=0)
-    matched = np.take_along_axis(nxt, (np.arange(k) + best[:, None]) % k, axis=1)
-    return matched, wrap_phase(matched - prev)
-
-
 class TestLeastArcMatching:
-    """The eigenphase transport of ``wind`` matches consecutive samples by the
-    cyclic shift of least total |arc|, which is a minimum-cost assignment."""
-
-    @pytest.mark.parametrize("k", [0, 1, 2, 3, 8, 33])
-    def test_all_shifts_at_once_as_one_pass_per_shift(self, k):
-        # the same matching as the loop over shifts, bit for bit, ties
-        # included: rows of equally spaced phases turned by half their
-        # spacing cost the same, up to rounding, under two shifts
-        rng = rng_for(23, k)
-        prev = np.sort(rng.uniform(-np.pi, np.pi, (40, k)), axis=1)
-        nxt = np.sort(wrap_phase(prev + rng.normal(0.0, 0.4, (40, k))), axis=1)
-        spaced = np.sort(wrap_phase(rng.uniform(-np.pi, np.pi, (8, 1))
-                                    + 2.0 * np.pi * np.arange(k) / max(k, 1)), axis=1)
-        turn = np.pi / max(k, 1) * rng.choice([-1.0, 1.0], (8, 1))
-        prev[:8], nxt[:8] = spaced, np.sort(wrap_phase(spaced + turn), axis=1)
-        got, want = least_arc_matching(prev, nxt), reference_least_arc_matching(prev, nxt)
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
-
-    @settings(max_examples=400, deadline=None)
-    @given(k=st.integers(1, 12), data=st.data())
-    def test_total_arc_is_the_assignment_optimum(self, k, data):
-        phase = st.floats(-np.pi, np.pi, exclude_max=True)
-        # duplicates come from a small pool, long arcs from near MAX_ARC and pi
-        pool = data.draw(st.lists(phase, min_size=1, max_size=k))
-        prev = np.array(data.draw(st.lists(
-            st.one_of(st.sampled_from(pool), phase), min_size=k, max_size=k)))
-        move = st.one_of(st.floats(-np.pi, np.pi),
-                         st.sampled_from([0.0, MAX_ARC, -MAX_ARC, np.pi]),
-                         st.floats(0.99 * MAX_ARC, MAX_ARC),
-                         st.floats(-MAX_ARC, -0.99 * MAX_ARC))
-        nxt = wrap_phase(prev + np.array(data.draw(st.lists(move, min_size=k, max_size=k))))
-        rows = np.sort(np.array([prev, nxt]), axis=1)
-        matched, arcs = least_arc_matching(rows[:1], rows[1:])
-        assert sorted(matched[0]) == sorted(rows[1])
-        cost = np.abs(wrap_phase(rows[1][None, :] - rows[0][:, None]))
-        r, c = linear_sum_assignment(cost)
-        assert abs(np.sum(np.abs(arcs)) - cost[r, c].sum()) <= 1e-12
-
-    def test_rounding_level_tie_goes_to_the_smallest_shift(self):
-        # both matchings cost 1.91; in floating point the swap is 8e-16 cheaper
-        prev, nxt = np.array([[-0.51, -0.11]]), np.array([[0.36, 0.93]])
-        matched, arcs = least_arc_matching(prev, nxt)
-        assert matched.tolist() == [[0.36, 0.93]]
-        assert arcs == pytest.approx(np.array([[0.87, 1.04]]), abs=1e-12)
+    """Curves that every matching moves by the same total arc."""
 
     def test_tied_curves_crossing_log(self):
         # Both curves move by 0.3 through -1 and every next phase lies past
