@@ -221,6 +221,41 @@ def test_cut_matched_arcs_stay_within_theta():
     assert min(seen.values()) > 20, seen
 
 
+def reference_cut_matched(ordered, info, eps):
+    """``_cut_matched`` one step at a time: the cut is the middle of the
+    widest gap of the step's end with the wider one (the first on a tie), and
+    both ends are paired in their order counted from the cut."""
+    k = ordered.shape[1]
+    matched = np.empty_like(ordered[1:])
+    for j in range(len(ordered) - 1 if k else 0):
+        best = (-1.0, 0.0)
+        for p in info[j : j + 2]:
+            gaps = np.mod(np.roll(p, -1) - p, 2.0 * np.pi) if k > 1 else np.array([2.0 * np.pi])
+            i = int(np.argmax(gaps))
+            if gaps[i] > best[0]:
+                best = (gaps[i], p[i] + 0.5 * gaps[i])
+        cut = best[1] - eps
+        a = np.argsort(np.mod(ordered[j] - cut, 2.0 * np.pi), kind="stable")
+        b = np.argsort(np.mod(ordered[j + 1] - cut, 2.0 * np.pi), kind="stable")
+        matched[j, a] = ordered[j + 1, b]
+    return matched
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 8, 33])
+def test_cut_matching_as_one_pass_per_step(k):
+    # the stacked shifts pair each step's ends as the loop over steps does,
+    # bit for bit: a random walk of eigenphases (steps that keep their
+    # curves) and then independent rows (steps that need not)
+    rng = rng_for(25, k)
+    walk = np.cumsum(rng.normal(0.0, 0.4, (30, k)), axis=0) + rng.uniform(-np.pi, np.pi, k)
+    info = np.sort(wrap_phase(np.concatenate([walk, rng.uniform(-np.pi, np.pi, (10, k))])), axis=1)
+    eps = rng.uniform(-np.pi, np.pi)
+    ordered = np.sort(-wrap_phase(eps - info), axis=1)
+    got = _cut_matched(ordered, info, eps)
+    assert got.tobytes() == reference_cut_matched(ordered, info, eps).tobytes()
+    assert k < 2 or not np.array_equal(got, ordered[1:])
+
+
 class TestTauW:
     def test_identity_slots_vanish(self):
         rng = rng_for(23, 47)
