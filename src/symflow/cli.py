@@ -8,6 +8,7 @@ spectral window).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -317,6 +318,8 @@ def cmd_model(args) -> int:
 def _model_report(what: str, parsed: dict) -> dict:
     """The report of one `symflow model` action on a parsed model document."""
     op = parsed["op"]
+    if what in ("cauchy", "stretch", "glue") and isinstance(op.geometry, md.Circle):
+        raise SchemaError(f"model {what} needs an interval geometry")
     if what == "spectrum":
         if isinstance(op.geometry, md.Circle):
             lams = md.circle_spectrum(op, parsed["window"])
@@ -328,17 +331,15 @@ def _model_report(what: str, parsed: dict) -> dict:
         return {"kind": "spectrum", "window": parsed["window"],
                   "eigenvalues": [float(x) for x in lams]}
     elif what == "cauchy":
-        dbs = md.double_boundary(op)
-        lx = md.cauchy_data(op, dbs)
+        lx = md.cauchy_data(op)
         return {"kind": "cauchy", "frame": matrix_to_json(lx.frame),
                   "phi": matrix_to_json(lx.phi)}
     elif what == "stretch":
         nu = parsed["stretch"]["nu"]
-        dbs = md.double_boundary(op)
-        lim = md.adiabatic_limit(op, nu=nu, dbs=dbs)
+        lim = md.adiabatic_limit(op, nu=nu)
         dists = [
             {"length": r,
-             "distance": subspace_distance(md.cauchy_data(op, dbs, side="+", length=r), lim)}
+             "distance": subspace_distance(md.cauchy_data(op, side="+", length=r), lim)}
             for r in parsed["stretch"]["lengths"]
         ]
         return {"kind": "stretch", "nu": nu, "limit_frame":
@@ -347,10 +348,10 @@ def _model_report(what: str, parsed: dict) -> dict:
         glue = parsed["glue"]
         if glue is None:
             raise SchemaError("model glue needs a 'glue' section")
-        op_minus = md.build_model(op.space, op.a_matrix, md.Interval(glue["length_minus"]))
-        dbs = md.double_boundary(op)
-        p = lagrangian_from_json(glue["P"], dbs.space)
-        rec = md.glue_verify(op, op_minus, p, eta_tol=parsed["eta_tol"], dbs=dbs)
+        # the same operator at another length: it shares the blocks and the double space
+        op_minus = dataclasses.replace(op, geometry=md.Interval(glue["length_minus"]))
+        p = lagrangian_from_json(glue["P"], md.double_boundary(op).space)
+        rec = md.glue_verify(op, op_minus, p, eta_tol=parsed["eta_tol"])
         return {"kind": "glue", **rec, "pass": True}
     raise SchemaError(f"unknown model action {what!r}")  # pragma: no cover
 

@@ -18,7 +18,7 @@ Boundary-condition conventions, fixed here and used by every verifier:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
@@ -143,11 +143,17 @@ class ModeBlock:
 
 @dataclass(frozen=True)
 class ModelOperator:
+    """D = gamma(d/dx + A) on ``geometry``, split into mode blocks.  An interval
+    model also carries its double boundary space (``doubled``, built by
+    ``build_model``); a piece of another length, ``dataclasses.replace(op,
+    geometry=Interval(...))``, shares it."""
+
     space: SymplecticSpace
     a_matrix: np.ndarray
     geometry: Interval | Circle
     blocks: tuple[ModeBlock, ...]
     kernel: Optional[ModeBlock]
+    doubled: Optional[DoubleBoundarySpace] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "a_matrix", readonly(self.a_matrix))
@@ -164,7 +170,8 @@ def build_model(space: SymplecticSpace, a_matrix, geometry,
 
     Blocks are sorted by mu ascending with phase-fixed bases; the kernel
     block, when present, carries its own symplectic space in block
-    coordinates.
+    coordinates.  An interval model gets its double boundary space here,
+    at DEFAULT_TOL.
     """
     a = as_complex_matrix(a_matrix)
     if a.shape != (space.dim, space.dim):
@@ -203,7 +210,9 @@ def build_model(space: SymplecticSpace, a_matrix, geometry,
     total = sum(b.frame.shape[1] for b in blocks) + (kernel.frame.shape[1] if kernel else 0)
     if total != space.dim:
         raise AsymmetricSpectrum(f"blocks span {total} of {space.dim} dimensions")
-    return ModelOperator(space, a, geometry, tuple(blocks), kernel)
+    doubled = (_double_boundary(space, a, blocks, kernel)
+               if isinstance(geometry, Interval) else None)
+    return ModelOperator(space, a, geometry, tuple(blocks), kernel, doubled)
 
 
 # ---------------------------------------------------------------------------
@@ -253,26 +262,31 @@ def _doubled_frame(block_frame: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
-def double_boundary(op: ModelOperator, tol: float = DEFAULT_TOL) -> DoubleBoundarySpace:
-    d = op.space.dim
-    gamma = op.space.gamma
+def _double_boundary(space: SymplecticSpace, a: np.ndarray, blocks: list[ModeBlock],
+                     kernel: Optional[ModeBlock]) -> DoubleBoundarySpace:
+    """H ⊕ H of the interval model on ``space`` with tangential operator ``a``,
+    its mode blocks and kernel block doubled, at DEFAULT_TOL."""
+    d = space.dim
     gamma_tilde = np.zeros((2 * d, 2 * d), dtype=complex)
-    gamma_tilde[:d, :d] = gamma
-    gamma_tilde[d:, d:] = -gamma
+    gamma_tilde[:d, :d] = space.gamma
+    gamma_tilde[d:, d:] = -space.gamma
     a_tilde = np.zeros((2 * d, 2 * d), dtype=complex)
-    a_tilde[:d, :d] = op.a_matrix
-    a_tilde[d:, d:] = -op.a_matrix
-    space = space_from_gamma(gamma_tilde, tol)
+    a_tilde[:d, :d] = a
+    a_tilde[d:, d:] = -a
     doubled = []
-    for b in op.blocks:
+    for b in blocks + ([kernel] if kernel is not None else []):
         frame = _doubled_frame(b.frame, d)
         gb = frame.conj().T @ gamma_tilde @ frame
-        doubled.append(DoubledBlock(b.mu, frame, space_from_gamma(gb, tol), False))
-    if op.kernel is not None:
-        frame = _doubled_frame(op.kernel.frame, d)
-        gb = frame.conj().T @ gamma_tilde @ frame
-        doubled.append(DoubledBlock(0.0, frame, space_from_gamma(gb, tol), True))
-    return DoubleBoundarySpace(op.space, space, a_tilde, tuple(doubled))
+        doubled.append(DoubledBlock(b.mu, frame, space_from_gamma(gb, DEFAULT_TOL), b.is_kernel))
+    return DoubleBoundarySpace(space, space_from_gamma(gamma_tilde, DEFAULT_TOL), a_tilde,
+                               tuple(doubled))
+
+
+def double_boundary(op: ModelOperator) -> DoubleBoundarySpace:
+    """The double boundary space of an interval model, as ``build_model`` built it."""
+    if op.doubled is None:
+        raise ValueError("the double boundary space needs an interval model")
+    return op.doubled
 
 
 def transmission_lagrangian(dbs: DoubleBoundarySpace) -> Lagrangian:
@@ -293,8 +307,8 @@ def direct_sum_lagrangian(dbs: DoubleBoundarySpace, l0: Lagrangian,
     return lagrangian_from_frame(dbs.space, frame)
 
 
-def cauchy_data(op: ModelOperator, dbs: Optional[DoubleBoundarySpace] = None,
-                side: str = "+", length: Optional[float] = None) -> Lagrangian:
+def cauchy_data(op: ModelOperator, side: str = "+",
+                length: Optional[float] = None) -> Lagrangian:
     """Cauchy data space of the interval model inside the double space.
 
     side '+': {(v, e^{-LA} v)}; side '-': {(e^{-LA} w, w)}.  ``length``
@@ -302,10 +316,7 @@ def cauchy_data(op: ModelOperator, dbs: Optional[DoubleBoundarySpace] = None,
     assembled blockwise with per-column rescaling, so arbitrarily long
     stretches stay well conditioned.
     """
-    if not isinstance(op.geometry, Interval):
-        raise ValueError("cauchy_data needs an interval model")
-    if dbs is None:
-        dbs = double_boundary(op)
+    space = double_boundary(op).space
     ell = op.geometry.length if length is None else length
     d = op.space.dim
     cols = []
@@ -331,7 +342,7 @@ def cauchy_data(op: ModelOperator, dbs: Optional[DoubleBoundarySpace] = None,
     if op.kernel is not None:
         for j in range(op.kernel.frame.shape[1]):
             cols.append(graph_col(op.kernel.frame[:, j], 0.0))
-    return lagrangian_from_frame(dbs.space, np.array(cols).T)
+    return lagrangian_from_frame(space, np.array(cols).T)
 
 
 # ---------------------------------------------------------------------------
@@ -820,8 +831,8 @@ def _block_etas(block: DoubledBlock, phis: np.ndarray, ell: float, side: str) ->
 
 
 def _block_spectra(op: ModelOperator, constraints: Sequence[Lagrangian], side: str,
-                   dbs: DoubleBoundarySpace, mode: Callable):
-    """Per doubled block of ``dbs``: (block, per constraint the kernel block's
+                   mode: Callable):
+    """Per doubled block of the operator: (block, per constraint the kernel block's
     lattice offsets from ``_kernel_offsets``, or ``mode(block, phis)`` for a
     mode block, phis the graph unitaries of the block constraints of
     ``constraints``).  The whole family takes one ``_block_family`` per block.
@@ -829,11 +840,9 @@ def _block_spectra(op: ModelOperator, constraints: Sequence[Lagrangian], side: s
     Raises IncompatibleBoundary when a constraint does not meet every
     doubled block in half its dimension.
     """
-    if not isinstance(op.geometry, Interval):
-        raise ValueError("interval spectra need an interval model")
-    ell = op.geometry.length
+    ell = op.length
     frames = np.array([constraint.frame for constraint in constraints])
-    for block in dbs.blocks:
+    for block in double_boundary(op).blocks:
         phis = _block_family(block, frames, DEFAULT_TOL)
         if block.is_kernel:
             yield block, _kernel_offsets(block, ell, phis, side)
@@ -842,7 +851,7 @@ def _block_spectra(op: ModelOperator, constraints: Sequence[Lagrangian], side: s
 
 
 def _boundary_spectra(op: ModelOperator, constraints: Sequence[Lagrangian], window: float,
-                      side: str, dbs: DoubleBoundarySpace, tol: float) -> list[np.ndarray]:
+                      side: str, tol: float) -> list[np.ndarray]:
     """``boundary_spectrum`` of each Lagrangian of ``constraints``, the whole
     family solved block by block (``_block_roots``): the same arrays, bit for
     bit, as one constraint at a time.  A family that raises is solved again
@@ -851,7 +860,7 @@ def _boundary_spectra(op: ModelOperator, constraints: Sequence[Lagrangian], wind
     try:
         parts = [[] for _ in constraints]
         for block, found in _block_spectra(
-                op, constraints, side, dbs,
+                op, constraints, side,
                 lambda b, phis: _block_roots(b, phis, op.length, side, window, tol)):
             for part, roots in zip(parts, found):
                 part.append(_lattice_in_window(roots, 2.0 * np.pi / op.length, window)
@@ -859,14 +868,13 @@ def _boundary_spectra(op: ModelOperator, constraints: Sequence[Lagrangian], wind
     except SymflowError:
         if len(constraints) > 1:
             for constraint in constraints:
-                _boundary_spectra(op, [constraint], window, side, dbs, tol)
+                _boundary_spectra(op, [constraint], window, side, tol)
         raise
     return [np.sort(np.concatenate(part)) if part else np.array([]) for part in parts]
 
 
 def boundary_spectrum(op: ModelOperator, constraint: Lagrangian, window: float,
-                      side: str = "+", dbs: Optional[DoubleBoundarySpace] = None,
-                      tol: float = 1e-10) -> np.ndarray:
+                      side: str = "+", tol: float = 1e-10) -> np.ndarray:
     """Eigenvalues of the interval operator whose boundary data is constrained
     to the Lagrangian ``constraint`` of the double space H ⊕ H.
 
@@ -875,9 +883,7 @@ def boundary_spectrum(op: ModelOperator, constraint: Lagrangian, window: float,
     BracketingFailure; kernel blocks are exact lattices.  A family of one for
     ``_boundary_spectra``.
     """
-    if dbs is None:
-        dbs = double_boundary(op)
-    return _boundary_spectra(op, [constraint], window, side, dbs, tol)[0]
+    return _boundary_spectra(op, [constraint], window, side, tol)[0]
 
 
 def interval_spectrum(op: ModelOperator, p: Lagrangian, q: Lagrangian,
@@ -888,18 +894,14 @@ def interval_spectrum(op: ModelOperator, p: Lagrangian, q: Lagrangian,
     im proj(Q) = Q, i.e. the boundary data to the Lagrangian gamma P ⊕ Q of
     the double space; both must be block-compatible Lagrangians on H.
     """
-    dbs = double_boundary(op)
-    return boundary_spectrum(op, direct_sum_lagrangian(dbs, gamma_conjugate(p), q), window,
-                             dbs=dbs, tol=tol)
+    return boundary_spectrum(op, direct_sum_lagrangian(double_boundary(op), gamma_conjugate(p), q),
+                             window, tol=tol)
 
 
-def interval_kernel_dim(op: ModelOperator, constraint: Lagrangian,
-                        dbs: Optional[DoubleBoundarySpace] = None,
-                        side: str = "+", tol: float = DEFAULT_TOL) -> int:
+def interval_kernel_dim(op: ModelOperator, constraint: Lagrangian, side: str = "+",
+                        tol: float = DEFAULT_TOL) -> int:
     """dim ker of the interval operator = dim(Cauchy data ∩ constraint)."""
-    if dbs is None:
-        dbs = double_boundary(op)
-    return intersection_dim(cauchy_data(op, dbs, side=side), constraint, tol)
+    return intersection_dim(cauchy_data(op, side=side), constraint, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -979,7 +981,6 @@ def eta_truncated(eigenvalues, n_max: Optional[int] = None,
 
 
 def interval_eta_tilde(op: ModelOperator, constraint: Lagrangian, side: str = "+",
-                       dbs: Optional[DoubleBoundarySpace] = None,
                        cauchy: Optional[Lagrangian] = None) -> tuple[float, float]:
     """(reduced eta, bound) of the constrained interval operator.
 
@@ -987,14 +988,12 @@ def interval_eta_tilde(op: ModelOperator, constraint: Lagrangian, side: str = "+
     mode block the closed form of ``_block_etas`` (bound at rounding level).
     The kernel dimension entering reduced eta is exact: the intersection of
     the constraint with the Cauchy data of ``side``, ``cauchy`` when the
-    caller holds it (``cauchy_data(op, dbs, side)``).
+    caller holds it (``cauchy_data(op, side)``).
     """
-    if dbs is None:
-        dbs = double_boundary(op)
     eta = 0.0
     bound = 0.0
     for block, (found,) in _block_spectra(
-            op, [constraint], side, dbs,
+            op, [constraint], side,
             lambda b, phis: _block_etas(b, phis, op.length, side)):
         if block.is_kernel:
             for offset in found:
@@ -1003,7 +1002,7 @@ def interval_eta_tilde(op: ModelOperator, constraint: Lagrangian, side: str = "+
             eta += found.eta
             bound += found.bound
     if cauchy is None:
-        cauchy = cauchy_data(op, dbs, side=side)
+        cauchy = cauchy_data(op, side=side)
     return 0.5 * (eta + intersection_dim(cauchy, constraint, DEFAULT_TOL)), 0.5 * bound
 
 
@@ -1060,12 +1059,11 @@ def caldconst_check(op_plus: ModelOperator, op_minus: ModelOperator,
     """
     if not op_plus.space.same_space(op_minus.space):
         raise DimensionMismatch("models must share the boundary space")
-    dbs = double_boundary(op_plus)
-    l_plus = cauchy_data(op_plus, dbs, side="+")
-    l_minus = cauchy_data(op_minus, dbs, side="-")
+    l_plus = cauchy_data(op_plus, side="+")
+    l_minus = cauchy_data(op_minus, side="-")
     target = intersection_dim(l_plus, l_minus, tol)
     p_proj = l_plus.frame @ l_plus.frame.conj().T
-    d2 = dbs.space.dim
+    d2 = l_plus.space.dim
     cut_image = np.zeros((2 * d2, l_plus.frame.shape[1] + l_minus.frame.shape[1]),
                          dtype=complex)
     cut_image[:d2, : l_plus.frame.shape[1]] = l_plus.frame
@@ -1102,8 +1100,7 @@ def _eigenspaces(a: np.ndarray, tol: float = 1e-9):
 
 
 def adiabatic_limit(op: ModelOperator, l_x: Optional[Lagrangian] = None,
-                    nu: float = 0.0, dbs: Optional[DoubleBoundarySpace] = None,
-                    tol: float = DEFAULT_TOL) -> Lagrangian:
+                    nu: float = 0.0, tol: float = DEFAULT_TOL) -> Lagrangian:
     """Limit of the stretched Cauchy data spaces in the double boundary space.
 
     Computes the symplectic reduction of L_X by F^-_nu ⊕ (middle band), then
@@ -1111,10 +1108,9 @@ def adiabatic_limit(op: ModelOperator, l_x: Optional[Lagrangian] = None,
     (⊕_i L_{mu_i}) ⊕ F^+_nu.  Requires the non-resonance condition
     L_X ∩ F^-_nu = 0.
     """
-    if dbs is None:
-        dbs = double_boundary(op)
+    dbs = double_boundary(op)
     if l_x is None:
-        l_x = cauchy_data(op, dbs, side="+")
+        l_x = cauchy_data(op, side="+")
     groups, scale = _eigenspaces(dbs.a_tilde, tol)
     thr = tol * 100 * scale
     f_minus = [v for mu, v in groups if mu < -nu - thr]
@@ -1160,7 +1156,7 @@ def _constraint_of(boundary: Lagrangian) -> Lagrangian:
 
 
 def glue_verify(op_plus: ModelOperator, op_minus: ModelOperator, p: Lagrangian,
-                eta_tol: float = 1e-9, dbs: Optional[DoubleBoundarySpace] = None) -> dict:
+                eta_tol: float = 1e-9) -> dict:
     """Verify the eta gluing identity on the circle glued from two intervals.
 
     eta~(circle) = eta~(D_P, M+) + eta~(D_{I-P}, M-) - tau_mu(I - P_-, P, P_+)
@@ -1172,20 +1168,18 @@ def glue_verify(op_plus: ModelOperator, op_minus: ModelOperator, p: Lagrangian,
     """
     if not op_plus.space.same_space(op_minus.space):
         raise DimensionMismatch("models must share the boundary space")
-    if dbs is None:
-        dbs = double_boundary(op_plus)
-    if p.space.dim != dbs.space.dim:
+    if p.space.dim != double_boundary(op_plus).space.dim:
         raise DimensionMismatch("boundary Lagrangian must live in the double space")
-    l_plus = cauchy_data(op_plus, dbs, side="+")
-    l_minus = cauchy_data(op_minus, dbs, side="-")
+    l_plus = cauchy_data(op_plus, side="+")
+    l_minus = cauchy_data(op_minus, side="-")
 
     # closed manifold: symmetric spectrum, kernel = ker A at the zero Fourier mode
     dim_ker_a = op_plus.kernel.frame.shape[1] if op_plus.kernel is not None else 0
     eta_circle = 0.5 * dim_ker_a
 
-    eta_p, bound_p = interval_eta_tilde(op_plus, _constraint_of(p), "+", dbs, l_plus)
+    eta_p, bound_p = interval_eta_tilde(op_plus, _constraint_of(p), "+", l_plus)
     # the minus piece carries the condition I - proj(P): constraint is im P itself
-    eta_m, bound_m = interval_eta_tilde(op_minus, p, "-", dbs, l_minus)
+    eta_m, bound_m = interval_eta_tilde(op_minus, p, "-", l_minus)
     triple = tau_mu(gamma_conjugate(l_minus), p, l_plus)
     bound = bound_p + bound_m
     delta = eta_circle - eta_p - eta_m
@@ -1214,9 +1208,7 @@ def glue_verify(op_plus: ModelOperator, op_minus: ModelOperator, p: Lagrangian,
 
 
 def nicolaescu_verify(op: ModelOperator, family: Sequence[tuple[float, Lagrangian]],
-                      window: float = 12.0,
-                      dbs: Optional[DoubleBoundarySpace] = None,
-                      tol: float = 1e-10) -> dict:
+                      window: float = 12.0, tol: float = 1e-10) -> dict:
     """Spectral flow along a boundary-condition path equals the Maslov index
     of (P(t), Cauchy data), both as exact integers.
 
@@ -1228,11 +1220,8 @@ def nicolaescu_verify(op: ModelOperator, family: Sequence[tuple[float, Lagrangia
     0.97 window] over both samples; WindowEscape when that gap is under 1e-6,
     or when the two samples hold different numbers of eigenvalues inside it.
     """
-    if dbs is None:
-        dbs = double_boundary(op)
-    l_x = cauchy_data(op, dbs, side="+")
-    spectra = _boundary_spectra(op, [_constraint_of(bnd) for _, bnd in family], window, "+",
-                                dbs, tol)
+    l_x = cauchy_data(op, side="+")
+    spectra = _boundary_spectra(op, [_constraint_of(bnd) for _, bnd in family], window, "+", tol)
     sf = 0
     zero_thr = 1e-8
     for a, b in zip(spectra[:-1], spectra[1:]):
@@ -1267,7 +1256,7 @@ def nicolaescu_verify(op: ModelOperator, family: Sequence[tuple[float, Lagrangia
 
 
 def sw_modz_check(op: ModelOperator, p: Lagrangian, q: Optional[Lagrangian] = None,
-                  dbs: Optional[DoubleBoundarySpace] = None, tol: float = 1e-9) -> dict:
+                  tol: float = 1e-9) -> dict:
     """Boundary dependence of reduced eta against the boundary trace-log.
 
     Always checks the mod-Z form exp(2 pi i (eta~_P - eta~_Q)) =
@@ -1276,14 +1265,12 @@ def sw_modz_check(op: ModelOperator, p: Lagrangian, q: Optional[Lagrangian] = No
     is required (exact on zero-mode models, within the rounding-level eta
     bound otherwise).
     """
-    if dbs is None:
-        dbs = double_boundary(op)
     exact = op.kernel is not None and len(op.blocks) == 0
-    l_x = cauchy_data(op, dbs, side="+")
+    l_x = cauchy_data(op, side="+")
     strengthened = q is None
     q_eff = l_x if q is None else q
-    eta_p, bound_p = interval_eta_tilde(op, _constraint_of(p), "+", dbs, l_x)
-    eta_q, bound_q = interval_eta_tilde(op, _constraint_of(q_eff), "+", dbs, l_x)
+    eta_p, bound_p = interval_eta_tilde(op, _constraint_of(p), "+", l_x)
+    eta_q, bound_q = interval_eta_tilde(op, _constraint_of(q_eff), "+", l_x)
     delta = eta_p - eta_q
     det = complex(np.linalg.det(p.phi @ q_eff.phi.conj().T))
     modz_defect = abs(np.exp(2j * np.pi * delta) - det)

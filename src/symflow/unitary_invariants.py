@@ -430,13 +430,17 @@ def wind_plus_inverse_check(path: UnitaryPath, tol: float = 1e-9):
     """wind(f) + wind(f^{-1}) = dim ker(f(0)+I) - dim ker(f(1)+I), asserted.
 
     f^{-1} is f's refined samples conjugate-transposed: ||U_b* - U_a*|| =
-    ||U_b - U_a||, so no sample is checked or generated again.  Returns
-    (wind(f), wind(f^{-1}), kernel dim at start, kernel dim at end).
+    ||U_b - U_a||, so no sample is checked or generated again.  Its sample
+    and step-product eigenphases are f's negated, in reverse circular order
+    (U_b* U_a is the adjoint of U_a* U_b, which is similar to U_b U_a*), so
+    none is solved again either.  Returns (wind(f), wind(f^{-1}), kernel dim
+    at start, kernel dim at end).
     """
     from .errors import IdentityViolation
 
     refined = path.refined()
-    inverse = refined._with(refined.times, [u.conj().T for u in refined.mats], None)
+    inverse = refined._with(refined.times, [u.conj().T for u in refined.mats], None,
+                            -refined.info[:, ::-1], -refined.step_info[:, ::-1])
     wf, wi = wind(refined, tol).value, wind(inverse, tol).value
 
     ends = wrap_phase(refined.info[[0, -1]])

@@ -8,7 +8,7 @@ suite headers name the identity under test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
@@ -134,10 +134,10 @@ def random_model(rng, n_half_max: int = 3, allow_kernel: bool = True):
     return md.build_model(space, a, md.Interval(ell)), list(mus)
 
 
-def random_split_boundary(op, dbs, rng) -> Lagrangian:
+def random_split_boundary(op, rng) -> Lagrangian:
     """Block-compatible boundary Lagrangian: one line per block per side, plus
     random kernel-block Lagrangians."""
-    return md.direct_sum_lagrangian(dbs, random_boundary_on_h(op, rng),
+    return md.direct_sum_lagrangian(md.double_boundary(op), random_boundary_on_h(op, rng),
                                     random_boundary_on_h(op, rng))
 
 
@@ -574,7 +574,7 @@ def suite_model_symmetry(rep: SuiteReport, rng, count: int = 50) -> None:
                     md._block_roots(block, bc.phi[None], op.geometry.length, "+", 8.0, 1e-10,
                                     coupled=forced)[0] for forced in (False, True))
                 agree = agree and _same_roots(coupled, split_block)
-        return symmetric, near_zero == md.interval_kernel_dim(op, constraint, dbs), agree
+        return symmetric, near_zero == md.interval_kernel_dim(op, constraint), agree
     rep.run(("spec D_{P,Q} = -spec D_{Q,P} elementwise",
              "root count at zero equals Cauchy-data intersection",
              "split and coupled engines agree"), [spectra] * count)
@@ -600,11 +600,9 @@ def suite_nicolaescu(rep: SuiteReport, rng, count: int = 30) -> None:
 
 
 def _glue_pair(rng):
-    """A seeded interval model and a second piece of another length."""
+    """A seeded interval model and the same operator at another length."""
     op_p, _ = random_model(rng, n_half_max=2)
-    op_m = md.build_model(op_p.space, op_p.a_matrix,
-                          md.Interval(float(rng.uniform(0.5, 1.5))))
-    return op_p, op_m
+    return op_p, replace(op_p, geometry=md.Interval(float(rng.uniform(0.5, 1.5))))
 
 
 def suite_gluing(rep: SuiteReport, rng, count: int = 20) -> None:
@@ -613,22 +611,22 @@ def suite_gluing(rep: SuiteReport, rng, count: int = 20) -> None:
         space = standard_space(n)
         a = np.zeros((space.dim, space.dim))
         op_p = md.build_model(space, a, md.Interval(float(rng.uniform(0.5, 2.0))))
-        op_m = md.build_model(space, a, md.Interval(float(rng.uniform(0.5, 2.0))))
+        op_m = replace(op_p, geometry=md.Interval(float(rng.uniform(0.5, 2.0))))
         dbs = md.double_boundary(op_p)
         choice = rng.random()
         if choice < 0.3:
-            p = md.cauchy_data(op_p, dbs)
+            p = md.cauchy_data(op_p)
         elif choice < 0.5:
             p = gamma_conjugate(md.transmission_lagrangian(dbs))
         else:
-            p = random_split_boundary(op_p, dbs, rng)
+            p = random_split_boundary(op_p, rng)
         return md.glue_verify(op_p, op_m, p, eta_tol=1e-9)["defect"] <= 1e-9
     rep.run("zero-mode models close to 1e-9", [zero_mode] * count)
     bounds = []
 
     def mixed():
         op_p, op_m = _glue_pair(rng)
-        p = random_split_boundary(op_p, md.double_boundary(op_p), rng)
+        p = random_split_boundary(op_p, rng)
         r = md.glue_verify(op_p, op_m, p)
         bounds.append(r["bound"])
         return r["defect"] <= r["bound"] + 1e-9 and r["bound"] <= 5e-3
@@ -652,7 +650,7 @@ def suite_gluing(rep: SuiteReport, rng, count: int = 20) -> None:
         if kind < 0.25:
             p = md.transmission_lagrangian(dbs)
         elif kind < 0.5:
-            p = md.cauchy_data(op_p, dbs, length=float(rng.uniform(0.3, 3.0)))
+            p = md.cauchy_data(op_p, length=float(rng.uniform(0.3, 3.0)))
         else:
             p = random_coupled_boundary(dbs, rng)
         r = md.glue_verify(op_p, op_m, p)
@@ -669,11 +667,10 @@ def suite_adiabatic(rep: SuiteReport, rng, count: int = 20) -> None:
         op, mus = random_model(rng, n_half_max=2)
         if not mus:
             op, mus = random_model(rng, n_half_max=2, allow_kernel=False)
-        dbs = md.double_boundary(op)
-        lim = md.adiabatic_limit(op, nu=0.0, dbs=dbs)
+        lim = md.adiabatic_limit(op, nu=0.0)
         mu_min = min(mus)
         rs = np.linspace(2.0 / mu_min, 50.0 / mu_min, 7)
-        dists = [subspace_distance(md.cauchy_data(op, dbs, side="+", length=float(r)), lim)
+        dists = [subspace_distance(md.cauchy_data(op, side="+", length=float(r)), lim)
                  for r in rs]
         return all(b <= a + 1e-12 for a, b in zip(dists, dists[1:])) and dists[-1] < 1e-8
     rep.run("distance decreasing over sampled stretches and < 1e-8 at 50/mu_min",

@@ -262,17 +262,15 @@ def test_criterion_13_eta_gluing():
         a = np.zeros((sp.dim, sp.dim))
         op_p = md.build_model(sp, a, md.Interval(float(rng.uniform(0.5, 2.0))))
         op_m = md.build_model(sp, a, md.Interval(float(rng.uniform(0.5, 2.0))))
-        dbs = md.double_boundary(op_p)
-        p = (md.cauchy_data(op_p, dbs) if rng.random() < 0.3
-             else random_split_boundary(op_p, dbs, rng))
+        p = (md.cauchy_data(op_p) if rng.random() < 0.3
+             else random_split_boundary(op_p, rng))
         rec = md.glue_verify(op_p, op_m, p, eta_tol=1e-9)
         assert rec["defect"] <= 1e-9
     for _ in range(10):
         op_p, _ = random_model(rng, n_half_max=2)
         op_m = md.build_model(op_p.space, op_p.a_matrix,
                               md.Interval(float(rng.uniform(0.5, 1.5))))
-        dbs = md.double_boundary(op_p)
-        p = random_split_boundary(op_p, dbs, rng)
+        p = random_split_boundary(op_p, rng)
         rec = md.glue_verify(op_p, op_m, p)
         assert rec["defect"] <= rec["bound"] + 1e-9
         assert rec["bound"] <= 5e-3
@@ -289,11 +287,10 @@ def test_criterion_14_adiabatic_limit():
         op, mus = random_model(rng, n_half_max=2)
         if not mus:
             continue
-        dbs = md.double_boundary(op)
-        lim = md.adiabatic_limit(op, nu=0.0, dbs=dbs)
+        lim = md.adiabatic_limit(op, nu=0.0)
         mu_min = min(mus)
         dists = [sf.subspace_distance(
-            md.cauchy_data(op, dbs, side="+", length=float(r)), lim)
+            md.cauchy_data(op, side="+", length=float(r)), lim)
             for r in np.linspace(2.0 / mu_min, 50.0 / mu_min, 7)]
         assert all(b <= a + 1e-12 for a, b in zip(dists, dists[1:]))
         assert dists[-1] < 1e-8

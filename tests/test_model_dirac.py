@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import warnings
 
 import numpy as np
@@ -5,6 +7,8 @@ import pytest
 
 import symflow as sf
 from symflow import model_dirac as md
+from symflow import serialization as ser
+from symflow.cli import main
 from symflow._linalg import intersect_subspaces
 from symflow.errors import (
     AnticommutationFailure,
@@ -102,17 +106,71 @@ class TestBuildModel:
         np.testing.assert_allclose(g_block, np.array([[0, -1], [1, 0]]), atol=1e-12)
 
 
+class TestDoubleBoundary:
+    """An interval model carries its double boundary space from
+    ``build_model``; no model function builds one again."""
+
+    def test_a_piece_of_another_length_shares_it(self, mu_one_model):
+        piece = dataclasses.replace(mu_one_model, geometry=md.Interval(0.7))
+        assert md.double_boundary(piece) is md.double_boundary(mu_one_model)
+        assert piece.blocks is mu_one_model.blocks
+        np.testing.assert_array_equal(md.cauchy_data(piece, "-").frame, md.cauchy_data(
+            md.build_model(piece.space, piece.a_matrix, piece.geometry), "-").frame)
+
+    def test_a_circle_has_none(self):
+        circle = md.build_model(sf.standard_space(1), np.diag([1.0, -1.0]), md.Circle(2.0))
+        assert circle.doubled is None
+        for ask in (md.double_boundary, md.cauchy_data, md.adiabatic_limit):
+            with pytest.raises(ValueError, match="interval model"):
+                ask(circle)
+
+    def test_nicolaescu_on_a_parsed_operator_builds_no_space(self, monkeypatch):
+        doc = {"gamma": "standard:1", "A": ser.matrix_to_json(np.diag([1.0, -1.0])),
+               "geometry": {"interval": 1.0}}
+        op = ser.model_from_json(doc)["op"]
+        dbs = md.double_boundary(op)
+        fam = [(float(t), md.direct_sum_lagrangian(dbs, line(op.space, 0.15 + t * np.pi),
+                                                   line(op.space, 0.0)))
+               for t in np.linspace(0, 1, 33)]
+        calls = []
+        build = md.space_from_gamma
+        monkeypatch.setattr(md, "space_from_gamma",
+                            lambda *a, **k: calls.append(1) or build(*a, **k))
+        rec = md.nicolaescu_verify(op, fam, window=12.0)
+        assert rec["sf"] == rec["maslov"]
+        assert calls == []
+
+    def test_model_glue_builds_one_model(self, tmp_path, capsys, monkeypatch, mu_one_model):
+        doc = {"gamma": "standard:1", "A": ser.matrix_to_json(np.diag([1.0, -1.0])),
+               "geometry": {"interval": 1.0},
+               "glue": {"length_minus": 0.7,
+                        "P": {"frame": ser.matrix_to_json(md.cauchy_data(mu_one_model).frame)}}}
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps(doc))
+        calls = []
+        build = md.build_model
+
+        def counting(*a, **k):
+            calls.append(1)
+            return build(*a, **k)
+
+        monkeypatch.setattr(md, "build_model", counting)
+        monkeypatch.setattr(ser, "build_model", counting)
+        assert main(["model", "glue", str(f)]) == 0
+        assert json.loads(capsys.readouterr().out)["pass"] is True
+        assert len(calls) == 1
+
+
 class TestCauchyData:
     def test_zero_tangential_gives_diagonal(self, zero_mode_model):
         dbs = md.double_boundary(zero_mode_model)
-        lx = md.cauchy_data(zero_mode_model, dbs)
+        lx = md.cauchy_data(zero_mode_model)
         assert sf.subspace_distance(lx, md.transmission_lagrangian(dbs)) < 1e-12
 
     def test_single_block_graph_of_matrix_exponential(self, mu_one_model):
         from scipy.linalg import expm
 
-        dbs = md.double_boundary(mu_one_model)
-        lx = md.cauchy_data(mu_one_model, dbs)
+        lx = md.cauchy_data(mu_one_model)
         raw = np.vstack([np.eye(2), expm(-mu_one_model.a_matrix)])
         from symflow._linalg import orthonormal_columns
 
@@ -122,7 +180,7 @@ class TestCauchyData:
         dbs = md.double_boundary(mu_one_model)
         delta = md.transmission_lagrangian(dbs)
         dists = [sf.subspace_distance(
-            md.cauchy_data(mu_one_model, dbs, length=ell), delta)
+            md.cauchy_data(mu_one_model, length=ell), delta)
             for ell in (0.5, 0.1, 0.01, 0.001)]
         assert all(b < a for a, b in zip(dists, dists[1:]))
         assert dists[-1] < 2e-3
@@ -233,7 +291,7 @@ class TestIntervalSpectrum:
             spec = md.interval_spectrum(op, p, q, 10.0)
             constraint = md.direct_sum_lagrangian(dbs, sf.gamma_conjugate(p), q)
             assert (int(np.sum(np.abs(spec) < 1e-7))
-                    == md.interval_kernel_dim(op, constraint, dbs))
+                    == md.interval_kernel_dim(op, constraint))
 
 
 class TestCircleSpectrum:
@@ -269,8 +327,7 @@ class TestCircleSpectrum:
             circle = md.build_model(sp, a, md.Circle(c))
             interval = md.build_model(sp, a, md.Interval(c))
             dbs = md.double_boundary(interval)
-            got = md.boundary_spectrum(interval, md.transmission_lagrangian(dbs),
-                                       9.0, dbs=dbs)
+            got = md.boundary_spectrum(interval, md.transmission_lagrangian(dbs), 9.0)
             want = md.circle_spectrum(circle, 9.0)
             assert got.size == want.size
             np.testing.assert_allclose(got, want, atol=1e-8)
@@ -321,9 +378,9 @@ class TestEtaTruncated:
             q = random_boundary_on_h(op, rng)
             c1 = md.direct_sum_lagrangian(dbs, sf.gamma_conjugate(p), q)
             c2 = md.direct_sum_lagrangian(dbs, sf.gamma_conjugate(q), p)
-            e1, b1 = md.interval_eta_tilde(op, c1, dbs=dbs)
-            e2, b2 = md.interval_eta_tilde(op, c2, dbs=dbs)
-            ker = md.interval_kernel_dim(op, c1, dbs)
+            e1, b1 = md.interval_eta_tilde(op, c1)
+            e2, b2 = md.interval_eta_tilde(op, c2)
+            ker = md.interval_kernel_dim(op, c1)
             assert abs((e1 + e2) - ker) <= b1 + b2 + 1e-9
 
 
@@ -339,9 +396,9 @@ class TestEtaTruncated:
         op = md.build_model(sf.standard_space(1), np.diag([1.0, -1.0]), md.Interval(1.0))
         dbs = md.double_boundary(op)
         transmission = md.transmission_lagrangian(dbs)
-        eta, bound = md.interval_eta_tilde(op, transmission, dbs=dbs)
+        eta, bound = md.interval_eta_tilde(op, transmission)
         # a symmetric spectrum: the exact eta is 0
-        assert abs(eta - 0.5 * md.interval_kernel_dim(op, transmission, dbs)) <= bound
+        assert abs(eta - 0.5 * md.interval_kernel_dim(op, transmission)) <= bound
 
 
 class TestPTheta:
@@ -409,13 +466,12 @@ class TestCaldconst:
 class TestAdiabaticLimit:
     def test_zero_tangential_limit_is_kernel_diagonal(self, zero_mode_model):
         dbs = md.double_boundary(zero_mode_model)
-        lim = md.adiabatic_limit(zero_mode_model, nu=0.0, dbs=dbs)
+        lim = md.adiabatic_limit(zero_mode_model, nu=0.0)
         assert sf.subspace_distance(lim, md.transmission_lagrangian(dbs)) < 1e-10
 
     def test_single_block_limit_matches_stretched_graph(self, mu_one_model):
-        dbs = md.double_boundary(mu_one_model)
-        lim = md.adiabatic_limit(mu_one_model, nu=0.0, dbs=dbs)
-        far = md.cauchy_data(mu_one_model, dbs, length=50.0)
+        lim = md.adiabatic_limit(mu_one_model, nu=0.0)
+        far = md.cauchy_data(mu_one_model, length=50.0)
         assert sf.subspace_distance(far, lim) < 1e-8
 
     def test_filtered_projections_match_hand_construction(self):
@@ -423,8 +479,7 @@ class TestAdiabaticLimit:
         sp = sf.standard_space(2)
         a = planted_anticommuting(sp, [0.9, 1.7], rng)
         op = md.build_model(sp, a, md.Interval(1.1))
-        dbs = md.double_boundary(op)
-        lim = md.adiabatic_limit(op, nu=0.0, dbs=dbs)
+        lim = md.adiabatic_limit(op, nu=0.0)
         # expected: per block, psi at slot 0 and gamma psi at slot 1 (the
         # positive tangential eigenspace of the doubled operator)
         cols = []
@@ -442,11 +497,10 @@ class TestAdiabaticLimit:
         rng = rng_for(64, 17)
         for _ in range(5):
             op, mus = random_model(rng, n_half_max=2, allow_kernel=False)
-            dbs = md.double_boundary(op)
-            lim = md.adiabatic_limit(op, nu=0.0, dbs=dbs)
+            lim = md.adiabatic_limit(op, nu=0.0)
             mu_min = min(mus)
             dists = [sf.subspace_distance(
-                md.cauchy_data(op, dbs, length=float(r)), lim)
+                md.cauchy_data(op, length=float(r)), lim)
                 for r in np.linspace(2 / mu_min, 50 / mu_min, 6)]
             assert all(b <= a + 1e-12 for a, b in zip(dists, dists[1:]))
             assert dists[-1] < 1e-8
@@ -462,7 +516,7 @@ class TestAdiabaticLimit:
         frame[d:, 1] = b.frame[:, 0]        # psi at slot 1: A~ = -mu
         bad = sf.lagrangian_from_frame(dbs.space, frame)
         with pytest.raises(ResonanceViolation):
-            md.adiabatic_limit(mu_one_model, l_x=bad, nu=0.0, dbs=dbs)
+            md.adiabatic_limit(mu_one_model, l_x=bad, nu=0.0)
 
 
 class TestGlueVerify:
@@ -483,8 +537,7 @@ class TestGlueVerify:
         sp = sf.standard_space(1)
         op_p = md.build_model(sp, np.zeros((2, 2)), md.Interval(1.3))
         op_m = md.build_model(sp, np.zeros((2, 2)), md.Interval(0.9))
-        dbs = md.double_boundary(op_p)
-        lx = md.cauchy_data(op_p, dbs)
+        lx = md.cauchy_data(op_p)
         rec = md.glue_verify(op_p, op_m, lx)
         assert rec["tau_mu"] == 0
         assert rec["defect"] <= 1e-12
@@ -495,9 +548,8 @@ class TestGlueVerify:
         a = np.diag([1.0, -1.0])
         op_p = md.build_model(sp, a, md.Interval(1.0))
         op_m = md.build_model(sp, a, md.Interval(0.7))
-        dbs = md.double_boundary(op_p)
         for _ in range(5):
-            p = random_split_boundary(op_p, dbs, rng)
+            p = random_split_boundary(op_p, rng)
             rec = md.glue_verify(op_p, op_m, p)
             assert rec["defect"] <= rec["bound"] + 1e-9
             assert rec["bound"] <= 5e-3
@@ -509,7 +561,7 @@ def _split_block(rng, mu, ell):
     sp = sf.standard_space(1)
     op = md.build_model(sp, planted_anticommuting(sp, [mu], rng), md.Interval(ell))
     dbs = md.double_boundary(op)
-    constraint = random_split_boundary(op, dbs, rng)
+    constraint = random_split_boundary(op, rng)
     (block,) = dbs.blocks
     return op, block, md._block_constraint(block, constraint, 1e-9)
 
@@ -541,16 +593,15 @@ class TestContourEta:
     def test_split_blocks_sum_no_roots(self, monkeypatch):
         rng = rng_for(91, 41)
         op, _, _ = _split_block(rng, 0.9, 1.2)
-        dbs = md.double_boundary(op)
-        constraint = random_split_boundary(op, dbs, rng)
-        want = md.interval_eta_tilde(op, constraint, dbs=dbs)
+        constraint = random_split_boundary(op, rng)
+        want = md.interval_eta_tilde(op, constraint)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("a split block summed roots for eta")
 
         monkeypatch.setattr(md, "_certified_roots", forbidden)
         monkeypatch.setattr(md, "eta_truncated", forbidden)
-        assert md.interval_eta_tilde(op, constraint, dbs=dbs) == want
+        assert md.interval_eta_tilde(op, constraint) == want
 
     @pytest.mark.parametrize("shift", [0.0, 1e-12, -1e-12], ids=["exact", "plus", "minus"])
     def test_a_root_within_zero_tol_is_a_kernel_mode(self, mu_one_model, shift):
@@ -568,14 +619,14 @@ class TestContourEta:
         f = _block_root_function(block.mu, 1.0, p, q)
         root = -f(0.0) / ((f(1e-6) - f(-1e-6)) / 2e-6)
         assert abs(root) < 1e-11 and (shift == 0.0 or root * shift < 0 and abs(root) > 1e-12)
-        ker = md.interval_kernel_dim(op, constraint, dbs)
+        ker = md.interval_kernel_dim(op, constraint)
         assert ker == 1
         ref = _root_sum_reference(block, bc, 1.0)
-        eta, bound = md.interval_eta_tilde(op, constraint, dbs=dbs)
+        eta, bound = md.interval_eta_tilde(op, constraint)
         assert abs(eta - 0.5 * (ref.eta + ker)) <= 0.5 * ref.bound
         exact = md.direct_sum_lagrangian(dbs, line(op.space, ang),
                                          line(op.space, far - shift))
-        assert abs(eta - md.interval_eta_tilde(op, exact, dbs=dbs)[0]) < 1e-9
+        assert abs(eta - md.interval_eta_tilde(op, exact)[0]) < 1e-9
 
     def test_split_glue_past_cosh_overflow(self):
         # mu L in [620, 960]: cosh(mu L) overflows; every draw must close to
@@ -589,8 +640,7 @@ class TestContourEta:
             ell, ell_minus = rng.uniform(14.0, 18.0, size=2)
             op_p = md.build_model(sp, a, md.Interval(float(ell)))
             op_m = md.build_model(sp, a, md.Interval(float(ell_minus)))
-            dbs = md.double_boundary(op_p)
-            rec = md.glue_verify(op_p, op_m, random_split_boundary(op_p, dbs, rng), dbs=dbs)
+            rec = md.glue_verify(op_p, op_m, random_split_boundary(op_p, rng))
             assert rec["defect"] <= 1e-9
             assert round(rec["delta"]) == -rec["tau_mu"]
             taus.add(rec["tau_mu"])
@@ -603,7 +653,7 @@ class TestContourEta:
             op_p, _ = random_model(rng, n_half_max=2)
             op_m = md.build_model(op_p.space, op_p.a_matrix,
                                   md.Interval(float(rng.uniform(0.5, 1.5))))
-            p = random_split_boundary(op_p, md.double_boundary(op_p), rng)
+            p = random_split_boundary(op_p, rng)
             rec = md.glue_verify(op_p, op_m, p)
             assert rec["defect"] <= 1e-9
             assert rec["bound"] < 1e-13
@@ -723,16 +773,15 @@ class TestCoupledContourEta:
     def test_coupled_blocks_sum_no_roots(self, monkeypatch):
         rng = rng_for(101, 4)
         op, _, _ = _coupled_block(rng, 0.9, 1.2, n=2)
-        dbs = md.double_boundary(op)
-        constraint = sf.gamma_conjugate(md.cauchy_data(op, dbs, length=0.4))
-        want = md.interval_eta_tilde(op, constraint, dbs=dbs)
+        constraint = sf.gamma_conjugate(md.cauchy_data(op, length=0.4))
+        want = md.interval_eta_tilde(op, constraint)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("a coupled block summed roots for eta")
 
         monkeypatch.setattr(md, "_certified_roots", forbidden)
         monkeypatch.setattr(md, "eta_truncated", forbidden)
-        assert md.interval_eta_tilde(op, constraint, dbs=dbs) == want
+        assert md.interval_eta_tilde(op, constraint) == want
 
     @pytest.mark.parametrize("side", ["+", "-"])
     def test_transmission_block_is_exactly_zero(self, side):
@@ -799,7 +848,7 @@ class TestCoupledContourEta:
             op_p = md.build_model(sp, a, md.Interval(float(ell)))
             op_m = md.build_model(sp, a, md.Interval(float(ell_minus)))
             dbs = md.double_boundary(op_p)
-            rec = md.glue_verify(op_p, op_m, random_coupled_boundary(dbs, rng), dbs=dbs)
+            rec = md.glue_verify(op_p, op_m, random_coupled_boundary(dbs, rng))
             assert rec["defect"] <= 1e-9 and rec["bound"] <= 1e-12
             assert round(rec["delta"]) == -rec["tau_mu"]
             taus.add(rec["tau_mu"])
@@ -825,8 +874,8 @@ class TestSplitLines:
         for _ in range(10):
             op, _ = random_model(rng, n_half_max=3)
             dbs = md.double_boundary(op)
-            for constraint, split in ((random_split_boundary(op, dbs, rng), True),
-                                      (sf.gamma_conjugate(md.cauchy_data(op, dbs)), False)):
+            for constraint, split in ((random_split_boundary(op, rng), True),
+                                      (sf.gamma_conjugate(md.cauchy_data(op)), False)):
                 for block in dbs.blocks:
                     if block.is_kernel:
                         continue
@@ -847,16 +896,16 @@ class TestSplitLines:
         sp = sf.standard_space(3)
         op = md.build_model(sp, planted_anticommuting(sp, [0.6, 1.7], rng), md.Interval(1.1))
         dbs = md.double_boundary(op)
-        constraint = random_split_boundary(op, dbs, rng)
-        family = [constraint] + [random_split_boundary(op, dbs, rng) for _ in range(4)]
+        constraint = random_split_boundary(op, rng)
+        family = [constraint] + [random_split_boundary(op, rng) for _ in range(4)]
         calls = []
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
-        md.boundary_spectrum(op, constraint, 6.0, dbs=dbs)
+        md.boundary_spectrum(op, constraint, 6.0)
         assert len(dbs.blocks) == 3 and len(calls) == 3
         # a family of F constraints: one stacked SVD per block as well
         calls.clear()
-        md._boundary_spectra(op, family, 6.0, "+", dbs, 1e-10)
+        md._boundary_spectra(op, family, 6.0, "+", 1e-10)
         assert len(calls) == 3
 
 
@@ -878,7 +927,7 @@ class TestCoupledBlockRoots:
         rng.uniform(1.5, 2.5)  # the length of the other piece
         op = md.build_model(sp, a, md.Interval(ell))
         dbs = md.double_boundary(op)
-        p = md.cauchy_data(op, dbs, "+", length=float(rng.uniform(0.3, 0.8)))
+        p = md.cauchy_data(op, "+", length=float(rng.uniform(0.3, 0.8)))
         block = next(b for b in dbs.blocks if not b.is_kernel)
         bc = md._block_constraint(block, sf.gamma_conjugate(p), 1e-9)
         return block, bc, ell
@@ -914,7 +963,7 @@ class TestCoupledBlockRoots:
             a = planted_anticommuting(sp, [mu], rng)
             interval = md.build_model(sp, a, md.Interval(ell))
             dbs = md.double_boundary(interval)
-            got = md.boundary_spectrum(interval, md.transmission_lagrangian(dbs), 20.0, dbs=dbs)
+            got = md.boundary_spectrum(interval, md.transmission_lagrangian(dbs), 20.0)
             want = md.circle_spectrum(md.build_model(sp, a, md.Circle(ell)), 20.0)
             assert got.size == want.size
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
@@ -930,12 +979,12 @@ class TestCoupledBlockRoots:
         op = md.build_model(sp, a, md.Interval(16.0))
         dbs = md.double_boundary(op)
         block = next(b for b in dbs.blocks if not b.is_kernel)
-        p = md.cauchy_data(op, dbs, "+", length=0.7 * 16.0)
+        p = md.cauchy_data(op, "+", length=0.7 * 16.0)
         bc = md._block_constraint(block, sf.gamma_conjugate(p), 1e-9)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             (roots,) = md._block_roots(block, bc.phi[None], 16.0, "+", 60.0, 1e-10)
-            got = md.boundary_spectrum(op, md.transmission_lagrangian(dbs), 60.0, dbs=dbs)
+            got = md.boundary_spectrum(op, md.transmission_lagrangian(dbs), 60.0)
         assert roots.size > 100 and np.max(np.abs(roots + roots[::-1])) < 1e-9
         want = md.circle_spectrum(md.build_model(sp, a, md.Circle(16.0)), 60.0)
         assert got.size == want.size
@@ -1136,18 +1185,18 @@ class TestNicolaescu:
             assert rec["sf"] == rec["maslov"] == expected
 
     def test_constant_path(self, mu_one_model):
-        dbs = md.double_boundary(mu_one_model)
         rng = rng_for(67, 14)
-        bnd = random_split_boundary(mu_one_model, dbs, rng)
+        bnd = random_split_boundary(mu_one_model, rng)
         fam = [(t, bnd) for t in np.linspace(0, 1, 5)]
         rec = md.nicolaescu_verify(mu_one_model, fam, window=10.0)
         assert rec["sf"] == rec["maslov"] == 0
 
 
-def _rotation_constraints(op, dbs, rng, turns):
+def _rotation_constraints(op, rng, turns):
     """The constraints of a ``suite_nicolaescu`` path: the x = 0 condition
     gamma-rotated by turns * pi against a fixed condition at x = L."""
     base, q_side = random_boundary_on_h(op, rng), random_boundary_on_h(op, rng)
+    dbs = md.double_boundary(op)
     return [sf.gamma_conjugate(md.direct_sum_lagrangian(
                 dbs, sf.gamma_rotate(base, float(t) * turns * np.pi), q_side))
             for t in np.linspace(0, 1, 33 + 16 * int(abs(turns)))]
@@ -1165,11 +1214,10 @@ class TestFamilySpectra:
 
     @staticmethod
     def assert_as_alone(op, constraints, window):
-        dbs = md.double_boundary(op)
-        got = md._boundary_spectra(op, constraints, window, "+", dbs, 1e-10)
+        got = md._boundary_spectra(op, constraints, window, "+", 1e-10)
         assert len(got) == len(constraints)
         for spectrum, constraint in zip(got, constraints):
-            assert np.array_equal(spectrum, md.boundary_spectrum(op, constraint, window, dbs=dbs))
+            assert np.array_equal(spectrum, md.boundary_spectrum(op, constraint, window))
 
     def test_rotation_flow_families_as_alone(self, zero_mode_model):
         # the families of TestNicolaescu.test_rotation_flows
@@ -1185,25 +1233,23 @@ class TestFamilySpectra:
                              ids=["kernel2", "kernel2-two-blocks", "no-kernel"])
     def test_seeded_rotation_families_as_alone(self, n, mus):
         op = _planted(n, mus, 1)
-        dbs = md.double_boundary(op)
         rng = rng_for(16, n + len(mus))
         for turns in (-2.0, 0.5, 1.0):
-            self.assert_as_alone(op, _rotation_constraints(op, dbs, rng, turns), 14.0)
+            self.assert_as_alone(op, _rotation_constraints(op, rng, turns), 14.0)
 
     def test_split_and_coupled_family_as_alone(self):
         op = _planted(2, [0.6], 2, ell=1.9)
         dbs = md.double_boundary(op)
-        split = _rotation_constraints(op, dbs, rng_for(16, 4), 1.0)[:8]
+        split = _rotation_constraints(op, rng_for(16, 4), 1.0)[:8]
         coupled = [md.transmission_lagrangian(dbs),
-                   sf.gamma_conjugate(md.cauchy_data(op, dbs, "+", length=0.7))]
+                   sf.gamma_conjugate(md.cauchy_data(op, "+", length=0.7))]
         self.assert_as_alone(op, split[:3] + coupled[:1] + split[3:6] + coupled[1:] + split[6:],
                              14.0)
 
     def test_a_family_scan_stacks_at_most_max_scan_points(self, monkeypatch):
         op = _planted(2, [0.6], 2, ell=1.9)
-        dbs = md.double_boundary(op)
-        family = _rotation_constraints(op, dbs, rng_for(16, 7), -1.0)
-        want = [md.boundary_spectrum(op, c, 10.0, dbs=dbs) for c in family]
+        family = _rotation_constraints(op, rng_for(16, 7), -1.0)
+        want = [md.boundary_spectrum(op, c, 10.0) for c in family]
         cap = 5 * md._scan_grid(10.0, op.blocks[0].mu, 1.9).size
         monkeypatch.setattr(md, "MAX_SCAN_POINTS", cap)
         scans = []
@@ -1216,7 +1262,7 @@ class TestFamilySpectra:
             return out
 
         monkeypatch.setattr(md, "_root_values", values)
-        got = md._boundary_spectra(op, family, 10.0, "+", dbs, 1e-10)
+        got = md._boundary_spectra(op, family, 10.0, "+", 1e-10)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
         assert len(scans) >= len(family) // 5 and max(scans) <= cap
 
@@ -1230,9 +1276,8 @@ class TestFamilySpectra:
         monkeypatch.setattr(md, "_polish", lambda *args: calls.append(args) or polish(*args))
         if engine == "split":
             op = _planted(2, [0.6], 2, ell=1.9)
-            dbs = md.double_boundary(op)
-            md._boundary_spectra(op, _rotation_constraints(op, dbs, rng_for(16, 5), 1.0)[::8],
-                                 10.0, "+", dbs, 1e-10)
+            md._boundary_spectra(op, _rotation_constraints(op, rng_for(16, 5), 1.0)[::8],
+                                 10.0, "+", 1e-10)
         else:
             block, bc, ell = TestCoupledBlockRoots.foreign_cauchy_block(1)
             md._block_roots(block, bc.phi[None], ell, "+", 10.0, 1e-10)
@@ -1251,8 +1296,8 @@ class TestFamilySpectra:
     def test_one_sample_counted_one_root_more_raises(self, monkeypatch):
         op = _planted(3, [0.5, 1.9], 3)
         dbs = md.double_boundary(op)
-        family = _rotation_constraints(op, dbs, rng_for(16, 6), 0.5)[::4]
-        md._boundary_spectra(op, family, 10.0, "+", dbs, 1e-10)
+        family = _rotation_constraints(op, rng_for(16, 6), 0.5)[::4]
+        md._boundary_spectra(op, family, 10.0, "+", 1e-10)
         blocks = [b for b in dbs.blocks if not b.is_kernel]
         sturm = md._sturm_count
 
@@ -1269,27 +1314,26 @@ class TestFamilySpectra:
         # the extra root of sample 4 in the second block is never bracketed
         monkeypatch.setattr(md, "_sturm_count", one_more_at([(blocks[1], lines(4, blocks[1]))]))
         with pytest.raises(BracketingFailure, match=f"mu={blocks[1].mu:.6g} not certified"):
-            md._boundary_spectra(op, family, 10.0, "+", dbs, 1e-10)
+            md._boundary_spectra(op, family, 10.0, "+", 1e-10)
         rest = family[:4] + family[5:]
         assert all(np.array_equal(a, b) for a, b in zip(
-            md._boundary_spectra(op, rest, 10.0, "+", dbs, 1e-10),
-            [md.boundary_spectrum(op, c, 10.0, dbs=dbs) for c in rest]))
+            md._boundary_spectra(op, rest, 10.0, "+", 1e-10),
+            [md.boundary_spectrum(op, c, 10.0) for c in rest]))
         # two failing samples: the error is the first sample's, as alone,
         # though a later sample fails in an earlier block
         monkeypatch.setattr(md, "_sturm_count", one_more_at(
             [(blocks[1], lines(2, blocks[1])), (blocks[0], lines(5, blocks[0]))]))
         with pytest.raises(BracketingFailure) as family_error:
-            md._boundary_spectra(op, family, 10.0, "+", dbs, 1e-10)
+            md._boundary_spectra(op, family, 10.0, "+", 1e-10)
         with pytest.raises(BracketingFailure) as alone_error:
-            md.boundary_spectrum(op, family[2], 10.0, dbs=dbs)
+            md.boundary_spectrum(op, family[2], 10.0)
         assert str(family_error.value) == str(alone_error.value)
         assert f"mu={blocks[1].mu:.6g}" in str(family_error.value)
 
 
 class TestSwModZ:
     def test_equal_conditions_vanish(self, zero_mode_model):
-        dbs = md.double_boundary(zero_mode_model)
-        p = md.cauchy_data(zero_mode_model, dbs)
+        p = md.cauchy_data(zero_mode_model)
         rec = md.sw_modz_check(zero_mode_model, p, p)
         assert rec["delta_eta"] == 0.0
 
@@ -1313,15 +1357,13 @@ class TestSwModZ:
         rng = rng_for(68, 13)
         sp = sf.standard_space(2)
         op = md.build_model(sp, np.zeros((4, 4)), md.Interval(1.2))
-        dbs = md.double_boundary(op)
         for _ in range(10):
-            p = random_split_boundary(op, dbs, rng)
+            p = random_split_boundary(op, rng)
             md.sw_modz_check(op, p)
 
     def test_mixed_model_within_bound(self, mu_one_model):
         rng = rng_for(69, 12)
-        dbs = md.double_boundary(mu_one_model)
-        p = random_split_boundary(mu_one_model, dbs, rng)
+        p = random_split_boundary(mu_one_model, rng)
         rec = md.sw_modz_check(mu_one_model, p)
         assert rec["modz_defect"] <= 2 * np.pi * rec["bound"] + 1e-9
 
@@ -1333,12 +1375,12 @@ class TestFamilyErrors:
     def test_incompatible_member_in_the_middle(self):
         op = _planted(3, [0.5, 1.9], 4)
         dbs = md.double_boundary(op)
-        family = _rotation_constraints(op, dbs, rng_for(16, 8), 1.0)[::6]
+        family = _rotation_constraints(op, rng_for(16, 8), 1.0)[::6]
         bad = random_lagrangian(dbs.space, rng_for(16, 9))
         with pytest.raises(IncompatibleBoundary) as alone:
-            md.boundary_spectrum(op, bad, 10.0, dbs=dbs)
+            md.boundary_spectrum(op, bad, 10.0)
         with pytest.raises(IncompatibleBoundary) as family_error:
-            md._boundary_spectra(op, family[:4] + [bad] + family[4:], 10.0, "+", dbs, 1e-10)
+            md._boundary_spectra(op, family[:4] + [bad] + family[4:], 10.0, "+", 1e-10)
         assert str(family_error.value) == str(alone.value)
 
     def test_non_lagrangian_block_trace_in_the_middle(self):

@@ -187,10 +187,9 @@ def test_validation_of_well_formed_input_takes_no_two_norm(two_norms):
     rng = rng_for(58, 23)
     sp = sf.standard_space(3)
     op = md.build_model(sp, planted_anticommuting(sp, [0.5, 1.5], rng), md.Interval(1.2))
-    dbs = md.double_boundary(op)
     p, q = random_boundary_on_h(op, rng), random_boundary_on_h(op, rng)
     assert md.interval_spectrum(op, p, q, 10.0).size
-    md.adiabatic_limit(op, nu=0.6, dbs=dbs)
+    md.adiabatic_limit(op, nu=0.6)
     sf.eta_finite(np.diag([1.0, -2.0, 3.0]))
     require_unitary(random_unitary(rng, 4))
     assert two_norms[0] == 0
@@ -293,6 +292,15 @@ def test_wind_pole_move_counts(lapack_calls):
     # |lambda| = 1035 passes CAYLEY_BOUND: that sample alone is solved again
     # about the middle of its largest eigenphase gap
     assert _wind_calls(lapack_calls, 33) == 3
+
+
+def test_inverse_check_solves_as_much_as_wind(lapack_calls):
+    # f^{-1} takes f's sample and step-product eigenphases, negated in
+    # reverse order: the check solves what wind solves on the same path
+    by_wind = _wind_calls(lapack_calls, 17)
+    lapack_calls.update(eigvalsh=0, inv=0)
+    assert sf.wind_plus_inverse_check(_unitary_path(initial_samples=17))[0] == 1
+    assert lapack_calls["eigvalsh"] == by_wind == 2
 
 
 def test_bisecting_wind_takes_no_svd(lapack_calls):

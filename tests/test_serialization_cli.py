@@ -667,6 +667,21 @@ class TestModelCommand:
         rec = json.loads(r.stdout)
         assert min(abs(x) for x in rec["eigenvalues"]) == 1.0
 
+    @pytest.mark.parametrize("what", ["cauchy", "stretch", "glue"])
+    def test_interval_action_on_a_circle_exits_2(self, tmp_path, capsys, model_doc, what):
+        # a well-formed circle document has no double boundary space, so
+        # these actions take it as malformed input, not a traceback
+        lx = sf.cauchy_data(sf.build_model(sf.standard_space(1), np.diag([1.0, -1.0]),
+                                           sf.Interval(1.0)))
+        model_doc["geometry"] = {"circle": 2.0}
+        del model_doc["boundary"]
+        model_doc["glue"] = {"length_minus": 0.7, "P": {"frame": ser.matrix_to_json(lx.frame)}}
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps(model_doc))
+        assert main(["model", what, str(f)]) == 2
+        rec = json.loads(capsys.readouterr().out)
+        assert (rec["kind"], rec["error"], rec["pass"]) == (what, "SchemaError", False)
+
     def test_stretch(self, tmp_path, model_doc):
         model_doc["stretch"] = {"nu": 0.0, "lengths": [2.0, 20.0, 60.0]}
         f = tmp_path / "m.json"
@@ -678,12 +693,9 @@ class TestModelCommand:
         assert dists[0] > dists[1] > dists[2] or dists[2] < 1e-12
 
     def test_glue(self, tmp_path, model_doc):
-        dbs = sf.double_boundary(
-            sf.build_model(sf.standard_space(1), np.diag([1.0, -1.0]),
-                           sf.Interval(1.0)))
         lx = sf.cauchy_data(
             sf.build_model(sf.standard_space(1), np.diag([1.0, -1.0]),
-                           sf.Interval(1.0)), dbs)
+                           sf.Interval(1.0)))
         model_doc["glue"] = {"length_minus": 0.7,
                              "P": {"frame": ser.matrix_to_json(lx.frame)},
                              "n_max": 2000}

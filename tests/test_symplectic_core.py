@@ -419,7 +419,7 @@ class TestSymplecticReduce:
         a = planted_anticommuting(sp, [1.3], rng)
         op = md.build_model(sp, a, md.Interval(0.9))
         dbs = md.double_boundary(op)
-        lx = md.cauchy_data(op, dbs)
+        lx = md.cauchy_data(op)
         vals, vecs = np.linalg.eigh(dbs.a_tilde)
         u_frame = vecs[:, vals <= 1e-9]
         red = sf.symplectic_reduce(lx, u_frame)

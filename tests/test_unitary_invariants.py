@@ -313,6 +313,28 @@ class TestWindPlusInverse:
             sf.wind_plus_inverse_check(
                 sf.UnitaryPath.from_generator(gen, initial_samples=17))
 
+    def test_inverse_phases_wind_as_the_inverse_samples(self):
+        # the check's f^{-1} reuses f's eigenphases, negated in reverse
+        # order; the inverse samples wound from scratch give the same integer,
+        # with eigenphases planted at -1 at either end
+        rng = rng_for(25, 48)
+        for _ in range(60):
+            k = int(rng.integers(1, 9))
+            q = random_unitary(rng, k)
+            theta = rng.uniform(-np.pi, np.pi, k)
+            rate = rng.uniform(-3.0, 3.0, k)
+            theta[: int(rng.integers(0, k + 1)) // 2] = np.pi
+            end = int(rng.integers(0, k))
+            rate[end] = np.pi - theta[end] + 2.0 * np.pi * float(rng.integers(-1, 2))
+            path = sf.UnitaryPath.from_generator(
+                lambda t, q=q, theta=theta, rate=rate:
+                    (q * np.exp(1j * (theta + rate * t))) @ q.conj().T,
+                initial_samples=5)
+            refined = path.refined()
+            inverse = sf.UnitaryPath([(t, u.conj().T) for t, u in
+                                      zip(refined.times, refined.mats)])
+            assert sf.wind_plus_inverse_check(path)[1] == sf.wind(inverse).value
+
     def test_no_more_generator_calls_than_wind(self):
         # f^{-1} takes f's refined samples, conjugate-transposed: a k = 4
         # rotation path from 3 samples refines once, not once per direction

@@ -121,8 +121,7 @@ def _nicolaescu_outputs() -> dict[str, str]:
         except SymflowError as exc:
             rec, code = {"error": type(exc).__name__, "detail": str(exc)}, 1
         constraints = [md._constraint_of(bnd) for _, bnd in family]
-        spectra = md._boundary_spectra(op, constraints, window, "+", md.double_boundary(op),
-                                       1e-10)
+        spectra = md._boundary_spectra(op, constraints, window, "+", 1e-10)
         rec["spectra"] = [s.tolist() for s in spectra]
         return f"{json.dumps(rec, sort_keys=True)}\nexit: {code}\n"
 
