@@ -35,7 +35,7 @@ from .model_dirac import (
     model_symmetry_check,
     nicolaescu_verify,
     p_theta,
-    p_theta_kernel_membership,
+    stretch_distances,
     sw_modz_check,
     transmission_lagrangian,
 )

@@ -47,7 +47,7 @@ from .serialization import (
     unitary_path_from_json,
 )
 from .spectral_flow import eta_finite, sf_eta_consistency, spectral_flow
-from .symplectic_core import intersection_dim, subspace_distance
+from .symplectic_core import intersection_dim
 from .unitary_invariants import tau_w, tr_log, wind, wind_plus_inverse_check
 
 RESOLUTION_ERRORS = (RefinementExhausted, BracketingFailure, WindowEscape)
@@ -337,11 +337,9 @@ def _model_report(what: str, parsed: dict) -> dict:
     elif what == "stretch":
         nu = parsed["stretch"]["nu"]
         lim = md.adiabatic_limit(op, nu=nu)
-        dists = [
-            {"length": r,
-             "distance": subspace_distance(md.cauchy_data(op, side="+", length=r), lim)}
-            for r in parsed["stretch"]["lengths"]
-        ]
+        lengths = parsed["stretch"]["lengths"]
+        dists = [{"length": r, "distance": float(x)}
+                 for r, x in zip(lengths, md.stretch_distances(op, lengths, lim))]
         return {"kind": "stretch", "nu": nu, "limit_frame":
                   matrix_to_json(lim.frame), "distances": dists}
     elif what == "glue":

@@ -19,7 +19,7 @@ Boundary-condition conventions, fixed here and used by every verifier:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -56,6 +56,7 @@ from .lagrangian_indices import LagrangianPairPath, gamma_conjugate, maslov, tau
 from .symplectic_core import (
     Lagrangian,
     SymplecticSpace,
+    _frame_distances,
     graph_frames,
     graph_unitaries,
     intersection_dim,
@@ -76,6 +77,7 @@ __all__ = [
     "transmission_lagrangian",
     "direct_sum_lagrangian",
     "cauchy_data",
+    "stretch_distances",
     "interval_spectrum",
     "circle_spectrum",
     "boundary_spectrum",
@@ -85,7 +87,6 @@ __all__ = [
     "EtaEstimate",
     "interval_eta_tilde",
     "p_theta",
-    "p_theta_kernel_membership",
     "caldconst_check",
     "adiabatic_limit",
     "glue_verify",
@@ -254,32 +255,42 @@ class DoubleBoundarySpace:
         return self.model_space.dim
 
 
-def _doubled_frame(block_frame: np.ndarray, dim: int) -> np.ndarray:
-    k = block_frame.shape[1]
-    out = np.zeros((2 * dim, 2 * k), dtype=complex)
-    out[:dim, :k] = block_frame
-    out[dim:, k:] = block_frame
+def _doubled(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
+    """The block diagonal top ⊕ bottom of two matrices of one shape."""
+    a, b = top.shape
+    out = np.zeros((2 * a, 2 * b), dtype=complex)
+    out[:a, :b], out[a:, b:] = top, bottom
     return out
 
 
 def _double_boundary(space: SymplecticSpace, a: np.ndarray, blocks: list[ModeBlock],
                      kernel: Optional[ModeBlock]) -> DoubleBoundarySpace:
     """H ⊕ H of the interval model on ``space`` with tangential operator ``a``,
-    its mode blocks and kernel block doubled, at DEFAULT_TOL."""
-    d = space.dim
-    gamma_tilde = np.zeros((2 * d, 2 * d), dtype=complex)
-    gamma_tilde[:d, :d] = space.gamma
-    gamma_tilde[d:, d:] = -space.gamma
-    a_tilde = np.zeros((2 * d, 2 * d), dtype=complex)
-    a_tilde[:d, :d] = a
-    a_tilde[d:, d:] = -a
-    doubled = []
-    for b in blocks + ([kernel] if kernel is not None else []):
-        frame = _doubled_frame(b.frame, d)
-        gb = frame.conj().T @ gamma_tilde @ frame
-        doubled.append(DoubledBlock(b.mu, frame, space_from_gamma(gb, DEFAULT_TOL), b.is_kernel))
-    return DoubleBoundarySpace(space, space_from_gamma(gamma_tilde, DEFAULT_TOL), a_tilde,
-                               tuple(doubled))
+    its mode blocks and kernel block doubled, at DEFAULT_TOL.  Every mode
+    block shares ``_mode_space``; the kernel block gets its own space."""
+    gamma_tilde = _doubled(space.gamma, -space.gamma)
+    doubled = [DoubledBlock(b.mu, _doubled(b.frame, b.frame), _mode_space(), False) for b in blocks]
+    if kernel is not None:
+        frame = _doubled(kernel.frame, kernel.frame)
+        gk = frame.conj().T @ gamma_tilde @ frame
+        doubled.append(DoubledBlock(0.0, frame, space_from_gamma(gk, DEFAULT_TOL), True))
+    return DoubleBoundarySpace(space, space_from_gamma(gamma_tilde, DEFAULT_TOL),
+                               _doubled(a, -a), tuple(doubled))
+
+
+@cache
+def _mode_space() -> SymplecticSpace:
+    """The space of every doubled 2-D mode block, built on first use: in its
+    coordinates (psi, gamma psi) at either end gamma~ = J ⊕ (-J), as psi and
+    gamma psi are orthonormal with <psi, gamma psi> = 0."""
+    j = np.array([[0.0, -1.0], [1.0, 0.0]])
+    return space_from_gamma(_doubled(j, -j))
+
+
+@cache
+def _split_reference() -> np.ndarray:
+    """phi in ``_mode_space`` of the reference B' of ``_triple_levels``."""
+    return lagrangian_from_frame(_mode_space(), np.eye(4)[:, [0, 2]]).phi
 
 
 def double_boundary(op: ModelOperator) -> DoubleBoundarySpace:
@@ -307,42 +318,44 @@ def direct_sum_lagrangian(dbs: DoubleBoundarySpace, l0: Lagrangian,
     return lagrangian_from_frame(dbs.space, frame)
 
 
+def _cauchy_frames(op: ModelOperator, side: str, lengths) -> np.ndarray:
+    """Spanning frames (m, 2 dim H, dim H) of the Cauchy data at each of the
+    lengths: per mode block the columns (psi, e^{-L mu} psi) and (e^{-L mu}
+    gamma psi, gamma psi), per kernel column (v, v), the halves swapped on
+    side '-', each column of unit norm (by the two dots of ``np.linalg.norm``)
+    so arbitrarily long stretches stay well conditioned."""
+    vecs = np.concatenate([b.frame for b in op.blocks]
+                          + ([op.kernel.frame] if op.kernel is not None else []), axis=1).T
+    rates = np.concatenate([[-b.mu, b.mu] for b in op.blocks]
+                           + [np.zeros(op.space.dim - 2 * len(op.blocks))])
+    logs = np.asarray(lengths, dtype=float)[:, None, None] * rates[:, None]
+    # the end where a column decays carries the factor e^{-|log|}, the other 1
+    small = np.exp(-np.abs(logs)) * vecs
+    top, bot = np.where(logs <= 0, vecs, small), np.where(logs > 0, vecs, small)
+    cols = np.concatenate([top, bot] if side == "+" else [bot, top], axis=-1)
+    norms = np.sqrt(np.vecdot(cols.real, cols.real) + np.vecdot(cols.imag, cols.imag))
+    return (cols / norms[..., None]).swapaxes(-1, -2)
+
+
 def cauchy_data(op: ModelOperator, side: str = "+",
                 length: Optional[float] = None) -> Lagrangian:
     """Cauchy data space of the interval model inside the double space.
 
     side '+': {(v, e^{-LA} v)}; side '-': {(e^{-LA} w, w)}.  ``length``
     overrides the model length (used by adiabatic stretching).  The frame is
-    assembled blockwise with per-column rescaling, so arbitrarily long
-    stretches stay well conditioned.
+    assembled blockwise with per-column rescaling (``_cauchy_frames``).
     """
     space = double_boundary(op).space
     ell = op.geometry.length if length is None else length
-    d = op.space.dim
-    cols = []
+    return lagrangian_from_frame(space, _cauchy_frames(op, side, [ell])[0])
 
-    def graph_col(vec, log_factor):
-        # span of (v, e^{log_factor} v), rescaled so entries stay bounded
-        c = np.zeros(2 * d, dtype=complex)
-        if log_factor <= 0:
-            top, bot = vec, np.exp(log_factor) * vec
-        else:
-            top, bot = np.exp(-log_factor) * vec, vec
-        if side == "+":
-            c[:d], c[d:] = top, bot
-        else:
-            c[:d], c[d:] = bot, top
-        return c / np.linalg.norm(c)
 
-    for b in op.blocks:
-        psi = b.frame[:, 0]
-        gpsi = b.frame[:, 1]
-        cols.append(graph_col(psi, -ell * b.mu))
-        cols.append(graph_col(gpsi, ell * b.mu))
-    if op.kernel is not None:
-        for j in range(op.kernel.frame.shape[1]):
-            cols.append(graph_col(op.kernel.frame[:, j], 0.0))
-    return lagrangian_from_frame(space, np.array(cols).T)
+def stretch_distances(op: ModelOperator, lengths: Sequence[float], limit: Lagrangian) -> np.ndarray:
+    """``subspace_distance(cauchy_data(op, length=r), limit)``, bit for bit, for
+    every r of ``lengths``: one ``graph_unitaries`` and one stacked 2-norm."""
+    space = double_boundary(op).space
+    phis = graph_unitaries(space, _cauchy_frames(op, "+", lengths))
+    return _frame_distances(graph_frames(space, phis), limit.frame)
 
 
 # ---------------------------------------------------------------------------
@@ -732,8 +745,7 @@ def _triple_levels(block: DoubledBlock, phis: np.ndarray, ell: float, side: str)
     at g = gamma B', h = gamma B carries the Sturm level of B' over: Lambda
     = level(B') + sigma tau_mu(f, gamma B', gamma B), sigma = +1 on side
     '+', -1 on '-', tau_mu by the trace-log formula of ``tau_mu``."""
-    mu, line = block.mu, np.array([1.0, 0.0])
-    ref = lagrangian_from_frame(block.space, np.eye(4)[:, [0, 2]]).phi
+    mu, line, ref = block.mu, np.array([1.0, 0.0]), _split_reference()
     inverse = phis.conj().swapaxes(-1, -2)
     middle = _branch_sums(ref @ inverse)  # tau_mu's term phi(gamma B') phi(gamma B)*
     sigma = 1 if side == "+" else -1
@@ -1026,21 +1038,6 @@ def p_theta(p_matrix, theta: float) -> np.ndarray:
     out[:d, d:] = -cs * eye
     out[d:, :d] = -cs * eye
     return out
-
-
-def p_theta_kernel_membership(p_matrix, theta: float, xi: np.ndarray,
-                              tol: float = 1e-9) -> bool:
-    """Membership test for ker P(theta, P): cos(t) P xi_+ = sin(t) P xi_- and
-    sin(t) (I-P) xi_+ = cos(t) (I-P) xi_-."""
-    p = as_complex_matrix(p_matrix)
-    d = p.shape[0]
-    xi = np.asarray(xi, dtype=complex).ravel()
-    xp, xm = xi[:d], xi[d:]
-    eye = np.eye(d)
-    r1 = np.cos(theta) * (p @ xp) - np.sin(theta) * (p @ xm)
-    r2 = np.sin(theta) * ((eye - p) @ xp) - np.cos(theta) * ((eye - p) @ xm)
-    scale = max(1.0, float(np.linalg.norm(xi)))
-    return float(np.linalg.norm(r1) + np.linalg.norm(r2)) <= tol * 10 * scale
 
 
 def _null_space(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:

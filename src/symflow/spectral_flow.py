@@ -45,13 +45,13 @@ def _hermitian_parts(h: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]
     """For each square matrix of a stack (..., k, k): the verdict of
     ``_require_hermitian``, finite and ||h - h*||_2 <= 10 tol max(1,
     ||h||_2) (``norm_at_most``), and (h + h*)/2, meaningful where it holds.
-    That sum is halved before it is formed, so it cannot overflow."""
-    ht = h.conj().swapaxes(-1, -2)
+    Both are formed from the halves of h and h*, so neither can overflow."""
+    half, half_t = 0.5 * h, 0.5 * h.conj().swapaxes(-1, -2)
     finite = np.isfinite(h).all(axis=(-2, -1))
     if finite.all():
-        return norm_at_most(h - ht, tol * 10, scale=h), 0.5 * h + 0.5 * ht
+        return norm_at_most(half - half_t, tol * 5, scale=h), half + half_t
     ok = np.zeros(finite.shape, dtype=bool)
-    ok[finite] = norm_at_most(h[finite] - ht[finite], tol * 10, scale=h[finite])
+    ok[finite] = norm_at_most(half[finite] - half_t[finite], tol * 5, scale=h[finite])
     return ok, h
 
 

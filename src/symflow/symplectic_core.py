@@ -307,9 +307,15 @@ def subspace_distance(s1, s2) -> float:
     f1, f2 = (s.frame if isinstance(s, Lagrangian) else orthonormal_columns(s) for s in (s1, s2))
     if f1.shape != f2.shape:
         raise DimensionMismatch(f"subspaces differ in shape: {f1.shape} vs {f2.shape}")
-    r12 = f2 - f1 @ (f1.conj().T @ f2)
-    r21 = f1 - f2 @ (f2.conj().T @ f1)
-    return float(max(np.linalg.norm(r12, 2), np.linalg.norm(r21, 2))) if f1.shape[1] else 0.0
+    return float(_frame_distances(f1, f2)) if f1.shape[1] else 0.0
+
+
+def _frame_distances(f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
+    """``subspace_distance`` of orthonormal frames (..., 2n, k), k > 0,
+    broadcast: one stacked 2-norm for each of the two residuals."""
+    r12 = f2 - f1 @ (f1.conj().swapaxes(-1, -2) @ f2)
+    r21 = f1 - f2 @ (f2.conj().swapaxes(-1, -2) @ f1)
+    return np.maximum(np.linalg.norm(r12, 2, axis=(-2, -1)), np.linalg.norm(r21, 2, axis=(-2, -1)))
 
 
 def symplectic_reduce(lag: Lagrangian, u_frame, tol: float = DEFAULT_TOL) -> Reduction:

@@ -670,8 +670,7 @@ def suite_adiabatic(rep: SuiteReport, rng, count: int = 20) -> None:
         lim = md.adiabatic_limit(op, nu=0.0)
         mu_min = min(mus)
         rs = np.linspace(2.0 / mu_min, 50.0 / mu_min, 7)
-        dists = [subspace_distance(md.cauchy_data(op, side="+", length=float(r)), lim)
-                 for r in rs]
+        dists = md.stretch_distances(op, rs, lim)
         return all(b <= a + 1e-12 for a, b in zip(dists, dists[1:])) and dists[-1] < 1e-8
     rep.run("distance decreasing over sampled stretches and < 1e-8 at 50/mu_min",
             [stretches] * count)

@@ -9,6 +9,7 @@ prints one record per scenario.
 
 import copy
 import json
+import warnings
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -177,3 +178,18 @@ def test_huge_hermitian_entry(tmp_path, capsys, scenario):
     f.write_text(json.dumps([scenario]))
     out = _call(["run", str(f)], capsys)
     assert len(out.splitlines()) == 1
+
+
+def test_huge_skew_matrix_is_refused_without_a_warning(tmp_path, capsys):
+    """[[0, 1e308], [-1e308, 0]] is finite but not Hermitian: the scenario
+    fails with a SchemaError record and exit code 2, and h - h*, whose
+    entries would overflow, is never formed."""
+    f = tmp_path / "run.json"
+    f.write_text(json.dumps([{"name": "skew", "op": "eta_finite", "inputs": {
+        "H": [[[0, 0], [1e308, 0]], [[-1e308, 0], [0, 0]]]}}]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", str(f)])
+    out, err = capsys.readouterr()
+    assert code == 2 and err == ""
+    assert json.loads(out)["error"] == "SchemaError"

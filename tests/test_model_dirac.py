@@ -106,9 +106,98 @@ class TestBuildModel:
         np.testing.assert_allclose(g_block, np.array([[0, -1], [1, 0]]), atol=1e-12)
 
 
+def _mode_models():
+    """Seeded interval models: ``random_model`` draws, kernels included, and
+    planted ones whose mu repeat."""
+    rng = rng_for(70, 29)
+    models = [random_model(rng)[0] for _ in range(20)]
+    for n, mus in ((2, [0.8, 0.8]), (3, [0.5, 1.1, 1.1]), (3, [0.7, 0.7]),
+                   (4, [1.3, 1.3, 1.3, 2.0])):
+        sp = sf.standard_space(n)
+        models.append(md.build_model(sp, planted_anticommuting(sp, mus, rng), md.Interval(1.2)))
+    return models
+
+
+def _space_per_block(op, monkeypatch):
+    """``op`` with the space of each doubled mode block built from its own
+    F~* gamma~ F~ by ``space_from_gamma``, and ``_triple_levels`` taking its
+    reference B' in that space."""
+    dbs = md.double_boundary(op)
+    blocks = tuple(b if b.is_kernel else dataclasses.replace(
+        b, space=sf.space_from_gamma(b.frame.conj().T @ dbs.space.gamma @ b.frame))
+        for b in dbs.blocks)
+    levels = md._triple_levels
+
+    def own_reference(block, phis, ell, side):
+        monkeypatch.setattr(md, "_split_reference", lambda: sf.lagrangian_from_frame(
+            block.space, np.eye(4)[:, [0, 2]]).phi)
+        return levels(block, phis, ell, side)
+
+    monkeypatch.setattr(md, "_triple_levels", own_reference)
+    return dataclasses.replace(op, doubled=dataclasses.replace(dbs, blocks=blocks))
+
+
 class TestDoubleBoundary:
     """An interval model carries its double boundary space from
     ``build_model``; no model function builds one again."""
+
+    def test_mode_blocks_share_one_space(self):
+        j = np.array([[0.0, -1.0], [1.0, 0.0]])
+        want = np.block([[j, np.zeros((2, 2))], [np.zeros((2, 2)), -j]])
+        np.testing.assert_array_equal(md._mode_space().gamma, want)
+        seen = 0
+        for op in _mode_models():
+            dbs = md.double_boundary(op)
+            for b in dbs.blocks:
+                if b.is_kernel:
+                    assert b.space is not md._mode_space()
+                    continue
+                seen += 1
+                assert b.space is md._mode_space()
+                np.testing.assert_allclose(b.frame.conj().T @ dbs.space.gamma @ b.frame, want,
+                                           rtol=0, atol=1e-14)
+        assert seen > 20
+
+    def test_results_as_with_a_space_per_block(self, monkeypatch):
+        rng = rng_for(71, 29)
+        cases = []
+        for op in _mode_models():
+            p, q = random_boundary_on_h(op, rng), random_boundary_on_h(op, rng)
+            coupled = random_coupled_boundary(md.double_boundary(op), rng)
+            cases.append((op, p, q, coupled))
+
+        def results(op, p, q, coupled):
+            minus = dataclasses.replace(op, geometry=md.Interval(0.9))
+            return (md.interval_spectrum(op, p, q, 9.0),
+                    md.boundary_spectrum(op, coupled, 9.0),
+                    md.interval_eta_tilde(op, coupled),
+                    md.interval_eta_tilde(op, md.direct_sum_lagrangian(
+                        md.double_boundary(op), sf.gamma_conjugate(p), q)),
+                    md.glue_verify(op, minus, coupled))
+
+        got = [results(*case) for case in cases]
+        for (op, *rest), (split, coupled, eta_c, eta_s, glue) in zip(cases, got):
+            ref_split, ref_coupled, ref_eta_c, ref_eta_s, ref_glue = results(
+                _space_per_block(op, monkeypatch), *rest)
+            for a, b in ((split, ref_split), (coupled, ref_coupled)):
+                assert a.shape == b.shape
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(eta_c, ref_eta_c, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(eta_s, ref_eta_s, rtol=0, atol=1e-12)
+            assert glue.keys() == ref_glue.keys() and glue["tau_mu"] == ref_glue["tau_mu"]
+            for key in glue:
+                assert abs(glue[key] - ref_glue[key]) <= 1e-12, key
+
+    def test_build_model_makes_one_space_without_a_kernel(self, monkeypatch):
+        sp = sf.standard_space(3)
+        a = planted_anticommuting(sp, [0.6, 1.1, 1.9], rng_for(72, 29))
+        md.build_model(sp, a, md.Interval(1.0))  # the first model may build the shared space
+        calls = []
+        build = md.space_from_gamma
+        monkeypatch.setattr(md, "space_from_gamma",
+                            lambda *a, **k: calls.append(1) or build(*a, **k))
+        md.build_model(sp, a, md.Interval(1.0))
+        assert len(calls) == 1
 
     def test_a_piece_of_another_length_shares_it(self, mu_one_model):
         piece = dataclasses.replace(mu_one_model, geometry=md.Interval(0.7))
@@ -401,6 +490,21 @@ class TestEtaTruncated:
         assert abs(eta - 0.5 * md.interval_kernel_dim(op, transmission)) <= bound
 
 
+def p_theta_kernel_membership(p_matrix, theta: float, xi: np.ndarray,
+                              tol: float = 1e-9) -> bool:
+    """Membership test for ker P(theta, P): cos(t) P xi_+ = sin(t) P xi_- and
+    sin(t) (I-P) xi_+ = cos(t) (I-P) xi_-."""
+    p = np.asarray(p_matrix, dtype=complex)
+    d = p.shape[0]
+    xi = np.asarray(xi, dtype=complex).ravel()
+    xp, xm = xi[:d], xi[d:]
+    eye = np.eye(d)
+    r1 = np.cos(theta) * (p @ xp) - np.sin(theta) * (p @ xm)
+    r2 = np.sin(theta) * ((eye - p) @ xp) - np.cos(theta) * ((eye - p) @ xm)
+    scale = max(1.0, float(np.linalg.norm(xi)))
+    return float(np.linalg.norm(r1) + np.linalg.norm(r2)) <= tol * 10 * scale
+
+
 class TestPTheta:
     def test_endpoints(self):
         rng = rng_for(59, 22)
@@ -434,7 +538,7 @@ class TestPTheta:
             vals, vecs = np.linalg.eigh(m)
             for j in range(len(vals)):
                 in_kernel = vals[j] < 0.5
-                assert md.p_theta_kernel_membership(p, theta, vecs[:, j]) == in_kernel
+                assert p_theta_kernel_membership(p, theta, vecs[:, j]) == in_kernel
 
 
 class TestCaldconst:
@@ -492,6 +596,17 @@ class TestAdiabaticLimit:
             cols.extend([c1, c2])
         expected = np.array(cols).T
         assert sf.subspace_distance(lim.frame, expected) < 1e-9
+
+    def test_stacked_stretch_as_one_length_at_a_time(self):
+        rng = rng_for(73, 29)
+        for _ in range(20):
+            op, mus = random_model(rng)
+            if not mus:
+                continue
+            lim = md.adiabatic_limit(op, nu=0.0)
+            rs = np.linspace(0.5, 60.0, 9) / min(mus)
+            want = [sf.subspace_distance(md.cauchy_data(op, length=float(r)), lim) for r in rs]
+            np.testing.assert_allclose(md.stretch_distances(op, rs, lim), want, rtol=0, atol=1e-15)
 
     def test_monotone_convergence_seeded(self):
         rng = rng_for(64, 17)

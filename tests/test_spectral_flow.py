@@ -12,6 +12,14 @@ def one_by_one(fn):
     return lambda t: np.array([[fn(t)]])
 
 
+class TestHermitianCheck:
+    def test_huge_skew_matrix_fails_without_a_runtime_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not Hermitian"):
+                sf.eta_finite([[0, 1e308], [-1e308, 0]])
+
+
 class TestSpectralFlow:
     def test_upward_crossing(self):
         path = sf.HermitianPath.from_generator(one_by_one(lambda t: t - 0.5))
