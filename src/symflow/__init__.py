@@ -37,6 +37,7 @@ from .model_dirac import (
     p_theta,
     stretch_distances,
     sw_modz_check,
+    swap_ends,
     transmission_lagrangian,
 )
 from .spectral_flow import (

@@ -183,14 +183,12 @@ def norm_at_most(x: np.ndarray, limit: float, scale: np.ndarray | None = None) -
     return (x_hi <= lo).reshape(shape)
 
 
-@np.errstate(**QUIET)
-def conditioned_inverse(a: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """(a^{-1}, ok) for a stack (m, n, n): ok where s_min(a) > tol * s_max(a),
-    the rank cut of ``orthonormal_columns``; the inverse of a singular
-    member is zero.  As cond(a) <= ||a||_F ||a^{-1}||_F <= n cond(a), only a
-    product in [1/tol, n/tol) (or an overflow) takes the singular values."""
+def _stacked_inverse(a: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """(inverses, regular) of a stack (m, n, n): one ``np.linalg.inv``, regular
+    None; if a member is singular, one inverse per member, each decided and
+    computed as alone, zero for a singular one, which regular marks False."""
     try:
-        inv, regular = np.linalg.inv(a), None
+        return np.linalg.inv(a), None
     except np.linalg.LinAlgError:
         inv, regular = np.zeros_like(a), np.ones(len(a), dtype=bool)
         for i, member in enumerate(a):
@@ -198,6 +196,16 @@ def conditioned_inverse(a: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.nda
                 inv[i] = np.linalg.inv(member)
             except np.linalg.LinAlgError:
                 regular[i] = False
+        return inv, regular
+
+
+@np.errstate(**QUIET)
+def conditioned_inverse(a: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """(a^{-1}, ok) for a stack (m, n, n): ok where s_min(a) > tol * s_max(a),
+    the rank cut of ``orthonormal_columns``; the inverse of a singular
+    member is zero.  As cond(a) <= ||a||_F ||a^{-1}||_F <= n cond(a), only a
+    product in [1/tol, n/tol) (or an overflow) takes the singular values."""
+    inv, regular = _stacked_inverse(a)
     product = _frobenius(a) * _frobenius(inv)
     ok = product < 1.0 / tol
     if regular is not None:
@@ -239,21 +247,11 @@ def _cayley(v: np.ndarray) -> np.ndarray:
     Y = (I - V)^{-1}, H = i (2Y - I) and (H + H*)/2 = i (Y - Y*), so one
     inverse serves.  A member whose inverse is singular (an eigenvalue 1)
     gets a row of inf."""
-    eye = np.eye(v.shape[-1])
-    try:
-        y = np.linalg.inv(eye - v)
-        singular = None
-    except np.linalg.LinAlgError:
-        y, singular = np.zeros_like(v), np.zeros(len(v), dtype=bool)
-        for i, member in enumerate(v):
-            try:
-                y[i] = np.linalg.inv(eye - member)
-            except np.linalg.LinAlgError:
-                singular[i] = True
+    y, regular = _stacked_inverse(np.eye(v.shape[-1]) - v)
     y -= y.conj().swapaxes(-1, -2)
     lam = np.linalg.eigvalsh(1j * y)
-    if singular is not None:
-        lam[singular] = np.inf
+    if regular is not None:
+        lam[~regular] = np.inf
     return lam
 
 

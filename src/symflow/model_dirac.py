@@ -12,8 +12,10 @@ Boundary-condition conventions, fixed here and used by every verifier:
 * a "boundary Lagrangian" P is the image of its projection, so the operator
   D_P constrains boundary data to ker proj(P) = gamma~ P;
 * slot 0 of the double space is the x=0 end of the interval, slot 1 the x=L
-  end; a second piece glued in from the far side has boundary vector
-  (e^{-LA} w, w), i.e. its solution graph sits over slot 1.
+  end.  A piece glued in from the far side is read through ``swap_ends``:
+  its Cauchy data are ``swap_ends(op, cauchy_data(op))`` = {(e^{-LA} w, w)},
+  and its spectrum, eta and kernel under a condition C are those of ``op``
+  under ``swap_ends(op, C)``.
 """
 
 from __future__ import annotations
@@ -76,6 +78,7 @@ __all__ = [
     "double_boundary",
     "transmission_lagrangian",
     "direct_sum_lagrangian",
+    "swap_ends",
     "cauchy_data",
     "stretch_distances",
     "interval_spectrum",
@@ -254,6 +257,12 @@ class DoubleBoundarySpace:
     def dim_single(self) -> int:
         return self.model_space.dim
 
+    @cached_property
+    def end_swap(self) -> np.ndarray:
+        """R = b_-* sigma b_+ of ``swap_ends``, sigma exchanging the two ends."""
+        return readonly(self.space.adjoint_minus @ np.roll(self.space.basis_plus,
+                                                           self.dim_single, axis=0))
+
 
 def _doubled(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
     """The block diagonal top ⊕ bottom of two matrices of one shape."""
@@ -310,20 +319,28 @@ def transmission_lagrangian(dbs: DoubleBoundarySpace) -> Lagrangian:
 def direct_sum_lagrangian(dbs: DoubleBoundarySpace, l0: Lagrangian,
                           l1: Lagrangian) -> Lagrangian:
     """L0 at the x=0 slot plus L1 at the far slot (each a Lagrangian on H)."""
-    d = dbs.dim_single
-    f0, f1 = l0.frame, l1.frame
-    frame = np.zeros((2 * d, f0.shape[1] + f1.shape[1]), dtype=complex)
-    frame[:d, : f0.shape[1]] = f0
-    frame[d:, f0.shape[1]:] = f1
-    return lagrangian_from_frame(dbs.space, frame)
+    return lagrangian_from_frame(dbs.space, _doubled(l0.frame, l1.frame))
 
 
-def _cauchy_frames(op: ModelOperator, side: str, lengths) -> np.ndarray:
+def swap_ends(op: ModelOperator, lag: Lagrangian) -> Lagrangian:
+    """sigma L, sigma(x, y) = (y, x): the Lagrangian ``lag`` of the double space
+    of ``op`` with its two ends exchanged, an involution.  As sigma gamma~
+    sigma = -gamma~, sigma maps E_i onto E_{-i}, so phi(sigma L) = R phi(L)*
+    S* with R = b_-* sigma b_+ (``DoubleBoundarySpace.end_swap``) and S =
+    b_+* sigma b_- = R*."""
+    dbs = double_boundary(op)
+    if not lag.space.same_space(dbs.space):
+        raise DimensionMismatch("the Lagrangian must live in the double space of the model")
+    r = dbs.end_swap
+    return Lagrangian(dbs.space, r @ lag.phi.conj().T @ r)
+
+
+def _cauchy_frames(op: ModelOperator, lengths) -> np.ndarray:
     """Spanning frames (m, 2 dim H, dim H) of the Cauchy data at each of the
     lengths: per mode block the columns (psi, e^{-L mu} psi) and (e^{-L mu}
-    gamma psi, gamma psi), per kernel column (v, v), the halves swapped on
-    side '-', each column of unit norm (by the two dots of ``np.linalg.norm``)
-    so arbitrarily long stretches stay well conditioned."""
+    gamma psi, gamma psi), per kernel column (v, v), each column of unit norm
+    (by the two dots of ``np.linalg.norm``) so arbitrarily long stretches
+    stay well conditioned."""
     vecs = np.concatenate([b.frame for b in op.blocks]
                           + ([op.kernel.frame] if op.kernel is not None else []), axis=1).T
     rates = np.concatenate([[-b.mu, b.mu] for b in op.blocks]
@@ -332,29 +349,25 @@ def _cauchy_frames(op: ModelOperator, side: str, lengths) -> np.ndarray:
     # the end where a column decays carries the factor e^{-|log|}, the other 1
     small = np.exp(-np.abs(logs)) * vecs
     top, bot = np.where(logs <= 0, vecs, small), np.where(logs > 0, vecs, small)
-    cols = np.concatenate([top, bot] if side == "+" else [bot, top], axis=-1)
+    cols = np.concatenate([top, bot], axis=-1)
     norms = np.sqrt(np.vecdot(cols.real, cols.real) + np.vecdot(cols.imag, cols.imag))
     return (cols / norms[..., None]).swapaxes(-1, -2)
 
 
-def cauchy_data(op: ModelOperator, side: str = "+",
-                length: Optional[float] = None) -> Lagrangian:
-    """Cauchy data space of the interval model inside the double space.
-
-    side '+': {(v, e^{-LA} v)}; side '-': {(e^{-LA} w, w)}.  ``length``
-    overrides the model length (used by adiabatic stretching).  The frame is
-    assembled blockwise with per-column rescaling (``_cauchy_frames``).
-    """
+def cauchy_data(op: ModelOperator, length: Optional[float] = None) -> Lagrangian:
+    """Cauchy data space {(v, e^{-LA} v)} of the interval model in the double
+    space, its frame from ``_cauchy_frames``; ``length`` overrides the model
+    length (used by adiabatic stretching)."""
     space = double_boundary(op).space
     ell = op.geometry.length if length is None else length
-    return lagrangian_from_frame(space, _cauchy_frames(op, side, [ell])[0])
+    return lagrangian_from_frame(space, _cauchy_frames(op, [ell])[0])
 
 
 def stretch_distances(op: ModelOperator, lengths: Sequence[float], limit: Lagrangian) -> np.ndarray:
     """``subspace_distance(cauchy_data(op, length=r), limit)``, bit for bit, for
     every r of ``lengths``: one ``graph_unitaries`` and one stacked 2-norm."""
     space = double_boundary(op).space
-    phis = graph_unitaries(space, _cauchy_frames(op, "+", lengths))
+    phis = graph_unitaries(space, _cauchy_frames(op, lengths))
     return _frame_distances(graph_frames(space, phis), limit.frame)
 
 
@@ -661,12 +674,12 @@ def _null_line(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return v / norm[:, None], (s_max > 1e-9) & ~(s_min > 1e-9)
 
 
-def _block_lines(space: SymplecticSpace, phis: np.ndarray, side: str) -> tuple:
+def _block_lines(space: SymplecticSpace, phis: np.ndarray) -> tuple:
     """(lines, split) for 2-line block constraints with graph unitaries phis
     (K, 2, 2) in the block's space: split marks those that split into a line
-    at each end, and lines[j] = (p, q) are its real unit lines, p at the end
-    the transfer matrix starts from (slot 0 for side '+', slot 1 for '-'), q
-    at the other; the lines of a coupled constraint mean nothing.
+    at each end, and lines[j] = (p, q) are its real unit lines, p at slot 0,
+    where the transfer matrix starts, q at slot 1; the lines of a coupled
+    constraint mean nothing.
 
     A line at slot 0 is what the frame gives on the null vector of its slot-1
     half, and the other way round: one ``_null_line`` and one
@@ -682,32 +695,28 @@ def _block_lines(space: SymplecticSpace, phis: np.ndarray, side: str) -> tuple:
     checked = checked.reshape(-1)
     lines = np.zeros((len(halves), 2))
     lines[checked] = _real_line_rep((halves[checked] @ ns[checked][:, :, None])[:, :, 0])
-    lines = lines.reshape(-1, 2, 2)
-    return (lines if side == "+" else lines[:, ::-1]), split
+    return lines.reshape(-1, 2, 2), split
 
 
-def _kernel_offsets(block: DoubledBlock, ell: float, phis: np.ndarray,
-                    side: str) -> np.ndarray:
+def _kernel_offsets(block: DoubledBlock, ell: float, phis: np.ndarray) -> np.ndarray:
     """Lattice offsets in [0, 1), in units of 2 pi / L, of the kernel doubled
     block, one row per block constraint of graph unitaries phis (K, k, k).
 
-    The graph unitary is e^{-+ i lam L} times a constant, so each eigenphase
-    branch is exactly linear with slope -L (side '+') or +L (side '-');
-    eigenvalues form one lattice of spacing 2 pi / L per branch.
+    The graph unitary is e^{-i lam L} times a constant, so each eigenphase
+    branch is exactly linear with slope -L; eigenvalues form one lattice of
+    spacing 2 pi / L per branch.
     """
-    rate = -ell if side == "+" else ell
     theta0 = np.angle(np.linalg.eigvals(block.zero_graph @ phis.conj().swapaxes(-1, -2)))
-    return np.mod(theta0 / (-rate) / (2.0 * np.pi / ell), 1.0)
+    return np.mod(theta0 / ell / (2.0 * np.pi / ell), 1.0)
 
 
-def _characteristic(block: DoubledBlock, phis: np.ndarray, side: str) -> np.ndarray:
+def _characteristic(block: DoubledBlock, phis: np.ndarray) -> np.ndarray:
     """(k0, n0, m, n1) (K, 4) of G for constraints phis (K, 2, 2): roots are
-    where det(M1 + M2 T) = 0, [M1 | M2] = phi(B)* b_-* - b_+* (halves swapped
-    on side '-'); as det T = 1 that is G with k0 = det M1 + det M2, n0 = tr
-    N, n1 = tr NJ, m = -mu tr NZ, N = adj(M1) M2, up to a phase, rotated
-    away here."""
+    where det(M1 + M2 T) = 0, [M1 | M2] = phi(B)* b_-* - b_+*; as det T = 1
+    that is G with k0 = det M1 + det M2, n0 = tr N, n1 = tr NJ, m = -mu tr
+    NZ, N = adj(M1) M2, up to a phase, rotated away here."""
     mm = phis.conj().swapaxes(-1, -2) @ block.space.adjoint_minus - block.space.adjoint_plus
-    m1, m2 = (mm[..., :2], mm[..., 2:]) if side == "+" else (mm[..., 2:], mm[..., :2])
+    m1, m2 = mm[..., :2], mm[..., 2:]
     n = m1[:, ::-1, ::-1].swapaxes(-1, -2) * np.array([[1, -1], [-1, 1]]) @ m2  # adj(M1) M2
     coef = np.stack([np.linalg.det(m1) + np.linalg.det(m2), n[:, 0, 0] + n[:, 1, 1],
                      n[:, 1, 0] - n[:, 0, 1], n[:, 0, 0] - n[:, 1, 1]], axis=-1)
@@ -716,15 +725,15 @@ def _characteristic(block: DoubledBlock, phis: np.ndarray, side: str) -> np.ndar
     return np.stack([k0, n0, -block.mu * n2, n1], axis=-1)
 
 
-def _solution_graphs(block: DoubledBlock, lam: np.ndarray, ell: float, side: str) -> np.ndarray:
-    """Graph unitaries (..., 2, 2) of the block's solutions {(v, T v)} (side
-    '+') or {(T v, v)} at each lam: the span of [T_h^{-1}; T_h], T = T_h^2
-    over L/2, whose Gram eigenvalues 2 (c^2 + s^2 (|lam| -+ mu)^2) keep the
-    decaying solution at every mu L, which [I; T] loses."""
+def _solution_graphs(block: DoubledBlock, lam: np.ndarray, ell: float) -> np.ndarray:
+    """Graph unitaries (..., 2, 2) of the block's solutions {(v, T v)} at each
+    lam: the span of [T_h^{-1}; T_h], T = T_h^2 over L/2, whose Gram
+    eigenvalues 2 (c^2 + s^2 (|lam| -+ mu)^2) keep the decaying solution at
+    every mu L, which [I; T] loses."""
     c, s, _ = (t[..., None, None] for t in _transfer_terms(lam, block.mu, 0.5 * ell))
     k = lam[..., None, None] * np.array([[0.0, 1.0], [-1.0, 0.0]]) - np.diag([block.mu, -block.mu])
     halves = (c * np.eye(2) - s * k, c * np.eye(2) + s * k)  # T_h^{-1}, T_h
-    frames = np.concatenate(halves if side == "+" else halves[::-1], axis=-2)
+    frames = np.concatenate(halves, axis=-2)
     phis = graph_unitaries(block.space, frames.reshape(-1, 4, 2))
     return phis.reshape(frames.shape[:-2] + (2, 2))
 
@@ -736,39 +745,37 @@ def _branch_sums(u: np.ndarray) -> np.ndarray:
     return -wrap_phase(-unitary_phases(u.reshape(-1, 2, 2))).sum(axis=-1).reshape(u.shape[:-2])
 
 
-def _triple_levels(block: DoubledBlock, phis: np.ndarray, ell: float, side: str) -> Callable:
+def _triple_levels(block: DoubledBlock, phis: np.ndarray, ell: float) -> Callable:
     """lam, owner -> level Lambda(lam) of constraint phis[owner] (graph
     unitaries (K, 2, 2)): its roots in [lo, hi), with multiplicity, number
     Lambda(lo) - Lambda(hi).  With f(lam) the solutions' graph and B' the
     split constraint of the line (1, 0) at both ends, Mas(f, g) + Mas(g, h)
     - Mas(f, h) = tau_mu(f1, g1, h1) - tau_mu(f0, g0, h0) (Kirk and Lesch)
     at g = gamma B', h = gamma B carries the Sturm level of B' over: Lambda
-    = level(B') + sigma tau_mu(f, gamma B', gamma B), sigma = +1 on side
-    '+', -1 on '-', tau_mu by the trace-log formula of ``tau_mu``."""
+    = level(B') + tau_mu(f, gamma B', gamma B), tau_mu by the trace-log
+    formula of ``tau_mu``."""
     mu, line, ref = block.mu, np.array([1.0, 0.0]), _split_reference()
     inverse = phis.conj().swapaxes(-1, -2)
     middle = _branch_sums(ref @ inverse)  # tau_mu's term phi(gamma B') phi(gamma B)*
-    sigma = 1 if side == "+" else -1
 
     def level(lam, owner):
-        graphs = _solution_graphs(block, lam, ell, side)
+        graphs = _solution_graphs(block, lam, ell)
         raw = (_branch_sums(-graphs @ ref.conj().T) + middle[owner]
                - _branch_sums(-graphs @ inverse[owner])) / (2.0 * np.pi)
         tau = np.rint(raw)
         if not np.all(np.abs(raw - tau) <= INT_RESIDUE_TOL):
             raise NonIntegerResult(f"tau_mu is off the integers in the level of block mu={mu:.6g}")
-        return _sturm_level(mu, ell, line, line, lam).astype(int) + sigma * tau.astype(int)
+        return _sturm_level(mu, ell, line, line, lam).astype(int) + tau.astype(int)
 
     return level
 
 
-def _block_characteristics(block: DoubledBlock, phis: np.ndarray, side: str,
-                           coupled: bool = False) -> tuple:
+def _block_characteristics(block: DoubledBlock, phis: np.ndarray, coupled: bool = False) -> tuple:
     """(coef, lines, split) for graph unitaries phis (K, 2, 2): G's
     coefficients (K, 4), shared by roots and eta, ``_block_coefficients``
     (k0 = 0) where ``_block_lines`` splits a constraint, else (or with
     ``coupled``) ``_characteristic``."""
-    lines, split = _block_lines(block.space, phis, side)
+    lines, split = _block_lines(block.space, phis)
     if coupled:
         split = np.zeros_like(split)
     coef = np.zeros((len(phis), 4))
@@ -776,11 +783,11 @@ def _block_characteristics(block: DoubledBlock, phis: np.ndarray, side: str,
         coef[split, 1:] = np.stack(_block_coefficients(block.mu, lines[split, 0],
                                                        lines[split, 1]), axis=-1)
     if not split.all():
-        coef[~split] = _characteristic(block, phis[~split], side)
+        coef[~split] = _characteristic(block, phis[~split])
     return coef, lines, split
 
 
-def _block_roots(block: DoubledBlock, phis: np.ndarray, ell: float, side: str,
+def _block_roots(block: DoubledBlock, phis: np.ndarray, ell: float,
                  window: float, tol: float, coupled: bool = False) -> list[np.ndarray]:
     """Eigenvalues in [-window, window] from one doubled 2-D mode block, per
     block constraint (graph unitaries phis (K, 2, 2)): G's roots from one
@@ -792,8 +799,8 @@ def _block_roots(block: DoubledBlock, phis: np.ndarray, ell: float, side: str,
     certified: a root is never lost silently.
     """
     mu = block.mu
-    coef, lines, split = _block_characteristics(block, phis, side, coupled)
-    level = _triple_levels(block, phis, ell, side) if not split.all() else None
+    coef, lines, split = _block_characteristics(block, phis, coupled)
+    level = _triple_levels(block, phis, ell) if not split.all() else None
     plain = level is None  # every constraint splits: G has no term e k0
 
     def doubles(grid, members):
@@ -835,15 +842,14 @@ def _block_roots(block: DoubledBlock, phis: np.ndarray, ell: float, side: str,
                             mu, ell, window, tol, len(phis))
 
 
-def _block_etas(block: DoubledBlock, phis: np.ndarray, ell: float, side: str) -> list[EtaEstimate]:
+def _block_etas(block: DoubledBlock, phis: np.ndarray, ell: float) -> list[EtaEstimate]:
     """Eta of one doubled 2-D mode block in closed form, one per block
     constraint of graph unitaries phis (K, 2, 2): ``_contour_eta`` of G with
     the coefficients of its roots (``_block_characteristics``)."""
-    return [_contour_eta(block.mu, ell, *c) for c in _block_characteristics(block, phis, side)[0]]
+    return [_contour_eta(block.mu, ell, *c) for c in _block_characteristics(block, phis)[0]]
 
 
-def _block_spectra(op: ModelOperator, constraints: Sequence[Lagrangian], side: str,
-                   mode: Callable):
+def _block_spectra(op: ModelOperator, constraints: Sequence[Lagrangian], mode: Callable):
     """Per doubled block of the operator: (block, per constraint the kernel block's
     lattice offsets from ``_kernel_offsets``, or ``mode(block, phis)`` for a
     mode block, phis the graph unitaries of the block constraints of
@@ -852,18 +858,17 @@ def _block_spectra(op: ModelOperator, constraints: Sequence[Lagrangian], side: s
     Raises IncompatibleBoundary when a constraint does not meet every
     doubled block in half its dimension.
     """
-    ell = op.length
     frames = np.array([constraint.frame for constraint in constraints])
     for block in double_boundary(op).blocks:
         phis = _block_family(block, frames, DEFAULT_TOL)
         if block.is_kernel:
-            yield block, _kernel_offsets(block, ell, phis, side)
+            yield block, _kernel_offsets(block, op.length, phis)
         else:
             yield block, mode(block, phis)
 
 
 def _boundary_spectra(op: ModelOperator, constraints: Sequence[Lagrangian], window: float,
-                      side: str, tol: float) -> list[np.ndarray]:
+                      tol: float) -> list[np.ndarray]:
     """``boundary_spectrum`` of each Lagrangian of ``constraints``, the whole
     family solved block by block (``_block_roots``): the same arrays, bit for
     bit, as one constraint at a time.  A family that raises is solved again
@@ -872,21 +877,20 @@ def _boundary_spectra(op: ModelOperator, constraints: Sequence[Lagrangian], wind
     try:
         parts = [[] for _ in constraints]
         for block, found in _block_spectra(
-                op, constraints, side,
-                lambda b, phis: _block_roots(b, phis, op.length, side, window, tol)):
+                op, constraints, lambda b, phis: _block_roots(b, phis, op.length, window, tol)):
             for part, roots in zip(parts, found):
                 part.append(_lattice_in_window(roots, 2.0 * np.pi / op.length, window)
                             if block.is_kernel else roots)
     except SymflowError:
         if len(constraints) > 1:
             for constraint in constraints:
-                _boundary_spectra(op, [constraint], window, side, tol)
+                _boundary_spectra(op, [constraint], window, tol)
         raise
     return [np.sort(np.concatenate(part)) if part else np.array([]) for part in parts]
 
 
 def boundary_spectrum(op: ModelOperator, constraint: Lagrangian, window: float,
-                      side: str = "+", tol: float = 1e-10) -> np.ndarray:
+                      tol: float = 1e-10) -> np.ndarray:
     """Eigenvalues of the interval operator whose boundary data is constrained
     to the Lagrangian ``constraint`` of the double space H ⊕ H.
 
@@ -895,7 +899,7 @@ def boundary_spectrum(op: ModelOperator, constraint: Lagrangian, window: float,
     BracketingFailure; kernel blocks are exact lattices.  A family of one for
     ``_boundary_spectra``.
     """
-    return _boundary_spectra(op, [constraint], window, side, tol)[0]
+    return _boundary_spectra(op, [constraint], window, tol)[0]
 
 
 def interval_spectrum(op: ModelOperator, p: Lagrangian, q: Lagrangian,
@@ -910,10 +914,10 @@ def interval_spectrum(op: ModelOperator, p: Lagrangian, q: Lagrangian,
                              window, tol=tol)
 
 
-def interval_kernel_dim(op: ModelOperator, constraint: Lagrangian, side: str = "+",
+def interval_kernel_dim(op: ModelOperator, constraint: Lagrangian,
                         tol: float = DEFAULT_TOL) -> int:
     """dim ker of the interval operator = dim(Cauchy data ∩ constraint)."""
-    return intersection_dim(cauchy_data(op, side=side), constraint, tol)
+    return intersection_dim(cauchy_data(op), constraint, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -992,21 +996,20 @@ def eta_truncated(eigenvalues, n_max: Optional[int] = None,
     return EtaEstimate(est, bound, int(signs.size))
 
 
-def interval_eta_tilde(op: ModelOperator, constraint: Lagrangian, side: str = "+",
+def interval_eta_tilde(op: ModelOperator, constraint: Lagrangian,
                        cauchy: Optional[Lagrangian] = None) -> tuple[float, float]:
     """(reduced eta, bound) of the constrained interval operator.
 
     Kernel-block branches use the exact lattice form (bound 0), every 2-D
     mode block the closed form of ``_block_etas`` (bound at rounding level).
     The kernel dimension entering reduced eta is exact: the intersection of
-    the constraint with the Cauchy data of ``side``, ``cauchy`` when the
-    caller holds it (``cauchy_data(op, side)``).
+    the constraint with the Cauchy data, ``cauchy`` when the caller holds it
+    (``cauchy_data(op)``).
     """
     eta = 0.0
     bound = 0.0
     for block, (found,) in _block_spectra(
-            op, [constraint], side,
-            lambda b, phis: _block_etas(b, phis, op.length, side)):
+            op, [constraint], lambda b, phis: _block_etas(b, phis, op.length)):
         if block.is_kernel:
             for offset in found:
                 eta += eta_lattice(float(offset))[0]
@@ -1014,7 +1017,7 @@ def interval_eta_tilde(op: ModelOperator, constraint: Lagrangian, side: str = "+
             eta += found.eta
             bound += found.bound
     if cauchy is None:
-        cauchy = cauchy_data(op, side=side)
+        cauchy = cauchy_data(op)
     return 0.5 * (eta + intersection_dim(cauchy, constraint, DEFAULT_TOL)), 0.5 * bound
 
 
@@ -1056,15 +1059,11 @@ def caldconst_check(op_plus: ModelOperator, op_minus: ModelOperator,
     """
     if not op_plus.space.same_space(op_minus.space):
         raise DimensionMismatch("models must share the boundary space")
-    l_plus = cauchy_data(op_plus, side="+")
-    l_minus = cauchy_data(op_minus, side="-")
+    l_plus = cauchy_data(op_plus)
+    l_minus = swap_ends(op_minus, cauchy_data(op_minus))
     target = intersection_dim(l_plus, l_minus, tol)
     p_proj = l_plus.frame @ l_plus.frame.conj().T
-    d2 = l_plus.space.dim
-    cut_image = np.zeros((2 * d2, l_plus.frame.shape[1] + l_minus.frame.shape[1]),
-                         dtype=complex)
-    cut_image[:d2, : l_plus.frame.shape[1]] = l_plus.frame
-    cut_image[d2:, l_plus.frame.shape[1]:] = l_minus.frame
+    cut_image = _doubled(l_plus.frame, l_minus.frame)
     if thetas is None:
         thetas = np.linspace(0.0, np.pi / 4.0, 9)
     dims = []
@@ -1107,7 +1106,7 @@ def adiabatic_limit(op: ModelOperator, l_x: Optional[Lagrangian] = None,
     """
     dbs = double_boundary(op)
     if l_x is None:
-        l_x = cauchy_data(op, side="+")
+        l_x = cauchy_data(op)
     groups, scale = _eigenspaces(dbs.a_tilde, tol)
     thr = tol * 100 * scale
     f_minus = [v for mu, v in groups if mu < -nu - thr]
@@ -1146,20 +1145,15 @@ def adiabatic_limit(op: ModelOperator, l_x: Optional[Lagrangian] = None,
 # assembled verifiers
 
 
-def _constraint_of(boundary: Lagrangian) -> Lagrangian:
-    """Boundary-data constraint of the condition 'project to boundary Lagrangian
-    P and require zero': ker proj(P) = gamma P."""
-    return gamma_conjugate(boundary)
-
-
 def glue_verify(op_plus: ModelOperator, op_minus: ModelOperator, p: Lagrangian,
                 eta_tol: float = 1e-9) -> dict:
     """Verify the eta gluing identity on the circle glued from two intervals.
 
     eta~(circle) = eta~(D_P, M+) + eta~(D_{I-P}, M-) - tau_mu(I - P_-, P, P_+)
     with P a boundary Lagrangian of the double space, P_± the Cauchy data
-    projections.  The circle side and kernel blocks are exact; interval mode
-    blocks carry a rounding-level bound (``interval_eta_tilde``).  The
+    projections, M- being ``op_minus`` read from its far end (``swap_ends``).
+    The circle side and kernel blocks are exact; interval mode blocks carry
+    a rounding-level bound (``interval_eta_tilde``).  The
     identity must close within the bound and the integer part must equal the
     triple index exactly, else GluingViolation.
     """
@@ -1167,16 +1161,16 @@ def glue_verify(op_plus: ModelOperator, op_minus: ModelOperator, p: Lagrangian,
         raise DimensionMismatch("models must share the boundary space")
     if p.space.dim != double_boundary(op_plus).space.dim:
         raise DimensionMismatch("boundary Lagrangian must live in the double space")
-    l_plus = cauchy_data(op_plus, side="+")
-    l_minus = cauchy_data(op_minus, side="-")
+    l_plus, c_minus = cauchy_data(op_plus), cauchy_data(op_minus)
+    l_minus = swap_ends(op_minus, c_minus)
 
     # closed manifold: symmetric spectrum, kernel = ker A at the zero Fourier mode
     dim_ker_a = op_plus.kernel.frame.shape[1] if op_plus.kernel is not None else 0
     eta_circle = 0.5 * dim_ker_a
 
-    eta_p, bound_p = interval_eta_tilde(op_plus, _constraint_of(p), "+", l_plus)
-    # the minus piece carries the condition I - proj(P): constraint is im P itself
-    eta_m, bound_m = interval_eta_tilde(op_minus, p, "-", l_minus)
+    # D_P constrains boundary data to gamma P, D_{I-P} on the far piece to P
+    eta_p, bound_p = interval_eta_tilde(op_plus, gamma_conjugate(p), l_plus)
+    eta_m, bound_m = interval_eta_tilde(op_minus, swap_ends(op_minus, p), c_minus)
     triple = tau_mu(gamma_conjugate(l_minus), p, l_plus)
     bound = bound_p + bound_m
     delta = eta_circle - eta_p - eta_m
@@ -1217,8 +1211,8 @@ def nicolaescu_verify(op: ModelOperator, family: Sequence[tuple[float, Lagrangia
     0.97 window] over both samples; WindowEscape when that gap is under 1e-6,
     or when the two samples hold different numbers of eigenvalues inside it.
     """
-    l_x = cauchy_data(op, side="+")
-    spectra = _boundary_spectra(op, [_constraint_of(bnd) for _, bnd in family], window, "+", tol)
+    l_x = cauchy_data(op)
+    spectra = _boundary_spectra(op, [gamma_conjugate(bnd) for _, bnd in family], window, tol)
     sf = 0
     zero_thr = 1e-8
     for a, b in zip(spectra[:-1], spectra[1:]):
@@ -1263,11 +1257,11 @@ def sw_modz_check(op: ModelOperator, p: Lagrangian, q: Optional[Lagrangian] = No
     bound otherwise).
     """
     exact = op.kernel is not None and len(op.blocks) == 0
-    l_x = cauchy_data(op, side="+")
+    l_x = cauchy_data(op)
     strengthened = q is None
     q_eff = l_x if q is None else q
-    eta_p, bound_p = interval_eta_tilde(op, _constraint_of(p), "+", l_x)
-    eta_q, bound_q = interval_eta_tilde(op, _constraint_of(q_eff), "+", l_x)
+    eta_p, bound_p = interval_eta_tilde(op, gamma_conjugate(p), l_x)
+    eta_q, bound_q = interval_eta_tilde(op, gamma_conjugate(q_eff), l_x)
     delta = eta_p - eta_q
     det = complex(np.linalg.det(p.phi @ q_eff.phi.conj().T))
     modz_defect = abs(np.exp(2j * np.pi * delta) - det)

@@ -571,7 +571,7 @@ def suite_model_symmetry(rep: SuiteReport, rng, count: int = 50) -> None:
             if not block.is_kernel:
                 bc = md._block_constraint(block, constraint, DEFAULT_TOL)
                 split_block, coupled = (
-                    md._block_roots(block, bc.phi[None], op.geometry.length, "+", 8.0, 1e-10,
+                    md._block_roots(block, bc.phi[None], op.geometry.length, 8.0, 1e-10,
                                     coupled=forced)[0] for forced in (False, True))
                 agree = agree and _same_roots(coupled, split_block)
         return symmetric, near_zero == md.interval_kernel_dim(op, constraint), agree

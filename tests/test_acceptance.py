@@ -290,7 +290,7 @@ def test_criterion_14_adiabatic_limit():
         lim = md.adiabatic_limit(op, nu=0.0)
         mu_min = min(mus)
         dists = [sf.subspace_distance(
-            md.cauchy_data(op, side="+", length=float(r)), lim)
+            md.cauchy_data(op, length=float(r)), lim)
             for r in np.linspace(2.0 / mu_min, 50.0 / mu_min, 7)]
         assert all(b <= a + 1e-12 for a, b in zip(dists, dists[1:]))
         assert dists[-1] < 1e-8

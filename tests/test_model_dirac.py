@@ -43,11 +43,17 @@ def _block_root_function(mu, ell, p, q):
     return lambda lam: md._root_values(np.asarray(lam, dtype=float), coef, mu, ell)
 
 
-def split_lines(bc, side):
-    """The real unit lines (p, q) of a split block constraint, p at the end
-    the transfer matrix starts from; None for a coupled one."""
-    lines, split = md._block_lines(bc.space, bc.phi[None], side)
+def split_lines(bc):
+    """The real unit lines (p, q) of a split block constraint, p at slot 0,
+    where the transfer matrix starts; None for a coupled one."""
+    lines, split = md._block_lines(bc.space, bc.phi[None])
     return (lines[0, 0], lines[0, 1]) if split[0] else None
+
+
+def ends_swapped(bc):
+    """A block constraint with its two ends exchanged, from its frame with
+    the two halves of rows swapped: a route apart from ``swap_ends``."""
+    return sf.lagrangian_from_frame(bc.space, np.roll(bc.frame, 2, axis=0))
 
 
 def line(sp, angle):
@@ -128,10 +134,10 @@ def _space_per_block(op, monkeypatch):
         for b in dbs.blocks)
     levels = md._triple_levels
 
-    def own_reference(block, phis, ell, side):
+    def own_reference(block, phis, ell):
         monkeypatch.setattr(md, "_split_reference", lambda: sf.lagrangian_from_frame(
             block.space, np.eye(4)[:, [0, 2]]).phi)
-        return levels(block, phis, ell, side)
+        return levels(block, phis, ell)
 
     monkeypatch.setattr(md, "_triple_levels", own_reference)
     return dataclasses.replace(op, doubled=dataclasses.replace(dbs, blocks=blocks))
@@ -203,8 +209,10 @@ class TestDoubleBoundary:
         piece = dataclasses.replace(mu_one_model, geometry=md.Interval(0.7))
         assert md.double_boundary(piece) is md.double_boundary(mu_one_model)
         assert piece.blocks is mu_one_model.blocks
-        np.testing.assert_array_equal(md.cauchy_data(piece, "-").frame, md.cauchy_data(
-            md.build_model(piece.space, piece.a_matrix, piece.geometry), "-").frame)
+        assert md.double_boundary(piece).end_swap is md.double_boundary(mu_one_model).end_swap
+        rebuilt = md.build_model(piece.space, piece.a_matrix, piece.geometry)
+        np.testing.assert_array_equal(md.swap_ends(piece, md.cauchy_data(piece)).frame,
+                                      md.swap_ends(rebuilt, md.cauchy_data(rebuilt)).frame)
 
     def test_a_circle_has_none(self):
         circle = md.build_model(sf.standard_space(1), np.diag([1.0, -1.0]), md.Circle(2.0))
@@ -281,6 +289,70 @@ class TestCauchyData:
             md.cauchy_data(op)  # raises NotLagrangian on any defect
 
 
+def _far_cauchy_frame(op):
+    """{(e^{-LA} w, w)} from ``np.linalg.eigh(A)``: for orthonormal
+    eigenvectors v the columns (e^{-L a} v, v) are orthogonal, so normalizing
+    each gives an orthonormal frame."""
+    a = op.a_matrix
+    assert np.allclose(a, a.conj().T, rtol=0.0, atol=1e-12)
+    vals, vecs = np.linalg.eigh(a)
+    cols = np.vstack([vecs * np.exp(-op.length * vals), vecs])
+    return cols / np.linalg.norm(cols, axis=0)
+
+
+def _swap_conditions(op, rng):
+    """Conditions of the double space of ``op`` that meet the far Cauchy data
+    in every dimension from 0 to dim H: split, coupled, transmission, Cauchy
+    data of another length, the near and far Cauchy data and gamma of them."""
+    dbs = md.double_boundary(op)
+    near, far = md.cauchy_data(op), sf.lagrangian_from_frame(dbs.space, _far_cauchy_frame(op))
+    p = random_boundary_on_h(op, rng)
+    other = dataclasses.replace(op, geometry=md.Interval(float(rng.uniform(0.3, 2.0))))
+    return [random_split_boundary(op, rng), md.direct_sum_lagrangian(dbs, p, p),
+            random_coupled_boundary(dbs, rng), md.transmission_lagrangian(dbs),
+            md.cauchy_data(other), near, far, sf.gamma_conjugate(far)]
+
+
+class TestSwapEnds:
+    def test_is_an_involution(self):
+        rng = rng_for(52, 31)
+        for _ in range(12):
+            op, _ = random_model(rng)
+            for c in _swap_conditions(op, rng):
+                twice = md.swap_ends(op, md.swap_ends(op, c))
+                assert twice.space is c.space
+                assert np.max(np.abs(twice.phi - c.phi)) <= 1e-15
+
+    def test_far_cauchy_data_from_eigh(self, mu_one_model, zero_mode_model):
+        rng = rng_for(52, 32)
+        ops = [mu_one_model, zero_mode_model] + [random_model(rng)[0] for _ in range(12)]
+        for op in ops:
+            far = md.swap_ends(op, md.cauchy_data(op))
+            assert sf.subspace_distance(far.frame, _far_cauchy_frame(op)) <= 1e-12
+
+    def test_kernel_dim_of_the_far_piece(self):
+        # the far piece's kernel under C is the far Cauchy data meet C,
+        # intersected here from the eigh frame; models with a kernel block
+        rng = rng_for(52, 33)
+        dims, checked = set(), 0
+        while checked < 10:
+            op, _ = random_model(rng)
+            if op.kernel is None:
+                continue
+            checked += 1
+            far = _far_cauchy_frame(op)
+            for c in _swap_conditions(op, rng):
+                want = intersect_subspaces([far, c.frame], md.DEFAULT_TOL).shape[1]
+                assert md.interval_kernel_dim(op, md.swap_ends(op, c)) == want
+                dims.add(want)
+        assert len(dims) >= 3 and 0 in dims
+
+    def test_rejects_a_foreign_lagrangian(self, mu_one_model):
+        with pytest.raises(sf.errors.DimensionMismatch):
+            md.swap_ends(mu_one_model, random_lagrangian(sf.standard_space(2),
+                                                         rng_for(52, 34)))
+
+
 class TestIntervalSpectrum:
     def test_aligned_kernel_block_is_pi_lattice(self, zero_mode_model):
         sp = zero_mode_model.space
@@ -340,7 +412,7 @@ class TestIntervalSpectrum:
                 lp, lq = (_real_line_rep(trace(lag, b.frame).ravel()) for lag in (gp, q))
                 block, bc, _, _ = _line_block(b.mu, 1.3, np.arctan2(lp[1], lp[0]),
                                               np.arctan2(lq[1], lq[0]))
-                expected.append(md._block_roots(block, bc.phi[None], 1.3, "+", window, 1e-10)[0])
+                expected.append(md._block_roots(block, bc.phi[None], 1.3, window, 1e-10)[0])
             ksp = op.kernel.block_space
             lp = sf.lagrangian_from_frame(ksp, trace(gp, op.kernel.frame))
             lq = sf.lagrangian_from_frame(ksp, trace(q, op.kernel.frame))
@@ -684,9 +756,9 @@ def _split_block(rng, mu, ell):
 def _root_sum_reference(block, bc, ell, n_max=10_000):
     """The eta of a split block by the route the contour replaces: bracket the
     roots in a window holding about n_max of them, then ``eta_truncated``."""
-    assert split_lines(bc, "+") is not None
+    assert split_lines(bc) is not None
     window = (n_max / 2.0) * np.pi / ell + 5.0 * block.mu + 5.0
-    (roots,) = md._block_roots(block, bc.phi[None], ell, "+", window, 1e-10)
+    (roots,) = md._block_roots(block, bc.phi[None], ell, window, 1e-10)
     return md.eta_truncated(roots, n_max=n_max)
 
 
@@ -700,7 +772,7 @@ class TestContourEta:
         for _ in range(12):
             ell = float(rng.uniform(0.5, 2.0))
             _, block, bc = _split_block(rng, float(rng.uniform(0.1, 3.0)), ell)
-            got = md._block_etas(block, bc.phi[None], ell, "+")[0]
+            got = md._block_etas(block, bc.phi[None], ell)[0]
             ref = _root_sum_reference(block, bc, ell)
             assert abs(got.eta - ref.eta) <= ref.bound
             assert 0.0 < got.bound < 1e-14 and got.n_used == 0
@@ -730,7 +802,7 @@ class TestContourEta:
         constraint = md.direct_sum_lagrangian(dbs, line(op.space, ang), line(op.space, far))
         (block,) = dbs.blocks
         bc = md._block_constraint(block, constraint, 1e-9)
-        p, q = split_lines(bc, "+")
+        p, q = split_lines(bc)
         f = _block_root_function(block.mu, 1.0, p, q)
         root = -f(0.0) / ((f(1e-6) - f(-1e-6)) / 2e-6)
         assert abs(root) < 1e-11 and (shift == 0.0 or root * shift < 0 and abs(root) > 1e-12)
@@ -824,14 +896,16 @@ class TestCoupledContourEta:
     @pytest.mark.parametrize("side", ["+", "-"])
     def test_against_mpmath(self, side):
         # the continuous argument of the unscaled det [F(iy) | B] at 40 digits,
-        # F the graph frame: a route through neither phi(B) nor M1, M2 and N;
-        # the tail is one principal difference from within 1/4 of the limit
+        # F the graph frame over slot 0 (side +) or, for a far piece, slot 1:
+        # a route through neither phi(B) nor M1, M2 and N; the far piece's eta
+        # is that of B with its ends swapped.  The tail is one principal
+        # difference from within 1/4 of the limit
         mp = pytest.importorskip("mpmath")
         rng = rng_for(101, 1 if side == "+" else 2)
         for _ in range(4):
             mu, ell = float(rng.uniform(0.2, 3.0)), float(rng.uniform(0.5, 2.0))
             _, block, bc = _coupled_block(rng, mu, ell)
-            assert split_lines(bc, side) is None
+            assert split_lines(bc) is None
             b_frame = mp.matrix(bc.frame.tolist())
             j, z = mp.matrix([[0, 1], [-1, 0]]), mp.matrix([[1, 0], [0, -1]])
 
@@ -866,7 +940,8 @@ class TestCoupledContourEta:
             change = np.sum(steps) + np.angle(limit * np.exp(-1j * args[-1]))
             turns = round((change - (np.angle(limit) - args[0])) / (2.0 * np.pi))
             want = -(2.0 / np.pi) * (np.angle(limit) - args[0] + 2.0 * np.pi * turns)
-            got = md._block_etas(block, bc.phi[None], ell, side)[0]
+            near = bc if side == "+" else ends_swapped(bc)
+            got = md._block_etas(block, near.phi[None], ell)[0]
             assert abs(got.eta - want) <= got.bound + 1e-15
             assert got.bound == md.CONTOUR_ROUNDING and got.n_used == 0
 
@@ -879,10 +954,10 @@ class TestCoupledContourEta:
             mu, ell = float(rng.uniform(0.2, 2.5)), float(rng.uniform(0.5, 2.0))
             _, block, bc = _coupled_block(rng, mu, ell)
             window = (n_max / 2.0) * np.pi / ell + 5.0 * mu + 5.0
-            for side in "+-":
-                (roots,) = md._block_roots(block, bc.phi[None], ell, side, window, 1e-10)
+            for cond in (bc, ends_swapped(bc)):
+                (roots,) = md._block_roots(block, cond.phi[None], ell, window, 1e-10)
                 ref = md.eta_truncated(roots, n_max=n_max)
-                got = md._block_etas(block, bc.phi[None], ell, side)[0]
+                got = md._block_etas(block, cond.phi[None], ell)[0]
                 assert abs(got.eta - ref.eta) <= ref.bound < 5e-3
 
     def test_coupled_blocks_sum_no_roots(self, monkeypatch):
@@ -906,8 +981,10 @@ class TestCoupledContourEta:
         for lag in (md.transmission_lagrangian(dbs),
                     sf.gamma_conjugate(md.transmission_lagrangian(dbs))):
             bc = md._block_constraint(block, lag, 1e-9)
-            assert split_lines(bc, side) is None
-            assert md._block_etas(block, bc.phi[None], 1.0, side)[0].eta == 0.0
+            if side == "-":
+                bc = ends_swapped(bc)
+            assert split_lines(bc) is None
+            assert md._block_etas(block, bc.phi[None], 1.0)[0].eta == 0.0
 
     def test_foreign_cauchy_data_land_in_the_symmetric_band(self, monkeypatch):
         # Cauchy data of another length make the spectrum symmetric: n1 is
@@ -917,9 +994,9 @@ class TestCoupledContourEta:
         monkeypatch.setattr(md, "_contour_eta", lambda *a: seen.append(a[-1]) or contour(*a))
         for seed in range(1, 9):
             block, bc, ell = TestCoupledBlockRoots.foreign_cauchy_block(seed)
-            for side in "+-":
-                assert md._block_etas(block, bc.phi[None], ell, side)[0].eta == 0.0
-            roots = md._block_roots(block, bc.phi[None], ell, "+", 10.0, 1e-10)[0]
+            for cond in (bc, ends_swapped(bc)):
+                assert md._block_etas(block, cond.phi[None], ell)[0].eta == 0.0
+            roots = md._block_roots(block, bc.phi[None], ell, 10.0, 1e-10)[0]
             np.testing.assert_allclose(roots, -roots[::-1], atol=1e-8)
         assert len(seen) == 16 and max(map(abs, seen)) <= md.CONTOUR_ROUNDING
 
@@ -928,7 +1005,8 @@ class TestCoupledContourEta:
         # B = V graph(0) with V = Q diag(e^{i alpha}, e^{i theta}) Q*: W(0) has
         # the eigenvalue e^{-i alpha}, so alpha = 0 puts a root at 0 and alpha =
         # +-1e-6 moves it off 0 to either side; the kernel mode must count as
-        # neither, the mean of the two
+        # neither, the mean of the two.  On side - the solutions' graph sits
+        # over slot 1, and the eta is that of B with its ends swapped
         rng = rng_for(101, 5 if side == "+" else 6)
         for _ in range(4):
             mu, ell = float(rng.uniform(0.2, 2.5)), float(rng.uniform(0.5, 2.0))
@@ -942,8 +1020,9 @@ class TestCoupledContourEta:
             def eta_at(alpha):
                 v = q @ np.diag(np.exp(1j * np.array([alpha, theta]))) @ q.conj().T
                 bc = sf.lagrangian_from_phi(block.space, v @ graph.phi)
-                assert split_lines(bc, side) is None
-                return md._block_etas(block, bc.phi[None], ell, side)[0].eta
+                assert split_lines(bc) is None
+                near = bc if side == "+" else ends_swapped(bc)
+                return md._block_etas(block, near.phi[None], ell)[0].eta
 
             kernel, above, below = eta_at(0.0), eta_at(1e-6), eta_at(-1e-6)
             assert abs(abs(above - below) - 2.0) < 1e-4
@@ -996,13 +1075,14 @@ class TestSplitLines:
                         continue
                     bc = md._block_constraint(block, constraint, 1e-9)
                     want = self.svd_lines(bc)
-                    got = split_lines(bc, "+")
+                    got = split_lines(bc)
                     assert (want is not None) == (got is not None) == split
                     for g, w in zip(got or (), want or ()):
                         assert min(np.linalg.norm(g - w), np.linalg.norm(g + w)) < 1e-12
                     if split:
-                        assert all(np.array_equal(a, b) for a, b in
-                                   zip(split_lines(bc, "-"), got[::-1]))
+                        # the ends swapped give the same lines the other way round
+                        for g, w in zip(split_lines(ends_swapped(bc)), got[::-1]):
+                            assert min(np.linalg.norm(g - w), np.linalg.norm(g + w)) < 1e-12
 
     def test_boundary_spectrum_takes_one_svd_per_block(self, monkeypatch):
         # the one stacked SVD of the block traces in _block_family; finding
@@ -1020,7 +1100,7 @@ class TestSplitLines:
         assert len(dbs.blocks) == 3 and len(calls) == 3
         # a family of F constraints: one stacked SVD per block as well
         calls.clear()
-        md._boundary_spectra(op, family, 6.0, "+", 1e-10)
+        md._boundary_spectra(op, family, 6.0, 1e-10)
         assert len(calls) == 3
 
 
@@ -1042,7 +1122,7 @@ class TestCoupledBlockRoots:
         rng.uniform(1.5, 2.5)  # the length of the other piece
         op = md.build_model(sp, a, md.Interval(ell))
         dbs = md.double_boundary(op)
-        p = md.cauchy_data(op, "+", length=float(rng.uniform(0.3, 0.8)))
+        p = md.cauchy_data(op, length=float(rng.uniform(0.3, 0.8)))
         block = next(b for b in dbs.blocks if not b.is_kernel)
         bc = md._block_constraint(block, sf.gamma_conjugate(p), 1e-9)
         return block, bc, ell
@@ -1051,7 +1131,7 @@ class TestCoupledBlockRoots:
     def test_one_root_per_eigenphase_crossing(self, window):
         block, bc, ell = self.foreign_cauchy_block(1)
         assert abs(block.mu - 0.250) < 1e-3 and abs(ell - 2.187) < 1e-3
-        (roots,) = md._block_roots(block, bc.phi[None], ell, "+", window, 1e-10)
+        (roots,) = md._block_roots(block, bc.phi[None], ell, window, 1e-10)
 
         def minus_w(t):
             lam = window * (2.0 * t - 1.0)
@@ -1094,11 +1174,11 @@ class TestCoupledBlockRoots:
         op = md.build_model(sp, a, md.Interval(16.0))
         dbs = md.double_boundary(op)
         block = next(b for b in dbs.blocks if not b.is_kernel)
-        p = md.cauchy_data(op, "+", length=0.7 * 16.0)
+        p = md.cauchy_data(op, length=0.7 * 16.0)
         bc = md._block_constraint(block, sf.gamma_conjugate(p), 1e-9)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            (roots,) = md._block_roots(block, bc.phi[None], 16.0, "+", 60.0, 1e-10)
+            (roots,) = md._block_roots(block, bc.phi[None], 16.0, 60.0, 1e-10)
             got = md.boundary_spectrum(op, md.transmission_lagrangian(dbs), 60.0)
         assert roots.size > 100 and np.max(np.abs(roots + roots[::-1])) < 1e-9
         want = md.circle_spectrum(md.build_model(sp, a, md.Circle(16.0)), 60.0)
@@ -1148,11 +1228,11 @@ class TestCertifiedRoots:
     @pytest.mark.parametrize("mu, ell, a, b, count, pair", CLOSE_PAIRS, ids=["gap1", "gap2"])
     def test_close_gap_pairs_are_not_lost(self, mu, ell, a, b, count, pair):
         block, bc, p, q = _line_block(mu, ell, a, b)
-        (roots,) = md._block_roots(block, bc.phi[None], ell, "+", 14.0, 1e-10)
+        (roots,) = md._block_roots(block, bc.phi[None], ell, 14.0, 1e-10)
         assert roots.size == count == _scaled_sign_changes(mu, ell, p, q, 14.0, 2_000_001)
         # the coupled branch on the same constraint: G from M1 and M2, counted
         # by the triple index
-        (coupled,) = md._block_roots(block, bc.phi[None], ell, "+", 14.0, 1e-10, coupled=True)
+        (coupled,) = md._block_roots(block, bc.phi[None], ell, 14.0, 1e-10, coupled=True)
         assert np.max(np.abs(roots - coupled)) < 1e-9
         assert all(np.min(np.abs(roots - r)) < 1e-3 for r in pair)
 
@@ -1167,7 +1247,7 @@ class TestCertifiedRoots:
         assert coarse == count - 2
         assert md._sturm_count(mu, ell, p, q, grid[0], grid[-1]) == count
         block, bc, _, _ = _line_block(mu, ell, a, b)
-        assert md._block_roots(block, bc.phi[None], ell, "+", 14.0, 1e-10)[0].size == count
+        assert md._block_roots(block, bc.phi[None], ell, 14.0, 1e-10)[0].size == count
 
     def test_sturm_count_against_a_dense_sign_count(self):
         rng = rng_for(93, 1)
@@ -1193,7 +1273,7 @@ class TestCertifiedRoots:
             dbs = md.double_boundary(op)
             bc = md._block_constraint(
                 dbs.blocks[0], md.direct_sum_lagrangian(dbs, sf.gamma_conjugate(p), q), 1e-9)
-            lines = split_lines(bc, "+")
+            lines = split_lines(bc)
             assert lams.size == _scaled_sign_changes(op.blocks[0].mu, ell, *lines, 30.0), seed
 
     @pytest.mark.parametrize("engine", ["split", "coupled"])
@@ -1203,7 +1283,7 @@ class TestCertifiedRoots:
             ell = 1.7
         else:
             block, bc, ell = TestCoupledBlockRoots.foreign_cauchy_block(1)
-        assert md._block_roots(block, bc.phi[None], ell, "+", 10.0, 1e-10)[0].size > 0
+        assert md._block_roots(block, bc.phi[None], ell, 10.0, 1e-10)[0].size > 0
         crossing_signs = md.crossing_signs
 
         def lossy(before, after):
@@ -1214,7 +1294,7 @@ class TestCertifiedRoots:
 
         monkeypatch.setattr(md, "crossing_signs", lossy)
         with pytest.raises(sf.errors.BracketingFailure):
-            md._block_roots(block, bc.phi[None], ell, "+", 10.0, 1e-10)
+            md._block_roots(block, bc.phi[None], ell, 10.0, 1e-10)
 
     def test_a_lost_double_root_raises(self, monkeypatch):
         # the transmission condition's roots past mu are double, where G only
@@ -1223,27 +1303,31 @@ class TestCertifiedRoots:
         dbs = md.double_boundary(op)
         (block,) = dbs.blocks
         bc = md._block_constraint(block, md.transmission_lagrangian(dbs), 1e-9)
-        (roots,) = md._block_roots(block, bc.phi[None], 1.0, "+", 10.0, 1e-10)
+        (roots,) = md._block_roots(block, bc.phi[None], 1.0, 10.0, 1e-10)
         double = np.hypot(1.0, 2.0 * np.pi)
         np.testing.assert_allclose(roots, [-double, -double, -1.0, 1.0, double, double],
                                    rtol=0.0, atol=1e-10)
         slopes = md._root_slopes
         monkeypatch.setattr(md, "_root_slopes", lambda *args: np.abs(slopes(*args)))
         with pytest.raises(BracketingFailure, match="not certified"):
-            md._block_roots(block, bc.phi[None], 1.0, "+", 10.0, 1e-10)
+            md._block_roots(block, bc.phi[None], 1.0, 10.0, 1e-10)
 
     @pytest.mark.parametrize("side", ["+", "-"])
     def test_triple_level_drops_as_the_sturm_level(self, side):
         # split constraints other than B' (the line (1, 0) at both ends): over
         # every grid step the triple-index level drops as the closed-form
-        # Sturm level does, which pins the sign sigma of each side
+        # Sturm level does, which pins the sign of tau_mu in the level; on
+        # side - the constraint has its ends swapped, and the Sturm level
+        # takes its lines the other way round
         rng = rng_for(93, 3 if side == "+" else 4)
         for _ in range(10):
             mu, ell = rng.uniform(0.2, 3.0), rng.uniform(0.5, 3.0)
             block, bc, _, _ = _line_block(mu, ell, *rng.uniform(0.0, np.pi, size=2))
-            p, q = split_lines(bc, side)
+            p, q = split_lines(bc) if side == "+" else split_lines(bc)[::-1]
+            if side == "-":
+                bc = ends_swapped(bc)
             grid = md._scan_grid(14.0, block.mu, ell)
-            level = md._triple_levels(block, bc.phi[None], ell, side)(grid, 0)
+            level = md._triple_levels(block, bc.phi[None], ell)(grid, 0)
             np.testing.assert_array_equal(np.diff(level),
                                           np.diff(md._sturm_level(block.mu, ell, p, q, grid)))
             count = md._sturm_count(block.mu, ell, p, q, grid[0], grid[-1])
@@ -1268,11 +1352,11 @@ class TestCertifiedRoots:
             a, b = rng.uniform(0.0, np.pi, size=2)
             block, bc, p, q = _line_block(mu, ell, a, b)
             f = _block_root_function(mu, ell, p, q)
-            for r in md._block_roots(block, bc.phi[None], ell, "+", 10.0, tol)[0]:
+            for r in md._block_roots(block, bc.phi[None], ell, 10.0, tol)[0]:
                 assert abs(bisect(lambda x: float(f(x)), r - 1e-6, r + 1e-6) - r) <= tol
         for seed in range(1, 4):
             block, bc, ell = TestCoupledBlockRoots.foreign_cauchy_block(seed)
-            (roots,) = md._block_roots(block, bc.phi[None], ell, "+", 10.0, tol)
+            (roots,) = md._block_roots(block, bc.phi[None], ell, 10.0, tol)
             assert roots.size and np.min(np.diff(roots)) > 1e-5
 
             def phase(x):  # the eigenphase of W nearest 0 crosses it at a simple root
@@ -1329,7 +1413,7 @@ class TestFamilySpectra:
 
     @staticmethod
     def assert_as_alone(op, constraints, window):
-        got = md._boundary_spectra(op, constraints, window, "+", 1e-10)
+        got = md._boundary_spectra(op, constraints, window, 1e-10)
         assert len(got) == len(constraints)
         for spectrum, constraint in zip(got, constraints):
             assert np.array_equal(spectrum, md.boundary_spectrum(op, constraint, window))
@@ -1357,7 +1441,7 @@ class TestFamilySpectra:
         dbs = md.double_boundary(op)
         split = _rotation_constraints(op, rng_for(16, 4), 1.0)[:8]
         coupled = [md.transmission_lagrangian(dbs),
-                   sf.gamma_conjugate(md.cauchy_data(op, "+", length=0.7))]
+                   sf.gamma_conjugate(md.cauchy_data(op, length=0.7))]
         self.assert_as_alone(op, split[:3] + coupled[:1] + split[3:6] + coupled[1:] + split[6:],
                              14.0)
 
@@ -1377,7 +1461,7 @@ class TestFamilySpectra:
             return out
 
         monkeypatch.setattr(md, "_root_values", values)
-        got = md._boundary_spectra(op, family, 10.0, "+", 1e-10)
+        got = md._boundary_spectra(op, family, 10.0, 1e-10)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
         assert len(scans) >= len(family) // 5 and max(scans) <= cap
 
@@ -1392,10 +1476,10 @@ class TestFamilySpectra:
         if engine == "split":
             op = _planted(2, [0.6], 2, ell=1.9)
             md._boundary_spectra(op, _rotation_constraints(op, rng_for(16, 5), 1.0)[::8],
-                                 10.0, "+", 1e-10)
+                                 10.0, 1e-10)
         else:
             block, bc, ell = TestCoupledBlockRoots.foreign_cauchy_block(1)
-            md._block_roots(block, bc.phi[None], ell, "+", 10.0, 1e-10)
+            md._block_roots(block, bc.phi[None], ell, 10.0, 1e-10)
         lo, hi, flo, fhi, carry, at, tol = calls[-1]  # the polish of every bracket comes last
         pick = np.linspace(0, lo.size - 1, 8).astype(int)
         if engine == "split":
@@ -1412,12 +1496,12 @@ class TestFamilySpectra:
         op = _planted(3, [0.5, 1.9], 3)
         dbs = md.double_boundary(op)
         family = _rotation_constraints(op, rng_for(16, 6), 0.5)[::4]
-        md._boundary_spectra(op, family, 10.0, "+", 1e-10)
+        md._boundary_spectra(op, family, 10.0, 1e-10)
         blocks = [b for b in dbs.blocks if not b.is_kernel]
         sturm = md._sturm_count
 
         def lines(j, block):
-            return split_lines(md._block_constraint(block, family[j], md.DEFAULT_TOL), "+")
+            return split_lines(md._block_constraint(block, family[j], md.DEFAULT_TOL))
 
         def one_more_at(marks):
             def count(mu, ell, p, q, lo, hi):
@@ -1429,17 +1513,17 @@ class TestFamilySpectra:
         # the extra root of sample 4 in the second block is never bracketed
         monkeypatch.setattr(md, "_sturm_count", one_more_at([(blocks[1], lines(4, blocks[1]))]))
         with pytest.raises(BracketingFailure, match=f"mu={blocks[1].mu:.6g} not certified"):
-            md._boundary_spectra(op, family, 10.0, "+", 1e-10)
+            md._boundary_spectra(op, family, 10.0, 1e-10)
         rest = family[:4] + family[5:]
         assert all(np.array_equal(a, b) for a, b in zip(
-            md._boundary_spectra(op, rest, 10.0, "+", 1e-10),
+            md._boundary_spectra(op, rest, 10.0, 1e-10),
             [md.boundary_spectrum(op, c, 10.0) for c in rest]))
         # two failing samples: the error is the first sample's, as alone,
         # though a later sample fails in an earlier block
         monkeypatch.setattr(md, "_sturm_count", one_more_at(
             [(blocks[1], lines(2, blocks[1])), (blocks[0], lines(5, blocks[0]))]))
         with pytest.raises(BracketingFailure) as family_error:
-            md._boundary_spectra(op, family, 10.0, "+", 1e-10)
+            md._boundary_spectra(op, family, 10.0, 1e-10)
         with pytest.raises(BracketingFailure) as alone_error:
             md.boundary_spectrum(op, family[2], 10.0)
         assert str(family_error.value) == str(alone_error.value)
@@ -1495,7 +1579,7 @@ class TestFamilyErrors:
         with pytest.raises(IncompatibleBoundary) as alone:
             md.boundary_spectrum(op, bad, 10.0)
         with pytest.raises(IncompatibleBoundary) as family_error:
-            md._boundary_spectra(op, family[:4] + [bad] + family[4:], 10.0, "+", 1e-10)
+            md._boundary_spectra(op, family[:4] + [bad] + family[4:], 10.0, 1e-10)
         assert str(family_error.value) == str(alone.value)
 
     def test_non_lagrangian_block_trace_in_the_middle(self):

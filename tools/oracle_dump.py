@@ -102,11 +102,13 @@ def _draw_digests(seed: int) -> str:
 def _nicolaescu_outputs() -> dict[str, str]:
     """Per seed-1 ``model`` Nicolaescu family, its ``.out`` text: the
     families are parsed as ``bench/run.py`` parses them, and each sample's
-    spectrum is ``_boundary_spectra`` of its constraint, as
-    ``nicolaescu_verify`` takes it."""
+    spectrum is ``boundary_spectrum`` of its constraint gamma P, bit for bit
+    what ``nicolaescu_verify`` takes.  Only public functions are called, so
+    one copy of this tool dumps any two checkouts."""
     sys.path.insert(0, str(ROOT / "bench"))
     import workloads
     from symflow import model_dirac as md, serialization as ser
+    from symflow.lagrangian_indices import gamma_conjugate
     from symflow.errors import SymflowError
 
     def parse(doc, frames):
@@ -120,9 +122,8 @@ def _nicolaescu_outputs() -> dict[str, str]:
             rec, code = md.nicolaescu_verify(op, family, window=window), 0
         except SymflowError as exc:
             rec, code = {"error": type(exc).__name__, "detail": str(exc)}, 1
-        constraints = [md._constraint_of(bnd) for _, bnd in family]
-        spectra = md._boundary_spectra(op, constraints, window, "+", 1e-10)
-        rec["spectra"] = [s.tolist() for s in spectra]
+        rec["spectra"] = [md.boundary_spectrum(op, gamma_conjugate(bnd), window).tolist()
+                          for _, bnd in family]
         return f"{json.dumps(rec, sort_keys=True)}\nexit: {code}\n"
 
     with tempfile.TemporaryDirectory() as tmp:
