@@ -17,8 +17,6 @@ import sys
 import time
 from typing import Callable, Optional
 
-import numpy as np
-
 from . import model_dirac as md
 from .errors import (
     BracketingFailure,
@@ -214,8 +212,7 @@ def _failure(exc: SymflowError, **ident) -> tuple[dict, int]:
 def _emit(reports, out_path: Optional[str], pretty: bool):
     text = "".join(
         json.dumps(r, indent=2 if pretty else None,
-                   separators=None if pretty else (",", ":"), sort_keys=True,
-                   default=_json_default) + "\n"
+                   separators=None if pretty else (",", ":"), sort_keys=True) + "\n"
         for r in reports
     )
     if out_path:
@@ -223,18 +220,6 @@ def _emit(reports, out_path: Optional[str], pretty: bool):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, complex):
-        return complex_to_json(obj)
-    raise TypeError(f"cannot serialize {type(obj)}")
 
 
 def cmd_run(args) -> int:
@@ -278,11 +263,7 @@ def cmd_verify(args) -> int:
     # imported here: only `verify` needs the suites, so no other command loads them
     from . import verification
 
-    try:
-        reports = verification.run_suite(args.suite, seed=args.seed, count=args.count)
-    except KeyError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    reports = verification.run_suite(args.suite, seed=args.seed, count=args.count)
     lines = []
     ok = True
     for rep in reports:

@@ -47,9 +47,9 @@ class LagrangianPairPath:
         self.space = space
 
     @classmethod
-    def from_generator(cls, generator, t0: float = 0.0, t1: float = 1.0,
-                       initial_samples: int = 17):
-        ts = np.linspace(t0, t1, initial_samples)
+    def from_generator(cls, generator, initial_samples: int = 17):
+        """Sample ``generator`` at evenly spaced times of [0, 1]."""
+        ts = np.linspace(0.0, 1.0, initial_samples)
         return cls([(float(t), *generator(float(t))) for t in ts], generator)
 
     def induced_unitary_path(self) -> UnitaryPath:

@@ -29,6 +29,7 @@ import numpy as np
 from ._linalg import (
     DEFAULT_TOL,
     INT_RESIDUE_TOL,
+    QUIET,
     as_complex_matrix,
     crossing_signs,
     intersect_subspaces,
@@ -103,6 +104,8 @@ __all__ = [
 # MAX_N_MAX roots per half-line needs at a quarter of the root spacing.
 MAX_N_MAX = 100_000
 MAX_SCAN_POINTS = 8 * MAX_N_MAX
+# The width below which a root of a mode block is polished.
+ROOT_TOL = 1e-10
 # A root with |lambda| at most this is a kernel mode: eta leaves it out and
 # the reduced eta counts it through the Cauchy-data kernel dimension.
 ZERO_ROOT = 1e-9
@@ -135,14 +138,9 @@ class ModeBlock:
 
     mu: float
     frame: np.ndarray  # 2n x 2 for mu > 0, 2n x 2m for the kernel block
-    block_space: Optional[SymplecticSpace] = None  # kernel block only
 
     def __post_init__(self):
         object.__setattr__(self, "frame", readonly(self.frame))
-
-    @property
-    def is_kernel(self) -> bool:
-        return self.mu == 0.0
 
 
 @dataclass(frozen=True)
@@ -172,17 +170,16 @@ def build_model(space: SymplecticSpace, a_matrix, geometry,
                 tol: float = DEFAULT_TOL) -> ModelOperator:
     """Validate (gamma, A) and decompose H into mode blocks.
 
-    Blocks are sorted by mu ascending with phase-fixed bases; the kernel
-    block, when present, carries its own symplectic space in block
-    coordinates.  An interval model gets its double boundary space here,
-    at DEFAULT_TOL.
+    Blocks are sorted by mu ascending with phase-fixed bases.  An interval
+    model gets its double boundary space here, at DEFAULT_TOL.
     """
     a = as_complex_matrix(a_matrix)
     if a.shape != (space.dim, space.dim):
         raise DimensionMismatch(f"A must be {space.dim} x {space.dim}")
-    if not norm_at_most(a - a.conj().T, tol * 10, scale=a):
+    with np.errstate(**QUIET):  # an entry near the float maximum overflows: inf fails
+        skew, anti = a - a.conj().T, space.gamma @ a + a @ space.gamma
+    if not norm_at_most(skew, tol * 10, scale=a):
         raise AnticommutationFailure("A is not Hermitian within tolerance")
-    anti = space.gamma @ a + a @ space.gamma
     if not norm_at_most(anti, tol * 100, scale=a):
         raise AnticommutationFailure(
             f"gamma A + A gamma has norm {np.linalg.norm(anti, 2):.3e}"
@@ -208,9 +205,7 @@ def build_model(space: SymplecticSpace, a_matrix, geometry,
     kernel = None
     ker_mask = ~(pos | neg)
     if np.count_nonzero(ker_mask):
-        kframe = phase_fix_columns(orthonormal_columns(vecs[:, ker_mask], tol))
-        gamma_k = kframe.conj().T @ space.gamma @ kframe
-        kernel = ModeBlock(0.0, kframe, space_from_gamma(gamma_k, tol))
+        kernel = ModeBlock(0.0, phase_fix_columns(orthonormal_columns(vecs[:, ker_mask], tol)))
     total = sum(b.frame.shape[1] for b in blocks) + (kernel.frame.shape[1] if kernel else 0)
     if total != space.dim:
         raise AsymmetricSpectrum(f"blocks span {total} of {space.dim} dimensions")
@@ -382,28 +377,21 @@ def _block_family(block: DoubledBlock, frames: np.ndarray, tol: float) -> np.nda
     block, as ``intersect_subspaces`` takes it, and one ``graph_unitaries``.
 
     A constraint must meet the block in half its dimension k, else
-    IncompatibleBoundary.  A family that fails is taken again one member at
-    a time, so it raises what its first failing member raises alone.
+    IncompatibleBoundary.
     """
     k = block.frame.shape[1] // 2
     block_h = block.frame.conj().T
     # combinations of each frame that projection onto the block's complement kills
     _, s, vh = np.linalg.svd(frames - block.frame @ (block_h @ frames), full_matrices=False)
     dims = (s <= tol * np.maximum(1.0, s[:, :1])).sum(axis=1)
-    try:
-        if np.count_nonzero(dims != k):
-            first = int(np.argmax(dims != k))
-            raise IncompatibleBoundary(
-                f"constraint meets doubled block mu={block.mu:.6g} in dimension "
-                f"{dims[first]}, expected {k}")
-        # the singular values descend, so the intersection takes the last k
-        return graph_unitaries(block.space,
-                               block_h @ (frames @ vh[:, -k:].conj().swapaxes(-1, -2)), tol)
-    except SymflowError:
-        if len(frames) > 1:
-            for member in range(len(frames)):
-                _block_family(block, frames[member:member + 1], tol)
-        raise
+    if np.count_nonzero(dims != k):
+        first = int(np.argmax(dims != k))
+        raise IncompatibleBoundary(
+            f"constraint meets doubled block mu={block.mu:.6g} in dimension "
+            f"{dims[first]}, expected {k}")
+    # the singular values descend, so the intersection takes the last k
+    return graph_unitaries(block.space,
+                           block_h @ (frames @ vh[:, -k:].conj().swapaxes(-1, -2)), tol)
 
 
 def _real_line_rep(vecs: np.ndarray, tol: float = 1e-7) -> np.ndarray:
@@ -501,13 +489,14 @@ def _scan_grid(window: float, mu: float, ell: float) -> np.ndarray:
     return np.arange(-window, window + step, step)
 
 
-def _polish(lo, hi, flo, fhi, carry, at: Callable, tol: float) -> np.ndarray:
+def _polish(lo, hi, flo, fhi, coef, value: Callable, tol: float) -> np.ndarray:
     """Midpoints of brackets [lo, hi] narrowed below ``tol`` by Illinois regula
     falsi (Dowell and Jarratt, BIT 11, 1971).  flo, fhi lie on the two sides
-    of the crossing rule; ``at(x, carry)`` gives the values at x, read against
-    the carries at lo, and the carries at x.  A falsi point moves tol/4 toward
-    the midpoint, so a close one lands across the root; a bracket that two
-    rounds have not halved is bisected.  Illinois halves only the weights.
+    of the crossing rule; ``value(x, coef)`` gives the values at x of the
+    functions whose coefficient rows ``coef`` holds, one per bracket.  A
+    falsi point moves tol/4 toward the midpoint, so a close one lands across
+    the root; a bracket that two rounds have not halved is bisected.
+    Illinois halves only the weights.
     Each bracket stops once it is narrower than ``tol``, so its root does not
     depend on the brackets polished with it.
     """
@@ -519,34 +508,33 @@ def _polish(lo, hi, flo, fhi, carry, at: Callable, tol: float) -> np.ndarray:
         done = width < tol
         if np.count_nonzero(done):
             out[live[done]] = 0.5 * (lo[done] + hi[done])
-            live, lo, hi, flo, wlo, whi, carry, last, bisect, before, width = (
-                a[~done] for a in (live, lo, hi, flo, wlo, whi, carry, last, bisect, before, width))
+            live, lo, hi, flo, wlo, whi, coef, last, bisect, before, width = (
+                a[~done] for a in (live, lo, hi, flo, wlo, whi, coef, last, bisect, before, width))
         if live.size == 0:
             return out
         mid = 0.5 * (lo + hi)
         falsi = lo + width * wlo / (wlo - whi)
         nudge = np.minimum(np.maximum(mid - falsi, -0.25 * tol), 0.25 * tol)
         x = np.where(bisect, mid, falsi + nudge)
-        fx, cx = at(x, carry)
+        fx = value(x, coef)
         left = (fx < 0) == (flo < 0)
         # an end that two falsi steps in a row kept has its weight halved
         whi = np.where(left, np.where(last > 0, 0.5 * whi, whi), fx)
         wlo = np.where(left, fx, np.where(last < 0, 0.5 * wlo, wlo))
         lo, flo, hi = np.where(left, x, lo), np.where(left, fx, flo), np.where(left, hi, x)
-        carry = np.where(left[:, None], cx, carry)
         last = np.where(bisect, last, np.where(left, 1.0, -1.0))
         bisect, before = hi - lo > 0.5 * before, width
     out[live] = 0.5 * (lo + hi)
     return out
 
 
-def _certified_roots(scan: Callable, at: Callable, mu: float, ell: float, window: float,
+def _certified_roots(scan: Callable, value: Callable, mu: float, ell: float, window: float,
                      tol: float, members: int = 1) -> list[np.ndarray]:
     """Roots on [-window, window] of one mode block for each of ``members``
     block constraints, each member's number certified.
 
     ``scan(grid, todo)`` gives, per bracket, its member (an index into the
-    members ``todo``), its ends, the values there and the carries at lo, and
+    members ``todo``), its ends, the values there and its coefficient row, and
     per member of ``todo`` an independent root count over the grid.  A
     member whose brackets and count disagree is scanned again on the doubled
     grid, at most six times and within MAX_SCAN_POINTS, else
@@ -554,11 +542,11 @@ def _certified_roots(scan: Callable, at: Callable, mu: float, ell: float, window
     (a bracket of width 0 is a root already)."""
     grid, todo, kept = _scan_grid(window, mu, ell), np.arange(members), []
     for doublings in range(7):
-        owner, lo, hi, flo, fhi, carry, count = scan(grid, todo)
+        owner, lo, hi, flo, fhi, coef, count = scan(grid, todo)
         brackets = np.bincount(owner, minlength=todo.size)
         ok = brackets == count
         hit = ok[owner]
-        kept.append((todo[owner[hit]], lo[hit], hi[hit], flo[hit], fhi[hit], carry[hit]))
+        kept.append((todo[owner[hit]], lo[hit], hi[hit], flo[hit], fhi[hit], coef[hit]))
         if ok.all():
             break
         first = int(np.argmin(ok))
@@ -567,8 +555,8 @@ def _certified_roots(scan: Callable, at: Callable, mu: float, ell: float, window
             raise BracketingFailure(f"root scan of block mu={mu:.6g} not certified at "
                                     f"{grid.size} points: {detail}")
         grid = np.linspace(grid[0], grid[-1], 2 * grid.size - 1)
-    owner, lo, hi, flo, fhi, carry = (np.concatenate(part) for part in zip(*kept))
-    roots = _polish(lo, hi, flo, fhi, carry, at, tol)
+    owner, lo, hi, flo, fhi, coef = (np.concatenate(part) for part in zip(*kept))
+    roots = _polish(lo, hi, flo, fhi, coef, value, tol)
     per_member = np.split(roots[np.lexsort((roots, owner))],
                           np.cumsum(np.bincount(owner, minlength=members))[:-1])
     return [r[np.abs(r) <= window + 1e-9] for r in per_member]
@@ -809,7 +797,7 @@ def _block_roots(block: DoubledBlock, phis: np.ndarray, ell: float,
                               & (crossing_signs(slopes[:, :-1], slopes[:, 1:]) != 0))
         cf = coef[members[row]]
         x = _polish(grid[idx], grid[idx + 1], slopes[row, idx], slopes[row, idx + 1], cf,
-                    lambda x, c: (_root_slopes(x, c, mu, ell), c), tol)
+                    lambda x, c: _root_slopes(x, c, mu, ell), tol)
         edges = level(np.stack([x - 0.5 * tol, x + 0.5 * tol], axis=1), members[row, None])
         double = np.repeat(edges[:, 0] - edges[:, 1] == 2, 2)
         row, x, cf = np.repeat(row, 2)[double], np.repeat(x, 2)[double], np.repeat(cf, 2, 0)[double]
@@ -838,7 +826,7 @@ def _block_roots(block: DoubledBlock, phis: np.ndarray, ell: float,
                 found.append((short[row], *rest))
         return (*(np.concatenate(part) for part in zip(*found)), count)
 
-    return _certified_roots(scan, lambda x, cf: (_root_values(x, cf, mu, ell, plain), cf),
+    return _certified_roots(scan, lambda x, cf: _root_values(x, cf, mu, ell, plain),
                             mu, ell, window, tol, len(phis))
 
 
@@ -867,8 +855,8 @@ def _block_spectra(op: ModelOperator, constraints: Sequence[Lagrangian], mode: C
             yield block, mode(block, phis)
 
 
-def _boundary_spectra(op: ModelOperator, constraints: Sequence[Lagrangian], window: float,
-                      tol: float) -> list[np.ndarray]:
+def _boundary_spectra(op: ModelOperator, constraints: Sequence[Lagrangian],
+                      window: float) -> list[np.ndarray]:
     """``boundary_spectrum`` of each Lagrangian of ``constraints``, the whole
     family solved block by block (``_block_roots``): the same arrays, bit for
     bit, as one constraint at a time.  A family that raises is solved again
@@ -876,21 +864,20 @@ def _boundary_spectra(op: ModelOperator, constraints: Sequence[Lagrangian], wind
     raises alone."""
     try:
         parts = [[] for _ in constraints]
-        for block, found in _block_spectra(
-                op, constraints, lambda b, phis: _block_roots(b, phis, op.length, window, tol)):
+        for block, found in _block_spectra(op, constraints, lambda b, phis: _block_roots(
+                b, phis, op.length, window, ROOT_TOL)):
             for part, roots in zip(parts, found):
                 part.append(_lattice_in_window(roots, 2.0 * np.pi / op.length, window)
                             if block.is_kernel else roots)
     except SymflowError:
         if len(constraints) > 1:
             for constraint in constraints:
-                _boundary_spectra(op, [constraint], window, tol)
+                _boundary_spectra(op, [constraint], window)
         raise
     return [np.sort(np.concatenate(part)) if part else np.array([]) for part in parts]
 
 
-def boundary_spectrum(op: ModelOperator, constraint: Lagrangian, window: float,
-                      tol: float = 1e-10) -> np.ndarray:
+def boundary_spectrum(op: ModelOperator, constraint: Lagrangian, window: float) -> np.ndarray:
     """Eigenvalues of the interval operator whose boundary data is constrained
     to the Lagrangian ``constraint`` of the double space H ⊕ H.
 
@@ -899,11 +886,11 @@ def boundary_spectrum(op: ModelOperator, constraint: Lagrangian, window: float,
     BracketingFailure; kernel blocks are exact lattices.  A family of one for
     ``_boundary_spectra``.
     """
-    return _boundary_spectra(op, [constraint], window, tol)[0]
+    return _boundary_spectra(op, [constraint], window)[0]
 
 
 def interval_spectrum(op: ModelOperator, p: Lagrangian, q: Lagrangian,
-                      window: float, tol: float = 1e-10) -> np.ndarray:
+                      window: float) -> np.ndarray:
     """Eigenvalues in [-window, window] of D_{P,Q} on the interval.
 
     D_{P,Q} constrains beta(0) to ker proj(P) = gamma P and beta(L) to
@@ -911,13 +898,12 @@ def interval_spectrum(op: ModelOperator, p: Lagrangian, q: Lagrangian,
     the double space; both must be block-compatible Lagrangians on H.
     """
     return boundary_spectrum(op, direct_sum_lagrangian(double_boundary(op), gamma_conjugate(p), q),
-                             window, tol=tol)
+                             window)
 
 
-def interval_kernel_dim(op: ModelOperator, constraint: Lagrangian,
-                        tol: float = DEFAULT_TOL) -> int:
+def interval_kernel_dim(op: ModelOperator, constraint: Lagrangian) -> int:
     """dim ker of the interval operator = dim(Cauchy data ∩ constraint)."""
-    return intersection_dim(cauchy_data(op), constraint, tol)
+    return intersection_dim(cauchy_data(op), constraint, DEFAULT_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -1049,11 +1035,10 @@ def _null_space(m: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     return vh.conj().T[:, np.sum(s > tol * scale):]
 
 
-def caldconst_check(op_plus: ModelOperator, op_minus: ModelOperator,
-                    thetas: Optional[Sequence[float]] = None,
-                    tol: float = DEFAULT_TOL) -> dict:
-    """Constancy of dim(ker P(theta, P_+) ∩ (L_+ ⊕ L_-)) over theta in [0, pi/4]
-    and its equality with dim(L_+ ∩ L_-), for the two Cauchy data spaces.
+def caldconst_check(op_plus: ModelOperator, op_minus: ModelOperator) -> dict:
+    """Constancy of dim(ker P(theta, P_+) ∩ (L_+ ⊕ L_-)) over nine evenly
+    spaced theta in [0, pi/4] and its equality with dim(L_+ ∩ L_-), for the
+    two Cauchy data spaces, at DEFAULT_TOL.
 
     Raises IdentityViolation if the dimension moves or misses the target.
     """
@@ -1061,15 +1046,14 @@ def caldconst_check(op_plus: ModelOperator, op_minus: ModelOperator,
         raise DimensionMismatch("models must share the boundary space")
     l_plus = cauchy_data(op_plus)
     l_minus = swap_ends(op_minus, cauchy_data(op_minus))
-    target = intersection_dim(l_plus, l_minus, tol)
+    target = intersection_dim(l_plus, l_minus, DEFAULT_TOL)
     p_proj = l_plus.frame @ l_plus.frame.conj().T
     cut_image = _doubled(l_plus.frame, l_minus.frame)
-    if thetas is None:
-        thetas = np.linspace(0.0, np.pi / 4.0, 9)
+    thetas = np.linspace(0.0, np.pi / 4.0, 9)
     dims = []
     for th in thetas:
-        ker = _null_space(p_theta(p_proj, float(th)), tol)
-        dims.append(intersect_subspaces([ker, cut_image], tol).shape[1])
+        ker = _null_space(p_theta(p_proj, float(th)), DEFAULT_TOL)
+        dims.append(intersect_subspaces([ker, cut_image], DEFAULT_TOL).shape[1])
     if any(d != target for d in dims):
         raise IdentityViolation(
             f"kernel dimension along theta = {dims}, expected constant {target}"
@@ -1096,17 +1080,18 @@ def _eigenspaces(a: np.ndarray, tol: float = 1e-9):
 
 
 def adiabatic_limit(op: ModelOperator, l_x: Optional[Lagrangian] = None,
-                    nu: float = 0.0, tol: float = DEFAULT_TOL) -> Lagrangian:
+                    nu: float = 0.0) -> Lagrangian:
     """Limit of the stretched Cauchy data spaces in the double boundary space.
 
     Computes the symplectic reduction of L_X by F^-_nu ⊕ (middle band), then
     the filtered per-eigenvalue projections, and assembles
-    (⊕_i L_{mu_i}) ⊕ F^+_nu.  Requires the non-resonance condition
-    L_X ∩ F^-_nu = 0.
+    (⊕_i L_{mu_i}) ⊕ F^+_nu, at DEFAULT_TOL.  Requires the non-resonance
+    condition L_X ∩ F^-_nu = 0.
     """
     dbs = double_boundary(op)
     if l_x is None:
         l_x = cauchy_data(op)
+    tol = DEFAULT_TOL
     groups, scale = _eigenspaces(dbs.a_tilde, tol)
     thr = tol * 100 * scale
     f_minus = [v for mu, v in groups if mu < -nu - thr]
@@ -1199,7 +1184,7 @@ def glue_verify(op_plus: ModelOperator, op_minus: ModelOperator, p: Lagrangian,
 
 
 def nicolaescu_verify(op: ModelOperator, family: Sequence[tuple[float, Lagrangian]],
-                      window: float = 12.0, tol: float = 1e-10) -> dict:
+                      window: float = 12.0) -> dict:
     """Spectral flow along a boundary-condition path equals the Maslov index
     of (P(t), Cauchy data), both as exact integers.
 
@@ -1212,7 +1197,7 @@ def nicolaescu_verify(op: ModelOperator, family: Sequence[tuple[float, Lagrangia
     or when the two samples hold different numbers of eigenvalues inside it.
     """
     l_x = cauchy_data(op)
-    spectra = _boundary_spectra(op, [gamma_conjugate(bnd) for _, bnd in family], window, tol)
+    spectra = _boundary_spectra(op, [gamma_conjugate(bnd) for _, bnd in family], window)
     sf = 0
     zero_thr = 1e-8
     for a, b in zip(spectra[:-1], spectra[1:]):
@@ -1246,16 +1231,16 @@ def nicolaescu_verify(op: ModelOperator, family: Sequence[tuple[float, Lagrangia
     return {"sf": sf, "maslov": mas, "samples": len(family)}
 
 
-def sw_modz_check(op: ModelOperator, p: Lagrangian, q: Optional[Lagrangian] = None,
-                  tol: float = 1e-9) -> dict:
+def sw_modz_check(op: ModelOperator, p: Lagrangian, q: Optional[Lagrangian] = None) -> dict:
     """Boundary dependence of reduced eta against the boundary trace-log.
 
     Always checks the mod-Z form exp(2 pi i (eta~_P - eta~_Q)) =
     det(phi(P) phi(Q)*); with Q omitted the Calderon projector is used and
     the strengthened exact form eta~_P - eta~_X = tr log(phi(P) phi(X)*)/2 pi i
-    is required (exact on zero-mode models, within the rounding-level eta
-    bound otherwise).
+    is required (within 1e-9 on zero-mode models, within the rounding-level
+    eta bound plus 1e-9 otherwise).
     """
+    tol = 1e-9
     exact = op.kernel is not None and len(op.blocks) == 0
     l_x = cauchy_data(op)
     strengthened = q is None
@@ -1284,8 +1269,9 @@ def sw_modz_check(op: ModelOperator, p: Lagrangian, q: Optional[Lagrangian] = No
 
 
 def model_symmetry_check(op: ModelOperator, p: Lagrangian, q: Lagrangian,
-                         window: float, tol: float = 1e-8) -> dict:
-    """spec D_{P,Q} = -spec D_{Q,P} elementwise within tol."""
+                         window: float) -> dict:
+    """spec D_{P,Q} = -spec D_{Q,P} elementwise within 1e-8."""
+    tol = 1e-8
     s1 = interval_spectrum(op, p, q, window)
     s2 = interval_spectrum(op, q, p, window)
     if s1.size != s2.size:

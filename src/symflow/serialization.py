@@ -341,8 +341,9 @@ def model_from_json(obj, tol: float = 1e-9) -> dict:
 
     Every number is checked before the operator is built.  ``eta.N_max`` and
     ``glue.n_max`` change no result: they are range-checked and not kept.
-    ``glue`` is None when the document has none; its "P" stays JSON, since
-    it lives on the double boundary of the operator.
+    A missing ``stretch.lengths`` is [2, 5, 10, 20, 50]; an empty one is a
+    SchemaError.  ``glue`` is None when the document has none; its "P" stays
+    JSON, since it lives on the double boundary of the operator.
     """
     require_fields(obj, ("gamma", "A", "geometry"),
                    ("boundary", "window", "eta", "stretch", "glue"), "model")
@@ -365,13 +366,13 @@ def model_from_json(obj, tol: float = 1e-9) -> dict:
                           f"block at geometry.{kind} = {length!r}")
     stretch = obj.get("stretch", {})
     require_fields(stretch, (), ("nu", "lengths"), "stretch")
-    lengths = stretch.get("lengths", [])
-    if not isinstance(lengths, list):
-        raise SchemaError(f"stretch.lengths must be an array, got {lengths!r}")
+    lengths = stretch.get("lengths", [2.0, 5.0, 10.0, 20.0, 50.0])
+    if not (isinstance(lengths, list) and lengths):
+        raise SchemaError(f"stretch.lengths must be a non-empty array, got {lengths!r}")
     out["stretch"] = {
         "nu": number_from_json(stretch.get("nu", 0.0), "stretch.nu"),
         "lengths": [number_from_json(r, "stretch.lengths entry", positive=True)
-                    for r in lengths or [2.0, 5.0, 10.0, 20.0, 50.0]],
+                    for r in lengths],
     }
     out["glue"] = None
     if "glue" in obj:

@@ -93,12 +93,12 @@ class SymplecticSpace:
         """b_-*, which maps a vector to its E_{-i} coordinates."""
         return readonly(self.basis_minus.conj().T)
 
-    def same_space(self, other: "SymplecticSpace", tol: float = 1e-12) -> bool:
-        """Same eigenbases (so gamma) within ``tol``: phi is written in them."""
+    def same_space(self, other: "SymplecticSpace") -> bool:
+        """Same eigenbases (so gamma) within 1e-12: phi is written in them."""
         return self is other or (
             self.dim == other.dim
-            and np.allclose(self.basis_plus, other.basis_plus, rtol=0.0, atol=tol)
-            and np.allclose(self.basis_minus, other.basis_minus, rtol=0.0, atol=tol))
+            and np.allclose(self.basis_plus, other.basis_plus, rtol=0.0, atol=1e-12)
+            and np.allclose(self.basis_minus, other.basis_minus, rtol=0.0, atol=1e-12))
 
 
 @dataclass(frozen=True)
@@ -180,9 +180,11 @@ def space_from_gamma(gamma, tol: float = DEFAULT_TOL, *, _rng=None) -> Symplecti
     d = gamma.shape[0]
     if gamma.shape[0] != gamma.shape[1] or d % 2 != 0 or d == 0:
         raise InvalidGamma(f"gamma must be square of even size, got {gamma.shape}")
-    if not norm_at_most(gamma + gamma.conj().T, tol * 10, scale=gamma):
+    with np.errstate(**QUIET):  # an entry near the float maximum overflows: inf fails
+        skew, square = gamma + gamma.conj().T, gamma @ gamma + np.eye(d)
+    if not norm_at_most(skew, tol * 10, scale=gamma):
         raise InvalidGamma("gamma is not skew-adjoint within tolerance")
-    if not norm_at_most(gamma @ gamma + np.eye(d), tol * 10, scale=gamma):
+    if not norm_at_most(square, tol * 10, scale=gamma):
         raise InvalidGamma("gamma^2 != -I within tolerance")
     # -i*gamma is Hermitian with eigenvalues +1 on E_i and -1 on E_{-i}
     vals, vecs = np.linalg.eigh(-1j * gamma)

@@ -161,11 +161,11 @@ class SampledPath:
 
     @classmethod
     def from_generator(cls, generator: Callable[[float], np.ndarray],
-                       t0: float = 0.0, t1: float = 1.0, initial_samples: int = 9,
-                       broadcasts: bool = False, **kwargs):
-        """Sample ``generator`` at evenly spaced times, in one call if it ``broadcasts``
-        (each matrix of its stack bit for bit as alone); ``kwargs`` go to the constructor."""
-        ts = np.linspace(t0, t1, initial_samples)
+                       initial_samples: int = 9, broadcasts: bool = False, **kwargs):
+        """Sample ``generator`` at evenly spaced times of [0, 1], in one call if it
+        ``broadcasts`` (each matrix of its stack bit for bit as alone); ``kwargs`` go
+        to the constructor."""
+        ts = np.linspace(0.0, 1.0, initial_samples)
         mats = generator(ts) if broadcasts else [generator(t) for t in ts.tolist()]
         return cls(list(zip(ts.tolist(), mats)), generator, **kwargs)
 

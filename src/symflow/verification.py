@@ -37,6 +37,7 @@ from .symplectic_core import (
     lagrangian_from_phi,
     projection_of,
     rebased_space,
+    space_from_gamma,
     standard_space,
     subspace_distance,
     symplectic_reduce,
@@ -156,8 +157,9 @@ def random_boundary_on_h(op, rng) -> Lagrangian:
         a = rng.uniform(0, np.pi)
         cols.append(b.frame @ np.array([np.cos(a), np.sin(a)], dtype=complex))
     if op.kernel is not None:
-        lk = random_lagrangian(op.kernel.block_space, rng)
-        cols.extend(list((op.kernel.frame @ lk.frame).T))
+        kframe = op.kernel.frame
+        lk = random_lagrangian(space_from_gamma(kframe.conj().T @ op.space.gamma @ kframe), rng)
+        cols.extend(list((kframe @ lk.frame).T))
     return lagrangian_from_frame(op.space, np.array(cols).T)
 
 
@@ -556,7 +558,7 @@ def suite_model_symmetry(rep: SuiteReport, rng, count: int = 50) -> None:
         q = random_boundary_on_h(op, rng)
         # the symmetry check raises on a violation; that fails its check only
         try:
-            md.model_symmetry_check(op, p, q, window=20.0, tol=1e-8)
+            md.model_symmetry_check(op, p, q, window=20.0)
             symmetric = True
         except SymflowError:
             symmetric = False
@@ -661,6 +663,23 @@ def suite_gluing(rep: SuiteReport, rng, count: int = 20) -> None:
     if coupled_bounds:
         rep.checks[-1].detail = f"max bound {max(coupled_bounds):.2e}"
 
+    def scott_wojciechowski(coupled_p: bool, explicit_q: bool):
+        # drawn after every case above; Q, when drawn, is of P's kind
+        op, _ = random_model(rng, n_half_max=2)
+        dbs = md.double_boundary(op)
+        draw = ((lambda: random_coupled_boundary(dbs, rng)) if coupled_p
+                else (lambda: random_split_boundary(op, rng)))
+        p = draw()
+        md.sw_modz_check(op, p, draw() if explicit_q else None)
+        return True
+    kinds = (False, True) * max(1, count // 4)  # split and coupled P in turn
+    for explicit_q, label in (
+            (False, "Scott-Wojciechowski: eta~_P - eta~_X = tr log(phi(P) phi(X)*)/2 pi i "
+                    "against the Calderon projector, split and coupled P"),
+            (True, "Scott-Wojciechowski mod Z: exp(2 pi i (eta~_P - eta~_Q)) = "
+                   "det(phi(P) phi(Q)*), split and coupled P")):
+        rep.run(label, [lambda c=c, q=explicit_q: scott_wojciechowski(c, q) for c in kinds])
+
 
 def suite_adiabatic(rep: SuiteReport, rng, count: int = 20) -> None:
     def stretches():
@@ -761,13 +780,16 @@ SUITES: dict[str, tuple[int, str, Callable[..., None]]] = {
 
 def run_suite(name: str, seed: int = 0, count: Optional[int] = None) -> list[SuiteReport]:
     """Run one suite (or 'all'); returns the reports in registry order.
-    ``count`` (at least 1) replaces each suite's default case count."""
+    ``seed`` keys the Philox streams, so it lies in [0, 2^128); ``count``
+    (at least 1) replaces each suite's default case count."""
     if name == "all":
         names = list(SUITES)
     elif name in SUITES:
         names = [name]
     else:
-        raise KeyError(f"unknown suite {name!r}; choose from {list(SUITES)} or 'all'")
+        raise SchemaError(f"unknown suite {name!r}; choose from {list(SUITES)} or 'all'")
+    if not 0 <= seed < 2**128:
+        raise SchemaError(f"seed must lie in [0, 2^128), got {seed}")
     if count is not None and count < 1:
         raise SchemaError(f"count must be at least 1, got {count}")
     out = []

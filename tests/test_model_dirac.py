@@ -205,6 +205,19 @@ class TestDoubleBoundary:
         md.build_model(sp, a, md.Interval(1.0))
         assert len(calls) == 1
 
+    def test_build_model_makes_two_spaces_with_a_kernel(self, monkeypatch):
+        # the double space and the doubled kernel block's space, nothing more
+        sp = sf.standard_space(3)
+        a = planted_anticommuting(sp, [0.6, 1.1], rng_for(72, 30))
+        md.build_model(sp, a, md.Interval(1.0))  # the first model may build the shared space
+        calls = []
+        build = md.space_from_gamma
+        monkeypatch.setattr(md, "space_from_gamma",
+                            lambda *a, **k: calls.append(1) or build(*a, **k))
+        op = md.build_model(sp, a, md.Interval(1.0))
+        assert op.kernel.frame.shape[1] == 2
+        assert len(calls) == 2
+
     def test_a_piece_of_another_length_shares_it(self, mu_one_model):
         piece = dataclasses.replace(mu_one_model, geometry=md.Interval(0.7))
         assert md.double_boundary(piece) is md.double_boundary(mu_one_model)
@@ -413,7 +426,7 @@ class TestIntervalSpectrum:
                 block, bc, _, _ = _line_block(b.mu, 1.3, np.arctan2(lp[1], lp[0]),
                                               np.arctan2(lq[1], lq[0]))
                 expected.append(md._block_roots(block, bc.phi[None], 1.3, window, 1e-10)[0])
-            ksp = op.kernel.block_space
+            ksp = sf.space_from_gamma(op.kernel.frame.conj().T @ op.space.gamma @ op.kernel.frame)
             lp = sf.lagrangian_from_frame(ksp, trace(gp, op.kernel.frame))
             lq = sf.lagrangian_from_frame(ksp, trace(q, op.kernel.frame))
             betas = np.angle(np.linalg.eigvals(lp.phi @ lq.phi.conj().T))
@@ -429,7 +442,7 @@ class TestIntervalSpectrum:
             op, _ = random_model(rng)
             p = random_boundary_on_h(op, rng)
             q = random_boundary_on_h(op, rng)
-            md.model_symmetry_check(op, p, q, window=15.0, tol=1e-8)
+            md.model_symmetry_check(op, p, q, window=15.0)
 
     def test_incompatible_boundary_rejected(self):
         rng = rng_for(55, 26)
@@ -1100,7 +1113,7 @@ class TestSplitLines:
         assert len(dbs.blocks) == 3 and len(calls) == 3
         # a family of F constraints: one stacked SVD per block as well
         calls.clear()
-        md._boundary_spectra(op, family, 6.0, 1e-10)
+        md._boundary_spectra(op, family, 6.0)
         assert len(calls) == 3
 
 
@@ -1413,7 +1426,7 @@ class TestFamilySpectra:
 
     @staticmethod
     def assert_as_alone(op, constraints, window):
-        got = md._boundary_spectra(op, constraints, window, 1e-10)
+        got = md._boundary_spectra(op, constraints, window)
         assert len(got) == len(constraints)
         for spectrum, constraint in zip(got, constraints):
             assert np.array_equal(spectrum, md.boundary_spectrum(op, constraint, window))
@@ -1461,42 +1474,42 @@ class TestFamilySpectra:
             return out
 
         monkeypatch.setattr(md, "_root_values", values)
-        got = md._boundary_spectra(op, family, 10.0, 1e-10)
+        got = md._boundary_spectra(op, family, 10.0)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
         assert len(scans) >= len(family) // 5 and max(scans) <= cap
 
     @pytest.mark.parametrize("engine", ["split", "coupled"])
     def test_a_bracket_polishes_as_alone(self, monkeypatch, engine):
         # each bracket stops once narrower than tol: polishing [A, B] gives A
-        # bit for bit as [A] does, with G's coefficients as the carries, of
-        # split brackets (from several constraints) and of coupled ones
+        # bit for bit as [A] does, each with its own row of G's coefficients,
+        # of split brackets (from several constraints) and of coupled ones
         calls = []
         polish = md._polish
         monkeypatch.setattr(md, "_polish", lambda *args: calls.append(args) or polish(*args))
         if engine == "split":
             op = _planted(2, [0.6], 2, ell=1.9)
             md._boundary_spectra(op, _rotation_constraints(op, rng_for(16, 5), 1.0)[::8],
-                                 10.0, 1e-10)
+                                 10.0)
         else:
             block, bc, ell = TestCoupledBlockRoots.foreign_cauchy_block(1)
             md._block_roots(block, bc.phi[None], ell, 10.0, 1e-10)
-        lo, hi, flo, fhi, carry, at, tol = calls[-1]  # the polish of every bracket comes last
+        lo, hi, flo, fhi, coef, value, tol = calls[-1]  # the polish of every bracket comes last
         pick = np.linspace(0, lo.size - 1, 8).astype(int)
         if engine == "split":
-            assert np.unique(carry[pick], axis=0).shape[0] > 1
-        alone = {a: polish(lo[[a]], hi[[a]], flo[[a]], fhi[[a]], carry[[a]], at, tol)[0]
+            assert np.unique(coef[pick], axis=0).shape[0] > 1
+        alone = {a: polish(lo[[a]], hi[[a]], flo[[a]], fhi[[a]], coef[[a]], value, tol)[0]
                  for a in pick}
         for a in pick:
             for b in pick:
-                both = polish(lo[[a, b]], hi[[a, b]], flo[[a, b]], fhi[[a, b]], carry[[a, b]],
-                              at, tol)
+                both = polish(lo[[a, b]], hi[[a, b]], flo[[a, b]], fhi[[a, b]], coef[[a, b]],
+                              value, tol)
                 assert both[0].tobytes() == alone[a].tobytes()
 
     def test_one_sample_counted_one_root_more_raises(self, monkeypatch):
         op = _planted(3, [0.5, 1.9], 3)
         dbs = md.double_boundary(op)
         family = _rotation_constraints(op, rng_for(16, 6), 0.5)[::4]
-        md._boundary_spectra(op, family, 10.0, 1e-10)
+        md._boundary_spectra(op, family, 10.0)
         blocks = [b for b in dbs.blocks if not b.is_kernel]
         sturm = md._sturm_count
 
@@ -1513,17 +1526,17 @@ class TestFamilySpectra:
         # the extra root of sample 4 in the second block is never bracketed
         monkeypatch.setattr(md, "_sturm_count", one_more_at([(blocks[1], lines(4, blocks[1]))]))
         with pytest.raises(BracketingFailure, match=f"mu={blocks[1].mu:.6g} not certified"):
-            md._boundary_spectra(op, family, 10.0, 1e-10)
+            md._boundary_spectra(op, family, 10.0)
         rest = family[:4] + family[5:]
         assert all(np.array_equal(a, b) for a, b in zip(
-            md._boundary_spectra(op, rest, 10.0, 1e-10),
+            md._boundary_spectra(op, rest, 10.0),
             [md.boundary_spectrum(op, c, 10.0) for c in rest]))
         # two failing samples: the error is the first sample's, as alone,
         # though a later sample fails in an earlier block
         monkeypatch.setattr(md, "_sturm_count", one_more_at(
             [(blocks[1], lines(2, blocks[1])), (blocks[0], lines(5, blocks[0]))]))
         with pytest.raises(BracketingFailure) as family_error:
-            md._boundary_spectra(op, family, 10.0, 1e-10)
+            md._boundary_spectra(op, family, 10.0)
         with pytest.raises(BracketingFailure) as alone_error:
             md.boundary_spectrum(op, family[2], 10.0)
         assert str(family_error.value) == str(alone_error.value)
@@ -1579,7 +1592,7 @@ class TestFamilyErrors:
         with pytest.raises(IncompatibleBoundary) as alone:
             md.boundary_spectrum(op, bad, 10.0)
         with pytest.raises(IncompatibleBoundary) as family_error:
-            md._boundary_spectra(op, family[:4] + [bad] + family[4:], 10.0, 1e-10)
+            md._boundary_spectra(op, family[:4] + [bad] + family[4:], 10.0)
         assert str(family_error.value) == str(alone.value)
 
     def test_non_lagrangian_block_trace_in_the_middle(self):

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ import symflow as sf
 from symflow import serialization as ser
 from symflow._linalg import branch_phases
 from symflow.cli import main
-from symflow.errors import SchemaError
+from symflow.errors import SchemaError, SymflowError
 from symflow.verification import random_unitary, rng_for
 
 
@@ -617,6 +618,18 @@ class TestVerifyCommand:
     def test_unknown_suite_exits_2(self):
         r = run_cli("verify", "nonsense")
         assert r.returncode == 2
+        assert r.stderr.startswith("schema error: unknown suite 'nonsense'; choose from")
+        assert r.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**128)])
+    def test_seed_outside_the_philox_keys_exits_2(self, seed):
+        r = run_cli("verify", "core", "--seed", seed, "--count", "1")
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr == f"schema error: seed must lie in [0, 2^128), got {seed}\n"
+
+    def test_largest_seed_runs(self):
+        r = run_cli("verify", "core", "--seed", str(2**128 - 1), "--count", "1")
+        assert r.returncode == 0, r.stderr
 
     def test_all_runs_every_suite(self):
         r = run_cli("verify", "all", "--seed", "7", "--count", "6")
@@ -691,6 +704,39 @@ class TestModelCommand:
         rec = json.loads(r.stdout)
         dists = [d["distance"] for d in rec["distances"]]
         assert dists[0] > dists[1] > dists[2] or dists[2] < 1e-12
+
+    def test_stretch_lengths_empty_or_missing(self, tmp_path, capsys, model_doc):
+        # an empty array is malformed; a missing key takes the five defaults
+        model_doc["stretch"] = {"lengths": []}
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps(model_doc))
+        assert main(["model", "stretch", str(f)]) == 2
+        rec = json.loads(capsys.readouterr().out)
+        assert (rec["error"], rec["pass"]) == ("SchemaError", False)
+        assert "stretch.lengths" in rec["detail"]
+        model_doc["stretch"] = {"nu": 0.0}
+        f.write_text(json.dumps(model_doc))
+        assert main(["model", "stretch", str(f)]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert [d["length"] for d in rec["distances"]] == [2.0, 5.0, 10.0, 20.0, 50.0]
+
+    @pytest.mark.parametrize("field, value, error", [
+        ("A", [[[0, 0], [1e308, 0]], [[-1e308, 0], [0, 0]]], "AnticommutationFailure"),
+        ("gamma", [[[0, 0], [-1e308, 0]], [[1e308, 0], [0, 0]]], "InvalidGamma"),
+    ], ids=["A", "gamma"])
+    def test_huge_entries_print_no_warning(self, tmp_path, model_doc, field, value, error):
+        # a - a* and gamma gamma overflow to inf, which fails the check quietly
+        model_doc[field] = value
+        del model_doc["boundary"]
+        f = tmp_path / "m.json"
+        f.write_text(json.dumps(model_doc))
+        r = run_cli("model", "cauchy", str(f))
+        assert (r.returncode, r.stderr) == (1, "")
+        assert json.loads(r.stdout)["error"] == error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SymflowError, match="tolerance"):
+                ser.model_from_json(model_doc)
 
     def test_glue(self, tmp_path, model_doc):
         lx = sf.cauchy_data(

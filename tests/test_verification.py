@@ -5,7 +5,7 @@ import pytest
 
 from symflow import verification
 from symflow.cli import main
-from symflow.errors import IdentityViolation
+from symflow.errors import IdentityViolation, SchemaError
 from symflow.verification import SuiteReport
 
 
@@ -85,3 +85,24 @@ def test_verify_count_must_be_positive(monkeypatch, count):
 
     monkeypatch.setitem(verification.SUITES, "fake", (99, "never runs", never_run))
     assert main(["verify", "fake", "--count", count]) == 2
+
+
+def test_gluing_checks_scott_wojciechowski_at_count_one():
+    # both forms, the Calderon projector and an explicit Q, each on a split
+    # and a coupled P, after every other check of the suite
+    rep = verification.run_suite("gluing", seed=5, count=1)[0]
+    calderon, mod_z = rep.checks[-2:]
+    assert calderon.label.startswith("Scott-Wojciechowski: eta~_P - eta~_X")
+    assert mod_z.label.startswith("Scott-Wojciechowski mod Z")
+    assert (calderon.passed, calderon.total, mod_z.passed, mod_z.total) == (2, 2, 2, 2)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128])
+def test_run_suite_rejects_a_seed_philox_cannot_key(seed):
+    with pytest.raises(SchemaError, match="seed must lie in"):
+        verification.run_suite("core", seed=seed, count=1)
+
+
+def test_run_suite_rejects_an_unknown_suite():
+    with pytest.raises(SchemaError, match="unknown suite 'nonsense'"):
+        verification.run_suite("nonsense")
